@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .broker import SUB_CONTROL
-from .monitor import MetricsRegistry
 from .ratelimit import RateLimitConfig
-from .simnet import Network
+from .simnet import Network, ns_from_s
 from .topology import (
     CONFIG_NOTICE,
     CONFIG_REPLY,
@@ -30,12 +30,16 @@ from .topology import (
     MessageEnvelope,
     SequenceCounter,
     Topology,
+    control_envelope,
 )
-from .tracing import Trace
 
 log = logging.getLogger(__name__)
 
 SCOPES = ("layer", "node", "service")
+
+# periods that re-arm a timer: zero would re-fire at the same instant forever
+_POSITIVE = (("flow", "heartbeat_s"), ("flow", "heartbeat_ttl_s"),
+             ("flow", "watchdog_s"), ("config", "sync_period_s"))
 
 
 def default_layer_config() -> dict[str, Any]:
@@ -48,7 +52,6 @@ def default_layer_config() -> dict[str, Any]:
             "watchdog_s": 1.0,
         },
         "config": {"sync_period_s": 5.0},
-        "monitor": {"ping_period_s": 1.0, "ping_timeout_s": 5.0},
     }
 
 
@@ -65,6 +68,65 @@ def merge_config(base: dict, override: dict) -> dict:
 
 class ConfigError(ValueError):
     pass
+
+
+def resolve_layer_config(overrides: object) -> dict[str, Any]:
+    """One layer's config: ``overrides`` merged onto the defaults, checked.
+
+    Every section and key must exist in ``default_layer_config()`` and
+    every value must be a finite number (an integer where the default is
+    one). Timer periods must be > 0; ``flow.reannounce_s`` may be 0,
+    which switches re-announce off.
+    """
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"layer config must be an object, got {type(overrides).__name__}")
+    base = default_layer_config()
+    for section, values in overrides.items():
+        if section not in base:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"{section} must be an object, got {type(values).__name__}")
+        for key, value in values.items():
+            if key not in base[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            kind = int if isinstance(base[section][key], int) else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise ConfigError(f"{section}.{key} must be a finite "
+                                  f"{'integer' if kind is int else 'number'}, got {value!r}")
+    cfg = merge_config(base, overrides)
+    for section, key in _POSITIVE:
+        if cfg[section][key] <= 0:
+            raise ConfigError(f"{section}.{key} must be > 0")
+    if cfg["flow"]["reannounce_s"] < 0:
+        raise ConfigError("flow.reannounce_s must be >= 0 (0 switches it off)")
+    try:
+        RateLimitConfig.from_obj(cfg["rate_limit"])
+    except ValueError as exc:
+        raise ConfigError(f"rate_limit: {exc}") from None
+    return cfg
+
+
+class _LayerDefaults:
+    """Revision-0 bodies: each layer's resolved config, {} for the rest."""
+
+    def __init__(self, topology: Topology, layer_defaults: dict[str, dict] | None):
+        overrides = layer_defaults or {}
+        unknown = set(overrides) - {l.name for l in topology.layers}
+        if unknown:
+            raise ConfigError(f"defaults for unknown layers: {sorted(unknown)}")
+        self._layer_defaults = {
+            l.name: resolve_layer_config(overrides.get(l.name, {}))
+            for l in topology.layers
+        }
+
+    def default_body(self, scope: str, subject: str) -> dict:
+        if scope == "layer":
+            defaults = self._layer_defaults.get(subject)
+            if defaults is None:
+                raise ConfigError(f"unknown layer {subject!r}")
+            return json.loads(canonical(defaults))
+        return {}
 
 
 @dataclass(frozen=True)
@@ -117,29 +179,17 @@ def diff_paths(old: dict, new: dict, prefix: str = "") -> list[str]:
     return paths
 
 
-class MainConfigStore:
+class MainConfigStore(_LayerDefaults):
     """Authoritative document set with monotonic per-document revisions."""
 
     def __init__(self, topology: Topology, layer_defaults: dict[str, dict] | None = None,
                  path: str | None = None):
+        super().__init__(topology, layer_defaults)
         self.topology = topology
-        base = default_layer_config()
-        self._layer_defaults = {
-            l.name: merge_config(base, (layer_defaults or {}).get(l.name, {}))
-            for l in topology.layers
-        }
-        unknown = set(layer_defaults or {}) - {l.name for l in topology.layers}
-        if unknown:
-            raise ConfigError(f"defaults for unknown layers: {sorted(unknown)}")
         self.docs: dict[tuple[str, str], ConfigDocument] = {}
         self.path = path
         if path and os.path.exists(path):
             self._load(path)
-
-    def default_body(self, scope: str, subject: str) -> dict:
-        if scope == "layer":
-            return json.loads(canonical(self._layer_defaults[subject]))
-        return {}
 
     def _validate_subject(self, scope: str, subject: str) -> None:
         if scope not in SCOPES:
@@ -203,13 +253,12 @@ class MainConfigStore:
 class MainConfigService:
     """Messaging front-end for the main store, living on the home layer."""
 
-    def __init__(self, store: MainConfigStore, network: Network, seq: SequenceCounter,
-                 registry: MetricsRegistry | None = None):
+    def __init__(self, store: MainConfigStore, network: Network, seq: SequenceCounter):
         self.store = store
         self.network = network
         self.clock = network.clock
         self.seq = seq
-        self.registry = registry if registry is not None else network.metrics
+        self.registry = network.metrics
         self.home_layer = store.topology.most_central_layer.name
         self.node = store.topology.system_node(self.home_layer)
         self._endpoint = network.endpoint(store.topology.inter_layer_scope(self.home_layer))
@@ -234,45 +283,27 @@ class MainConfigService:
             return
         docs = self.store.snapshot_for_layer(req["layer"])
         reply = {"corr": req["corr"], "docs": [d.to_obj() for d in docs]}
-        out = MessageEnvelope(
-            topic=CONFIG_REPLY,
-            payload=json.dumps(reply, sort_keys=True).encode(),
-            origin_node=self.node,
-            origin_layer=self.home_layer,
-            sequence=self.seq.next(CONFIG_REPLY),
-            sent_at=self.clock.now,
-        )
-        self._endpoint.publish(out)
+        self._endpoint.publish(control_envelope(
+            CONFIG_REPLY, reply, self.node, self.seq, self.clock.now))
         self.registry.inc("config.pulls", {"layer": req["layer"]})
 
 
-class ConfigWorker:
+class ConfigWorker(_LayerDefaults):
     """Per-layer replica: periodic pull, local reads, change notices."""
 
-    def __init__(
-        self,
-        layer: str,
-        topology: Topology,
-        network: Network,
-        seq: SequenceCounter,
-        sync_period_ns: int,
-        layer_defaults: dict[str, dict] | None = None,
-        registry: MetricsRegistry | None = None,
-        trace: Trace | None = None,
-    ):
+    def __init__(self, layer: str, network: Network, seq: SequenceCounter,
+                 layer_defaults: dict[str, dict] | None = None):
+        topology = network.topology
+        super().__init__(topology, layer_defaults)
         self.layer = topology.layer(layer).name
         self.topology = topology
         self.network = network
         self.clock = network.clock
         self.seq = seq
-        self.sync_period_ns = sync_period_ns
-        self.registry = registry if registry is not None else network.metrics
-        self.trace = trace if trace is not None else network.trace
-        base = default_layer_config()
-        self._layer_defaults = {
-            l.name: merge_config(base, (layer_defaults or {}).get(l.name, {}))
-            for l in topology.layers
-        }
+        self.sync_period_ns = ns_from_s(
+            self.default_body("layer", self.layer)["config"]["sync_period_s"])
+        self.registry = network.metrics
+        self.trace = network.trace
         self.node = topology.system_node(self.layer)
         self.replica: dict[tuple[str, str], ConfigDocument] = {}
         self.notices_sent = 0
@@ -284,14 +315,6 @@ class ConfigWorker:
         self._intra = network.endpoint(topology.intra_layer_scope(self.layer))
 
     # -- reads -----------------------------------------------------------
-
-    def default_body(self, scope: str, subject: str) -> dict:
-        if scope == "layer":
-            defaults = self._layer_defaults.get(subject)
-            if defaults is None:
-                raise ConfigError(f"unknown layer {subject!r}")
-            return json.loads(canonical(defaults))
-        return {}
 
     def get_config(self, scope: str, subject: str) -> ConfigDocument:
         doc = self.replica.get((scope, subject))
@@ -327,15 +350,8 @@ class ConfigWorker:
         corr = f"{self.layer}:{self._corr}"
         self._pending[corr] = self.clock.now
         body = {"op": "pull", "layer": self.layer, "corr": corr}
-        env = MessageEnvelope(
-            topic=CONFIG_REQUEST,
-            payload=json.dumps(body, sort_keys=True).encode(),
-            origin_node=self.node,
-            origin_layer=self.layer,
-            sequence=self.seq.next(CONFIG_REQUEST),
-            sent_at=self.clock.now,
-        )
-        self._inter.publish(env)
+        self._inter.publish(control_envelope(
+            CONFIG_REQUEST, body, self.node, self.seq, self.clock.now))
         return corr
 
     def _on_reply(self, env: MessageEnvelope) -> None:
@@ -363,15 +379,8 @@ class ConfigWorker:
         return applied
 
     def _notify(self, notice: ConfigChangeNotice) -> None:
-        env = MessageEnvelope(
-            topic=CONFIG_NOTICE,
-            payload=json.dumps(notice.to_obj(), sort_keys=True).encode(),
-            origin_node=self.node,
-            origin_layer=self.layer,
-            sequence=self.seq.next(CONFIG_NOTICE),
-            sent_at=self.clock.now,
-        )
-        self._intra.publish(env)
+        self._intra.publish(control_envelope(
+            CONFIG_NOTICE, notice.to_obj(), self.node, self.seq, self.clock.now))
         self.notices_sent += 1
         self.registry.inc("config.notices", {"layer": self.layer})
         self.trace.record("config_notice", self.clock.now, layer=self.layer,

@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from . import codec
 from .broker import SUB_BRIDGE, SUB_CONTROL, SubscriberHandle
-from .monitor import HeartbeatRegistry, MetricsRegistry
+from .monitor import HeartbeatRegistry
 from .ratelimit import HierarchicalLimiter, RateLimitConfig
 from .simnet import SECOND, Network
 from .topology import (
@@ -50,9 +50,8 @@ from .topology import (
     NodeId,
     ScopeKind,
     SequenceCounter,
-    Topology,
+    control_envelope,
 )
-from .tracing import Trace
 
 CONTROL_TOPIC = {ADVERTISE: FLOW_ADVERTISE, REQUEST: FLOW_REQUEST}
 
@@ -219,25 +218,23 @@ class FlowEngine:
     def __init__(
         self,
         layer: str,
-        topology: Topology,
         network: Network,
         heartbeats: HeartbeatRegistry,
         seq: SequenceCounter,
         limit_cfg: RateLimitConfig | None = None,
         config_source: Optional[Callable[[], dict]] = None,
-        registry: MetricsRegistry | None = None,
-        trace: Trace | None = None,
         watchdog_period_ns: int = SECOND,
         heartbeat_ttl_ns: int = 3 * SECOND,
     ):
+        topology = network.topology
         self.layer = topology.layer(layer).name
         self.topology = topology
         self.network = network
         self.clock = network.clock
         self.heartbeats = heartbeats
         self.seq = seq
-        self.registry = registry if registry is not None else network.metrics
-        self.trace = trace if trace is not None else network.trace
+        self.registry = network.metrics
+        self.trace = network.trace
         self.limit_cfg = limit_cfg or RateLimitConfig()
         self.config_source = config_source
         self.watchdog_period_ns = watchdog_period_ns
@@ -333,15 +330,8 @@ class FlowEngine:
         self._publish_control(control_topic, body)
 
     def _publish_control(self, topic: str, body: dict[str, Any]) -> None:
-        env = MessageEnvelope(
-            topic=topic,
-            payload=json.dumps(body, sort_keys=True).encode(),
-            origin_node=self.system_node,
-            origin_layer=self.layer,
-            sequence=self.seq.next(topic),
-            sent_at=self.clock.now,
-        )
-        self.network.endpoint(self.inter_scope).publish(env)
+        self.network.endpoint(self.inter_scope).publish(
+            control_envelope(topic, body, self.system_node, self.seq, self.clock.now))
 
     def _on_control(self, scope: BrokerScope, env: MessageEnvelope) -> None:
         body = json.loads(env.payload)
@@ -350,10 +340,7 @@ class FlowEngine:
         decl = FlowDeclaration.from_obj(body["decl"])
         service = body.get("service", "anonymous")
         if env.topic == FLOW_WITHDRAW:
-            self.table.remove_contributor(decl.direction, decl.topic,
-                                          decl.origin_node.key, service)
-            self._flood(FLOW_WITHDRAW, decl, service)
-            self._reconcile()
+            self._retract(decl, service)
         else:
             self._admit(decl, service, scope)
 

@@ -214,10 +214,6 @@ class TokenBucket:
         self.rate = rate
 
 
-def try_acquire(bucket: TokenBucket, now: int) -> bool:
-    return bucket.try_acquire(now)
-
-
 class HierarchicalLimiter:
     """Allocator plus per-topic buckets for one client (node or layer).
 
@@ -272,11 +268,6 @@ class HierarchicalLimiter:
             wanted[topic] = (advertised_rate, max(max_size, rec.max_size))
         else:
             wanted[topic] = (advertised_rate, max_size)
-        self.sync_publishers(wanted)
-
-    def remove(self, topic: str) -> None:
-        wanted = {t: (r.advertised_rate, r.max_size) for t, r in self.records.items()}
-        wanted.pop(topic, None)
         self.sync_publishers(wanted)
 
     def observe_size(self, topic: str, size: int) -> bool:

@@ -103,43 +103,32 @@ class World:
         self.store = MainConfigStore(topology, layer_defaults=config)
         home = topology.most_central_layer.name
         self.config_main = MainConfigService(
-            self.store, self.network, self._system_seq(home), self.registry)
+            self.store, self.network, self._system_seq(home))
         self.workers: dict[str, ConfigWorker] = {}
         self.engines: dict[str, FlowEngine] = {}
         for l in topology.layers:
-            worker = ConfigWorker(
-                l.name, topology, self.network, self._system_seq(l.name),
-                sync_period_ns=ns_from_s(self._layer_cfg(l.name, config)
-                                         ["config"]["sync_period_s"]),
-                layer_defaults=config, registry=self.registry, trace=self.trace,
-            )
+            worker = ConfigWorker(l.name, self.network, self._system_seq(l.name),
+                                  layer_defaults=config)
             self.workers[l.name] = worker
             body = worker.get_config("layer", l.name).body
             self.engines[l.name] = FlowEngine(
-                l.name, topology, self.network, self.heartbeats[l.name],
+                l.name, self.network, self.heartbeats[l.name],
                 self._system_seq(l.name),
                 limit_cfg=RateLimitConfig.from_obj(body["rate_limit"]),
                 config_source=(lambda ln=l.name:
                                self.workers[ln].get_config("layer", ln).body),
-                registry=self.registry, trace=self.trace,
                 watchdog_period_ns=ns_from_s(body["flow"]["watchdog_s"]),
                 heartbeat_ttl_ns=ns_from_s(body["flow"]["heartbeat_ttl_s"]),
             )
         self.host = ServiceHost(
-            topology, self.network, self.engines, self.heartbeats, self.seqs,
+            self.network, self.engines, self.heartbeats, self.seqs,
             flow_config=lambda ln: self.workers[ln].get_config("layer", ln).body["flow"],
-            registry=self.registry, trace=self.trace,
         )
         self.handles: dict[str, ServiceHandle] = {}
         self.drivers: list[_StreamDriver] = []
         self.probes: list[PingProbe] = []
         self.running = False
         self._started = False
-
-    @staticmethod
-    def _layer_cfg(layer: str, overrides: dict | None) -> dict:
-        from .configstore import default_layer_config, merge_config
-        return merge_config(default_layer_config(), (overrides or {}).get(layer, {}))
 
     def _system_seq(self, layer: str) -> SequenceCounter:
         return self.seqs[self.topology.system_node(layer).name]
@@ -311,16 +300,6 @@ class World:
         return out
 
 
-def _build_world(topology: Topology, links: dict, scenario: Scenario,
-                 seed: int, run_dir: Path, trace_enabled: bool = True) -> World:
-    world = World(
-        topology, links, seed, config=scenario.config,
-        trace_path=str(run_dir / "trace.jsonl") if trace_enabled else None,
-        trace_enabled=trace_enabled,
-    )
-    return world
-
-
 def _resolve_topology(topology_ref: str | None,
                       scenario: Scenario) -> tuple[Topology, dict]:
     if topology_ref:
@@ -365,7 +344,8 @@ def run_scenario(
         log.info("run %s seed=%d duration=%.3fs placement=%s",
                  scenario.name, run_seed, duration, placement or "default")
 
-        world = _build_world(topology, links, scenario, run_seed, run_dir)
+        world = World(topology, links, run_seed, config=scenario.config,
+                      trace_path=str(run_dir / "trace.jsonl"))
         world.start()
         world.setup_scenario(scenario, override)
         world.run_for(duration, real_time=real_time)

@@ -16,6 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from .configstore import ConfigError, resolve_layer_config
+
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario documents."""
@@ -67,6 +69,11 @@ class ServiceSpec:
             raise ScenarioError(f"service {self.name!r}: start_s must be >= 0")
         if self.stop_s is not None and self.stop_s <= self.start_s:
             raise ScenarioError(f"service {self.name!r}: stop_s must be > start_s")
+        for kind, topics in (("advertise", [s.topic for s in self.advertises]),
+                             ("request", list(self.requests))):
+            dupes = sorted({t for t in topics if topics.count(t) > 1})
+            if dupes:
+                raise ScenarioError(f"service {self.name!r}: duplicate {kind} topics {dupes}")
 
 
 @dataclass(frozen=True)
@@ -224,6 +231,12 @@ def parse_scenario(obj: object) -> Scenario:
     config = obj.get("config", {})
     if not isinstance(config, dict):
         raise ScenarioError("config must be an object")
+    # layer names are checked against the topology when the world is built
+    for layer, overrides in config.items():
+        try:
+            resolve_layer_config(overrides)
+        except ConfigError as exc:
+            raise ScenarioError(f"config.{layer}: {exc}") from None
     topology = obj.get("topology")
     if topology is not None and not isinstance(topology, dict):
         raise ScenarioError("topology must be an object")

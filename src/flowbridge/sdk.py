@@ -14,7 +14,6 @@ third-party messages reach its callback.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
@@ -22,8 +21,8 @@ from typing import Any, Callable, Iterable, Mapping
 from . import monitor
 from .broker import SubscriberHandle
 from .flow import CONTROL_TOPIC, FlowEngine
-from .monitor import HeartbeatRegistry, MetricsRegistry
-from .simnet import SECOND, Network, ns_from_s
+from .monitor import HeartbeatRegistry
+from .simnet import Network, ns_from_s
 from .topology import (
     ADVERTISE,
     FLOW_WITHDRAW,
@@ -34,9 +33,8 @@ from .topology import (
     MessageEnvelope,
     NodeId,
     SequenceCounter,
-    Topology,
+    control_envelope,
 )
-from .tracing import Trace
 
 log = logging.getLogger(__name__)
 
@@ -118,24 +116,22 @@ class ServiceHost:
 
     def __init__(
         self,
-        topology: Topology,
         network: Network,
         engines: Mapping[str, FlowEngine],
         heartbeats: Mapping[str, HeartbeatRegistry],
         seqs: Mapping[str, SequenceCounter],
-        flow_config: Callable[[str], dict] | None = None,
-        registry: MetricsRegistry | None = None,
-        trace: Trace | None = None,
+        flow_config: Callable[[str], dict],
     ):
-        self.topology = topology
+        """``flow_config(layer)`` returns that layer's ``flow`` config section."""
+        self.topology = network.topology
         self.network = network
         self.clock = network.clock
         self.engines = dict(engines)
         self.heartbeats = dict(heartbeats)
         self.seqs = dict(seqs)
         self._flow_config = flow_config
-        self.registry = registry if registry is not None else network.metrics
-        self.trace = trace if trace is not None else network.trace
+        self.registry = network.metrics
+        self.trace = network.trace
         self.services: dict[tuple[str, str], ServiceHandle] = {}
         self.violations: list[dict[str, Any]] = []
         # cleared when a run winds down, so recurring service timers stop
@@ -173,6 +169,9 @@ class ServiceHost:
             if a.topic in seen_topics:
                 raise ServiceError(f"duplicate advertise for {a.topic!r}")
             seen_topics.add(a.topic)
+        dupes = sorted({t for t in reqs if reqs.count(t) > 1})
+        if dupes:
+            raise ServiceError(f"duplicate request for {dupes}")
         for topic in list(seen_topics | set(reqs)):
             if topic.startswith(RESERVED_PREFIX) and not internal:
                 raise ReservedTopicError(f"{topic!r} is in the reserved namespace")
@@ -182,10 +181,10 @@ class ServiceHost:
         handle = ServiceHandle(name, node_id, scope, advs, reqs)
         self.services[handle.key] = handle
 
-        cfg = self._flow_cfg(layer)
-        hb_period = ns_from_s(cfg.get("heartbeat_s", 1.0))
-        hb_ttl = ns_from_s(cfg.get("heartbeat_ttl_s", 3.0))
-        reannounce = ns_from_s(cfg.get("reannounce_s", 10.0))
+        cfg = self._flow_config(layer)
+        hb_period = ns_from_s(cfg["heartbeat_s"])
+        hb_ttl = ns_from_s(cfg["heartbeat_ttl_s"])
+        reannounce = ns_from_s(cfg["reannounce_s"])
 
         self.heartbeats[layer].refresh(name, node_id.name, hb_ttl)
         self._schedule(handle, hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
@@ -319,15 +318,8 @@ class ServiceHost:
                          decl: FlowDeclaration) -> None:
         body = {"decl": decl.to_obj(), "service": handle.name,
                 "sender_layer": handle.node.layer}
-        env = MessageEnvelope(
-            topic=control_topic,
-            payload=json.dumps(body, sort_keys=True).encode(),
-            origin_node=handle.node,
-            origin_layer=handle.node.layer,
-            sequence=self.seqs[handle.node.name].next(control_topic),
-            sent_at=self.clock.now,
-        )
-        self.network.endpoint(handle.scope).publish(env)
+        self.network.endpoint(handle.scope).publish(control_envelope(
+            control_topic, body, handle.node, self.seqs[handle.node.name], self.clock.now))
 
     # -- timers -------------------------------------------------------------
 
@@ -347,11 +339,6 @@ class ServiceHost:
         self._schedule(handle, period, self._reannounce_tick, handle, period)
 
     # -- helpers ----------------------------------------------------------------
-
-    def _flow_cfg(self, layer: str) -> dict:
-        if self._flow_config is not None:
-            return self._flow_config(layer)
-        return {"reannounce_s": 10.0, "heartbeat_s": 1.0, "heartbeat_ttl_s": 3.0}
 
     @staticmethod
     def _normalize_callbacks(requests: tuple[str, ...], on_message) -> dict[str, Callable]:

@@ -128,6 +128,19 @@ class MessageEnvelope:
         return (self.origin_node, self.topic)
 
 
+def control_envelope(topic: str, body: dict[str, Any], node: NodeId,
+                     seq: "SequenceCounter", now: int) -> MessageEnvelope:
+    """A control message from ``node``: ``body`` as sorted-key JSON."""
+    return MessageEnvelope(
+        topic=topic,
+        payload=json.dumps(body, sort_keys=True).encode(),
+        origin_node=node,
+        origin_layer=node.layer,
+        sequence=seq.next(topic),
+        sent_at=now,
+    )
+
+
 def serialize_envelope(env: MessageEnvelope) -> bytes:
     """Wire format: one JSON header line, then the raw payload bytes."""
     header = {

@@ -7,8 +7,10 @@ them is a behavior change, not a test fix.
 """
 
 import copy
+import hashlib
 import math
 import time
+import zlib
 from random import Random
 
 import pytest
@@ -509,6 +511,28 @@ def test_compression_roundtrip_and_ratio():
 
 # -- criterion 14 -----------------------------------------------------------
 
+# SHA-256 of every bundled world's metrics.txt, so that behaviour drift
+# fails here too; a deliberate change re-pins them and says why in
+# CHANGES.md. navigation compresses, and its metrics carry zlib output
+# sizes, so its digests only hold under the zlib they were taken with;
+# estop compresses nothing.
+PINNED_METRICS = {
+    "estop": (None, {
+        "metrics.txt":
+            "f744c33ea8d8e8443a077e6338462fd06f70800643f223bcc7fbba260e86ffbe",
+    }),
+    "navigation": ("1.2.13", {
+        "placement-cloud-gpu2/metrics.txt":
+            "1b58cb5c9697fb9f950dd20fc0acaf7db1033ac3cfe4eaf1a5acec67b2df09e6",
+        "placement-edge-gpu2/metrics.txt":
+            "c7e1d2cdcb1549bfa9483590a89276bed1951ce3b1f298434a9c9cc921e7df06",
+        "placement-fog-gpu3/metrics.txt":
+            "2b125ca6a42dac26b260170918533e8be38cf1aa6f68cea1fba041f5114689ea",
+        "placement-robot-1/metrics.txt":
+            "686504e78bf4ec7e71c452d24b8e5f331e506b9379fa22cdd620ce526be8f2f5",
+    }),
+}
+
 
 @pytest.mark.criterion(14, "equal-seed bundled runs export byte-identical metrics")
 def test_bundled_scenarios_are_deterministic(tmp_path):
@@ -523,3 +547,8 @@ def test_bundled_scenarios_are_deterministic(tmp_path):
         for rel in rel_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), \
                 (name, str(rel))
+        zlib_version, pinned = PINNED_METRICS[name]
+        if zlib_version in (None, zlib.ZLIB_RUNTIME_VERSION):
+            digests = {rel.as_posix(): hashlib.sha256((out_a / rel).read_bytes()).hexdigest()
+                       for rel in rel_a}
+            assert digests == pinned, name

@@ -18,7 +18,7 @@ from flowbridge.configstore import (
     merge_config,
 )
 from flowbridge.monitor import MetricsRegistry
-from flowbridge.simnet import MS, Network, SimClock, ns_from_s
+from flowbridge.simnet import MS, Network, SimClock
 from flowbridge.topology import CONFIG_NOTICE, SequenceCounter, build_topology
 from flowbridge.tracing import Trace
 
@@ -43,7 +43,7 @@ def test_default_layer_config_shape():
     assert cfg["rate_limit"]["limit_mbps"] == 160.0
     assert cfg["flow"]["heartbeat_ttl_s"] == 3.0
     assert cfg["config"]["sync_period_s"] == 5.0
-    assert cfg["monitor"]["ping_period_s"] == 1.0
+    assert set(cfg) == {"rate_limit", "flow", "config"}
 
 
 def test_merge_config_is_deep_and_non_destructive():
@@ -142,7 +142,7 @@ def test_store_persists_and_reloads(tmp_path):
 
 
 class ConfigWorld:
-    def __init__(self, layer_defaults=None, sync_period_s=5.0):
+    def __init__(self, layer_defaults=None):
         self.topology = make_topo()
         self.clock = SimClock()
         self.metrics = MetricsRegistry(self.clock)
@@ -151,15 +151,12 @@ class ConfigWorld:
                                self.metrics, self.trace)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
         self.store = MainConfigStore(self.topology, layer_defaults=layer_defaults)
-        self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"],
-                                      self.metrics)
+        self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])
         self.workers = {
             l.name: ConfigWorker(
-                l.name, self.topology, self.network,
+                l.name, self.network,
                 self.seqs[self.topology.system_node(l.name).name],
-                sync_period_ns=ns_from_s(sync_period_s),
                 layer_defaults=layer_defaults,
-                registry=self.metrics, trace=self.trace,
             )
             for l in self.topology.layers
         }

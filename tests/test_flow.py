@@ -196,10 +196,9 @@ class Mini:
         self.engines = {}
         for l in self.topology.layers:
             self.engines[l.name] = FlowEngine(
-                l.name, self.topology, self.network, self.heartbeats[l.name],
+                l.name, self.network, self.heartbeats[l.name],
                 self.seqs[self.topology.system_node(l.name).name],
                 limit_cfg=limit_cfg, config_source=config_source,
-                registry=self.metrics, trace=self.trace,
             )
         for e in self.engines.values():
             e.start()

@@ -262,6 +262,31 @@ def test_cli_rejects_malformed_scenario_file(tmp_path, capsys):
     assert "flowbridge: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param({"edge": {"monitor": {"ping_period_s": 1.0}}}, id="monitor-section"),
+    pytest.param({"edge": {"flow": {"reanounce_s": 5.0}}}, id="misspelt-key"),
+    pytest.param({"edge": {"rate_limit": {"bogus": 1}}}, id="rate-limit-key"),
+    pytest.param({"edge": {"rate_limit": {"limit_mbps": -1}}}, id="rate-limit-value"),
+    pytest.param({"edge": {"rate_limit": {"compression_level": 2.5}}}, id="rate-limit-type"),
+    pytest.param({"edge": {"rate_limit": "fast"}}, id="section-not-object"),
+    pytest.param({"edge": [1]}, id="layer-not-object"),
+    pytest.param({"mist": {}}, id="unknown-layer"),
+])
+def test_cli_rejects_layer_config_it_cannot_serve(tmp_path, capsys, config):
+    sc = write_scenario(tmp_path, mini_scenario(config=config))
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    assert "flowbridge: error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_duplicate_requests(tmp_path, capsys):
+    # two subscriptions to one topic used to end the run with exit 3
+    doc = mini_scenario()
+    doc["services"][1]["requests"] = ["scan", "scan"]
+    sc = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate request" in capsys.readouterr().err
+
+
 def test_cli_out_defaults_to_env(tmp_path, monkeypatch):
     sc = write_scenario(tmp_path, mini_scenario())
     dest = tmp_path / "envout"

@@ -137,6 +137,40 @@ def test_parse_rejects_malformed_documents():
         parse_scenario({**MINIMAL, "services": [{"node": "n"}]})
 
 
+# A zero period re-arms its timer at the same virtual instant forever, so
+# these documents are only ever parsed here, never run.
+@pytest.mark.parametrize("section,key,value", [
+    ("config", "sync_period_s", 0),
+    ("flow", "heartbeat_s", 0),
+    ("flow", "heartbeat_ttl_s", 0.0),
+    ("flow", "watchdog_s", 0),
+    ("flow", "watchdog_s", -1.0),
+    ("flow", "reannounce_s", -1.0),
+    ("flow", "heartbeat_s", "1"),
+    ("flow", "heartbeat_s", True),
+    ("config", "sync_period_s", None),
+    ("config", "sync_period_s", float("inf")),
+])
+def test_parse_rejects_layer_config_that_cannot_run(section, key, value):
+    doc = {**MINIMAL, "config": {"edge": {section: {key: value}}}}
+    with pytest.raises(ScenarioError, match=rf"config\.edge: {section}\.{key}"):
+        parse_scenario(doc)
+
+
+def test_parse_accepts_reannounce_off():
+    sc = parse_scenario({**MINIMAL, "config": {"edge": {"flow": {"reannounce_s": 0}}}})
+    assert sc.config == {"edge": {"flow": {"reannounce_s": 0}}}
+
+
+def test_parse_rejects_duplicate_topics_of_one_service():
+    for service in (
+        {"name": "a", "node": "n", "requests": ["t61", "t61"]},
+        {"name": "a", "node": "n", "advertises": [{"topic": "t"}, {"topic": "t"}]},
+    ):
+        with pytest.raises(ScenarioError, match="duplicate"):
+            parse_scenario({**MINIMAL, "services": [service]})
+
+
 # -- loading ------------------------------------------------------------------
 
 

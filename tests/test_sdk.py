@@ -85,6 +85,13 @@ def test_empty_name_and_duplicate_advertise_rejected(world):
                                  advertises=[Advertise("t"), Advertise("t")])
 
 
+def test_duplicate_request_rejected(world):
+    # two subscriptions to one topic would flag every message as a duplicate
+    with pytest.raises(ServiceError, match="duplicate request"):
+        world.host.start_service("robot-1", "x", requests=["t61", "t61"])
+    assert ("robot-1", "x") not in world.host.services
+
+
 def test_reserved_topics_rejected_for_user_services(world):
     with pytest.raises(ReservedTopicError):
         world.host.start_service("robot-1", "x", advertises=[Advertise("__flow/advertise")])
