@@ -76,7 +76,8 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
     Every section and key must exist in ``default_layer_config()`` and
     every value must be a finite number (an integer where the default is
     one). Timer periods must be > 0; ``flow.reannounce_s`` may be 0,
-    which switches re-announce off.
+    which switches re-announce off. ``flow.heartbeat_ttl_s`` must cover
+    both the heartbeat and the watchdog period.
     """
     if not isinstance(overrides, dict):
         raise ConfigError(f"layer config must be an object, got {type(overrides).__name__}")
@@ -98,8 +99,12 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
     for section, key in _POSITIVE:
         if cfg[section][key] <= 0:
             raise ConfigError(f"{section}.{key} must be > 0")
-    if cfg["flow"]["reannounce_s"] < 0:
+    flow = cfg["flow"]
+    if flow["reannounce_s"] < 0:
         raise ConfigError("flow.reannounce_s must be >= 0 (0 switches it off)")
+    if flow["heartbeat_ttl_s"] < max(flow["heartbeat_s"], flow["watchdog_s"]):
+        raise ConfigError("flow.heartbeat_ttl_s must be >= flow.heartbeat_s and "
+                          "flow.watchdog_s, or live heartbeats lapse between refreshes")
     try:
         RateLimitConfig.from_obj(cfg["rate_limit"])
     except ValueError as exc:

@@ -10,6 +10,11 @@ the bridge set reconciled with the table:
     pair with distinct scopes; remote declarations count under the
     layer's inter_layer scope.
 
+Reconcile is per topic and change-driven: a declaration or withdrawal
+touches one topic, so only that topic's bridges are recomputed, and only
+when the table reports that it changed. An unchanged re-announce costs a
+store and a flood, nothing more.
+
 A bridge is a subscription on the source scope that republishes fresh
 envelopes on the destination scope. Freshness comes from a dedupe
 window shared by all bridges into the same destination scope (keyed by
@@ -172,23 +177,18 @@ class FlowTable:
 BridgeKey = tuple[str, str, str]  # (topic, source scope key, dest scope key)
 
 
-def compute_required_bridges(table: FlowTable, scopes: Iterable[BrokerScope]) -> set[BridgeKey]:
-    """Pure bridge-set computation from one engine's table.
+def compute_required_bridges(table: FlowTable, scopes: Iterable[BrokerScope],
+                             topic: str) -> set[BridgeKey]:
+    """Pure bridge-set computation for one topic of one engine's table.
 
-    Every (advertiser scope, requester scope) pair of a topic yields one
+    Every (advertiser scope, requester scope) pair of the topic yields one
     bridge when the scopes differ; a pair within one scope needs none
     (scope-local delivery is direct).
     """
     known = {s.key for s in scopes}
-    required: set[BridgeKey] = set()
-    for topic in {k[1] for k in table.entries}:
-        advs = table.scopes(ADVERTISE, topic) & known
-        reqs = table.scopes(REQUEST, topic) & known
-        for a in advs:
-            for r in reqs:
-                if a != r:
-                    required.add((topic, a, r))
-    return required
+    advs = table.scopes(ADVERTISE, topic) & known
+    reqs = table.scopes(REQUEST, topic) & known
+    return {(topic, a, r) for a in advs for r in reqs if a != r}
 
 
 @dataclass
@@ -293,28 +293,21 @@ class FlowEngine:
 
     def announce(self, decl: FlowDeclaration, service: str = "anonymous",
                  scope: BrokerScope | None = None) -> list[BridgeSpec]:
-        """Admit a local declaration; returns bridges created by it."""
+        """Store a declaration and flood it; returns bridges created by it."""
         if scope is None:
             scope = self.topology.default_scope_for(decl.origin_node.name)
         if scope.key not in self.scope_by_key:
             raise FlowEngineError(f"scope {scope.key} is not on layer {self.layer}")
-        return self._admit(decl, service, scope)
+        changed = self.table.store(decl.direction, scope.key, decl, service)
+        self._flood(CONTROL_TOPIC[decl.direction], decl, service)
+        return self._reconcile(decl.topic)[0] if changed else []
 
     def withdraw(self, decl: FlowDeclaration, service: str = "anonymous") -> list[BridgeKey]:
-        """Remove a local declaration; returns bridge keys torn down."""
-        return self._retract(decl, service)
-
-    def _admit(self, decl: FlowDeclaration, service: str, scope: BrokerScope) -> list[BridgeSpec]:
-        self.table.store(decl.direction, scope.key, decl, service)
-        self._flood(CONTROL_TOPIC[decl.direction], decl, service)
-        created, _ = self._reconcile()
-        return created
-
-    def _retract(self, decl: FlowDeclaration, service: str) -> list[BridgeKey]:
-        self.table.remove_contributor(decl.direction, decl.topic, decl.origin_node.key, service)
+        """Remove a declaration and flood that; returns bridge keys torn down."""
+        died = self.table.remove_contributor(
+            decl.direction, decl.topic, decl.origin_node.key, service)
         self._flood(FLOW_WITHDRAW, decl, service)
-        _, removed = self._reconcile()
-        return removed
+        return self._reconcile(decl.topic)[1] if died else []
 
     def _flood(self, control_topic: str, decl: FlowDeclaration, service: str) -> None:
         """Forward once onto the bus when any layer has not seen it yet."""
@@ -340,9 +333,9 @@ class FlowEngine:
         decl = FlowDeclaration.from_obj(body["decl"])
         service = body.get("service", "anonymous")
         if env.topic == FLOW_WITHDRAW:
-            self._retract(decl, service)
+            self.withdraw(decl, service)
         else:
-            self._admit(decl, service, scope)
+            self.announce(decl, service, scope)
 
     # -- reconciliation ----------------------------------------------------
 
@@ -351,9 +344,10 @@ class FlowEngine:
             return f"node:{scope.node}"
         return f"layer:{scope.layer}"
 
-    def _reconcile(self) -> tuple[list[BridgeSpec], list[BridgeKey]]:
-        required = compute_required_bridges(self.table, self.scopes)
-        current = set(self.bridges)
+    def _reconcile(self, topic: str) -> tuple[list[BridgeSpec], list[BridgeKey]]:
+        """Bring one topic's bridges in line with the table."""
+        required = compute_required_bridges(self.table, self.scopes, topic)
+        current = {key for key in self.bridges if key[0] == topic}
         created: list[BridgeSpec] = []
         removed: list[BridgeKey] = []
         for key in sorted(current - required):
@@ -426,10 +420,7 @@ class FlowEngine:
             self.registry.inc("flow.drop.dedupe", {"topic": env.topic})
             return
         if bridge.client is not None:
-            limiter = self.limiters.get(bridge.client)
-            if limiter is None:  # bridge raced ahead of limiter sync
-                limiter = HierarchicalLimiter(self.limit_cfg, self.clock, bridge.client, self.registry)
-                self.limiters[bridge.client] = limiter
+            limiter = self.limiters[bridge.client]
             limiter.observe_size(env.topic, env.uncompressed_len)
             if not limiter.try_acquire(env.topic):
                 self.registry.inc("flow.drop.limiter", {"topic": env.topic})
@@ -507,4 +498,4 @@ class FlowEngine:
             )
             self.trace.record("watchdog_withdraw", self.clock.now, layer=self.layer,
                               service=service, topic=topic, direction=direction)
-            self._retract(decl, service)
+            self.withdraw(decl, service)

@@ -22,7 +22,7 @@ from . import monitor
 from .broker import SubscriberHandle
 from .flow import CONTROL_TOPIC, FlowEngine
 from .monitor import HeartbeatRegistry
-from .simnet import Network, ns_from_s
+from .simnet import Event, Network, ns_from_s
 from .topology import (
     ADVERTISE,
     FLOW_WITHDRAW,
@@ -97,7 +97,7 @@ class ServiceHandle:
         self._published_seqs: dict[str, set[int]] = {}
         self._seen: dict[tuple[str, str], set[int]] = {}
         self._subs: list[SubscriberHandle] = []
-        self._timers: list = []
+        self._timers: dict[Callable, Event] = {}  # live timer per tick function
 
     @property
     def key(self) -> tuple[str, str]:
@@ -231,7 +231,7 @@ class ServiceHost:
                           service=handle.name, node=handle.node.name)
 
     def _teardown(self, handle: ServiceHandle, remove_heartbeat: bool) -> None:
-        for timer in handle._timers:
+        for timer in handle._timers.values():
             timer.cancel()
         handle._timers.clear()
         endpoint = self.network.endpoint(handle.scope)
@@ -324,7 +324,7 @@ class ServiceHost:
     # -- timers -------------------------------------------------------------
 
     def _schedule(self, handle: ServiceHandle, delay: int, fn, *args) -> None:
-        handle._timers.append(self.clock.call_in(delay, fn, *args))
+        handle._timers[fn] = self.clock.call_in(delay, fn, *args)
 
     def _heartbeat_tick(self, handle: ServiceHandle, period: int, ttl: int) -> None:
         if not self.active or handle.state != READY:

@@ -94,3 +94,33 @@ def oracle_single_large_rate(
     """Closed-form single large publisher: no competition, no floor hit."""
     budget = limit_mbps * 1024 * 1024 / 8.0
     return min(rate_adv, budget / (size * alpha), beta * budget / (size * alpha))
+
+
+def oracle_bridges(
+    table_keys: list[tuple[str, str, str, str]],
+    scope_keys: set[str],
+) -> set[tuple[str, str, str]]:
+    """Whole-table bridge set of one flow engine, recomputed in full.
+
+    ``table_keys`` are the engine's (direction, topic, origin, scope)
+    rows and ``scope_keys`` the scopes it is attached to.  Every topic
+    gets one (topic, source, dest) bridge from each scope that advertises
+    it to each other scope that requests it.
+    """
+    advertised = set()
+    requested = set()
+    for direction, topic, _origin, scope in table_keys:
+        if scope not in scope_keys:
+            continue
+        if direction == "advertise":
+            advertised.add((topic, scope))
+        elif direction == "request":
+            requested.add((topic, scope))
+        else:
+            raise ValueError(f"unknown direction {direction!r}")
+    bridges = set()
+    for topic, source in advertised:
+        for wanted, dest in requested:
+            if wanted == topic and dest != source:
+                bridges.add((topic, source, dest))
+    return bridges

@@ -141,14 +141,14 @@ def scopes(*keys):
 
 
 def test_bridges_empty_table():
-    assert compute_required_bridges(FlowTable(), scopes("intra_layer:edge")) == set()
+    assert compute_required_bridges(FlowTable(), scopes("intra_layer:edge"), "t") == set()
 
 
 def test_bridges_same_scope_needs_none():
     t = FlowTable()
     t.store(ADVERTISE, "intra_layer:edge", decl(), "s1")
     t.store(REQUEST, "intra_layer:edge", decl(REQUEST, node="b"), "s2")
-    assert compute_required_bridges(t, scopes("intra_layer:edge")) == set()
+    assert compute_required_bridges(t, scopes("intra_layer:edge"), "t") == set()
 
 
 def test_bridges_cross_product_minus_diagonal():
@@ -158,7 +158,7 @@ def test_bridges_cross_product_minus_diagonal():
     t.store(REQUEST, "intra_layer:B", decl(REQUEST, node="c"), "s3")
     t.store(REQUEST, "intra_layer:C", decl(REQUEST, node="d"), "s4")
     all_scopes = [BrokerScope(ScopeKind.INTRA_LAYER, l) for l in ("A", "B", "C")]
-    got = compute_required_bridges(t, all_scopes)
+    got = compute_required_bridges(t, all_scopes, "t")
     assert got == {
         ("t", "intra_layer:A", "intra_layer:B"),
         ("t", "intra_layer:A", "intra_layer:C"),
@@ -171,7 +171,7 @@ def test_bridges_ignore_unattached_scopes():
     t = FlowTable()
     t.store(ADVERTISE, "intra_layer:far", decl(), "s1")
     t.store(REQUEST, "intra_layer:edge", decl(REQUEST, node="b"), "s2")
-    assert compute_required_bridges(t, scopes("intra_layer:edge")) == set()
+    assert compute_required_bridges(t, scopes("intra_layer:edge"), "t") == set()
 
 
 # -- engine harness ------------------------------------------------------------

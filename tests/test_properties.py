@@ -1,4 +1,5 @@
-"""Property-based tests for the allocator, token bucket, and dedupe window."""
+"""Property-based tests for the allocator, token bucket, dedupe window,
+and the flow engines' bridge sets."""
 
 import math
 
@@ -13,7 +14,11 @@ from flowbridge.ratelimit import (
     allocate,
     available_bandwidth,
 )
-from oracles import oracle_allocate, oracle_bucket_replay
+from flowbridge.runner import World
+from flowbridge.sdk import Advertise
+from flowbridge.simnet import MS, SECOND
+from flowbridge.topology import build_topology
+from oracles import oracle_allocate, oracle_bridges, oracle_bucket_replay
 
 topics = st.text(alphabet="abcdefghijkl", min_size=1, max_size=6)
 
@@ -145,3 +150,52 @@ def test_dedupe_state_stays_bounded(events):
         window.test_and_record(f"s{stream}@edge", "t", seq)
     for _, ring in window._streams.values():
         assert len(ring) <= 16
+
+
+WORLD3 = {
+    "layers": [
+        {"name": "edge", "nodes": ["robot-1", "robot-2"]},
+        {"name": "fog", "nodes": ["fog-1"]},
+        {"name": "cloud", "nodes": ["cloud-1"]},
+    ]
+}
+FLOW_TOPICS = ("a", "b", "c")
+
+flow_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("start", "stop", "kill")),
+        st.integers(0, 3),  # service s0..s3
+        st.sampled_from(("robot-1", "robot-2", "fog-1", "cloud-1")),
+        st.sets(st.sampled_from(FLOW_TOPICS)),  # advertises
+        st.sets(st.sampled_from(FLOW_TOPICS)),  # requests
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@given(flow_steps)
+@settings(max_examples=100, deadline=None)
+def test_engine_bridges_match_whole_table_oracle(steps):
+    w = World(build_topology(WORLD3), seed=1, trace_enabled=False)
+    w.start()
+    running = {}
+    for op, idx, node, advs, reqs in steps:
+        name = f"s{idx}"
+        handle = running.get(name)
+        if op == "start" and handle is None:
+            running[name] = w.host.start_service(
+                node, name, advertises=[Advertise(t, 5.0, 100) for t in sorted(advs)],
+                requests=sorted(reqs))
+        elif op == "stop" and handle is not None:
+            w.host.stop_service(running.pop(name))
+        elif op == "kill" and handle is not None:
+            w.host.kill_service(running.pop(name))
+            # heartbeat TTL (3 s) plus one watchdog period (1 s) and margin
+            w.clock.run_until(w.clock.now + 5 * SECOND)
+            for engine in w.engines.values():
+                assert not engine.table.contributions(name)
+        w.clock.run_until(w.clock.now + 200 * MS)
+        for engine in w.engines.values():
+            want = oracle_bridges(list(engine.table.entries), {s.key for s in engine.scopes})
+            assert set(engine.bridges) == want, engine.layer
+    w.drain()

@@ -271,6 +271,9 @@ def test_cli_rejects_malformed_scenario_file(tmp_path, capsys):
     pytest.param({"edge": {"rate_limit": "fast"}}, id="section-not-object"),
     pytest.param({"edge": [1]}, id="layer-not-object"),
     pytest.param({"mist": {}}, id="unknown-layer"),
+    pytest.param({"edge": {"flow": {"heartbeat_s": 2.0, "heartbeat_ttl_s": 0.5}}},
+                 id="ttl-below-heartbeat"),
+    pytest.param({"edge": {"flow": {"watchdog_s": 5.0}}}, id="ttl-below-watchdog"),
 ])
 def test_cli_rejects_layer_config_it_cannot_serve(tmp_path, capsys, config):
     sc = write_scenario(tmp_path, mini_scenario(config=config))

@@ -137,12 +137,14 @@ def test_parse_rejects_malformed_documents():
         parse_scenario({**MINIMAL, "services": [{"node": "n"}]})
 
 
-# A zero period re-arms its timer at the same virtual instant forever, so
-# these documents are only ever parsed here, never run.
+# A zero period re-arms its timer at the same virtual instant forever, and
+# a heartbeat TTL below the heartbeat or watchdog period lets live
+# heartbeats lapse, so these documents are only ever parsed here, never run.
 @pytest.mark.parametrize("section,key,value", [
     ("config", "sync_period_s", 0),
     ("flow", "heartbeat_s", 0),
     ("flow", "heartbeat_ttl_s", 0.0),
+    ("flow", "heartbeat_ttl_s", 0.5),
     ("flow", "watchdog_s", 0),
     ("flow", "watchdog_s", -1.0),
     ("flow", "reannounce_s", -1.0),

@@ -211,6 +211,15 @@ def test_heartbeats_keep_long_running_service_alive(world):
     assert world.trace.count("watchdog_withdraw", service="cam") == 0
 
 
+def test_long_running_service_holds_one_timer_per_kind(world):
+    h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
+    settle(world, 60_000)  # 60 heartbeats and 6 re-announces
+    assert len(h._timers) <= 2
+    live = list(h._timers.values())
+    world.host.stop_service(h)
+    assert all(t.cancelled for t in live) and not h._timers
+
+
 def test_duplicate_delivery_is_flagged_as_violation(world):
     world.host.start_service("robot-1", "sink", requests=["t"])
     sink = world.host.services[("robot-1", "sink")]
