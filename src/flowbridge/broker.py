@@ -10,7 +10,6 @@ network dispatch through its links.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, Optional
 
 from .topology import BrokerScope, MessageEnvelope
@@ -65,7 +64,6 @@ class BrokerEndpoint:
         self.scope = scope
         self._dispatch = dispatch or _sync_dispatch
         self._subs: dict[str, list[SubscriberHandle]] = {}
-        self._lock = threading.Lock()
         self._shutdown = False
         self.errors: list[tuple[str, BaseException]] = []
 
@@ -80,26 +78,24 @@ class BrokerEndpoint:
         if not topic:
             raise BrokerError("empty topic")
         handle = SubscriberHandle(self.scope, topic, callback, kind, filter, owner)
-        with self._lock:
-            if self._shutdown:
-                raise EndpointShutdown(self.scope.key)
-            self._subs.setdefault(topic, []).append(handle)
+        if self._shutdown:
+            raise EndpointShutdown(self.scope.key)
+        self._subs.setdefault(topic, []).append(handle)
         return handle
 
     def unsubscribe(self, handle: SubscriberHandle) -> bool:
         """Idempotent; returns True only on the call that removed it."""
-        with self._lock:
-            if not handle.active:
-                return False
-            handle.active = False
-            subs = self._subs.get(handle.topic)
-            if subs is not None:
-                try:
-                    subs.remove(handle)
-                except ValueError:
-                    pass
-                if not subs:
-                    del self._subs[handle.topic]
+        if not handle.active:
+            return False
+        handle.active = False
+        subs = self._subs.get(handle.topic)
+        if subs is not None:
+            try:
+                subs.remove(handle)
+            except ValueError:
+                pass
+            if not subs:
+                del self._subs[handle.topic]
         return True
 
     def publish(self, env: MessageEnvelope) -> int:
@@ -110,9 +106,8 @@ class BrokerEndpoint:
 
     def snapshot(self, env: MessageEnvelope) -> list[SubscriberHandle]:
         """Active subscribers of env.topic whose filters accept env."""
-        with self._lock:
-            subs = list(self._subs.get(env.topic, ()))
-        return [h for h in subs if h.active and (h.filter is None or h.filter(env))]
+        return [h for h in self._subs.get(env.topic, ())
+                if h.active and (h.filter is None or h.filter(env))]
 
     def invoke(self, handle: SubscriberHandle, env: MessageEnvelope) -> bool:
         """Run one callback, containing its exceptions; True if it ran clean."""
@@ -124,20 +119,17 @@ class BrokerEndpoint:
             return False
 
     def subscriber_count(self, topic: str) -> int:
-        with self._lock:
-            return len(self._subs.get(topic, ()))
+        return len(self._subs.get(topic, ()))
 
     def topics(self) -> list[str]:
-        with self._lock:
-            return sorted(self._subs)
+        return sorted(self._subs)
 
     def shutdown(self) -> None:
-        with self._lock:
-            self._shutdown = True
-            for subs in self._subs.values():
-                for h in subs:
-                    h.active = False
-            self._subs.clear()
+        self._shutdown = True
+        for subs in self._subs.values():
+            for h in subs:
+                h.active = False
+        self._subs.clear()
 
 
 def _sync_dispatch(endpoint: BrokerEndpoint, env: MessageEnvelope) -> int:

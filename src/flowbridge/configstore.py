@@ -206,9 +206,24 @@ class MainConfigStore(_LayerDefaults):
         elif not subject:
             raise ConfigError("empty service subject")
 
+    @staticmethod
+    def _validate_body(scope: str, subject: str, body: object) -> None:
+        """A layer document replaces the layer's whole config, so it must be
+        complete and pass `resolve_layer_config` unchanged."""
+        if scope != "layer":
+            return
+        try:
+            missing = diff_paths(body, resolve_layer_config(body))
+        except ConfigError as exc:
+            raise ConfigError(f"layer {subject!r}: {exc}") from None
+        if missing:
+            raise ConfigError(f"layer {subject!r}: incomplete layer document, "
+                              f"missing {', '.join(missing)}")
+
     def put(self, scope: str, subject: str, body: dict) -> ConfigDocument:
         """Store a new revision; a byte-identical body is a no-op."""
         self._validate_subject(scope, subject)
+        self._validate_body(scope, subject, body)
         text = canonical(body)
         current = self.docs.get((scope, subject))
         if current is not None and canonical(current.body) == text:
@@ -252,6 +267,7 @@ class MainConfigStore(_LayerDefaults):
             data = json.load(fh)
         for obj in data.get("documents", ()):
             doc = ConfigDocument.from_obj(obj)
+            self._validate_body(doc.scope, doc.subject, doc.body)
             self.docs[(doc.scope, doc.subject)] = doc
 
 

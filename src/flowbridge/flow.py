@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from . import codec
 from .broker import SUB_BRIDGE, SUB_CONTROL, SubscriberHandle
-from .monitor import HeartbeatRegistry
+from .monitor import CounterCell, HeartbeatRegistry
 from .ratelimit import HierarchicalLimiter, RateLimitConfig
 from .simnet import SECOND, Network
 from .topology import (
@@ -193,13 +193,17 @@ def compute_required_bridges(table: FlowTable, scopes: Iterable[BrokerScope],
 
 @dataclass
 class BridgeSpec:
-    """One installed bridge."""
+    """One installed bridge, with its outcome counters bound."""
 
     topic: str
     source: BrokerScope
     dest: BrokerScope
     dedupe_window: DedupeWindow
     client: str | None  # limiter client when dest is inter_layer
+    delivered: CounterCell
+    forwarded: CounterCell
+    dedupe_drops: CounterCell
+    limiter_drops: CounterCell
     handle: SubscriberHandle | None = None
     created_at: int = 0
 
@@ -365,9 +369,15 @@ class FlowEngine:
         source = self.scope_by_key[src_key]
         dest = self.scope_by_key[dst_key]
         client = self._client_key(source) if dest.kind is ScopeKind.INTER_LAYER else None
+        counter = self.registry.counter
         bridge = BridgeSpec(
             topic=topic, source=source, dest=dest,
             dedupe_window=self.windows[dst_key], client=client,
+            delivered=counter("flow.delivered", {"topic": topic}),
+            forwarded=counter("flow.forwarded",
+                              {"topic": topic, "source": src_key, "dest": dst_key}),
+            dedupe_drops=counter("flow.drop.dedupe", {"topic": topic}),
+            limiter_drops=counter("flow.drop.limiter", {"topic": topic}),
             created_at=self.clock.now,
         )
         bridge.handle = self.network.endpoint(source).subscribe(
@@ -417,23 +427,20 @@ class FlowEngine:
         origin = env.origin_node.key
         self.windows[bridge.source.key].record(origin, env.topic, env.sequence)
         if not bridge.dedupe_window.test_and_record(origin, env.topic, env.sequence):
-            self.registry.inc("flow.drop.dedupe", {"topic": env.topic})
+            bridge.dedupe_drops.inc()
             return
         if bridge.client is not None:
             limiter = self.limiters[bridge.client]
             limiter.observe_size(env.topic, env.uncompressed_len)
             if not limiter.try_acquire(env.topic):
-                self.registry.inc("flow.drop.limiter", {"topic": env.topic})
+                bridge.limiter_drops.inc()
                 return
             env = self._maybe_compress(env)
         elif env.compressed:
             env = self._decompress(env)
         self.network.endpoint(bridge.dest).publish(env)
-        self.registry.inc("flow.delivered", {"topic": env.topic})
-        self.registry.inc(
-            "flow.forwarded",
-            {"topic": env.topic, "source": bridge.source.key, "dest": bridge.dest.key},
-        )
+        bridge.delivered.inc()
+        bridge.forwarded.inc()
 
     def _maybe_compress(self, env: MessageEnvelope) -> MessageEnvelope:
         cfg = self.limit_cfg

@@ -41,8 +41,58 @@ class MetricPoint:
     at: int
 
 
+class CounterCell:
+    """One counter series, its label key sorted once when it is bound.
+
+    The registry entry is made on the first ``inc``, so a cell that is
+    never used adds no line to the export, and entries keep the order of
+    their first update whichever path makes them.
+    """
+
+    __slots__ = ("_registry", "_key", "_entry")
+
+    def __init__(self, registry: "MetricsRegistry", key: tuple[str, LabelSet]):
+        self._registry = registry
+        self._key = key
+        self._entry: list | None = None
+
+    def inc(self, value: float = 1) -> None:
+        now = self._registry.clock.now
+        ent = self._entry
+        if ent is None:
+            counters = self._registry._counters
+            ent = self._entry = counters.get(self._key)
+            if ent is None:
+                self._entry = counters[self._key] = [value, now]
+                return
+        ent[0] += value
+        ent[1] = now
+
+
+class GaugeCell:
+    """One gauge series, bound like `CounterCell` and made on first use."""
+
+    __slots__ = ("_registry", "_key", "_series")
+
+    def __init__(self, registry: "MetricsRegistry", key: tuple[str, LabelSet]):
+        self._registry = registry
+        self._key = key
+        self._series: list[tuple[int, float]] | None = None
+
+    def observe(self, value: float) -> None:
+        series = self._series
+        if series is None:
+            series = self._series = self._registry._gauges.setdefault(self._key, [])
+        series.append((self._registry.clock.now, float(value)))
+
+
 class MetricsRegistry:
-    """Counters and gauge series keyed by (name, sorted labels)."""
+    """Counters and gauge series keyed by (name, sorted labels).
+
+    Hot paths bind a cell once (`counter`, `gauge`) and update it per
+    message; `inc` and `observe` bind and update in one call and write
+    to the same entries.
+    """
 
     def __init__(self, clock):
         self.clock = clock
@@ -51,18 +101,17 @@ class MetricsRegistry:
 
     # -- writes --------------------------------------------------------
 
+    def counter(self, name: str, labels: dict | None = None) -> CounterCell:
+        return CounterCell(self, (name, _labels(labels)))
+
+    def gauge(self, name: str, labels: dict | None = None) -> GaugeCell:
+        return GaugeCell(self, (name, _labels(labels)))
+
     def inc(self, name: str, labels: dict | None = None, value: float = 1) -> None:
-        key = (name, _labels(labels))
-        ent = self._counters.get(key)
-        if ent is None:
-            self._counters[key] = [value, self.clock.now]
-        else:
-            ent[0] += value
-            ent[1] = self.clock.now
+        self.counter(name, labels).inc(value)
 
     def observe(self, name: str, labels: dict | None = None, value: float = 0.0) -> None:
-        key = (name, _labels(labels))
-        self._gauges.setdefault(key, []).append((self.clock.now, float(value)))
+        self.gauge(name, labels).observe(value)
 
     # -- reads ---------------------------------------------------------
 
@@ -78,6 +127,18 @@ class MetricsRegistry:
             if n == name and set(want) <= set(labels):
                 total += value
         return total
+
+    def totals(self, name: str, label: str) -> dict[str, float]:
+        """Per value of ``label``: the total over ``name``'s label sets that
+        carry it, summed in insertion order as `sum_counter` sums."""
+        out: dict[str, float] = {}
+        for (n, labels), (value, _) in self._counters.items():
+            if n == name:
+                for k, v in labels:
+                    if k == label:
+                        out[v] = out.get(v, 0) + value
+                        break
+        return out
 
     def series(self, name: str, labels: dict | None = None) -> list[tuple[int, float]]:
         return list(self._gauges.get((name, _labels(labels)), ()))
@@ -129,8 +190,11 @@ def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
     return len(data)
 
 
-def message_latency(registry: MetricsRegistry, env: MessageEnvelope, now: int, node: str) -> float:
-    """Record one end-to-end delivery latency sample, in milliseconds.
+def message_latency(registry: MetricsRegistry, latency: GaugeCell,
+                    env: MessageEnvelope, now: int, node: str) -> float:
+    """Record one end-to-end delivery latency sample, in milliseconds,
+    into ``latency``, the ``mon.msg_latency_ms`` cell of env's topic at
+    ``node``.
 
     Negative intervals (skewed timestamps) clamp to 0 and bump a skew
     counter instead of polluting the latency series.
@@ -139,7 +203,7 @@ def message_latency(registry: MetricsRegistry, env: MessageEnvelope, now: int, n
     if ms < 0:
         registry.inc("mon.clock_skew", {"node": node})
         ms = 0.0
-    registry.observe("mon.msg_latency_ms", {"topic": env.topic, "node": node}, ms)
+    latency.observe(ms)
     return ms
 
 

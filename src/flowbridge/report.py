@@ -54,28 +54,27 @@ def latency_by_topic(registry: MetricsRegistry) -> dict[str, list[float]]:
 
 def summary_rows(registry: MetricsRegistry, duration_s: float) -> list[dict]:
     """One row per topic: delivery rate, latency stats, drop breakdown."""
-    topics = sorted({
-        dict(p.labels).get("topic")
-        for p in registry.snapshot()
-        if p.name in ("flow.offered", "flow.delivered")
-    })
+    offered, delivered, loss, dedupe, limiter = (
+        registry.totals(name, "topic") for name in (
+            "flow.offered", "flow.delivered", "flow.drop.loss",
+            "flow.drop.dedupe", "flow.drop.limiter"))
     pools = latency_by_topic(registry)
     rows = []
-    for topic in topics:
-        delivered = registry.sum_counter("flow.delivered", {"topic": topic})
+    for topic in sorted(offered.keys() | delivered.keys()):
+        n_delivered = delivered.get(topic, 0)
         lats = pools.get(topic, [])
         rows.append({
             "topic": topic,
-            "offered": int(registry.sum_counter("flow.offered", {"topic": topic})),
-            "delivered": int(delivered),
-            "delivered_hz": _fmt(delivered / duration_s),
+            "offered": int(offered.get(topic, 0)),
+            "delivered": int(n_delivered),
+            "delivered_hz": _fmt(n_delivered / duration_s),
             "latency_mean_ms": _fmt(sum(lats) / len(lats)) if lats else "",
             "latency_p50_ms": _fmt(percentile(lats, 50)) if lats else "",
             "latency_p95_ms": _fmt(percentile(lats, 95)) if lats else "",
             "latency_p99_ms": _fmt(percentile(lats, 99)) if lats else "",
-            "drop_loss": int(registry.sum_counter("flow.drop.loss", {"topic": topic})),
-            "drop_dedupe": int(registry.sum_counter("flow.drop.dedupe", {"topic": topic})),
-            "drop_limiter": int(registry.sum_counter("flow.drop.limiter", {"topic": topic})),
+            "drop_loss": int(loss.get(topic, 0)),
+            "drop_dedupe": int(dedupe.get(topic, 0)),
+            "drop_limiter": int(limiter.get(topic, 0)),
         })
     return rows
 
@@ -94,18 +93,15 @@ def write_summary(path: str | Path, registry: MetricsRegistry,
 
 def link_rows(registry: MetricsRegistry, network, duration_s: float) -> list[dict]:
     """One row per link that carried traffic: volume and utilization."""
-    names = sorted({
-        dict(p.labels).get("link")
-        for p in registry.snapshot()
-        if p.name == "link.bytes"
-    })
+    link_bytes = registry.totals("link.bytes", "link")
+    link_msgs = registry.totals("link.msgs", "link")
     specs = {}
     for link in list(network.local_links.values()) + list(network.crossings.values()):
         specs[link.name] = link.spec
     rows = []
-    for name in names:
-        nbytes = registry.sum_counter("link.bytes", {"link": name})
-        msgs = registry.sum_counter("link.msgs", {"link": name})
+    for name in sorted(link_bytes):
+        nbytes = link_bytes[name]
+        msgs = link_msgs.get(name, 0)
         mbps = nbytes * 8.0 / duration_s / 1e6
         spec = specs.get(name)
         util = ""

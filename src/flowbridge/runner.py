@@ -46,7 +46,16 @@ class WorldError(RuntimeError):
 
 
 class _StreamDriver:
-    """Publishes one advertised stream at its declared rate."""
+    """Publishes one advertised stream at its declared rate.
+
+    A ``random`` or ``zeros`` stream draws one frame, on its first tick,
+    and publishes that same frame every tick after. The stream's RNG feeds
+    nothing else, and nothing downstream reads such a frame's bytes:
+    dedupe, accounting and the limiter key on topic, origin, sequence and
+    size, and a random frame does not compress, so the original bytes are
+    shipped either way. A ``compressible`` stream draws a fresh frame per
+    tick, because its compressed sizes reach the metrics.
+    """
 
     def __init__(self, world: "World", service: str, stream: StreamSpec,
                  rng: random.Random, stop_at: int | None):
@@ -57,6 +66,7 @@ class _StreamDriver:
         self.stop_at = stop_at
         self.period_ns = max(1, round(SECOND / stream.rate_hz))
         self.sent = 0
+        self.frame: bytes | None = None  # the frame every tick reuses, once drawn
 
     def tick(self) -> None:
         world = self.world
@@ -68,7 +78,11 @@ class _StreamDriver:
         now = world.clock.now
         if self.stop_at is not None and now > self.stop_at:
             return
-        payload = make_payload(self.stream.payload, self.stream.size, self.rng)
+        payload = self.frame
+        if payload is None:
+            payload = make_payload(self.stream.payload, self.stream.size, self.rng)
+            if self.stream.payload != "compressible":
+                self.frame = payload
         world.host.publish(handle, self.stream.topic, payload)
         self.sent += 1
         world.clock.call_in(self.period_ns, self.tick)
@@ -260,19 +274,12 @@ class World:
     def accounting(self) -> list[dict]:
         """Per-topic conservation: offered splits exactly into delivered
         plus the three drop reasons. Only valid after drain()."""
-        reg = self.registry
-        topics = sorted({
-            dict(point.labels).get("topic")
-            for point in reg.snapshot()
-            if point.name == "flow.offered"
-        })
+        totals = [self.registry.totals(name, "topic") for name in (
+            "flow.offered", "flow.delivered", "flow.drop.loss",
+            "flow.drop.dedupe", "flow.drop.limiter")]
         rows = []
-        for topic in topics:
-            offered = reg.sum_counter("flow.offered", {"topic": topic})
-            delivered = reg.sum_counter("flow.delivered", {"topic": topic})
-            loss = reg.sum_counter("flow.drop.loss", {"topic": topic})
-            dedupe = reg.sum_counter("flow.drop.dedupe", {"topic": topic})
-            limiter = reg.sum_counter("flow.drop.limiter", {"topic": topic})
+        for topic in sorted(totals[0]):
+            offered, delivered, loss, dedupe, limiter = (t.get(topic, 0) for t in totals)
             rows.append({
                 "topic": topic, "offered": offered, "delivered": delivered,
                 "loss": loss, "dedupe": dedupe, "limiter": limiter,

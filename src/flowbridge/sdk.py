@@ -263,6 +263,9 @@ class ServiceHost:
 
     def _delivery_wrapper(self, handle: ServiceHandle, topic: str,
                           user_cb: Callable[[MessageEnvelope], None] | None):
+        latency = self.registry.gauge("mon.msg_latency_ms",
+                                      {"topic": topic, "node": handle.node.name})
+
         def deliver(env: MessageEnvelope) -> None:
             stream = (env.origin_node.key, env.topic)
             seen = handle._seen.setdefault(stream, set())
@@ -278,7 +281,8 @@ class ServiceHost:
                                   origin=env.origin_node.key, seq=env.sequence)
                 return
             seen.add(env.sequence)
-            monitor.message_latency(self.registry, env, self.clock.now, handle.node.name)
+            monitor.message_latency(self.registry, latency, env, self.clock.now,
+                                    handle.node.name)
             handle.received += 1
             handle.received_by_topic[env.topic] = handle.received_by_topic.get(env.topic, 0) + 1
             if user_cb is not None:

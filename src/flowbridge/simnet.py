@@ -32,7 +32,7 @@ from random import Random
 from typing import Any, Callable, Optional
 
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
-from .monitor import MetricsRegistry
+from .monitor import CounterCell, MetricsRegistry
 from .topology import BrokerScope, MessageEnvelope, ScopeKind, Topology
 from .tracing import Trace
 
@@ -209,6 +209,19 @@ DEFAULT_LINKS: dict[str, LinkSpec] = {
 }
 
 
+class _TopicCounters(dict):
+    """``name{topic=...}`` counter cells by topic, bound on first use."""
+
+    def __init__(self, metrics: MetricsRegistry, name: str):
+        super().__init__()
+        self.metrics = metrics
+        self.name = name
+
+    def __missing__(self, topic: str) -> CounterCell:
+        cell = self[topic] = self.metrics.counter(self.name, {"topic": topic})
+        return cell
+
+
 class Network:
     """Binds one BrokerEndpoint per scope and routes publishes over links.
 
@@ -238,6 +251,8 @@ class Network:
         self.rng = rng
         self.metrics = metrics if metrics is not None else MetricsRegistry(clock)
         self.trace = trace if trace is not None else Trace(enabled=False)
+        self._offered = _TopicCounters(self.metrics, "flow.offered")
+        self._delivered = _TopicCounters(self.metrics, "flow.delivered")
         self._build_links(links or {})
         self.endpoints: dict[str, BrokerEndpoint] = {
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
@@ -289,6 +304,11 @@ class Network:
             a, b = sorted(pair, key=lambda n: self.topology.layer(n).depth)
             self.crossings[(a, b)] = LinkState(f"{a}->{b}", spec)
             self.crossings[(b, a)] = LinkState(f"{b}->{a}", spec)
+        self._link_counters: dict[str, tuple[CounterCell, CounterCell]] = {
+            link.name: (self.metrics.counter("link.bytes", {"link": link.name}),
+                        self.metrics.counter("link.msgs", {"link": link.name}))
+            for link in [*self.local_links.values(), *self.crossings.values()]
+        }
 
     # -- endpoint access -------------------------------------------------
 
@@ -330,12 +350,13 @@ class Network:
                 total += len(remote)
 
         if total:
-            self.metrics.inc("flow.offered", {"topic": env.topic}, total)
+            self._offered[env.topic].inc(total)
         return total
 
     def _count_link(self, link: LinkState, env: MessageEnvelope) -> None:
-        self.metrics.inc("link.bytes", {"link": link.name}, env.payload_len)
-        self.metrics.inc("link.msgs", {"link": link.name})
+        nbytes, msgs = self._link_counters[link.name]
+        nbytes.inc(env.payload_len)
+        msgs.inc()
 
     def _send_copy(
         self,
@@ -366,7 +387,7 @@ class Network:
             if not endpoint.invoke(handle, env):
                 self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
             return
-        self.metrics.inc("flow.delivered", {"topic": env.topic})
+        self._delivered[env.topic].inc()
         if handle.active:
             if not endpoint.invoke(handle, env):
                 self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})

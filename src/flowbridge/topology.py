@@ -10,7 +10,6 @@ broker endpoint binds to and the vertices bridges connect.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable
@@ -53,10 +52,10 @@ class LayerId:
 class NodeId:
     layer: str
     name: str
+    key: str = field(init=False, repr=False, compare=False)  # "name@layer"
 
-    @property
-    def key(self) -> str:
-        return f"{self.name}@{self.layer}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", f"{self.name}@{self.layer}")
 
 
 @dataclass(frozen=True, order=True)
@@ -66,19 +65,19 @@ class BrokerScope:
     kind: ScopeKind
     layer: str
     node: str | None = None
+    # "kind:layer", or "kind:node@layer" for intra_node
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is ScopeKind.INTRA_NODE:
             if self.node is None:
                 raise TopologyError("intra_node scope requires a node")
+            key = f"{self.kind.value}:{self.node}@{self.layer}"
         elif self.node is not None:
             raise TopologyError(f"{self.kind.value} scope must not name a node")
-
-    @property
-    def key(self) -> str:
-        if self.node is not None:
-            return f"{self.kind.value}:{self.node}@{self.layer}"
-        return f"{self.kind.value}:{self.layer}"
+        else:
+            key = f"{self.kind.value}:{self.layer}"
+        object.__setattr__(self, "key", key)
 
     def __str__(self) -> str:
         return self.key
@@ -235,17 +234,13 @@ class SequenceCounter:
 
     def __init__(self) -> None:
         self._last: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def next(self, topic: str) -> int:
-        with self._lock:
-            seq = self._last.get(topic, 0) + 1
-            self._last[topic] = seq
-            return seq
+        seq = self._last[topic] = self._last.get(topic, 0) + 1
+        return seq
 
     def last(self, topic: str) -> int:
-        with self._lock:
-            return self._last.get(topic, 0)
+        return self._last.get(topic, 0)
 
 
 class Topology:

@@ -147,28 +147,22 @@ def test_unsubscribe_during_publish_from_another_thread():
     assert ep.publish(env(seq=2)) == 0
 
 
-def test_concurrent_subscribe_publish_stress():
+def test_subscribe_churn_inside_callbacks():
+    # the simulator runs on one thread: what an endpoint must survive is
+    # callbacks that subscribe and unsubscribe while a publish is running
     ep = make_ep()
-    count = [0]
-    lock = threading.Lock()
+    got = []
+    churned = []
 
-    def cb(e):
-        with lock:
-            count[0] += 1
+    def churn(e):
+        churned.append(ep.subscribe("scan", got.append))
+        if len(churned) > 1:
+            assert ep.unsubscribe(churned[-2]) is True
 
-    stop = threading.Event()
-
-    def churn():
-        while not stop.is_set():
-            h = ep.subscribe("scan", cb)
-            ep.unsubscribe(h)
-
-    threads = [threading.Thread(target=churn) for _ in range(4)]
-    for t in threads:
-        t.start()
+    ep.subscribe("scan", churn)
     for i in range(500):
-        ep.publish(env(seq=i + 1))
-    stop.set()
-    for t in threads:
-        t.join(timeout=5)
+        assert ep.publish(env(seq=i + 1)) == (1 if i == 0 else 2)
     assert ep.errors == []
+    # publish n reached the subscriber made during publish n - 1, once
+    assert [e.sequence for e in got] == list(range(2, 501))
+    assert ep.subscriber_count("scan") == 2

@@ -35,6 +35,11 @@ def make_topo():
     return build_topology(SPEC)
 
 
+def layer_body(**rate_limit):
+    """A complete layer document: the defaults with ``rate_limit`` overrides."""
+    return merge_config(default_layer_config(), {"rate_limit": rate_limit})
+
+
 # -- pure helpers ------------------------------------------------------------
 
 
@@ -78,16 +83,17 @@ def test_document_round_trip():
 
 def test_store_revisions_are_monotonic_per_document():
     store = MainConfigStore(make_topo())
-    d1 = store.put("layer", "edge", {"a": 1})
-    d2 = store.put("layer", "edge", {"a": 2})
-    other = store.put("layer", "fog", {"b": 1})
+    d1 = store.put("layer", "edge", layer_body(limit_mbps=100.0))
+    d2 = store.put("layer", "edge", layer_body(limit_mbps=80.0))
+    other = store.put("layer", "fog", layer_body(limit_mbps=100.0))
     assert (d1.revision, d2.revision, other.revision) == (1, 2, 1)
 
 
 def test_store_identical_body_is_noop():
     store = MainConfigStore(make_topo())
-    d1 = store.put("layer", "edge", {"a": 1, "b": 2})
-    d2 = store.put("layer", "edge", {"b": 2, "a": 1})  # same canonical body
+    body = layer_body()
+    d1 = store.put("layer", "edge", body)
+    d2 = store.put("layer", "edge", dict(reversed(body.items())))  # same canonical body
     assert d2.revision == 1 and d1 == d2
 
 
@@ -117,8 +123,8 @@ def test_store_validates_subjects():
 
 def test_store_snapshot_filters_by_layer():
     store = MainConfigStore(make_topo())
-    store.put("layer", "edge", {"a": 1})
-    store.put("layer", "fog", {"b": 1})
+    store.put("layer", "edge", layer_body())
+    store.put("layer", "fog", layer_body())
     store.put("node", "robot-1", {"c": 1})
     store.put("service", "cam", {"d": 1})
     docs = store.snapshot_for_layer("edge")
@@ -131,11 +137,38 @@ def test_store_snapshot_filters_by_layer():
 def test_store_persists_and_reloads(tmp_path):
     path = str(tmp_path / "config.json")
     store = MainConfigStore(make_topo(), path=path)
-    store.put("layer", "edge", {"a": 1})
-    store.put("layer", "edge", {"a": 2})
+    store.put("layer", "edge", layer_body(limit_mbps=100.0))
+    store.put("layer", "edge", layer_body(limit_mbps=80.0))
     reloaded = MainConfigStore(make_topo(), path=path)
     doc = reloaded.get("layer", "edge")
-    assert doc.revision == 2 and doc.body == {"a": 2}
+    assert doc.revision == 2 and doc.body == layer_body(limit_mbps=80.0)
+
+
+@pytest.mark.parametrize("body", [
+    {"marker": 1},                                       # not a layer config at all
+    {"rate_limit": {"limit_mbps": 80.0}},                # incomplete
+    layer_body(limit_mbps=-1.0),                         # bad rate_limit
+    layer_body(compression_level=99),
+    merge_config(layer_body(), {"flow": {"watchdog_s": 0.0}}),
+    merge_config(layer_body(), {"flow": {"extra": 1.0}}),
+], ids=["marker", "incomplete", "limit", "compression", "watchdog", "unknown-key"])
+def test_store_rejects_layer_document_that_cannot_run(body):
+    # a stored layer document replaces the layer's config on every worker,
+    # so an invalid one would fail there one sync period later
+    store = MainConfigStore(make_topo())
+    with pytest.raises(ConfigError, match="layer 'edge'"):
+        store.put("layer", "edge", body)
+    assert store.docs == {}
+    assert store.put("node", "robot-1", {"marker": 1}).revision == 1  # only layers are typed
+
+
+def test_store_rejects_bad_layer_document_on_load(tmp_path):
+    path = tmp_path / "config.json"
+    doc = {"scope": "layer", "subject": "edge", "revision": 1,
+           "body": layer_body(limit_mbps=0.0)}
+    path.write_text(json.dumps({"documents": [doc]}))
+    with pytest.raises(ConfigError, match="limit_mbps"):
+        MainConfigStore(make_topo(), path=str(path))
 
 
 # -- wired sync ----------------------------------------------------------------
@@ -187,11 +220,12 @@ def test_worker_reads_default_before_first_sync():
 
 def test_pull_sync_delivers_stored_documents():
     w = ConfigWorld()
-    w.store.put("layer", "edge", {"marker": 1})
+    body = layer_body(limit_mbps=80.0)
+    w.store.put("layer", "edge", body)
     w.start_workers()
     w.settle()
     doc = w.workers["edge"].get_config("layer", "edge")
-    assert doc.revision == 1 and doc.body == {"marker": 1}
+    assert doc.revision == 1 and doc.body == body
     # other layers never see edge's layer doc
     assert w.workers["fog"].replica == {}
     assert w.metrics.counter_value("config.pulls", {"layer": "edge"}) >= 1
@@ -203,7 +237,7 @@ def test_change_emits_one_notice_per_document():
     w.start_workers()
     w.settle()
     sent_before = w.workers["edge"].notices_sent
-    w.store.put("layer", "edge", {"alpha": 1})
+    w.store.put("layer", "edge", layer_body(limit_mbps=80.0))
     w.store.put("node", "robot-1", {"beta": 2})
     w.settle(6_000)  # one 5 s sync period later
     assert w.workers["edge"].notices_sent == sent_before + 2

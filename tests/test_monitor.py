@@ -52,6 +52,18 @@ def test_sum_counter_matches_label_subsets():
     assert reg.sum_counter("drops", {"topic": "scan"}) == 7
     assert reg.sum_counter("drops") == 16
     assert reg.sum_counter("drops", {"link": "l1"}) == 12
+    assert reg.totals("drops", "topic") == {"scan": 7, "pose": 9}
+    assert reg.totals("drops", "link") == {"l1": 12, "l2": 4}
+    assert reg.totals("drops", "node") == {}
+
+
+def test_totals_sum_in_the_order_sum_counter_does():
+    reg, _ = make_reg()
+    for link, value in (("l1", 0.1), ("l2", 0.2), ("l3", 0.3), ("l4", 1e16), ("l5", 1.0)):
+        reg.inc("bytes", {"topic": "scan", "link": link}, value)
+    total = reg.totals("bytes", "topic")["scan"]
+    assert total == reg.sum_counter("bytes", {"topic": "scan"})
+    assert total == (((0 + 0.1 + 0.2) + 0.3) + 1e16) + 1.0  # not math.fsum's value
 
 
 def test_gauge_series_and_sets():
@@ -74,6 +86,70 @@ def test_snapshot_is_sorted_and_stable():
     reg.inc("a", {})
     names = [(p.kind, p.name) for p in reg.snapshot()]
     assert names == [("counter", "a"), ("counter", "b"), ("gauge", "g")]
+
+
+# -- bound cells ---------------------------------------------------------------
+
+
+def export_text(reg):
+    sink = io.BytesIO()
+    export_metrics(reg, sink)
+    return sink.getvalue().decode()
+
+
+def test_counter_cell_and_inc_share_one_entry():
+    reg, _ = make_reg()
+    early = reg.counter("hits", {"b": "2", "a": "1"})  # bound before the entry exists
+    reg.inc("hits", {"a": "1", "b": "2"}, 2)
+    early.inc()
+    late = reg.counter("hits", {"a": "1", "b": "2"})
+    late.inc(3)
+    early.inc()
+    reg.inc("hits", {"b": "2", "a": "1"})
+    assert reg.counter_value("hits", {"a": "1", "b": "2"}) == 8
+    assert [p.name for p in reg.snapshot()] == ["hits"]
+
+
+def test_unused_cells_leave_the_export_unchanged():
+    reg, _ = make_reg()
+    reg.inc("seen", {"topic": "a"})
+    before = export_text(reg)
+    counter = reg.counter("idle", {"topic": "a"})
+    gauge = reg.gauge("idle.g", {"topic": "a"})
+    assert export_text(reg) == before
+    assert [p.name for p in reg.snapshot()] == ["seen"]
+    counter.inc()
+    gauge.observe(1)
+    assert 'counter idle{topic="a"} 1 0' in export_text(reg).splitlines()
+
+
+def test_counter_cell_at_is_the_last_update():
+    reg, clock = make_reg()
+    cell = reg.counter("hits", {"topic": "a"})
+    clock.run_until(5)
+    cell.inc()
+    clock.run_until(9)
+    cell.inc(2)
+    assert [(p.value, p.at) for p in reg.snapshot()] == [(3, 9)]
+    clock.run_until(12)
+    reg.inc("hits", {"topic": "a"})
+    clock.run_until(20)  # nothing updates it here
+    assert [(p.value, p.at) for p in reg.snapshot()] == [(4, 12)]
+
+
+def test_gauge_cell_records_what_observe_would():
+    values = [3, 0.1, -2.5, 7]
+    by_observe, clock_a = make_reg()
+    by_cell, clock_b = make_reg()
+    cell = by_cell.gauge("lat", {"topic": "a"})
+    for t, v in enumerate(values):
+        clock_a.run_until(t * 10)
+        clock_b.run_until(t * 10)
+        by_observe.observe("lat", {"topic": "a"}, v)
+        cell.observe(v)
+    assert by_cell.series("lat", {"topic": "a"}) == by_observe.series("lat", {"topic": "a"})
+    assert all(type(v) is float for _, v in by_cell.series("lat", {"topic": "a"}))
+    assert export_text(by_cell) == export_text(by_observe)
 
 
 # -- export format -------------------------------------------------------------
@@ -131,16 +207,20 @@ def env_sent_at(t, topic="scan"):
     )
 
 
+def latency_cell(reg):
+    return reg.gauge("mon.msg_latency_ms", {"topic": "scan", "node": "b"})
+
+
 def test_message_latency_records_ms():
     reg, _ = make_reg()
-    ms = message_latency(reg, env_sent_at(0), now=7 * MS, node="b")
+    ms = message_latency(reg, latency_cell(reg), env_sent_at(0), now=7 * MS, node="b")
     assert ms == 7.0
     assert reg.series("mon.msg_latency_ms", {"topic": "scan", "node": "b"}) == [(0, 7.0)]
 
 
 def test_message_latency_clamps_skew():
     reg, _ = make_reg()
-    ms = message_latency(reg, env_sent_at(10 * MS), now=5 * MS, node="b")
+    ms = message_latency(reg, latency_cell(reg), env_sent_at(10 * MS), now=5 * MS, node="b")
     assert ms == 0.0
     assert reg.counter_value("mon.clock_skew", {"node": "b"}) == 1
 

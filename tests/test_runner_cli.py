@@ -1,5 +1,6 @@
 """End-to-end tests for scenario runs, report files, and the CLI."""
 
+import copy
 import csv
 import json
 
@@ -13,7 +14,7 @@ from flowbridge.report import (
     percentile,
 )
 from flowbridge.runner import World, WorldError, run_scenario
-from flowbridge.scenario import parse_scenario
+from flowbridge.scenario import make_payload, parse_scenario
 from flowbridge.topology import build_topology
 
 TOPO = {
@@ -219,6 +220,67 @@ def test_world_issues_flag_accounting_imbalance():
     world.registry.inc("flow.offered", {"topic": "ghost"}, 5)
     assert any("accounting imbalance" in msg and "ghost" in msg
                for msg in world.issues())
+
+
+# -- stream frames -------------------------------------------------------------
+
+
+def scan_world(payload, size=512, rate_hz=10.0, config=None):
+    world = World(build_topology(TOPO), seed=5, config=config)
+    world.start()
+    doc = mini_scenario()
+    doc["services"][0]["advertises"][0].update(payload=payload, size=size, rate_hz=rate_hz)
+    world.setup_scenario(parse_scenario(doc))
+    return world
+
+
+def captured(world, scope, topic="scan"):
+    got = []
+    world.network.endpoint(scope).subscribe(topic, got.append)
+    return got
+
+
+def test_random_stream_repeats_its_first_draw():
+    world = scan_world("random")
+    (driver,) = world.drivers
+    # the driver's RNG is still as seeded: no frame is drawn before the first tick
+    expected = make_payload("random", 512, copy.deepcopy(driver.rng))
+    sent = captured(world, world.topology.default_scope_for("robot-1"))
+    world.run_for(2.0)
+    world.drain()
+    assert len(sent) == driver.sent > 1
+    assert all(env.payload == expected for env in sent)
+    assert len(expected) == 512
+    assert world.issues() == []
+
+
+def test_compressible_stream_draws_every_frame():
+    world = scan_world("compressible")
+    sent = captured(world, world.topology.default_scope_for("robot-1"))
+    world.run_for(2.0)
+    world.drain()
+    frames = [env.payload for env in sent]
+    assert len(frames) > 1 and len(set(frames)) == len(frames)
+    assert {len(f) for f in frames} == {512}
+
+
+@pytest.mark.parametrize("payload,compressed", [("random", False), ("compressible", True)])
+def test_large_frames_compress_at_the_crossing_only_when_they_shrink(payload, compressed):
+    # large_threshold is below the frame size and compression is on, so every
+    # frame entering the inter-layer scope is offered to the codec
+    size = 200_000
+    world = scan_world(payload, size=size, rate_hz=5.0, config={
+        "edge": {"rate_limit": {"compression_level": 10, "large_threshold": 65536}}})
+    crossed = captured(world, world.topology.inter_layer_scope("edge"))
+    arrived = captured(world, world.topology.intra_layer_scope("cloud"))
+    world.run_for(2.0)
+    world.drain()
+    assert crossed and arrived
+    assert {env.compressed for env in crossed} == {compressed}
+    if not compressed:  # a random frame ships as its original bytes
+        assert {env.payload_len for env in crossed} == {size}
+    assert {(env.compressed, env.payload_len) for env in arrived} == {(False, size)}
+    assert world.issues() == []
 
 
 # -- CLI ----------------------------------------------------------------------
