@@ -72,8 +72,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = args.out
     if out_dir is None:
         out_dir = os.environ.get("FLOWBRIDGE_OUT", ".")
-    if args.duration_override is not None and args.duration_override <= 0:
-        raise ScenarioError("--duration-override must be > 0")
+    if args.duration_override is not None and not 0 < args.duration_override < float("inf"):
+        raise ScenarioError("--duration-override must be a finite number > 0")
     return run_scenario(
         args.topology,
         args.scenario,

@@ -330,7 +330,7 @@ class ConfigWorker(_LayerDefaults):
         self.notices_sent = 0
         self.running = False
         self._subs: list = []
-        self._pending: dict[str, int] = {}  # corr -> sent_at
+        self._pending: dict[str, None] = {}  # unanswered correlation ids, as an ordered set
         self._corr = 0
         self._inter = network.endpoint(topology.inter_layer_scope(self.layer))
         self._intra = network.endpoint(topology.intra_layer_scope(self.layer))
@@ -362,6 +362,7 @@ class ConfigWorker(_LayerDefaults):
     def _sync_tick(self) -> None:
         if not self.running:
             return
+        self._pending.clear()  # a reply still missing after a whole period was lost
         self.sync_now()
         self.clock.call_in(self.sync_period_ns, self._sync_tick)
 
@@ -369,7 +370,7 @@ class ConfigWorker(_LayerDefaults):
         """Issue one pull request; returns its correlation id."""
         self._corr += 1
         corr = f"{self.layer}:{self._corr}"
-        self._pending[corr] = self.clock.now
+        self._pending[corr] = None
         body = {"op": "pull", "layer": self.layer, "corr": corr}
         self._inter.publish(control_envelope(
             CONFIG_REQUEST, body, self.node, self.seq, self.clock.now))
@@ -377,8 +378,9 @@ class ConfigWorker(_LayerDefaults):
 
     def _on_reply(self, env: MessageEnvelope) -> None:
         body = json.loads(env.payload)
-        if self._pending.pop(body.get("corr", ""), None) is None:
-            return  # someone else's pull
+        if body.get("corr") not in self._pending:
+            return  # someone else's pull, or one given up as lost
+        del self._pending[body["corr"]]
         docs = [ConfigDocument.from_obj(o) for o in body.get("docs", ())]
         self.apply_snapshot(docs)
 

@@ -32,7 +32,6 @@ scope, so local subscribers always see original bytes.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Optional
@@ -62,47 +61,43 @@ CONTROL_TOPIC = {ADVERTISE: FLOW_ADVERTISE, REQUEST: FLOW_REQUEST}
 
 
 class DedupeWindow:
-    """Per-destination-scope duplicate filter.
+    """Per-destination-scope duplicate filter: an RFC 6479-style sliding bitmap.
 
-    Tracks, per (origin node, topic) stream, the highest sequence seen
-    plus a bounded ring of recently seen sequences. A sequence is fresh
-    when it was never recorded and is not older than the ring span;
-    anything ambiguous counts as a duplicate, keeping delivery
-    at-most-once.
+    Each (origin node, topic) stream holds ``[highest, mask]``: bit *i*
+    of the mask marks sequence ``highest - i``, and the mask keeps
+    ``capacity`` bits. A sequence is fresh when it is not marked and not
+    older than the window; anything older counts as a duplicate, keeping
+    delivery at-most-once.
     """
 
     __slots__ = ("capacity", "_streams")
 
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
-        self._streams: dict[tuple[str, str], tuple[list, OrderedDict]] = {}
+        self._streams: dict[tuple[str, str], list[int]] = {}
 
-    def _stream(self, origin: str, topic: str) -> tuple[list, OrderedDict]:
-        key = (origin, topic)
-        st = self._streams.get(key)
-        if st is None:
-            st = ([0], OrderedDict())  # [highest], recent-seen ring
-            self._streams[key] = st
-        return st
-
-    def record(self, origin: str, topic: str, seq: int) -> None:
-        highest, recent = self._stream(origin, topic)
-        if seq > highest[0]:
-            highest[0] = seq
-        if seq not in recent:
-            recent[seq] = None
-            while len(recent) > self.capacity:
-                recent.popitem(last=False)
+    def seen(self, origin: str, topic: str, seq: int) -> bool:
+        """True when this sequence is marked inside the window."""
+        highest, mask = self._streams.get((origin, topic), (0, 0))
+        back = highest - seq
+        return 0 <= back < self.capacity and mask >> back & 1 == 1
 
     def test_and_record(self, origin: str, topic: str, seq: int) -> bool:
-        """True (and records it) when this sequence was not seen before."""
-        highest, recent = self._stream(origin, topic)
-        if seq in recent:
-            return False
-        if seq <= highest[0] - self.capacity:
-            return False  # too old to judge; drop rather than risk a dup
-        self.record(origin, topic, seq)
+        """True (and marks it) when this sequence was not seen before."""
+        key = (origin, topic)
+        st = self._streams.get(key) or self._streams.setdefault(key, [0, 0])
+        back = st[0] - seq
+        if back < 0:  # newest yet: slide the window up to it
+            st[0] = seq
+            st[1] = (st[1] << min(-back, self.capacity) | 1) & ((1 << self.capacity) - 1)
+            return True
+        if back >= self.capacity or st[1] >> back & 1:
+            return False  # seen, or too old to judge: drop rather than risk a dup
+        st[1] |= 1 << back
         return True
+
+    # marking a sequence observed elsewhere is the same step, answer unused
+    record = test_and_record
 
 
 @dataclass

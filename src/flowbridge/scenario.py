@@ -10,6 +10,7 @@ service moved across a list of candidate nodes.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -156,15 +157,28 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _number(obj: dict, key: str, default, where: str, kind: type = float):
+    """``kind`` of ``obj[key]`` (or of ``default``), refusing the NaN and Infinity json reads."""
+    value = obj.get(key, default)
+    try:
+        number = kind(value)
+        if kind is int or math.isfinite(number):  # int() itself refuses NaN and Infinity
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{where}: {key} must be a finite number, got {value!r}")
+
+
 def _parse_stream(obj: object) -> StreamSpec:
     if not isinstance(obj, dict):
         raise ScenarioError(f"stream must be an object, got {type(obj).__name__}")
     _reject_unknown(obj, _STREAM_KEYS, "stream")
     try:
+        topic = str(obj["topic"])
         return StreamSpec(
-            topic=str(obj["topic"]),
-            rate_hz=float(obj.get("rate_hz", 0.0)),
-            size=int(obj.get("size", 0)),
+            topic=topic,
+            rate_hz=_number(obj, "rate_hz", 0.0, f"stream {topic!r}"),
+            size=_number(obj, "size", 0, f"stream {topic!r}", int),
             payload=str(obj.get("payload", "random")),
         )
     except KeyError as exc:
@@ -184,14 +198,14 @@ def _parse_service(obj: object) -> ServiceSpec:
     requests = obj.get("requests", [])
     if not isinstance(requests, list):
         raise ScenarioError(f"service {name!r}: requests must be a list")
-    stop_s = obj.get("stop_s")
+    where = f"service {name!r}"
     return ServiceSpec(
         name=name,
         node=node,
         advertises=advertises,
         requests=tuple(str(t) for t in requests),
-        start_s=float(obj.get("start_s", 0.0)),
-        stop_s=None if stop_s is None else float(stop_s),
+        start_s=_number(obj, "start_s", 0.0, where),
+        stop_s=None if obj.get("stop_s") is None else _number(obj, "stop_s", None, where),
         external=bool(obj.get("external", False)),
     )
 
@@ -212,8 +226,8 @@ def parse_scenario(obj: object) -> Scenario:
         _reject_unknown(pobj, _PROBES_KEYS, "probes")
         probes = ProbesSpec(
             nodes=tuple(str(n) for n in pobj.get("nodes", [])),
-            ping_period_s=float(pobj.get("ping_period_s", 1.0)),
-            ping_timeout_s=float(pobj.get("ping_timeout_s", 5.0)),
+            ping_period_s=_number(pobj, "ping_period_s", 1.0, "probes"),
+            ping_timeout_s=_number(pobj, "ping_timeout_s", 5.0, "probes"),
         )
     sweep = None
     if "sweep" in obj and obj["sweep"] is not None:
@@ -240,15 +254,13 @@ def parse_scenario(obj: object) -> Scenario:
     topology = obj.get("topology")
     if topology is not None and not isinstance(topology, dict):
         raise ScenarioError("topology must be an object")
-    try:
-        name = str(obj["name"])
-        duration = float(obj["duration_s"])
-    except KeyError as exc:
-        raise ScenarioError(f"scenario missing key {exc}") from None
+    for key in ("name", "duration_s"):
+        if key not in obj:
+            raise ScenarioError(f"scenario missing key {key!r}")
     return Scenario(
-        name=name,
-        duration_s=duration,
-        seed=int(obj.get("seed", 0)),
+        name=str(obj["name"]),
+        duration_s=_number(obj, "duration_s", None, "scenario"),
+        seed=_number(obj, "seed", 0, "scenario", int),
         config=config,
         services=tuple(_parse_service(s) for s in services),
         probes=probes,

@@ -5,11 +5,12 @@ host announces them on the node's default scope (intra_node on the edge
 layer, intra_layer deeper in), keeps a heartbeat refreshed, re-announces
 periodically as flood repair, and wires request subscriptions through a
 wrapper that records end-to-end latency and flags duplicate deliveries
-(which the bridging layer promises never to produce).
+(the bridging layer delivers at most once within a 1024-sequence window
+per stream and scope; the detector remembers the same window).
 
 A service may advertise and request the same topic; its own publishes
-are then suppressed at delivery by an origin check, so only remote and
-third-party messages reach its callback.
+are then suppressed at delivery by origin and a window of its sequences,
+so only remote and third-party messages reach its callback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from . import monitor
 from .broker import SubscriberHandle
-from .flow import CONTROL_TOPIC, FlowEngine
+from .flow import CONTROL_TOPIC, DedupeWindow, FlowEngine
 from .monitor import HeartbeatRegistry
 from .simnet import Event, Network, ns_from_s
 from .topology import (
@@ -94,8 +95,8 @@ class ServiceHandle:
         self.published = 0
         self.received = 0
         self.received_by_topic: dict[str, int] = {}
-        self._published_seqs: dict[str, set[int]] = {}
-        self._seen: dict[tuple[str, str], set[int]] = {}
+        self._published = DedupeWindow()  # own publishes, for the self-filter
+        self._delivered = DedupeWindow()  # delivered streams, for the duplicate detector
         self._subs: list[SubscriberHandle] = []
         self._timers: dict[Callable, Event] = {}  # live timer per tick function
 
@@ -149,7 +150,6 @@ class ServiceHost:
         on_message: Callable[[MessageEnvelope], None] | Mapping[str, Callable] | None = None,
         external: bool = False,
         internal: bool = False,
-        suppress_self: bool = True,
     ) -> ServiceHandle:
         node_id = self.topology.node(node)
         if not name:
@@ -164,15 +164,11 @@ class ServiceHost:
 
         advs = tuple(a if isinstance(a, Advertise) else Advertise(*a) for a in advertises)
         reqs = tuple(requests)
-        seen_topics: set[str] = set()
-        for a in advs:
-            if a.topic in seen_topics:
-                raise ServiceError(f"duplicate advertise for {a.topic!r}")
-            seen_topics.add(a.topic)
-        dupes = sorted({t for t in reqs if reqs.count(t) > 1})
-        if dupes:
-            raise ServiceError(f"duplicate request for {dupes}")
-        for topic in list(seen_topics | set(reqs)):
+        for kind, topics in (("advertise", [a.topic for a in advs]), ("request", reqs)):
+            dupes = sorted({t for t in topics if topics.count(t) > 1})
+            if dupes:
+                raise ServiceError(f"duplicate {kind} for {dupes}")
+        for topic in {a.topic for a in advs} | set(reqs):
             if topic.startswith(RESERVED_PREFIX) and not internal:
                 raise ReservedTopicError(f"{topic!r} is in the reserved namespace")
 
@@ -193,7 +189,7 @@ class ServiceHost:
         endpoint = self.network.endpoint(scope)
         for topic in reqs:
             flt = None
-            if suppress_self and topic in handle.advertised_topics:
+            if topic in handle.advertised_topics:
                 flt = self._self_filter(handle, topic)
             endpoint_sub = endpoint.subscribe(
                 topic, self._delivery_wrapper(handle, topic, callbacks.get(topic)),
@@ -256,7 +252,7 @@ class ServiceHost:
             origin_layer=handle.node.layer, sequence=seq,
             sent_at=self.clock.now if now is None else now,
         )
-        handle._published_seqs.setdefault(topic, set()).add(seq)
+        handle._published.record(handle.node.key, topic, seq)
         self.network.endpoint(handle.scope).publish(env)
         handle.published += 1
         return True
@@ -267,20 +263,15 @@ class ServiceHost:
                                       {"topic": topic, "node": handle.node.name})
 
         def deliver(env: MessageEnvelope) -> None:
-            stream = (env.origin_node.key, env.topic)
-            seen = handle._seen.setdefault(stream, set())
-            if env.sequence in seen:
+            origin = env.origin_node.key
+            if handle._delivered.seen(origin, env.topic, env.sequence):
                 self.registry.inc("sdk.duplicate", {"topic": env.topic, "node": handle.node.name})
-                self.violations.append({
-                    "kind": "duplicate_delivery", "service": handle.name,
-                    "node": handle.node.name, "topic": env.topic,
-                    "origin": env.origin_node.key, "seq": env.sequence,
-                })
-                self.trace.record("duplicate_delivery", self.clock.now, service=handle.name,
-                                  node=handle.node.name, topic=env.topic,
-                                  origin=env.origin_node.key, seq=env.sequence)
+                fields = {"service": handle.name, "node": handle.node.name,
+                          "topic": env.topic, "origin": origin, "seq": env.sequence}
+                self.violations.append({"kind": "duplicate_delivery", **fields})
+                self.trace.record("duplicate_delivery", self.clock.now, **fields)
                 return
-            seen.add(env.sequence)
+            handle._delivered.record(origin, env.topic, env.sequence)
             monitor.message_latency(self.registry, latency, env, self.clock.now,
                                     handle.node.name)
             handle.received += 1
@@ -292,9 +283,8 @@ class ServiceHost:
     @staticmethod
     def _self_filter(handle: ServiceHandle, topic: str):
         def accept(env: MessageEnvelope) -> bool:
-            if env.origin_node != handle.node:
-                return True
-            return env.sequence not in handle._published_seqs.get(topic, ())
+            return (env.origin_node != handle.node
+                    or not handle._published.seen(handle.node.key, topic, env.sequence))
         return accept
 
     # -- declarations ----------------------------------------------------------

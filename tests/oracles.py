@@ -8,6 +8,7 @@ so a bug cannot hide in both.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 
 def oracle_allocate(
@@ -124,3 +125,38 @@ def oracle_bridges(
             if wanted == topic and dest != source:
                 bridges.add((topic, source, dest))
     return bridges
+
+
+class OracleRingWindow:
+    """The dedupe window as a ring of recently recorded sequences.
+
+    Per (origin, topic) stream: the highest sequence recorded, plus an
+    insertion-ordered ring of the last ``capacity`` distinct sequences
+    recorded. A sequence is fresh when it is not in the ring and is newer
+    than ``highest - capacity``. The ring forgets by insertion order, not
+    by age, so it agrees with a sliding bitmap only while it forgets
+    nothing: while no stream records more than ``capacity`` distinct
+    sequences.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.streams: dict[tuple[str, str], tuple[list[int], OrderedDict]] = {}
+
+    def _stream(self, origin: str, topic: str) -> tuple[list[int], OrderedDict]:
+        return self.streams.setdefault((origin, topic), ([0], OrderedDict()))
+
+    def record(self, origin: str, topic: str, seq: int) -> None:
+        highest, ring = self._stream(origin, topic)
+        highest[0] = max(highest[0], seq)
+        if seq not in ring:
+            ring[seq] = None
+            while len(ring) > self.capacity:
+                ring.popitem(last=False)
+
+    def test_and_record(self, origin: str, topic: str, seq: int) -> bool:
+        highest, ring = self._stream(origin, topic)
+        if seq in ring or seq <= highest[0] - self.capacity:
+            return False
+        self.record(origin, topic, seq)
+        return True

@@ -175,13 +175,13 @@ def test_store_rejects_bad_layer_document_on_load(tmp_path):
 
 
 class ConfigWorld:
-    def __init__(self, layer_defaults=None):
+    def __init__(self, layer_defaults=None, links=None):
         self.topology = make_topo()
         self.clock = SimClock()
         self.metrics = MetricsRegistry(self.clock)
         self.trace = Trace(enabled=True)
         self.network = Network(self.topology, self.clock, Random(0),
-                               self.metrics, self.trace)
+                               self.metrics, self.trace, links)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
         self.store = MainConfigStore(self.topology, layer_defaults=layer_defaults)
         self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])
@@ -301,4 +301,20 @@ def test_sync_uses_correlation_ids():
     assert (corr2, corr3) == ("edge:2", "edge:3")
     w.settle()
     assert worker._pending == {}  # all answered
+    w.drain()
+
+
+def test_lost_replies_do_not_pile_up():
+    # the main service lives on cloud, the most central layer; every pull
+    # from edge and fog crosses to it and is lost
+    lost = [{"between": [layer, "cloud"], "loss": 1.0} for layer in ("edge", "fog")]
+    w = ConfigWorld(links={"crossings": lost})
+    w.start_workers()
+    w.settle(60_000)  # twelve 5 s sync periods
+    for layer in ("edge", "fog"):
+        worker = w.workers[layer]
+        assert worker._corr >= 12  # it kept pulling
+        assert w.metrics.counter_value("config.pulls", {"layer": layer}) == 0
+        assert len(worker._pending) <= 1, layer
+    assert w.metrics.counter_value("config.pulls", {"layer": "cloud"}) >= 12  # not crossing
     w.drain()

@@ -68,8 +68,28 @@ def test_dedupe_ring_is_bounded():
     w = DedupeWindow(capacity=8)
     for seq in range(1, 100):
         assert w.test_and_record("a@edge", "scan", seq)
-    _, recent = w._streams[("a@edge", "scan")]
-    assert len(recent) <= 8
+    highest, mask = w._streams[("a@edge", "scan")]
+    assert highest == 99 and mask == 2**8 - 1  # the last 8 sequences, no more
+
+
+def test_dedupe_remembers_every_marked_sequence_in_window():
+    w = DedupeWindow(capacity=4)
+    for seq in (5, 3, 6, 7, 8):
+        assert w.test_and_record("a@edge", "scan", seq)
+    # 5 is still inside the window (5..8); five marks since do not push it out
+    assert w.seen("a@edge", "scan", 5)
+    assert not w.test_and_record("a@edge", "scan", 5)
+    assert not w.seen("a@edge", "scan", 3)  # older than the window: not reported
+    assert not w.seen("b@edge", "scan", 5)
+
+
+def test_dedupe_seen_never_marks():
+    w = DedupeWindow()
+    assert not w.seen("a@edge", "scan", 1)
+    assert w.test_and_record("a@edge", "scan", 1)
+    assert w.seen("a@edge", "scan", 1)
+    assert not w.seen("a@edge", "scan", 2)
+    assert w.test_and_record("a@edge", "scan", 2)
 
 
 # -- flow table -------------------------------------------------------------

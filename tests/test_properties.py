@@ -18,7 +18,7 @@ from flowbridge.runner import World
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND
 from flowbridge.topology import build_topology
-from oracles import oracle_allocate, oracle_bridges, oracle_bucket_replay
+from oracles import OracleRingWindow, oracle_allocate, oracle_bridges, oracle_bucket_replay
 
 topics = st.text(alphabet="abcdefghijkl", min_size=1, max_size=6)
 
@@ -148,8 +148,38 @@ def test_dedupe_state_stays_bounded(events):
     window = DedupeWindow(capacity=16)
     for stream, seq in events:
         window.test_and_record(f"s{stream}@edge", "t", seq)
-    for _, ring in window._streams.values():
-        assert len(ring) <= 16
+    for _, mask in window._streams.values():
+        assert 0 <= mask < 2**16
+
+
+RING_CAPACITY = 16
+
+
+@st.composite
+def ring_safe_steps(draw):
+    """record / test_and_record steps on three streams, each drawing at most
+    RING_CAPACITY distinct sequences (so the ring never forgets one) from a
+    span of four windows (so sequences age out and the bitmap slides)."""
+    values = [draw(st.lists(st.integers(0, 4 * RING_CAPACITY), min_size=1,
+                            max_size=RING_CAPACITY, unique=True)) for _ in range(3)]
+    steps = draw(st.lists(st.tuples(st.sampled_from(("record", "test")), st.integers(0, 2),
+                                    st.integers(0, RING_CAPACITY - 1)), max_size=200))
+    return [(kind, f"s{s}@edge", values[s][i % len(values[s])]) for kind, s, i in steps]
+
+
+@given(ring_safe_steps())
+def test_dedupe_bitmap_matches_ring_oracle(steps):
+    window, ring = DedupeWindow(capacity=RING_CAPACITY), OracleRingWindow(RING_CAPACITY)
+    for kind, origin, seq in steps:
+        if kind == "record":
+            window.record(origin, "t", seq)
+            ring.record(origin, "t", seq)
+        else:
+            assert window.test_and_record(origin, "t", seq) == ring.test_and_record(origin, "t", seq)
+        highest, recent = ring.streams[(origin, "t")]
+        low = highest[0] - RING_CAPACITY
+        for v in range(low - 1, highest[0] + 2):  # marked in the window iff the ring holds it there
+            assert window.seen(origin, "t", v) == (v in recent and v > low)
 
 
 WORLD3 = {

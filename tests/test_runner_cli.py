@@ -352,6 +352,32 @@ def test_cli_rejects_duplicate_requests(tmp_path, capsys):
     assert "duplicate request" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rate_hz", float("nan")),
+    ("rate_hz", float("inf")),
+    ("duration_s", float("nan")),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, field, value):
+    # parsed only: a NaN used to end in a ValueError traceback (exit 1), and
+    # an infinite rate_hz would have run with a 1 ns stream period
+    doc = mini_scenario()
+    if field == "duration_s":
+        doc["duration_s"] = value
+    else:
+        doc["services"][0]["advertises"][0][field] = value
+    sc = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    assert f"{field} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_duration_override_it_cannot_run(tmp_path, capsys, value):
+    sc = write_scenario(tmp_path, mini_scenario())
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o"),
+                 "--duration-override", value]) == 2
+    assert "--duration-override must be a finite number > 0" in capsys.readouterr().err
+
+
 def test_cli_out_defaults_to_env(tmp_path, monkeypatch):
     sc = write_scenario(tmp_path, mini_scenario())
     dest = tmp_path / "envout"

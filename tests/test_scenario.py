@@ -159,6 +159,32 @@ def test_parse_rejects_layer_config_that_cannot_run(section, key, value):
         parse_scenario(doc)
 
 
+# json reads NaN and Infinity; a run with them fails or spins (an infinite
+# rate_hz gives a 1 ns stream period), so these are only parsed, never run.
+@pytest.mark.parametrize("path,key,literal", [
+    ((), "duration_s", "NaN"),
+    ((), "duration_s", "Infinity"),
+    ((), "seed", "NaN"),
+    ((), "seed", "Infinity"),
+    (("services", 0, "advertises", 0), "rate_hz", "NaN"),
+    (("services", 0, "advertises", 0), "rate_hz", "Infinity"),
+    (("services", 0, "advertises", 0), "size", "NaN"),
+    (("services", 0, "advertises", 0), "size", "-Infinity"),
+    (("services", 1), "start_s", "NaN"),
+    (("services", 1), "stop_s", "Infinity"),
+    (("probes",), "ping_period_s", "NaN"),
+    (("probes",), "ping_timeout_s", "Infinity"),
+])
+def test_parse_rejects_non_finite_numbers(path, key, literal):
+    doc = json.loads(json.dumps({**MINIMAL, "probes": {"nodes": ["robot-1"]}}))
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = json.loads(literal)
+    with pytest.raises(ScenarioError, match=f"{key} must be a finite number"):
+        parse_scenario(doc)
+
+
 def test_parse_accepts_reannounce_off():
     sc = parse_scenario({**MINIMAL, "config": {"edge": {"flow": {"reannounce_s": 0}}}})
     assert sc.config == {"edge": {"flow": {"reannounce_s": 0}}}

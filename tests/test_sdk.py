@@ -1,7 +1,10 @@
 """Unit tests for the service SDK: lifecycle, publish, delivery wrapper."""
 
+import sys
+
 import pytest
 
+from flowbridge.flow import DedupeWindow
 from flowbridge.runner import World
 from flowbridge.sdk import (
     DEAD,
@@ -160,18 +163,6 @@ def test_same_topic_advertise_and_request_suppresses_self(world):
     assert got == ["robot-2"]
 
 
-def test_self_delivery_allowed_when_not_suppressed(world):
-    got = []
-    h = world.host.start_service(
-        "robot-1", "loop", advertises=[Advertise("t", 5.0)], requests=["t"],
-        on_message=lambda env: got.append(env.origin_node.name),
-        suppress_self=False)
-    settle(world)
-    world.host.publish(h, "t", b"echo")
-    settle(world)
-    assert got == ["robot-1"]
-
-
 def test_stop_service_withdraws_and_cleans_up(world):
     h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
     world.host.start_service("cloud-1", "viewer", requests=["img"])
@@ -238,3 +229,36 @@ def test_duplicate_delivery_is_flagged_as_violation(world):
     assert v["service"] == "sink" and v["seq"] == 1
     assert world.registry.counter_value(
         "sdk.duplicate", {"topic": "t", "node": "robot-1"}) == 1
+
+
+def state_bytes(obj, memo) -> int:
+    """Bytes held by ``obj`` and by the containers and dedupe windows in it."""
+    if id(obj) in memo:
+        return 0
+    memo.add(id(obj))
+    if isinstance(obj, DedupeWindow):
+        inner = [obj._streams]
+    elif isinstance(obj, dict):
+        inner = [*obj, *obj.values()]
+    elif isinstance(obj, (list, tuple, set)):
+        inner = list(obj)
+    else:
+        inner = []
+    return sys.getsizeof(obj) + sum(state_bytes(o, memo) for o in inner)
+
+
+def test_per_stream_state_stays_bounded_over_a_long_stream(world):
+    cam = world.host.start_service(
+        "robot-1", "cam", advertises=[Advertise("t", 10.0)], requests=["t"])
+    viewer = world.host.start_service("cloud-1", "viewer", requests=["t"])
+    settle(world, 500)
+    sizes = []
+    for half in range(2):  # 10 Hz for 300 s, measured after 150 s and after 300 s
+        for _ in range(1500):
+            world.host.publish(cam, "t", b"x")
+            settle(world)
+        memo = set()
+        sizes.append(sum(state_bytes(v, memo)
+                         for h in (cam, viewer) for v in vars(h).values()))
+    assert viewer.received == 3000 and cam.received == 0
+    assert sizes[1] == sizes[0]
