@@ -26,10 +26,6 @@ class BrokerError(Exception):
     pass
 
 
-class EndpointShutdown(BrokerError):
-    """Publish or subscribe on an endpoint after shutdown()."""
-
-
 class SubscriberHandle:
     """One subscription; deactivated exactly once by unsubscribe."""
 
@@ -64,7 +60,6 @@ class BrokerEndpoint:
         self.scope = scope
         self._dispatch = dispatch or _sync_dispatch
         self._subs: dict[str, list[SubscriberHandle]] = {}
-        self._shutdown = False
         self.errors: list[tuple[str, BaseException]] = []
 
     def subscribe(
@@ -78,8 +73,6 @@ class BrokerEndpoint:
         if not topic:
             raise BrokerError("empty topic")
         handle = SubscriberHandle(self.scope, topic, callback, kind, filter, owner)
-        if self._shutdown:
-            raise EndpointShutdown(self.scope.key)
         self._subs.setdefault(topic, []).append(handle)
         return handle
 
@@ -100,8 +93,6 @@ class BrokerEndpoint:
 
     def publish(self, env: MessageEnvelope) -> int:
         """Hand the envelope to the transport; returns subscribers targeted."""
-        if self._shutdown:
-            raise EndpointShutdown(self.scope.key)
         return self._dispatch(self, env)
 
     def snapshot(self, env: MessageEnvelope) -> list[SubscriberHandle]:
@@ -123,13 +114,6 @@ class BrokerEndpoint:
 
     def topics(self) -> list[str]:
         return sorted(self._subs)
-
-    def shutdown(self) -> None:
-        self._shutdown = True
-        for subs in self._subs.values():
-            for h in subs:
-                h.active = False
-        self._subs.clear()
 
 
 def _sync_dispatch(endpoint: BrokerEndpoint, env: MessageEnvelope) -> int:

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--duration-override", type=float, default=None,
                        metavar="SECONDS", help="run this long instead of the "
                        "scenario's duration")
-    run_p.add_argument("--real-time", action="store_true",
-                       help="pace the run against the wall clock")
     _add_log_level(run_p)
 
     diff_p = sub.add_parser("diff", help="compare two finished run directories")
@@ -80,7 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         out_dir=out_dir,
         duration_override=args.duration_override,
-        real_time=args.real_time,
     )
 
 

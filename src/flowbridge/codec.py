@@ -7,7 +7,6 @@ blob is self-describing: decompress needs no level argument.
 
 from __future__ import annotations
 
-import random
 import zlib
 
 LEVEL_MIN = 0
@@ -34,13 +33,3 @@ def decompress(blob: bytes) -> bytes:
     except zlib.error as exc:
         raise CodecError(f"corrupt compressed payload: {exc}") from None
 
-
-def synthetic_corpus(nbytes: int = 1 << 20, seed: int = 1318) -> bytes:
-    """Deterministic compressible test corpus: repeated random blocks
-    with scattered byte mutations, the texture the codec is sized for."""
-    rng = random.Random(seed)
-    unit = rng.randbytes(256)
-    data = bytearray((unit * (nbytes // len(unit) + 1))[:nbytes])
-    for i in range(0, nbytes, 512):
-        data[i] = rng.randrange(256)
-    return bytes(data)

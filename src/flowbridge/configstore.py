@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -187,14 +186,10 @@ def diff_paths(old: dict, new: dict, prefix: str = "") -> list[str]:
 class MainConfigStore(_LayerDefaults):
     """Authoritative document set with monotonic per-document revisions."""
 
-    def __init__(self, topology: Topology, layer_defaults: dict[str, dict] | None = None,
-                 path: str | None = None):
+    def __init__(self, topology: Topology, layer_defaults: dict[str, dict] | None = None):
         super().__init__(topology, layer_defaults)
         self.topology = topology
         self.docs: dict[tuple[str, str], ConfigDocument] = {}
-        self.path = path
-        if path and os.path.exists(path):
-            self._load(path)
 
     def _validate_subject(self, scope: str, subject: str) -> None:
         if scope not in SCOPES:
@@ -232,8 +227,6 @@ class MainConfigStore(_LayerDefaults):
         doc = ConfigDocument(scope, subject, revision, json.loads(text))
         self.docs[(scope, subject)] = doc
         log.info("config put %s/%s rev %d", scope, subject, revision)
-        if self.path:
-            self.save(self.path)
         return doc
 
     def get(self, scope: str, subject: str) -> ConfigDocument:
@@ -256,19 +249,6 @@ class MainConfigStore(_LayerDefaults):
                 continue
             out.append(doc)
         return out
-
-    def save(self, path: str) -> None:
-        data = [d.to_obj() for _, d in sorted(self.docs.items())]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"documents": data}, fh, sort_keys=True, indent=1)
-
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        for obj in data.get("documents", ()):
-            doc = ConfigDocument.from_obj(obj)
-            self._validate_body(doc.scope, doc.subject, doc.body)
-            self.docs[(doc.scope, doc.subject)] = doc
 
 
 class MainConfigService:
@@ -294,9 +274,6 @@ class MainConfigService:
         if self._sub is not None:
             self._endpoint.unsubscribe(self._sub)
             self._sub = None
-
-    def put(self, scope: str, subject: str, body: dict) -> ConfigDocument:
-        return self.store.put(scope, subject, body)
 
     def _on_request(self, env: MessageEnvelope) -> None:
         req = json.loads(env.payload)

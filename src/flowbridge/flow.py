@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from . import codec
 from .broker import SUB_BRIDGE, SUB_CONTROL, SubscriberHandle
-from .monitor import CounterCell, HeartbeatRegistry
+from .monitor import CounterCell, HeartbeatRegistry, ordered_sum
 from .ratelimit import HierarchicalLimiter, RateLimitConfig
 from .simnet import SECOND, Network
 from .topology import (
@@ -400,7 +400,7 @@ class FlowEngine:
                 continue
             regs = desired.setdefault(bridge.client, {})
             entries = self.table.advertisers_at(bridge.topic, bridge.source.key)
-            rate = sum(e.declared_rate for e in entries)
+            rate = ordered_sum(e.declared_rate for e in entries)
             size = max((e.declared_max_size for e in entries), default=0)
             if bridge.topic in regs:
                 r0, s0 = regs[bridge.topic]

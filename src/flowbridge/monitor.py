@@ -26,6 +26,19 @@ PING_TOPIC = "__mon/ping"
 PONG_TOPIC = "__mon/pong"
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add left to right, rounding after every addition.
+
+    Since CPython 3.12 the builtin ``sum`` adds floats with compensated
+    summation, which can round differently; exported figures must not
+    depend on the Python version.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _labels(labels: dict[str, Any] | None) -> LabelSet:
     if not labels:
         return ()
@@ -179,7 +192,7 @@ def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
     gauges = sorted(registry._gauges.items())
     for (name, labels), series in gauges:
         vals = [v for _, v in series]
-        mean = sum(vals) / len(vals)
+        mean = ordered_sum(vals) / len(vals)
         lines.append(
             f"gauge {name}{_fmt_labels(labels)} last={_fmt_num(vals[-1])} n={len(vals)}"
             f" mean={_fmt_num(mean)} min={_fmt_num(min(vals))} max={_fmt_num(max(vals))}"

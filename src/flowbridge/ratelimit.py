@@ -28,7 +28,7 @@ messages. A denied acquire means the frame is dropped, never queued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .monitor import MetricsRegistry
@@ -261,15 +261,6 @@ class HierarchicalLimiter:
             self._reallocate()
         return changed
 
-    def register(self, topic: str, advertised_rate: float = 0.0, max_size: int = 0) -> None:
-        wanted = {t: (r.advertised_rate, r.max_size) for t, r in self.records.items()}
-        rec = self.records.get(topic)
-        if rec is not None:
-            wanted[topic] = (advertised_rate, max(max_size, rec.max_size))
-        else:
-            wanted[topic] = (advertised_rate, max_size)
-        self.sync_publishers(wanted)
-
     def observe_size(self, topic: str, size: int) -> bool:
         """Grow a topic's max size from a live payload; True if reallocated."""
         rec = self.records.get(topic)
@@ -297,7 +288,7 @@ class HierarchicalLimiter:
         bucket = self.buckets.get(topic)
         if bucket is None:
             # unregistered talker: admit it as unknown rate/size first
-            self.register(topic)
+            self.observe_size(topic, 0)
             bucket = self.buckets[topic]
         granted = bucket.try_acquire(self.clock.now)
         if not granted and self.registry is not None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .monitor import MetricsRegistry
+from .monitor import MetricsRegistry, ordered_sum
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -68,7 +68,7 @@ def summary_rows(registry: MetricsRegistry, duration_s: float) -> list[dict]:
             "offered": int(offered.get(topic, 0)),
             "delivered": int(n_delivered),
             "delivered_hz": _fmt(n_delivered / duration_s),
-            "latency_mean_ms": _fmt(sum(lats) / len(lats)) if lats else "",
+            "latency_mean_ms": _fmt(ordered_sum(lats) / len(lats)) if lats else "",
             "latency_p50_ms": _fmt(percentile(lats, 50)) if lats else "",
             "latency_p95_ms": _fmt(percentile(lats, 95)) if lats else "",
             "latency_p99_ms": _fmt(percentile(lats, 99)) if lats else "",

@@ -28,7 +28,7 @@ from .monitor import (
 from .ratelimit import RateLimitConfig
 from .scenario import ProbesSpec, Scenario, ServiceSpec, StreamSpec, load_scenario, make_payload
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
-from .simnet import SECOND, Network, SimClock, ns_from_s, run_real_time
+from .simnet import SECOND, Network, SimClock, ns_from_s
 from .topology import SequenceCounter, Topology, build_topology, load_topology
 from .tracing import Trace
 
@@ -159,13 +159,8 @@ class World:
             self.engines[layer].start()
             self.workers[layer].start()
 
-    def run_for(self, duration_s: float, real_time: bool = False,
-                speed: float = 1.0) -> None:
-        t_end = self.clock.now + ns_from_s(duration_s)
-        if real_time:
-            run_real_time(self.clock, t_end, speed)
-        else:
-            self.clock.run_until(t_end)
+    def run_for(self, duration_s: float) -> None:
+        self.clock.run_until(self.clock.now + ns_from_s(duration_s))
 
     def drain(self, max_events: int = DRAIN_EVENT_BUDGET) -> int:
         """Wind the world down and let the event queue empty out.
@@ -324,7 +319,6 @@ def run_scenario(
     seed: int | None = None,
     out_dir: str = ".",
     duration_override: float | None = None,
-    real_time: bool = False,
 ) -> int:
     """Run a scenario (all placements when it sweeps); returns an exit code:
     0 for a clean run, 3 when an invariant was violated."""
@@ -355,7 +349,7 @@ def run_scenario(
                       trace_path=str(run_dir / "trace.jsonl"))
         world.start()
         world.setup_scenario(scenario, override)
-        world.run_for(duration, real_time=real_time)
+        world.run_for(duration)
         world.drain()
 
         issues = world.issues()

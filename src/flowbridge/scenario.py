@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 from .configstore import ConfigError, resolve_layer_config
 

@@ -240,8 +240,7 @@ class ServiceHost:
 
     # -- data path ---------------------------------------------------------
 
-    def publish(self, handle: ServiceHandle, topic: str, payload: bytes,
-                now: int | None = None) -> bool:
+    def publish(self, handle: ServiceHandle, topic: str, payload: bytes) -> bool:
         if handle.state != READY:
             raise ServiceStopped(f"{handle.name} is {handle.state}")
         if topic not in handle.advertised_topics:
@@ -250,7 +249,7 @@ class ServiceHost:
         env = MessageEnvelope(
             topic=topic, payload=payload, origin_node=handle.node,
             origin_layer=handle.node.layer, sequence=seq,
-            sent_at=self.clock.now if now is None else now,
+            sent_at=self.clock.now,
         )
         handle._published.record(handle.node.key, topic, seq)
         self.network.endpoint(handle.scope).publish(env)

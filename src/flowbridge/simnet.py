@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time as _time
+import math
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, MetricsRegistry
-from .topology import BrokerScope, MessageEnvelope, ScopeKind, Topology
+from .topology import BrokerScope, MessageEnvelope, ScopeKind, Topology, TopologyError
 from .tracing import Trace
 
 MS = 1_000_000
@@ -86,11 +86,6 @@ class SimClock:
     def call_in(self, delay: int, fn: Callable, *args: Any) -> Event:
         return self.schedule(self._now + max(0, delay), fn, *args)
 
-    def next_time(self) -> int | None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
     def _pop_run(self) -> None:
         _, _, ev = heapq.heappop(self._heap)
         if ev.cancelled:
@@ -117,32 +112,12 @@ class SimClock:
             self._pop_run()
         return self.events_processed - start
 
-    def step(self) -> int:
-        """Process all events sharing the next timestamp."""
-        nxt = self.next_time()
-        if nxt is None:
-            return 0
-        return self.run_until(nxt)
 
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
-
-
-def run_real_time(clock: SimClock, until: int, speed: float = 1.0) -> None:
-    """Replay the event queue paced against the wall clock."""
-    if speed <= 0:
-        raise ValueError("speed must be > 0")
-    wall0 = _time.monotonic()
-    v0 = clock.now
-    while True:
-        nxt = clock.next_time()
-        if nxt is None or nxt > until:
-            break
-        lag = (nxt - v0) / SECOND / speed - (_time.monotonic() - wall0)
-        if lag > 0:
-            _time.sleep(lag)
-        clock.step()
-    clock.run_until(until)
+def _expect(obj: object, kind: type, where: str) -> Any:
+    if not isinstance(obj, kind):
+        want = "an object" if kind is dict else "a list"
+        raise TopologyError(f"{where} must be {want}, got {obj!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -159,19 +134,24 @@ class LinkSpec:
     bandwidth_mbps: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in self.FIELDS:
+            v = getattr(self, f)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise TopologyError(f"link {f} must be a finite number, got {v!r}")
         if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency/jitter must be >= 0")
+            raise TopologyError("latency/jitter must be >= 0")
         if not 0.0 <= self.loss <= 1.0:
-            raise ValueError("loss must be a fraction in [0, 1]")
+            raise TopologyError("loss must be a fraction in [0, 1]")
         if self.bandwidth_mbps < 0:
-            raise ValueError("bandwidth_mbps must be >= 0")
+            raise TopologyError("bandwidth_mbps must be >= 0")
 
     FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
 
     def merged(self, obj: dict) -> "LinkSpec":
+        _expect(obj, dict, "link spec")
         unknown = set(obj) - set(self.FIELDS)
         if unknown:
-            raise ValueError(f"unknown link keys: {sorted(unknown)}")
+            raise TopologyError(f"unknown link keys: {sorted(unknown)}")
         vals = {f: obj.get(f, getattr(self, f)) for f in self.FIELDS}
         return LinkSpec(**vals)
 
@@ -253,7 +233,7 @@ class Network:
         self.trace = trace if trace is not None else Trace(enabled=False)
         self._offered = _TopicCounters(self.metrics, "flow.offered")
         self._delivered = _TopicCounters(self.metrics, "flow.delivered")
-        self._build_links(links or {})
+        self._build_links({} if links is None else links)
         self.endpoints: dict[str, BrokerEndpoint] = {
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
             for key, scope in topology.scopes.items()
@@ -264,18 +244,18 @@ class Network:
             self._inter_peers[name] = [n for n in layer_names if n != name]
 
     def _build_links(self, links: dict) -> None:
-        unknown = set(links) - {"defaults", "scopes", "crossings"}
+        unknown = set(_expect(links, dict, "links")) - {"defaults", "scopes", "crossings"}
         if unknown:
-            raise ValueError(f"unknown links sections: {sorted(unknown)}")
+            raise TopologyError(f"unknown links sections: {sorted(unknown)}")
         defaults = dict(DEFAULT_LINKS)
-        for kind, obj in links.get("defaults", {}).items():
+        for kind, obj in _expect(links.get("defaults", {}), dict, "links.defaults").items():
             if kind not in defaults:
-                raise ValueError(f"unknown link kind {kind!r}")
+                raise TopologyError(f"unknown link kind {kind!r}")
             defaults[kind] = defaults[kind].merged(obj)
         self.link_defaults = defaults
 
         self.local_links: dict[str, LinkState] = {}
-        scope_overrides = links.get("scopes", {})
+        scope_overrides = _expect(links.get("scopes", {}), dict, "links.scopes")
         for key, scope in self.topology.scopes.items():
             spec = defaults[scope.kind.value]
             if key in scope_overrides:
@@ -283,21 +263,22 @@ class Network:
             self.local_links[key] = LinkState(key, spec)
         stray = set(scope_overrides) - set(self.topology.scopes)
         if stray:
-            raise ValueError(f"link override for unknown scope: {sorted(stray)}")
+            raise TopologyError(f"link override for unknown scope: {sorted(stray)}")
 
         pair_specs: dict[frozenset[str], LinkSpec] = {
             frozenset(p): defaults["crossing"] for p in self.topology.layer_pairs()
         }
-        for entry in links.get("crossings", []):
-            entry = dict(entry)
+        for entry in _expect(links.get("crossings", []), list, "links.crossings"):
+            entry = dict(_expect(entry, dict, "crossing entry"))
             between = entry.pop("between", None)
-            if not between or len(between) != 2:
-                raise ValueError("crossing entry needs 'between': [layer_a, layer_b]")
+            if (not isinstance(between, list) or len(between) != 2
+                    or not all(isinstance(n, str) for n in between)):
+                raise TopologyError("crossing entry needs 'between': [layer_a, layer_b]")
             a, b = between
             self.topology.layer(a), self.topology.layer(b)
             key = frozenset((a, b))
             if key not in pair_specs:
-                raise ValueError(f"crossing {a!r}-{b!r} is not a distinct layer pair")
+                raise TopologyError(f"crossing {a!r}-{b!r} is not a distinct layer pair")
             pair_specs[key] = defaults["crossing"].merged(entry)
         self.crossings: dict[tuple[str, str], LinkState] = {}
         for pair, spec in pair_specs.items():

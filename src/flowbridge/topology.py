@@ -40,7 +40,7 @@ class ScopeKind(str, Enum):
     EXTERNAL = "external_protocol"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LayerId:
     """A named layer with its depth in the stack (0 = outermost edge)."""
 
@@ -48,7 +48,7 @@ class LayerId:
     name: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class NodeId:
     layer: str
     name: str
@@ -58,7 +58,7 @@ class NodeId:
         object.__setattr__(self, "key", f"{self.name}@{self.layer}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BrokerScope:
     """Identity of one broker endpoint: kind plus owning layer or node."""
 
@@ -122,10 +122,6 @@ class MessageEnvelope:
         if not self.compressed and self.uncompressed_len != self.payload_len:
             raise ValueError("uncompressed envelope with mismatched uncompressed_len")
 
-    @property
-    def stream_key(self) -> tuple[NodeId, str]:
-        return (self.origin_node, self.topic)
-
 
 def control_envelope(topic: str, body: dict[str, Any], node: NodeId,
                      seq: "SequenceCounter", now: int) -> MessageEnvelope:
@@ -137,39 +133,6 @@ def control_envelope(topic: str, body: dict[str, Any], node: NodeId,
         origin_layer=node.layer,
         sequence=seq.next(topic),
         sent_at=now,
-    )
-
-
-def serialize_envelope(env: MessageEnvelope) -> bytes:
-    """Wire format: one JSON header line, then the raw payload bytes."""
-    header = {
-        "topic": env.topic,
-        "origin_node": [env.origin_node.layer, env.origin_node.name],
-        "origin_layer": env.origin_layer,
-        "sequence": env.sequence,
-        "sent_at": env.sent_at,
-        "payload_len": env.payload_len,
-        "compressed": env.compressed,
-        "uncompressed_len": env.uncompressed_len,
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + env.payload
-
-
-def parse_envelope(data: bytes) -> MessageEnvelope:
-    head, _, payload = data.partition(b"\n")
-    h = json.loads(head)
-    if len(payload) != h["payload_len"]:
-        raise ValueError("payload truncated")
-    return MessageEnvelope(
-        topic=h["topic"],
-        payload=payload,
-        origin_node=NodeId(h["origin_node"][0], h["origin_node"][1]),
-        origin_layer=h["origin_layer"],
-        sequence=h["sequence"],
-        sent_at=h["sent_at"],
-        payload_len=h["payload_len"],
-        compressed=h["compressed"],
-        uncompressed_len=h["uncompressed_len"],
     )
 
 
@@ -360,20 +323,6 @@ class Topology:
                 pairs.append((names[i], names[i + span]))
         return pairs
 
-    # -- spec round-trip -----------------------------------------------
-
-    def to_spec(self) -> dict[str, Any]:
-        return {
-            "layers": [
-                {
-                    "name": l.name,
-                    "nodes": [n.name for n in self._nodes_by_layer[l.name]],
-                    **({"external_protocol": True} if l.name in self.external_layers else {}),
-                }
-                for l in self.layers
-            ]
-        }
-
 
 def build_topology(spec: dict[str, Any]) -> Topology:
     """Build and validate a Topology from its dict spec.
@@ -387,7 +336,7 @@ def build_topology(spec: dict[str, Any]) -> Topology:
     layer entry are rejected; a ``links`` key at the top level is
     allowed and ignored here (the network consumes it).
     """
-    if not isinstance(spec, dict) or "layers" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("layers"), list):
         raise TopologyError("topology spec must be a dict with a 'layers' list")
     known_top = {"layers", "links"}
     extra = set(spec) - known_top
@@ -403,11 +352,17 @@ def build_topology(spec: dict[str, Any]) -> Topology:
             raise TopologyError(f"unknown layer keys: {sorted(unknown)}")
         try:
             name = entry["name"]
-            nodes = list(entry["nodes"])
+            nodes = entry["nodes"]
         except KeyError as e:
             raise TopologyError(f"layer entry missing {e.args[0]!r}") from None
+        if not isinstance(name, str) or not (
+                isinstance(nodes, list) and all(isinstance(n, str) for n in nodes)):
+            raise TopologyError(f"layer {name!r} needs a string name and a list of node names")
         layers.append((name, nodes))
-        if entry.get("external_protocol", False):
+        ext = entry.get("external_protocol", False)
+        if not isinstance(ext, bool):
+            raise TopologyError(f"layer {name!r}: external_protocol must be true or false")
+        if ext:
             external.append(name)
     return Topology(layers, external)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Iterator
 
@@ -38,13 +37,6 @@ class Trace:
 
     def count(self, ev: str, **match: Any) -> int:
         return sum(1 for _ in self.select(ev, **match))
-
-    def dump(self) -> bytes:
-        lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records]
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.dump()).hexdigest()
 
     def close(self) -> None:
         if self._fh is not None:

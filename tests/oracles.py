@@ -8,6 +8,7 @@ so a bug cannot hide in both.
 from __future__ import annotations
 
 import math
+import random
 from collections import OrderedDict
 
 
@@ -160,3 +161,14 @@ class OracleRingWindow:
             return False
         self.record(origin, topic, seq)
         return True
+
+
+def synthetic_corpus(nbytes: int = 1 << 20, seed: int = 1318) -> bytes:
+    """Deterministic compressible test corpus: repeated random blocks
+    with scattered byte mutations, the texture the codec is sized for."""
+    rng = random.Random(seed)
+    unit = rng.randbytes(256)
+    data = bytearray((unit * (nbytes // len(unit) + 1))[:nbytes])
+    for i in range(0, nbytes, 512):
+        data[i] = rng.randrange(256)
+    return bytes(data)

@@ -29,7 +29,7 @@ from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, Network, SimClock
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
-from oracles import oracle_allocate, oracle_single_large_rate
+from oracles import oracle_allocate, oracle_single_large_rate, synthetic_corpus
 
 THREE_LAYERS = {
     "layers": [
@@ -441,7 +441,7 @@ def test_config_push_reallocates_within_cycle():
         body = copy.deepcopy(world.workers[layer].get_config("layer", layer).body)
         assert body["rate_limit"]["limit_mbps"] == 160.0
         body["rate_limit"]["limit_mbps"] = 80.0
-        world.config_main.put("layer", layer, body)
+        world.store.put("layer", layer, body)
 
     world.run_for(6.0)  # one 5 s sync cycle plus reallocation margin
     after = limiter.result.rates()["image"]
@@ -502,7 +502,7 @@ def test_compression_roundtrip_and_ratio():
         assert original_len == size
         assert codec.decompress(blob) == payload
 
-    corpus = codec.synthetic_corpus()
+    corpus = synthetic_corpus()
     assert len(corpus) == 1 << 20
     blob, original_len = codec.compress(corpus, 10)
     assert original_len == len(corpus)

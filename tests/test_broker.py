@@ -9,7 +9,6 @@ from flowbridge.broker import (
     SUB_USER,
     BrokerEndpoint,
     BrokerError,
-    EndpointShutdown,
 )
 from flowbridge.topology import BrokerScope, MessageEnvelope, NodeId, ScopeKind
 
@@ -94,17 +93,6 @@ def test_callback_exception_contained():
     assert ep.publish(env()) == 2
     assert len(got) == 1
     assert len(ep.errors) == 1 and ep.errors[0][0] == "scan"
-
-
-def test_shutdown_blocks_everything():
-    ep = make_ep()
-    h = ep.subscribe("scan", lambda e: None)
-    ep.shutdown()
-    assert not h.active
-    with pytest.raises(EndpointShutdown):
-        ep.publish(env())
-    with pytest.raises(EndpointShutdown):
-        ep.subscribe("scan", lambda e: None)
 
 
 def test_snapshot_skips_inactive_and_filtered():

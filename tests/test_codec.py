@@ -8,8 +8,8 @@ from flowbridge.codec import (
     CodecError,
     compress,
     decompress,
-    synthetic_corpus,
 )
+from oracles import synthetic_corpus
 
 
 def test_round_trip_every_level():

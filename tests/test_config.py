@@ -134,16 +134,6 @@ def test_store_snapshot_filters_by_layer():
         ("service", "cam")]
 
 
-def test_store_persists_and_reloads(tmp_path):
-    path = str(tmp_path / "config.json")
-    store = MainConfigStore(make_topo(), path=path)
-    store.put("layer", "edge", layer_body(limit_mbps=100.0))
-    store.put("layer", "edge", layer_body(limit_mbps=80.0))
-    reloaded = MainConfigStore(make_topo(), path=path)
-    doc = reloaded.get("layer", "edge")
-    assert doc.revision == 2 and doc.body == layer_body(limit_mbps=80.0)
-
-
 @pytest.mark.parametrize("body", [
     {"marker": 1},                                       # not a layer config at all
     {"rate_limit": {"limit_mbps": 80.0}},                # incomplete
@@ -160,15 +150,6 @@ def test_store_rejects_layer_document_that_cannot_run(body):
         store.put("layer", "edge", body)
     assert store.docs == {}
     assert store.put("node", "robot-1", {"marker": 1}).revision == 1  # only layers are typed
-
-
-def test_store_rejects_bad_layer_document_on_load(tmp_path):
-    path = tmp_path / "config.json"
-    doc = {"scope": "layer", "subject": "edge", "revision": 1,
-           "body": layer_body(limit_mbps=0.0)}
-    path.write_text(json.dumps({"documents": [doc]}))
-    with pytest.raises(ConfigError, match="limit_mbps"):
-        MainConfigStore(make_topo(), path=str(path))
 
 
 # -- wired sync ----------------------------------------------------------------

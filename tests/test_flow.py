@@ -4,7 +4,6 @@ from random import Random
 
 import pytest
 
-from flowbridge.codec import synthetic_corpus
 from flowbridge.flow import (
     DedupeWindow,
     FlowEngine,
@@ -29,6 +28,7 @@ from flowbridge.topology import (
     build_topology,
 )
 from flowbridge.tracing import Trace
+from oracles import synthetic_corpus
 
 # -- dedupe window ---------------------------------------------------------
 

@@ -197,6 +197,17 @@ def test_export_formats_floats_precisely():
     assert b"last=0.1 " in sink.getvalue()
 
 
+def test_export_mean_adds_left_to_right():
+    # the builtin sum() of CPython 3.12+ compensates and would give 0.1;
+    # the export must read the same on every Python version
+    reg, _ = make_reg()
+    for _ in range(10):
+        reg.observe("g", {}, 0.1)
+    sink = io.BytesIO()
+    export_metrics(reg, sink)
+    assert b" mean=0.09999999999999999 " in sink.getvalue()
+
+
 # -- latency helper ---------------------------------------------------------------
 
 

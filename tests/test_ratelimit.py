@@ -258,7 +258,7 @@ def make_limiter(cfg=None):
 
 def test_limiter_register_and_acquire():
     lim, clock = make_limiter()
-    lim.register("scan", 30.0, 1024)
+    lim.sync_publishers({"scan": (30.0, 1024)})
     assert lim.allocation("scan").allocated_rate == 30.0
     assert lim.try_acquire("scan")
 
@@ -272,7 +272,7 @@ def test_limiter_admits_unregistered_talker():
 
 def test_limiter_denial_after_burst():
     lim, clock = make_limiter(RateLimitConfig(limit_mbps=8.0))
-    lim.register("image", 0.0, 1_000_000)  # floored to 2 Hz
+    lim.sync_publishers({"image": (0.0, 1_000_000)})  # floored to 2 Hz
     assert lim.try_acquire("image")
     assert lim.try_acquire("image")
     assert not lim.try_acquire("image")  # bucket empty, frame dropped
@@ -299,7 +299,7 @@ def test_limiter_max_size_never_shrinks():
 
 def test_limiter_observe_size_grows_and_reallocates():
     lim, _ = make_limiter(RateLimitConfig(limit_mbps=8.0))
-    lim.register("image", 30.0, 1000)
+    lim.sync_publishers({"image": (30.0, 1000)})
     assert lim.allocation("image").allocated_rate == 30.0
     assert lim.observe_size("image", 1_000_000)
     assert lim.allocation("image").large
@@ -308,17 +308,17 @@ def test_limiter_observe_size_grows_and_reallocates():
 
 def test_limiter_tokens_persist_across_reallocation():
     lim, _ = make_limiter()
-    lim.register("a", 10.0, 100)
+    lim.sync_publishers({"a": (10.0, 100)})
     assert lim.try_acquire("a") and lim.try_acquire("a")
     # registering another topic reallocates but must not refill a's bucket
-    lim.register("b", 10.0, 100)
+    lim.sync_publishers({"a": (10.0, 100), "b": (10.0, 100)})
     assert not lim.try_acquire("a")
     assert lim.try_acquire("b")
 
 
 def test_limiter_reconfigure_changes_rates():
     lim, _ = make_limiter()
-    lim.register("image", 0.0, 1_000_000)
+    lim.sync_publishers({"image": (0.0, 1_000_000)})
     r160 = lim.allocation("image").allocated_rate
     lim.reconfigure(RateLimitConfig(limit_mbps=80.0))
     r80 = lim.allocation("image").allocated_rate
@@ -330,8 +330,9 @@ def test_limiter_registration_order_is_irrelevant():
     pubs = {"a": (5.0, 100), "b": (9.0, 2000), "c": (0.0, 70000)}
     lim1, _ = make_limiter()
     lim2, _ = make_limiter()
-    for t in ("a", "b", "c"):
-        lim1.register(t, *pubs[t])
-    for t in ("c", "b", "a"):
-        lim2.register(t, *pubs[t])
+    for lim, order in ((lim1, "abc"), (lim2, "cba")):
+        wanted = {}
+        for t in order:  # one topic at a time, each sync a reallocation
+            wanted[t] = pubs[t]
+            lim.sync_publishers(wanted)
     assert lim1.result.rates() == lim2.result.rates()

@@ -378,6 +378,46 @@ def test_cli_rejects_duration_override_it_cannot_run(tmp_path, capsys, value):
     assert "--duration-override must be a finite number > 0" in capsys.readouterr().err
 
 
+def _with_links(links):
+    return mini_scenario(topology={**TOPO, "links": links})
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_with_links({"defaults": {"crossing": {"loss": 2}}}), id="loss-above-1"),
+    pytest.param(_with_links({"defaults": {"crossing": {"latency_ms": "5"}}}),
+                 id="latency-string"),
+    pytest.param(_with_links({"crossings": [5]}), id="crossing-not-object"),
+    pytest.param(_with_links({"defaults": {"warp": {}}}), id="unknown-kind"),
+    pytest.param(_with_links({"crossings": [{"between": ["edge", "cloud"],
+                                             "latency_ms": float("nan")}]}),
+                 id="nan-latency"),
+    pytest.param(_with_links({"defaults": {"intra_node": {"jitter_ms": float("inf")}}}),
+                 id="infinite-jitter"),
+    pytest.param(_with_links([]), id="links-not-object"),
+    pytest.param(mini_scenario(topology={"layers": [
+        TOPO["layers"][0], {"name": "fog", "nodes": "f1"}, TOPO["layers"][1]]}),
+                 id="nodes-string"),
+    pytest.param(mini_scenario(topology={"layers": [
+        {**TOPO["layers"][0], "external_protocol": "no"}, TOPO["layers"][1]]}),
+                 id="external-protocol-string"),
+])
+def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
+    # each used to exit 1 with a traceback, crash mid-run (NaN, Infinity),
+    # or run a misread topology: "f1" as the two nodes "f" and "1", and
+    # external_protocol "no" as true
+    sc = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    assert "flowbridge: error:" in capsys.readouterr().err
+    assert not list((tmp_path / "o").rglob("metrics.txt"))
+
+
+def test_cli_has_no_real_time_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "estop", "--real-time", "--out", str(tmp_path),
+              "--duration-override", "0.1"])
+    assert exc.value.code == 2
+
+
 def test_cli_out_defaults_to_env(tmp_path, monkeypatch):
     sc = write_scenario(tmp_path, mini_scenario())
     dest = tmp_path / "envout"

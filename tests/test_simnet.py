@@ -15,7 +15,6 @@ from flowbridge.simnet import (
     SimClock,
     ns_from_ms,
     ns_from_s,
-    run_real_time,
 )
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
@@ -77,8 +76,7 @@ def test_clock_past_schedules_clamp_to_now():
     clock = SimClock()
     clock.run_until(100)
     seen = []
-    clock.schedule(50, seen.append, "late")
-    assert clock.next_time() == 100
+    assert clock.schedule(50, seen.append, "late").at == 100
     clock.run_until(100)
     assert seen == ["late"]
 
@@ -96,8 +94,7 @@ def test_cancelled_events_do_not_run():
     ev = clock.schedule(10, seen.append, "x")
     clock.schedule(10, seen.append, "y")
     ev.cancel()
-    assert clock.pending() == 1
-    clock.run_until_idle()
+    assert clock.run_until_idle() == 1
     assert seen == ["y"]
 
 
@@ -125,28 +122,6 @@ def test_run_until_idle_guard():
     clock.schedule(0, forever)
     with pytest.raises(RuntimeError):
         clock.run_until_idle(max_events=100)
-
-
-def test_step_processes_one_timestamp():
-    clock = SimClock()
-    seen = []
-    clock.schedule(5, seen.append, "a")
-    clock.schedule(5, seen.append, "b")
-    clock.schedule(9, seen.append, "c")
-    assert clock.step() == 2
-    assert seen == ["a", "b"] and clock.now == 5
-    assert clock.step() == 1
-    assert clock.step() == 0
-
-
-def test_run_real_time_paces_and_finishes():
-    clock = SimClock()
-    seen = []
-    clock.schedule(ns_from_ms(5), seen.append, "x")
-    run_real_time(clock, ns_from_ms(10), speed=100.0)
-    assert seen == ["x"] and clock.now == ns_from_ms(10)
-    with pytest.raises(ValueError):
-        run_real_time(clock, 0, speed=0)
 
 
 # -- link specs ----------------------------------------------------------
