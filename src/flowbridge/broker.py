@@ -109,12 +109,6 @@ class BrokerEndpoint:
             self.errors.append((env.topic, exc))
             return False
 
-    def subscriber_count(self, topic: str) -> int:
-        return len(self._subs.get(topic, ()))
-
-    def topics(self) -> list[str]:
-        return sorted(self._subs)
-
 
 def _sync_dispatch(endpoint: BrokerEndpoint, env: MessageEnvelope) -> int:
     """Default transport: deliver immediately on the publisher's stack."""

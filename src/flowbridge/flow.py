@@ -34,13 +34,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from . import codec
 from .broker import SUB_BRIDGE, SUB_CONTROL, SubscriberHandle
 from .monitor import CounterCell, HeartbeatRegistry, ordered_sum
 from .ratelimit import HierarchicalLimiter, RateLimitConfig
-from .simnet import SECOND, Network
+from .simnet import Network, ns_from_s
 from .topology import (
     ADVERTISE,
     CONFIG_NOTICE,
@@ -220,11 +220,9 @@ class FlowEngine:
         network: Network,
         heartbeats: HeartbeatRegistry,
         seq: SequenceCounter,
-        limit_cfg: RateLimitConfig | None = None,
-        config_source: Optional[Callable[[], dict]] = None,
-        watchdog_period_ns: int = SECOND,
-        heartbeat_ttl_ns: int = 3 * SECOND,
+        config: Callable[[], dict],
     ):
+        """``config()`` returns the layer's resolved config body."""
         topology = network.topology
         self.layer = topology.layer(layer).name
         self.topology = topology
@@ -234,10 +232,11 @@ class FlowEngine:
         self.seq = seq
         self.registry = network.metrics
         self.trace = network.trace
-        self.limit_cfg = limit_cfg or RateLimitConfig()
-        self.config_source = config_source
-        self.watchdog_period_ns = watchdog_period_ns
-        self.heartbeat_ttl_ns = heartbeat_ttl_ns
+        self.config = config
+        body = config()
+        self.limit_cfg = RateLimitConfig.from_obj(body["rate_limit"])
+        self.watchdog_period_ns = ns_from_s(body["flow"]["watchdog_s"])
+        self.heartbeat_ttl_ns = ns_from_s(body["flow"]["heartbeat_ttl_s"])
 
         self.scopes: list[BrokerScope] = list(topology.scopes_for_layer(self.layer))
         self.scope_by_key = {s.key: s for s in self.scopes}
@@ -327,8 +326,6 @@ class FlowEngine:
 
     def _on_control(self, scope: BrokerScope, env: MessageEnvelope) -> None:
         body = json.loads(env.payload)
-        if scope.kind is ScopeKind.INTER_LAYER and body.get("sender_layer") == self.layer:
-            return
         decl = FlowDeclaration.from_obj(body["decl"])
         service = body.get("service", "anonymous")
         if env.topic == FLOW_WITHDRAW:
@@ -466,9 +463,7 @@ class FlowEngine:
         if not any(p == "rate_limit" or p.startswith("rate_limit.")
                    for p in body.get("changed_paths", ())):
             return
-        if self.config_source is None:
-            return
-        cfg = RateLimitConfig.from_obj(self.config_source().get("rate_limit", {}))
+        cfg = RateLimitConfig.from_obj(self.config()["rate_limit"])
         if cfg == self.limit_cfg:
             return
         self.limit_cfg = cfg

@@ -25,7 +25,6 @@ from .monitor import (
     PingProbe,
     export_metrics,
 )
-from .ratelimit import RateLimitConfig
 from .scenario import ProbesSpec, Scenario, ServiceSpec, StreamSpec, load_scenario, make_payload
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
 from .simnet import SECOND, Network, SimClock, ns_from_s
@@ -124,15 +123,10 @@ class World:
             worker = ConfigWorker(l.name, self.network, self._system_seq(l.name),
                                   layer_defaults=config)
             self.workers[l.name] = worker
-            body = worker.get_config("layer", l.name).body
             self.engines[l.name] = FlowEngine(
                 l.name, self.network, self.heartbeats[l.name],
                 self._system_seq(l.name),
-                limit_cfg=RateLimitConfig.from_obj(body["rate_limit"]),
-                config_source=(lambda ln=l.name:
-                               self.workers[ln].get_config("layer", ln).body),
-                watchdog_period_ns=ns_from_s(body["flow"]["watchdog_s"]),
-                heartbeat_ttl_ns=ns_from_s(body["flow"]["heartbeat_ttl_s"]),
+                config=lambda w=worker, ln=l.name: w.get_config("layer", ln).body,
             )
         self.host = ServiceHost(
             self.network, self.engines, self.heartbeats, self.seqs,

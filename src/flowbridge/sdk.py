@@ -23,7 +23,7 @@ from . import monitor
 from .broker import SubscriberHandle
 from .flow import CONTROL_TOPIC, DedupeWindow, FlowEngine
 from .monitor import HeartbeatRegistry
-from .simnet import Event, Network, ns_from_s
+from .simnet import Network, ns_from_s
 from .topology import (
     ADVERTISE,
     FLOW_WITHDRAW,
@@ -98,7 +98,6 @@ class ServiceHandle:
         self._published = DedupeWindow()  # own publishes, for the self-filter
         self._delivered = DedupeWindow()  # delivered streams, for the duplicate detector
         self._subs: list[SubscriberHandle] = []
-        self._timers: dict[Callable, Event] = {}  # live timer per tick function
 
     @property
     def key(self) -> tuple[str, str]:
@@ -183,7 +182,7 @@ class ServiceHost:
         reannounce = ns_from_s(cfg["reannounce_s"])
 
         self.heartbeats[layer].refresh(name, node_id.name, hb_ttl)
-        self._schedule(handle, hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
+        self.clock.call_in(hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
 
         callbacks = self._normalize_callbacks(reqs, on_message)
         endpoint = self.network.endpoint(scope)
@@ -199,7 +198,7 @@ class ServiceHost:
 
         self._announce_all(handle)
         if reannounce > 0:
-            self._schedule(handle, reannounce, self._reannounce_tick, handle, reannounce)
+            self.clock.call_in(reannounce, self._reannounce_tick, handle, reannounce)
         self.trace.record("service_started", self.clock.now, service=name, node=node_id.name,
                           layer=layer, scope=scope.key)
         log.info("service %s started on %s", name, node_id.key)
@@ -227,9 +226,6 @@ class ServiceHost:
                           service=handle.name, node=handle.node.name)
 
     def _teardown(self, handle: ServiceHandle, remove_heartbeat: bool) -> None:
-        for timer in handle._timers.values():
-            timer.cancel()
-        handle._timers.clear()
         endpoint = self.network.endpoint(handle.scope)
         for sub in handle._subs:
             endpoint.unsubscribe(sub)
@@ -315,21 +311,20 @@ class ServiceHost:
             control_topic, body, handle.node, self.seqs[handle.node.name], self.clock.now))
 
     # -- timers -------------------------------------------------------------
-
-    def _schedule(self, handle: ServiceHandle, delay: int, fn, *args) -> None:
-        handle._timers[fn] = self.clock.call_in(delay, fn, *args)
+    # A tick re-arms itself while the service is READY and the host active;
+    # once either goes, the pending tick runs as a no-op and the timer ends.
 
     def _heartbeat_tick(self, handle: ServiceHandle, period: int, ttl: int) -> None:
         if not self.active or handle.state != READY:
             return
         self.heartbeats[handle.node.layer].refresh(handle.name, handle.node.name, ttl)
-        self._schedule(handle, period, self._heartbeat_tick, handle, period, ttl)
+        self.clock.call_in(period, self._heartbeat_tick, handle, period, ttl)
 
     def _reannounce_tick(self, handle: ServiceHandle, period: int) -> None:
         if not self.active or handle.state != READY:
             return
         self._announce_all(handle)
-        self._schedule(handle, period, self._reannounce_tick, handle, period)
+        self.clock.call_in(period, self._reannounce_tick, handle, period)
 
     # -- helpers ----------------------------------------------------------------
 

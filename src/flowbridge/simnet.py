@@ -48,26 +48,16 @@ def ns_from_s(s: float) -> int:
     return int(round(s * SECOND))
 
 
-class Event:
-    __slots__ = ("at", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, at: int, seq: int, fn: Callable, args: tuple):
-        self.at = at
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class SimClock:
-    """Virtual-time event queue; ties resolve by scheduling order."""
+    """Virtual-time event queue; ties resolve by scheduling order.
+
+    Events cannot be cancelled: a recurring timer stops by checking the
+    state of its owner when it fires.
+    """
 
     def __init__(self, start: int = 0):
         self._now = start
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self.events_processed = 0
 
@@ -75,24 +65,19 @@ class SimClock:
     def now(self) -> int:
         return self._now
 
-    def schedule(self, at: int, fn: Callable, *args: Any) -> Event:
+    def schedule(self, at: int, fn: Callable, *args: Any) -> None:
         """Schedule fn(*args) at virtual time ``at`` (clamped to now)."""
         if at < self._now:
             at = self._now
-        ev = Event(at, next(self._seq), fn, args)
-        heapq.heappush(self._heap, (at, ev.seq, ev))
-        return ev
+        heapq.heappush(self._heap, (at, next(self._seq), fn, args))
 
-    def call_in(self, delay: int, fn: Callable, *args: Any) -> Event:
-        return self.schedule(self._now + max(0, delay), fn, *args)
+    def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
+        self.schedule(self._now + max(0, delay), fn, *args)
 
     def _pop_run(self) -> None:
-        _, _, ev = heapq.heappop(self._heap)
-        if ev.cancelled:
-            return
-        self._now = ev.at
+        self._now, _, fn, args = heapq.heappop(self._heap)
         self.events_processed += 1
-        ev.fn(*ev.args)
+        fn(*args)
 
     def run_until(self, t: int) -> int:
         """Process every event with timestamp <= t; leaves now == t."""
@@ -154,9 +139,6 @@ class LinkSpec:
             raise TopologyError(f"unknown link keys: {sorted(unknown)}")
         vals = {f: obj.get(f, getattr(self, f)) for f in self.FIELDS}
         return LinkSpec(**vals)
-
-    def to_obj(self) -> dict:
-        return {f: getattr(self, f) for f in self.FIELDS}
 
 
 class LinkState:
@@ -252,7 +234,6 @@ class Network:
             if kind not in defaults:
                 raise TopologyError(f"unknown link kind {kind!r}")
             defaults[kind] = defaults[kind].merged(obj)
-        self.link_defaults = defaults
 
         self.local_links: dict[str, LinkState] = {}
         scope_overrides = _expect(links.get("scopes", {}), dict, "links.scopes")
@@ -364,14 +345,10 @@ class Network:
         # Bridge callbacks account their own outcome (forward / dedupe /
         # limiter drop); every other arrival terminates here as delivered,
         # including arrivals at handles unsubscribed while in flight.
-        if handle.kind == SUB_BRIDGE and handle.active:
-            if not endpoint.invoke(handle, env):
-                self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
-            return
-        self._delivered[env.topic].inc()
-        if handle.active:
-            if not endpoint.invoke(handle, env):
-                self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
+        if handle.kind != SUB_BRIDGE or not handle.active:
+            self._delivered[env.topic].inc()
+        if handle.active and not endpoint.invoke(handle, env):
+            self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
 
     def endpoint_errors(self) -> list[tuple[str, str, str]]:
         out = []

@@ -216,6 +216,10 @@ class Topology:
         names = [l.name for l in self.layers]
         if not names:
             raise TopologyError("at least one layer required")
+        # node keys join node and layer with "@", so it may appear in neither
+        for name in [*names, *(n for _, nodes in layers for n in nodes)]:
+            if "@" in name:
+                raise TopologyError(f"name {name!r} contains '@'")
         if len(set(names)) != len(names):
             raise TopologyError("duplicate layer name")
         self._layer_by_name = {l.name: l for l in self.layers}

@@ -58,8 +58,7 @@ def test_unsubscribe_is_idempotent():
     assert ep.unsubscribe(h) is True
     assert ep.unsubscribe(h) is False
     assert ep.publish(env()) == 0
-    assert ep.subscriber_count("scan") == 0
-    assert ep.topics() == []
+    assert ep._subs == {}  # the emptied topic is dropped
 
 
 def test_filter_gates_delivery():
@@ -153,4 +152,4 @@ def test_subscribe_churn_inside_callbacks():
     assert ep.errors == []
     # publish n reached the subscriber made during publish n - 1, once
     assert [e.sequence for e in got] == list(range(2, 501))
-    assert ep.subscriber_count("scan") == 2
+    assert len(ep.snapshot(env())) == 2

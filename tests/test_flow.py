@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from flowbridge.configstore import resolve_layer_config
 from flowbridge.flow import (
     DedupeWindow,
     FlowEngine,
@@ -12,7 +13,6 @@ from flowbridge.flow import (
     compute_required_bridges,
 )
 from flowbridge.monitor import HeartbeatRegistry, MetricsRegistry
-from flowbridge.ratelimit import RateLimitConfig
 from flowbridge.simnet import MS, SECOND, Network, SimClock, ns_from_s
 from flowbridge.topology import (
     ADVERTISE,
@@ -198,9 +198,13 @@ def test_bridges_ignore_unattached_scopes():
 
 
 class Mini:
-    """Topology + network + one engine per layer, no service host."""
+    """Topology + network + one engine per layer, no service host.
 
-    def __init__(self, spec, links=None, seed=0, limit_cfg=None, config_source=None):
+    ``config`` holds layer-config overrides for every layer; a test may
+    replace a layer's entry in ``bodies`` to change what its engine reads.
+    """
+
+    def __init__(self, spec, links=None, seed=0, config=None):
         self.topology = build_topology(spec)
         self.clock = SimClock()
         self.rng = Random(seed)
@@ -213,12 +217,14 @@ class Mini:
             l.name: HeartbeatRegistry(self.clock, self.metrics, self.trace, l.name)
             for l in self.topology.layers
         }
+        self.bodies = {l.name: resolve_layer_config(config or {})
+                       for l in self.topology.layers}
         self.engines = {}
         for l in self.topology.layers:
             self.engines[l.name] = FlowEngine(
                 l.name, self.network, self.heartbeats[l.name],
                 self.seqs[self.topology.system_node(l.name).name],
-                limit_cfg=limit_cfg, config_source=config_source,
+                config=lambda ln=l.name: self.bodies[ln],
             )
         for e in self.engines.values():
             e.start()
@@ -434,7 +440,7 @@ def test_echo_loop_closed_when_both_sides_advertise_and_request():
 
 
 def test_inter_bridge_applies_rate_limit():
-    w = Mini(SPEC3, limit_cfg=RateLimitConfig(limit_mbps=8.0))
+    w = Mini(SPEC3, config={"rate_limit": {"limit_mbps": 8.0}})
     w.engines["edge"].announce(
         decl(topic="img", node="robot-1", rate=0.0, size=1_000_000), "cam")
     w.engines["fog"].announce(decl(REQUEST, topic="img", node="fog-1", layer="fog"), "viewer")
@@ -515,7 +521,7 @@ def test_small_payloads_never_compressed():
 
 
 def test_compression_disabled_at_level_zero():
-    w = Mini(SPEC3, limit_cfg=RateLimitConfig(compression_level=0))
+    w = Mini(SPEC3, config={"rate_limit": {"compression_level": 0}})
     payload = synthetic_corpus(200_000)
     w.engines["edge"].announce(
         decl(topic="big", node="robot-1", rate=1.0, size=len(payload)), "src")
@@ -549,13 +555,13 @@ def test_watchdog_withdraws_dead_service():
 
 
 def test_config_notice_reconfigures_limiters():
-    new_body = {"rate_limit": RateLimitConfig(limit_mbps=80.0).to_obj()}
-    w = Mini(SPEC3, config_source=lambda: new_body)
+    w = Mini(SPEC3)
     w.engines["edge"].announce(decl(topic="img", node="robot-1", size=1_000_000), "cam")
     w.engines["fog"].announce(decl(REQUEST, topic="img", node="fog-1", layer="fog"), "mon")
     w.settle()
     r160 = w.engines["edge"].limiters["node:robot-1"].allocation("img").allocated_rate
 
+    w.bodies["edge"] = resolve_layer_config({"rate_limit": {"limit_mbps": 80.0}})
     notice = {"scope": "layer", "subject": "edge", "revision": 2,
               "changed_paths": ["rate_limit.limit_mbps"]}
     import json

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 
 import pytest
@@ -195,6 +196,79 @@ def test_run_without_any_topology_raises(tmp_path):
     sc = write_scenario(tmp_path, doc)
     with pytest.raises(WorldError):
         run_scenario(None, sc, out_dir=str(tmp_path / "x"))
+
+
+# -- churn world ---------------------------------------------------------------
+
+# Services start late and stop mid-run, so the stop path (withdraw,
+# bridge teardown, the stopped service's timers) reaches every output
+# file; the bundled scenarios never stop a service. Every payload stays
+# below the compression threshold, so no zlib output reaches the files
+# and the digests hold under any zlib.
+CHURN_WORLD = {
+    "name": "churn",
+    "duration_s": 6.0,
+    "seed": 11,
+    "topology": {
+        "layers": [
+            {"name": "edge", "nodes": ["e0", "e1", "e2"], "external_protocol": True},
+            {"name": "fog", "nodes": ["f0"]},
+            {"name": "cloud", "nodes": ["c0"]},
+        ],
+        "links": {"crossings": [
+            {"between": ["edge", "fog"], "latency_ms": 7.0, "jitter_ms": 2.0,
+             "loss": 0.05, "bandwidth_mbps": 160},
+            {"between": ["edge", "cloud"], "latency_ms": 27.0, "jitter_ms": 2.0,
+             "bandwidth_mbps": 160},
+        ]},
+    },
+    "services": [
+        {"name": "cam", "node": "e0",
+         "advertises": [{"topic": "img", "rate_hz": 20.0, "size": 2000}]},
+        {"name": "lidar", "node": "e1", "stop_s": 4.2,
+         "advertises": [{"topic": "scan", "rate_hz": 10.0, "size": 4000,
+                         "payload": "compressible"}]},
+        {"name": "planner", "node": "f0", "start_s": 1.0, "stop_s": 4.0,
+         "requests": ["img", "scan"],
+         "advertises": [{"topic": "plan", "rate_hz": 5.0, "size": 300}]},
+        {"name": "viewer", "node": "c0", "start_s": 0.5,
+         "requests": ["img", "plan"]},
+        {"name": "logger", "node": "e2", "stop_s": 3.5,
+         "requests": ["scan", "plan"]},
+        {"name": "tele", "node": "e2", "stop_s": 5.0, "external": True,
+         "advertises": [{"topic": "status", "rate_hz": 2.0, "size": 100,
+                         "payload": "zeros"}]},
+        {"name": "ops", "node": "c0", "start_s": 2.0, "requests": ["status"]},
+        {"name": "late", "node": "f0", "start_s": 3.0, "stop_s": 4.5,
+         "advertises": [{"topic": "burst", "rate_hz": 10.0, "size": 500}],
+         "requests": ["status"]},
+        {"name": "dash", "node": "e0", "requests": ["burst", "status"]},
+    ],
+    "probes": {"nodes": ["e0", "f0", "c0"], "ping_period_s": 1.0,
+               "ping_timeout_s": 2.0},
+}
+
+PINNED_CHURN = {
+    "metrics.txt":
+        "4ecbcfb87d868c9090fd743af2d9822f32057cd75f4b94676c80e1007371038f",
+    "summary.csv":
+        "d2a6fe2f987799143bee110422885fed62d766a809efe5025cd7a1348afcf472",
+    "links.csv":
+        "3a500e442eeeba7261a81db9d148b55fda30849b047ee44c732a217ef063fe3c",
+    "bridges.csv":
+        "9dea58cd4bcff6348d6ebac5467c9cdac2b690ccb9918d95902f29811ce0065a",
+    "trace.jsonl":
+        "8f8ef7c6afd2109aecee9e870dd70ffc316c6f65748ab2c2af297371a5306714",
+}
+
+
+def test_churn_world_outputs_are_pinned(tmp_path):
+    sc = write_scenario(tmp_path, CHURN_WORLD)
+    out = tmp_path / "churn"
+    assert run_scenario(None, sc, out_dir=str(out)) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_CHURN}
+    assert digests == PINNED_CHURN
 
 
 # -- World invariants --------------------------------------------------------
@@ -400,11 +474,14 @@ def _with_links(links):
     pytest.param(mini_scenario(topology={"layers": [
         {**TOPO["layers"][0], "external_protocol": "no"}, TOPO["layers"][1]]}),
                  id="external-protocol-string"),
+    pytest.param(mini_scenario(topology={"layers": [
+        {"name": "x@edge", "nodes": ["a", "robot-1"]}, {"name": "edge", "nodes": ["a@x"]},
+        TOPO["layers"][1]]}), id="at-sign-in-names"),
 ])
 def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
     # each used to exit 1 with a traceback, crash mid-run (NaN, Infinity),
-    # or run a misread topology: "f1" as the two nodes "f" and "1", and
-    # external_protocol "no" as true
+    # or run a misread topology: "f1" as the two nodes "f" and "1",
+    # external_protocol "no" as true, and nodes a@x@edge twice over one scope
     sc = write_scenario(tmp_path, doc)
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     assert "flowbridge: error:" in capsys.readouterr().err

@@ -177,6 +177,13 @@ def test_stop_service_withdraws_and_cleans_up(world):
     # idempotent
     world.host.stop_service(h)
     assert world.trace.count("service_stopped", service="cam") == 1
+    # past one re-announce period: the stopped service's pending heartbeat
+    # and re-announce ticks do nothing, so nothing comes back
+    settle(world, 10_500)
+    assert world.engines["edge"].bridges == {}
+    assert world.engines["cloud"].bridges == {}
+    assert not world.heartbeats["edge"].live("cam", "robot-1")
+    assert world.trace.count("hb_register", service="cam") == 1
 
 
 def test_killed_service_is_cleaned_up_by_watchdog(world):
@@ -192,6 +199,12 @@ def test_killed_service_is_cleaned_up_by_watchdog(world):
     assert world.engines["edge"].bridges == {}
     assert world.trace.count("service_killed", service="cam") == 1
     assert world.trace.count("watchdog_withdraw", service="cam") >= 1
+    # past one re-announce period: the dead service neither re-announces
+    # nor refreshes its heartbeat
+    settle(world, 10_500)
+    assert world.engines["edge"].bridges == {}
+    assert world.engines["cloud"].bridges == {}
+    assert world.trace.count("hb_register", service="cam") == 1
 
 
 def test_heartbeats_keep_long_running_service_alive(world):
@@ -200,15 +213,6 @@ def test_heartbeats_keep_long_running_service_alive(world):
     settle(world, 12_000)  # several ttl periods
     assert world.engines["edge"].bridges  # never withdrawn
     assert world.trace.count("watchdog_withdraw", service="cam") == 0
-
-
-def test_long_running_service_holds_one_timer_per_kind(world):
-    h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
-    settle(world, 60_000)  # 60 heartbeats and 6 re-announces
-    assert len(h._timers) <= 2
-    live = list(h._timers.values())
-    world.host.stop_service(h)
-    assert all(t.cancelled for t in live) and not h._timers
 
 
 def test_duplicate_delivery_is_flagged_as_violation(world):

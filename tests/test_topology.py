@@ -127,6 +127,12 @@ def test_validation_errors():
         Topology([("edge", ["a"]), ("fog", ["a"])])
     with pytest.raises(TopologyError):
         Topology([("edge", ["a"])], external=["fog"])
+    # node keys are "<node>@<layer>": these two nodes would both be
+    # a@x@edge and share one intra_node scope
+    with pytest.raises(TopologyError, match="'@'"):
+        Topology([("x@edge", ["a"]), ("edge", ["a@x"])])
+    with pytest.raises(TopologyError, match="'@'"):
+        Topology([("edge", ["a@x"])])
 
 
 def test_build_topology_rejects_bad_specs():
