@@ -13,7 +13,10 @@ the bridge set reconciled with the table:
 Reconcile is per topic and change-driven: a declaration or withdrawal
 touches one topic, so only that topic's bridges are recomputed, and only
 when the table reports that it changed. An unchanged re-announce costs a
-store and a flood, nothing more.
+store and a flood, nothing more. The table is indexed by topic and by
+service, so a reconcile and the limiter resync after it cost one topic's
+entries and bridges, and only the traffic clients whose registration of
+that topic changed are re-synced.
 
 A bridge is a subscription on the source scope that republishes fresh
 envelopes on the destination scope. Freshness comes from a dedupe
@@ -31,6 +34,7 @@ scope, so local subscribers always see original bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -109,25 +113,31 @@ class TableEntry:
     declared_rate: float = 0.0
     declared_max_size: int = 0
     contributors: set[str] = field(default_factory=set)
+    serial: int = 0  # creation order in the table
 
 
 TableKey = tuple[str, str, str, str]  # (direction, topic, origin key, scope key)
 
 
 class FlowTable:
+    """Declaration store: ``entries`` is the record, indexed by topic and by
+    service. Queries answer in ``entries`` order, which float sums and the
+    order of trace records depend on."""
+
     def __init__(self) -> None:
         self.entries: dict[TableKey, TableEntry] = {}
+        self._by_topic: dict[str, dict[TableKey, TableEntry]] = {}
+        self._by_service: dict[str, set[TableKey]] = {}
+        self._serials = itertools.count()
 
     def store(self, direction: str, scope_key: str, decl: FlowDeclaration, service: str) -> bool:
         """Merge a declaration in; True when the table state changed."""
         key = (direction, decl.topic, decl.origin_node.key, scope_key)
         ent = self.entries.get(key)
-        if ent is None:
-            self.entries[key] = TableEntry(
-                decl.origin_node, decl.origin_layer,
-                decl.declared_rate, decl.declared_max_size, {service},
-            )
-            return True
+        if ent is None:  # a new entry changes through its first contributor
+            ent = TableEntry(decl.origin_node, decl.origin_layer, decl.declared_rate,
+                             decl.declared_max_size, serial=next(self._serials))
+            self.entries[key] = self._by_topic.setdefault(decl.topic, {})[key] = ent
         changed = False
         if decl.declared_rate > ent.declared_rate:
             ent.declared_rate = decl.declared_rate
@@ -137,36 +147,44 @@ class FlowTable:
             changed = True
         if service not in ent.contributors:
             ent.contributors.add(service)
+            self._by_service.setdefault(service, set()).add(key)
             changed = True
         return changed
 
     def remove_contributor(self, direction: str, topic: str, origin_key: str, service: str) -> bool:
         """Drop one contributor everywhere it matches; True if an entry died."""
         died = False
-        for key in [k for k in self.entries
-                    if k[0] == direction and k[1] == topic and k[2] == origin_key]:
+        keys = self._by_service.get(service, set())
+        for key in [k for k in keys if k[:3] == (direction, topic, origin_key)]:
+            keys.discard(key)
             ent = self.entries[key]
             ent.contributors.discard(service)
             if not ent.contributors:
-                del self.entries[key]
+                by_topic = self._by_topic[topic]
+                del self.entries[key], by_topic[key]
+                if not by_topic:
+                    del self._by_topic[topic]
                 died = True
+        if not keys:
+            self._by_service.pop(service, None)
         return died
 
     def lookup(self, topic: str) -> dict[TableKey, TableEntry]:
-        return {k: v for k, v in self.entries.items() if k[1] == topic}
+        return dict(self._by_topic.get(topic, {}))
 
     def topics(self) -> list[str]:
-        return sorted({k[1] for k in self.entries})
+        return sorted(self._by_topic)
 
     def contributions(self, service: str) -> list[tuple[TableKey, TableEntry]]:
-        return [(k, e) for k, e in self.entries.items() if service in e.contributors]
+        pairs = [(k, self.entries[k]) for k in self._by_service.get(service, ())]
+        return sorted(pairs, key=lambda pair: pair[1].serial)
 
     def scopes(self, direction: str, topic: str) -> set[str]:
-        return {k[3] for k in self.entries if k[0] == direction and k[1] == topic}
+        return {k[3] for k in self._by_topic.get(topic, ()) if k[0] == direction}
 
     def advertisers_at(self, topic: str, scope_key: str) -> list[TableEntry]:
-        return [e for k, e in self.entries.items()
-                if k[0] == ADVERTISE and k[1] == topic and k[3] == scope_key]
+        return [e for k, e in self._by_topic.get(topic, {}).items()
+                if k[0] == ADVERTISE and k[3] == scope_key]
 
 
 BridgeKey = tuple[str, str, str]  # (topic, source scope key, dest scope key)
@@ -200,7 +218,6 @@ class BridgeSpec:
     dedupe_drops: CounterCell
     limiter_drops: CounterCell
     handle: SubscriberHandle | None = None
-    created_at: int = 0
 
     @property
     def key(self) -> BridgeKey:
@@ -235,8 +252,7 @@ class FlowEngine:
         self.config = config
         body = config()
         self.limit_cfg = RateLimitConfig.from_obj(body["rate_limit"])
-        self.watchdog_period_ns = ns_from_s(body["flow"]["watchdog_s"])
-        self.heartbeat_ttl_ns = ns_from_s(body["flow"]["heartbeat_ttl_s"])
+        self._set_periods(body["flow"])
 
         self.scopes: list[BrokerScope] = list(topology.scopes_for_layer(self.layer))
         self.scope_by_key = {s.key: s for s in self.scopes}
@@ -247,8 +263,11 @@ class FlowEngine:
 
         self.table = FlowTable()
         self.bridges: dict[BridgeKey, BridgeSpec] = {}
+        self._topic_bridges: dict[str, set[BridgeKey]] = {}
         self.windows: dict[str, DedupeWindow] = {s.key: DedupeWindow() for s in self.scopes}
         self.limiters: dict[str, HierarchicalLimiter] = {}
+        self._regs_by_client: dict[str, dict[str, tuple[float, int]]] = {}
+        self._regs_by_topic: dict[str, dict[str, tuple[float, int]]] = {}
         self.running = False
         self._subs: list[SubscriberHandle] = []
 
@@ -285,6 +304,7 @@ class FlowEngine:
         self._subs.clear()
         for bridge in list(self.bridges.values()):
             self._remove_bridge(bridge)
+        self._topic_bridges.clear()
         self.heartbeats.remove(self.service_name, self.system_node.name)
 
     # -- declaration intake ------------------------------------------------
@@ -343,7 +363,7 @@ class FlowEngine:
     def _reconcile(self, topic: str) -> tuple[list[BridgeSpec], list[BridgeKey]]:
         """Bring one topic's bridges in line with the table."""
         required = compute_required_bridges(self.table, self.scopes, topic)
-        current = {key for key in self.bridges if key[0] == topic}
+        current = self._topic_bridges.pop(topic, set())
         created: list[BridgeSpec] = []
         removed: list[BridgeKey] = []
         for key in sorted(current - required):
@@ -351,9 +371,11 @@ class FlowEngine:
             self._remove_bridge(self.bridges[key])
         for key in sorted(required - current):
             created.append(self._install_bridge(key))
+        if required:
+            self._topic_bridges[topic] = required
         if created or removed:
             self.registry.observe("flow.bridges", {"layer": self.layer}, len(self.bridges))
-        self._sync_limiters()
+        self._sync_limiters(topic)
         return created, removed
 
     def _install_bridge(self, key: BridgeKey) -> BridgeSpec:
@@ -370,7 +392,6 @@ class FlowEngine:
                               {"topic": topic, "source": src_key, "dest": dst_key}),
             dedupe_drops=counter("flow.drop.dedupe", {"topic": topic}),
             limiter_drops=counter("flow.drop.limiter", {"topic": topic}),
-            created_at=self.clock.now,
         )
         bridge.handle = self.network.endpoint(source).subscribe(
             topic, partial(self._on_bridge_message, bridge), kind=SUB_BRIDGE,
@@ -388,30 +409,35 @@ class FlowEngine:
         self.trace.record("bridge_removed", self.clock.now, layer=self.layer,
                           topic=bridge.topic, source=bridge.source.key, dest=bridge.dest.key)
 
-    def _sync_limiters(self) -> None:
-        """Align each traffic client's registrations with its inter bridges."""
-        desired: dict[str, dict[str, tuple[float, int]]] = {}
-        for key in sorted(self.bridges):
+    def _sync_limiters(self, topic: str) -> None:
+        """Re-register one topic with the traffic clients whose share of it changed."""
+        fresh: dict[str, tuple[float, int]] = {}
+        for key in sorted(self._topic_bridges.get(topic, ())):
             bridge = self.bridges[key]
             if bridge.client is None:
                 continue
-            regs = desired.setdefault(bridge.client, {})
-            entries = self.table.advertisers_at(bridge.topic, bridge.source.key)
+            entries = self.table.advertisers_at(topic, bridge.source.key)
             rate = ordered_sum(e.declared_rate for e in entries)
             size = max((e.declared_max_size for e in entries), default=0)
-            if bridge.topic in regs:
-                r0, s0 = regs[bridge.topic]
-                regs[bridge.topic] = (r0 + rate, max(s0, size))
-            else:
-                regs[bridge.topic] = (rate, size)
-        for client in sorted(set(self.limiters) - set(desired)):
-            del self.limiters[client]
-        for client in sorted(desired):
-            limiter = self.limiters.get(client)
-            if limiter is None:
-                limiter = HierarchicalLimiter(self.limit_cfg, self.clock, client, self.registry)
-                self.limiters[client] = limiter
-            limiter.sync_publishers(desired[client])
+            r0, s0 = fresh.get(bridge.client, (0, 0))
+            fresh[bridge.client] = (r0 + rate, max(s0, size))
+        stale = self._regs_by_topic.pop(topic, {})
+        if fresh:
+            self._regs_by_topic[topic] = fresh
+        for client in sorted(stale.keys() | fresh.keys()):
+            if stale.get(client) == fresh.get(client):
+                continue
+            regs = self._regs_by_client.setdefault(client, {})
+            regs.pop(topic, None)
+            if client in fresh:
+                regs[topic] = fresh[client]
+            if not regs:
+                del self._regs_by_client[client], self.limiters[client]
+                continue
+            if client not in self.limiters:
+                self.limiters[client] = HierarchicalLimiter(
+                    self.limit_cfg, self.clock, client, self.registry)
+            self.limiters[client].sync_publishers(regs)
 
     # -- data path -----------------------------------------------------------
 
@@ -457,13 +483,13 @@ class FlowEngine:
     # -- config and watchdog ---------------------------------------------------
 
     def _on_config_notice(self, env: MessageEnvelope) -> None:
+        """A notice for this layer re-reads its flow periods and rate limit."""
         body = json.loads(env.payload)
         if body.get("scope") != "layer" or body.get("subject") != self.layer:
             return
-        if not any(p == "rate_limit" or p.startswith("rate_limit.")
-                   for p in body.get("changed_paths", ())):
-            return
-        cfg = RateLimitConfig.from_obj(self.config()["rate_limit"])
+        layer_cfg = self.config()
+        self._set_periods(layer_cfg["flow"])
+        cfg = RateLimitConfig.from_obj(layer_cfg["rate_limit"])
         if cfg == self.limit_cfg:
             return
         self.limit_cfg = cfg
@@ -471,6 +497,10 @@ class FlowEngine:
             self.limiters[client].reconfigure(cfg)
         self.trace.record("limit_reconfig", self.clock.now, layer=self.layer,
                           limit_mbps=cfg.limit_mbps)
+
+    def _set_periods(self, flow: dict) -> None:
+        self.watchdog_period_ns = ns_from_s(flow["watchdog_s"])
+        self.heartbeat_ttl_ns = ns_from_s(flow["heartbeat_ttl_s"])
 
     def _watchdog_scan(self) -> None:
         if not self.running:

@@ -128,6 +128,47 @@ def oracle_bridges(
     return bridges
 
 
+def oracle_limiter_regs(engine) -> dict[str, dict[str, tuple[float, int]]]:
+    """Every traffic client's {topic: (rate, size)} registrations, rebuilt in full.
+
+    Each of the engine's bridges into its inter_layer scope registers its
+    topic with its client: the declared rates of the topic's advertisers at
+    the bridge's source scope, added in table order, and their largest
+    declared size. Bridges of one client and topic add up in sorted key
+    order.
+    """
+    regs: dict[str, dict[str, tuple[float, int]]] = {}
+    for key in sorted(engine.bridges):
+        bridge = engine.bridges[key]
+        if bridge.client is None:
+            continue
+        rate, size = 0, 0
+        for (direction, topic, _origin, scope), entry in engine.table.entries.items():
+            if direction == "advertise" and topic == bridge.topic and scope == bridge.source.key:
+                rate += entry.declared_rate
+                size = max(size, entry.declared_max_size)
+        topics = regs.setdefault(bridge.client, {})
+        r0, s0 = topics.get(bridge.topic, (0, 0))
+        topics[bridge.topic] = (r0 + rate, max(s0, size))
+    return regs
+
+
+def oracle_scopes(entries: dict, direction: str, topic: str) -> set[str]:
+    """Scopes holding a (direction, topic) declaration, by full table scan."""
+    return {scope for d, t, _origin, scope in entries if d == direction and t == topic}
+
+
+def oracle_advertisers_at(entries: dict, topic: str, scope_key: str) -> list:
+    """A topic's advertise entries at one scope, in table order, by full scan."""
+    return [e for (d, t, _origin, scope), e in entries.items()
+            if d == "advertise" and t == topic and scope == scope_key]
+
+
+def oracle_contributions(entries: dict, service: str) -> list:
+    """(key, entry) pairs a service contributes to, in table order, by full scan."""
+    return [(k, e) for k, e in entries.items() if service in e.contributors]
+
+
 class OracleRingWindow:
     """The dedupe window as a ring of recently recorded sequences.
 

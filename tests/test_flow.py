@@ -13,6 +13,7 @@ from flowbridge.flow import (
     compute_required_bridges,
 )
 from flowbridge.monitor import HeartbeatRegistry, MetricsRegistry
+from flowbridge.runner import World
 from flowbridge.simnet import MS, SECOND, Network, SimClock, ns_from_s
 from flowbridge.topology import (
     ADVERTISE,
@@ -582,6 +583,20 @@ def test_config_notice_reconfigures_limiters():
     w.settle()
     assert w.trace.count("limit_reconfig") == 1
     w.drain()
+
+
+def test_pushed_flow_periods_reach_the_engine():
+    w = World(build_topology({"layers": [{"name": "edge", "nodes": ["robot-1"]},
+                                         {"name": "cloud", "nodes": ["cloud-1"]}]}), seed=3)
+    w.start()
+    w.store.put("layer", "edge", resolve_layer_config(
+        {"flow": {"watchdog_s": 2.0, "heartbeat_ttl_s": 6.0}}))
+    w.run_for(12.0)
+    edge, cloud = w.engines["edge"], w.engines["cloud"]
+    assert (edge.watchdog_period_ns, edge.heartbeat_ttl_ns) == (2 * SECOND, 6 * SECOND)
+    assert (cloud.watchdog_period_ns, cloud.heartbeat_ttl_ns) == (SECOND, 3 * SECOND)
+    w.drain()
+    assert w.issues() == []
 
 
 def test_engine_stop_removes_bridges_and_subscriptions():

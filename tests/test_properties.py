@@ -1,12 +1,13 @@
 """Property-based tests for the allocator, token bucket, dedupe window,
-and the flow engines' bridge sets."""
+the flow table's queries, and the flow engines' bridges and limiter
+registrations."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowbridge.flow import DedupeWindow
+from flowbridge.flow import DedupeWindow, FlowTable
 from flowbridge.ratelimit import (
     PublisherRecord,
     RateLimitConfig,
@@ -17,8 +18,17 @@ from flowbridge.ratelimit import (
 from flowbridge.runner import World
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND
-from flowbridge.topology import build_topology
-from oracles import OracleRingWindow, oracle_allocate, oracle_bridges, oracle_bucket_replay
+from flowbridge.topology import FlowDeclaration, NodeId, build_topology
+from oracles import (
+    OracleRingWindow,
+    oracle_advertisers_at,
+    oracle_allocate,
+    oracle_bridges,
+    oracle_bucket_replay,
+    oracle_contributions,
+    oracle_limiter_regs,
+    oracle_scopes,
+)
 
 topics = st.text(alphabet="abcdefghijkl", min_size=1, max_size=6)
 
@@ -182,6 +192,54 @@ def test_dedupe_bitmap_matches_ring_oracle(steps):
             assert window.seen(origin, "t", v) == (v in recent and v > low)
 
 
+TABLE_TOPICS = ("x", "y")
+TABLE_SCOPES = ("s1", "s2", "s3")
+TABLE_SERVICES = ("p", "q", "r")
+
+table_ops = st.lists(st.tuples(
+    st.sampled_from(("store", "remove")),
+    st.sampled_from(("advertise", "request")),
+    st.sampled_from(TABLE_TOPICS),
+    st.sampled_from(("a", "b")),  # origin node
+    st.sampled_from(TABLE_SCOPES),
+    st.sampled_from(TABLE_SERVICES),
+    st.integers(0, 3),  # rate
+    st.integers(0, 3),  # size
+), max_size=60)
+
+
+@given(table_ops)
+def test_table_queries_match_full_scan_oracles(ops):
+    table = FlowTable()
+    for op, direction, topic, node, scope, service, rate, size in ops:
+        origin = NodeId("edge", node)
+        entries = table.entries
+        if op == "store":
+            old = entries.get((direction, topic, origin.key, scope))
+            want = (old is None or rate > old.declared_rate or size > old.declared_max_size
+                    or service not in old.contributors)
+            decl = FlowDeclaration(direction=direction, topic=topic, origin_node=origin,
+                                   origin_layer="edge", declared_rate=float(rate),
+                                   declared_max_size=size)
+            assert table.store(direction, scope, decl, service) == want
+        else:
+            want = any(k[:3] == (direction, topic, origin.key) and e.contributors == {service}
+                       for k, e in entries.items())
+            assert table.remove_contributor(direction, topic, origin.key, service) == want
+        assert table.topics() == sorted({k[1] for k in entries})
+        for t in TABLE_TOPICS:
+            assert list(table.lookup(t).items()) == [(k, e) for k, e in entries.items() if k[1] == t]
+            for d in ("advertise", "request"):
+                assert table.scopes(d, t) == oracle_scopes(entries, d, t)
+            for sc in TABLE_SCOPES:
+                got = table.advertisers_at(t, sc)
+                assert [id(e) for e in got] == [id(e) for e in oracle_advertisers_at(entries, t, sc)]
+        for svc in TABLE_SERVICES:
+            got = table.contributions(svc)
+            want_pairs = oracle_contributions(entries, svc)
+            assert [(k, id(e)) for k, e in got] == [(k, id(e)) for k, e in want_pairs]
+
+
 WORLD3 = {
     "layers": [
         {"name": "edge", "nodes": ["robot-1", "robot-2"]},
@@ -196,7 +254,8 @@ flow_steps = st.lists(
         st.sampled_from(("start", "stop", "kill")),
         st.integers(0, 3),  # service s0..s3
         st.sampled_from(("robot-1", "robot-2", "fog-1", "cloud-1")),
-        st.sets(st.sampled_from(FLOW_TOPICS)),  # advertises
+        st.dictionaries(st.sampled_from(FLOW_TOPICS), st.tuples(  # advertises
+            st.floats(0.1, 100.0, allow_nan=False), st.integers(1, 200_000))),
         st.sets(st.sampled_from(FLOW_TOPICS)),  # requests
     ),
     min_size=1, max_size=12,
@@ -214,7 +273,7 @@ def test_engine_bridges_match_whole_table_oracle(steps):
         handle = running.get(name)
         if op == "start" and handle is None:
             running[name] = w.host.start_service(
-                node, name, advertises=[Advertise(t, 5.0, 100) for t in sorted(advs)],
+                node, name, advertises=[Advertise(t, r, z) for t, (r, z) in sorted(advs.items())],
                 requests=sorted(reqs))
         elif op == "stop" and handle is not None:
             w.host.stop_service(running.pop(name))
@@ -228,4 +287,9 @@ def test_engine_bridges_match_whole_table_oracle(steps):
         for engine in w.engines.values():
             want = oracle_bridges(list(engine.table.entries), {s.key for s in engine.scopes})
             assert set(engine.bridges) == want, engine.layer
+            regs = oracle_limiter_regs(engine)
+            assert set(engine.limiters) == set(regs), engine.layer
+            for client, limiter in engine.limiters.items():
+                got = {t: (r.advertised_rate, r.max_size) for t, r in limiter.records.items()}
+                assert got == regs[client], (engine.layer, client)
     w.drain()

@@ -14,6 +14,7 @@ from flowbridge.report import (
     parse_metrics,
     percentile,
 )
+from flowbridge.ratelimit import HierarchicalLimiter
 from flowbridge.runner import World, WorldError, run_scenario
 from flowbridge.scenario import make_payload, parse_scenario
 from flowbridge.topology import build_topology
@@ -269,6 +270,41 @@ def test_churn_world_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in PINNED_CHURN}
     assert digests == PINNED_CHURN
+
+
+class NoScanEntries(dict):
+    """A flow table record that refuses to be iterated whole."""
+
+    def _scan(self, *args):
+        raise AssertionError("full flow-table scan")
+
+    __iter__ = keys = values = items = _scan
+
+
+def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch):
+    syncs = []
+    sync = HierarchicalLimiter.sync_publishers
+
+    def spy(limiter, wanted):
+        syncs.append(sync(limiter, wanted))
+        return syncs[-1]
+
+    monkeypatch.setattr(HierarchicalLimiter, "sync_publishers", spy)
+    topo = CHURN_WORLD["topology"]
+    world = World(build_topology(topo), topo["links"], CHURN_WORLD["seed"])
+    for engine in world.engines.values():
+        engine.table.entries = NoScanEntries()
+    world.start()
+    world.setup_scenario(parse_scenario(CHURN_WORLD))
+    world.run_for(2.0)
+    world.host.kill_service(world.handles["cam"])  # the watchdog withdraws it
+    world.run_for(6.0)
+    assert world.trace.count("watchdog_withdraw", service="cam")
+    assert sum(len(e.table.entries) for e in world.engines.values()) > 0
+    world.drain()
+    assert world.issues() == []
+    # a topic's limiter registration is re-synced only when it changed
+    assert syncs and all(syncs)
 
 
 # -- World invariants --------------------------------------------------------
