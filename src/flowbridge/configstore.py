@@ -3,7 +3,7 @@
 The main store lives on the most central layer and owns versioned
 documents keyed by (scope, subject): layer, node, or service configs.
 Each layer runs a worker that pulls the relevant documents over the
-inter-layer bus on a fixed period and serves reads locally; reads fall
+inter-layer bus each sync period and serves reads locally; reads fall
 back to built-in defaults (revision 0) until a stored document arrives.
 After applying a newer revision the worker publishes one
 ConfigChangeNotice on its layer's intra-layer scope listing the changed
@@ -298,8 +298,6 @@ class ConfigWorker(_LayerDefaults):
         self.network = network
         self.clock = network.clock
         self.seq = seq
-        self.sync_period_ns = ns_from_s(
-            self.default_body("layer", self.layer)["config"]["sync_period_s"])
         self.registry = network.metrics
         self.trace = network.trace
         self.node = topology.system_node(self.layer)
@@ -341,7 +339,9 @@ class ConfigWorker(_LayerDefaults):
             return
         self._pending.clear()  # a reply still missing after a whole period was lost
         self.sync_now()
-        self.clock.call_in(self.sync_period_ns, self._sync_tick)
+        # re-read at every pull, so a pushed period applies from the next one
+        period_s = self.get_config("layer", self.layer).body["config"]["sync_period_s"]
+        self.clock.call_in(ns_from_s(period_s), self._sync_tick)
 
     def sync_now(self) -> str:
         """Issue one pull request; returns its correlation id."""

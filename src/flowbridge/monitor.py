@@ -232,7 +232,7 @@ class HeartbeatRegistry:
                  trace: Trace | None = None, layer: str = ""):
         self.clock = clock
         self.registry = registry
-        self.trace = trace if trace is not None else Trace(enabled=False)
+        self.trace = trace if trace is not None else Trace()
         self.layer = layer
         self._entries: dict[tuple[str, str], list] = {}  # [refreshed_at, ttl_ns]
 
@@ -282,11 +282,11 @@ class HeartbeatRegistry:
 class PingProbe:
     """Round-trip latency probe for one node.
 
-    Each cycle sends one ping per target node over the regular topic
-    fabric (so samples include bridge and crossing delays); the target's
-    probe answers with a pong carrying the original send time, and the
-    one-way estimate rtt/2 lands in ``mon.rtt_half_ms``. Unanswered
-    pings time out into ``mon.ping_timeout``.
+    Each cycle sends one ping per target node, at its offset into the
+    cycle, over the regular topic fabric (so samples include bridge and
+    crossing delays); the target's probe answers with a pong carrying the
+    original send time, and the one-way estimate rtt/2 lands in
+    ``mon.rtt_half_ms``. Unanswered pings time out into ``mon.ping_timeout``.
     """
 
     def __init__(
@@ -298,7 +298,7 @@ class PingProbe:
         registry: MetricsRegistry,
         period_ns: int,
         timeout_ns: int,
-        offsets: Iterable[int] | None = None,
+        offsets: Iterable[int],
     ):
         self.node = node
         self.targets = list(targets)
@@ -307,14 +307,9 @@ class PingProbe:
         self.registry = registry
         self.period_ns = period_ns
         self.timeout_ns = timeout_ns
-        if offsets is None:
-            # even spread, so one probe's sends never burst
-            gap = period_ns // max(1, len(self.targets))
-            self.offsets = [i * gap for i in range(len(self.targets))]
-        else:
-            self.offsets = list(offsets)
-            if len(self.offsets) != len(self.targets):
-                raise ValueError("offsets must match targets")
+        self.offsets = list(offsets)
+        if len(self.offsets) != len(self.targets):
+            raise ValueError("offsets must match targets")
         self._nonce = 0
         self._outstanding: dict[int, str] = {}  # nonce -> target key
 

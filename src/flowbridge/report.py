@@ -7,6 +7,7 @@ import csv
 from pathlib import Path
 
 from .monitor import MetricsRegistry, ordered_sum
+from .tracing import events
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -125,12 +126,10 @@ def write_links(path: str | Path, registry: MetricsRegistry, network,
     write_csv(path, LINK_FIELDS, link_rows(registry, network, duration_s))
 
 
-def bridge_rows(trace) -> list[dict]:
-    """Bridge inventory over time, from install/remove trace events."""
+def bridge_rows(trace_path: str | Path) -> list[dict]:
+    """Bridge inventory over time, from a written trace's install/remove events."""
     rows = []
-    for rec in trace.records:
-        if rec["ev"] not in ("bridge_installed", "bridge_removed"):
-            continue
+    for rec in events(trace_path, "bridge_installed", "bridge_removed"):
         rows.append({
             "at_ms": _fmt(rec["at"] / 1e6),
             "event": "install" if rec["ev"] == "bridge_installed" else "remove",
@@ -145,8 +144,8 @@ def bridge_rows(trace) -> list[dict]:
 BRIDGE_FIELDS = ["at_ms", "event", "layer", "topic", "source", "dest"]
 
 
-def write_bridges(path: str | Path, trace) -> None:
-    write_csv(path, BRIDGE_FIELDS, bridge_rows(trace))
+def write_bridges(path: str | Path, trace_path: str | Path) -> None:
+    write_csv(path, BRIDGE_FIELDS, bridge_rows(trace_path))
 
 
 def placement_rows(tag: str, registry: MetricsRegistry,

@@ -96,14 +96,13 @@ class World:
         links: dict | None = None,
         seed: int = 0,
         config: dict | None = None,
-        trace_path: str | None = None,
-        trace_enabled: bool = True,
+        trace_path: str | Path | None = None,
     ):
         self.topology = topology
         self.seed = seed
         self.clock = SimClock()
         self.rng = random.Random(seed)
-        self.trace = Trace(path=trace_path, enabled=trace_enabled)
+        self.trace = Trace()
         self.registry = MetricsRegistry(self.clock)
         self.network = Network(topology, self.clock, self.rng,
                                self.registry, self.trace, links)
@@ -137,6 +136,7 @@ class World:
         self.probes: list[PingProbe] = []
         self.running = False
         self._started = False
+        self.trace.open(trace_path)  # last: a world that rejects its input leaves no file
 
     def _system_seq(self, layer: str) -> SequenceCounter:
         return self.seqs[self.topology.system_node(layer).name]
@@ -339,8 +339,9 @@ def run_scenario(
         log.info("run %s seed=%d duration=%.3fs placement=%s",
                  scenario.name, run_seed, duration, placement or "default")
 
+        trace_path = run_dir / "trace.jsonl"
         world = World(topology, links, run_seed, config=scenario.config,
-                      trace_path=str(run_dir / "trace.jsonl"))
+                      trace_path=trace_path)
         world.start()
         world.setup_scenario(scenario, override)
         world.run_for(duration)
@@ -355,7 +356,7 @@ def run_scenario(
         report.write_summary(run_dir / "summary.csv", world.registry, duration)
         report.write_links(run_dir / "links.csv", world.registry,
                            world.network, duration)
-        report.write_bridges(run_dir / "bridges.csv", world.trace)
+        report.write_bridges(run_dir / "bridges.csv", trace_path)
         compare_rows.extend(report.placement_rows(tag, world.registry, duration))
         for line in report.digest_lines(world.registry, duration):
             log.info("  %s", line)

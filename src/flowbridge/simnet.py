@@ -212,7 +212,7 @@ class Network:
         self.clock = clock
         self.rng = rng
         self.metrics = metrics if metrics is not None else MetricsRegistry(clock)
-        self.trace = trace if trace is not None else Trace(enabled=False)
+        self.trace = trace if trace is not None else Trace()
         self._offered = _TopicCounters(self.metrics, "flow.offered")
         self._delivered = _TopicCounters(self.metrics, "flow.delivered")
         self._build_links({} if links is None else links)

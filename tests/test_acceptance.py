@@ -28,8 +28,8 @@ from flowbridge.scenario import ProbesSpec, builtin_scenarios, parse_scenario
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, Network, SimClock
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
-from flowbridge.tracing import Trace
 from oracles import oracle_allocate, oracle_single_large_rate, synthetic_corpus
+from tracefile import records
 
 THREE_LAYERS = {
     "layers": [
@@ -175,8 +175,7 @@ def test_small_message_priority_under_saturation():
         ],
     }
     scenario = parse_scenario(doc)
-    world = World(build_topology(TWO_LAYERS), links=links, seed=scenario.seed,
-                  trace_enabled=False)
+    world = World(build_topology(TWO_LAYERS), links=links, seed=scenario.seed)
     world.start()
     world.setup_scenario(scenario)
     world.run_for(scenario.duration_s)
@@ -201,8 +200,9 @@ def test_small_message_priority_under_saturation():
 
 
 @pytest.mark.criterion(6, "advertise/request handshake installs exactly two bridges")
-def test_handshake_bridges_and_exactly_once():
-    world = World(build_topology(THREE_LAYERS), seed=2)
+def test_handshake_bridges_and_exactly_once(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    world = World(build_topology(THREE_LAYERS), seed=2, trace_path=trace)
     world.start()
     settle(world, 10)
     svc1 = world.host.start_service(
@@ -223,10 +223,10 @@ def test_handshake_bridges_and_exactly_once():
     world.drain()
 
     assert svc2.received_by_topic.get(t) == 3
-    crossings = list(world.trace.select("xlink", topic=t))
+    crossings = records(trace, "xlink", topic=t)
     assert len(crossings) == 3
     assert all(r["frm"] == "edge" and r["to"] == "fog" for r in crossings)
-    assert world.trace.count("duplicate_delivery") == 0
+    assert records(trace, "duplicate_delivery") == []
     assert world.issues() == []
 
 
@@ -234,7 +234,8 @@ def test_handshake_bridges_and_exactly_once():
 
 
 @pytest.mark.criterion(7, "external one-to-many resolves to exactly four bridges")
-def test_external_one_to_many_bridge_set():
+def test_external_one_to_many_bridge_set(tmp_path):
+    trace = tmp_path / "trace.jsonl"
     world = World(build_topology({
         "layers": [
             {"name": "edge", "nodes": ["robot-1", "robot-2"],
@@ -242,7 +243,7 @@ def test_external_one_to_many_bridge_set():
             {"name": "fog", "nodes": ["fog-1"], "external_protocol": True},
             {"name": "cloud", "nodes": ["cloud-1"]},
         ]
-    }), seed=3)
+    }), seed=3, trace_path=trace)
     world.start()
     settle(world, 10)
 
@@ -273,7 +274,7 @@ def test_external_one_to_many_bridge_set():
     world.drain()
     for handle in (local, analytics, ext_edge, ext_fog):
         assert handle.received_by_topic.get(t) == 1, handle.name
-    assert world.trace.count("duplicate_delivery") == 0
+    assert records(trace, "duplicate_delivery") == []
     assert world.issues() == []
 
 
@@ -281,7 +282,8 @@ def test_external_one_to_many_bridge_set():
 
 
 @pytest.mark.criterion(8, "500 random worlds: loop-free with exact accounting")
-def test_randomized_worlds_stay_loop_free():
+def test_randomized_worlds_stay_loop_free(tmp_path):
+    trace = tmp_path / "trace.jsonl"
     started = time.monotonic()
     rng = Random(1318)
     data_topics = ("alpha", "beta", "gamma")
@@ -315,7 +317,7 @@ def test_randomized_worlds_stay_loop_free():
 
         doc = {"name": f"rand-{run}", "duration_s": 0.8, "seed": run,
                "services": services}
-        world = World(build_topology({"layers": layers}), seed=run)
+        world = World(build_topology({"layers": layers}), seed=run, trace_path=trace)
         world.start()
         world.setup_scenario(parse_scenario(doc))
         world.run_for(0.8)
@@ -327,7 +329,7 @@ def test_randomized_worlds_stay_loop_free():
             assert row["balance"] == 0, f"run {run}: {row}"
         assert not world.host.violations, f"run {run}"
         crossed = set()
-        for rec in world.trace.select("xlink"):
+        for rec in records(trace, "xlink"):
             if rec["topic"] not in data_topics:
                 continue
             key = (rec["frm"], rec["to"], rec["topic"], rec["origin"], rec["seq"])
@@ -350,8 +352,7 @@ def test_latency_and_loss_emulation():
         "crossings": [{"between": ["edge", "cloud"], "latency_ms": 50.0,
                        "jitter_ms": 10.0, "loss": 0.0001}],
     }
-    world = World(build_topology(TWO_LAYERS), links=links, seed=11,
-                  trace_enabled=False)
+    world = World(build_topology(TWO_LAYERS), links=links, seed=11)
     world.start()
     settle(world, 10)
     world.enable_probes(ProbesSpec(("robot-1", "cloud-1"), 0.05, 5.0))
@@ -371,9 +372,9 @@ def test_latency_and_loss_emulation():
     topo = build_topology(TWO_LAYERS)
     clock = SimClock()
     registry = MetricsRegistry(clock)
-    net = Network(topo, clock, Random(9), registry, Trace(enabled=False),
-                  {"crossings": [{"between": ["edge", "cloud"],
-                                  "latency_ms": 1.0, "loss": 0.0001}]})
+    net = Network(topo, clock, Random(9), registry,
+                  links={"crossings": [{"between": ["edge", "cloud"],
+                                        "latency_ms": 1.0, "loss": 0.0001}]})
     got = []
     net.endpoint("inter_layer:cloud").subscribe("bulk",
                                                 lambda env: got.append(env.sequence))
@@ -394,8 +395,9 @@ def test_latency_and_loss_emulation():
 
 
 @pytest.mark.criterion(10, "fog-less topology still converges to exactly-once")
-def test_missing_fog_layer_converges():
-    world = World(build_topology(TWO_LAYERS), seed=4)
+def test_missing_fog_layer_converges(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    world = World(build_topology(TWO_LAYERS), seed=4, trace_path=trace)
     world.start()
     settle(world, 10)
     svc1 = world.host.start_service(
@@ -414,7 +416,7 @@ def test_missing_fog_layer_converges():
         settle(world, 250)
     world.drain()
     assert svc2.received_by_topic.get(t) == 5
-    assert world.trace.count("duplicate_delivery") == 0
+    assert records(trace, "duplicate_delivery") == []
     assert world.issues() == []
 
 
@@ -459,8 +461,9 @@ def test_config_push_reallocates_within_cycle():
 
 
 @pytest.mark.criterion(12, "dead requester's bridges vanish and traffic stops")
-def test_watchdog_teardown_stops_traffic():
-    world = World(build_topology(TWO_LAYERS), seed=8)
+def test_watchdog_teardown_stops_traffic(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    world = World(build_topology(TWO_LAYERS), seed=8, trace_path=trace)
     world.start()
     settle(world, 10)
     t = "alerts"
@@ -480,12 +483,14 @@ def test_watchdog_teardown_stops_traffic():
     assert not [k for k in world.engines["edge"].bridges if k[0] == t]
     assert not [k for k in world.engines["cloud"].bridges if k[0] == t]
 
-    crossings_before = world.trace.count("xlink", topic=t)
+    second_batch = world.clock.now
     for i in range(5):
         world.host.publish(pub, t, b"b%d" % i)
         settle(world, 50)
     world.drain()
-    assert world.trace.count("xlink", topic=t) == crossings_before
+    crossings = records(trace, "xlink", topic=t)
+    assert len([r for r in crossings if r["at"] < second_batch]) == 2
+    assert len(crossings) == 2  # none from the second batch
     assert sub.received_by_topic.get(t) == 2  # nothing arrived after death
     assert world.issues() == []
 

@@ -20,7 +20,6 @@ from flowbridge.configstore import (
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import MS, Network, SimClock
 from flowbridge.topology import CONFIG_NOTICE, SequenceCounter, build_topology
-from flowbridge.tracing import Trace
 
 SPEC = {
     "layers": [
@@ -160,9 +159,8 @@ class ConfigWorld:
         self.topology = make_topo()
         self.clock = SimClock()
         self.metrics = MetricsRegistry(self.clock)
-        self.trace = Trace(enabled=True)
         self.network = Network(self.topology, self.clock, Random(0),
-                               self.metrics, self.trace, links)
+                               self.metrics, links=links)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
         self.store = MainConfigStore(self.topology, layer_defaults=layer_defaults)
         self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])
@@ -298,4 +296,19 @@ def test_lost_replies_do_not_pile_up():
         assert w.metrics.counter_value("config.pulls", {"layer": layer}) == 0
         assert len(worker._pending) <= 1, layer
     assert w.metrics.counter_value("config.pulls", {"layer": "cloud"}) >= 12  # not crossing
+    w.drain()
+
+
+def test_pushed_sync_period_applies_from_the_next_pull():
+    w = ConfigWorld()
+    w.store.put("layer", "edge", merge_config(
+        default_layer_config(), {"config": {"sync_period_s": 1.0}}))
+    w.start_workers()
+    # pulls at 0 s and 5 s; the first one fetched the 1 s period, which
+    # the second one re-arms with
+    w.settle(5_500)
+    before = w.metrics.counter_value("config.pulls", {"layer": "edge"})
+    w.settle(10_000)
+    assert w.metrics.counter_value("config.pulls", {"layer": "edge"}) - before == 10
+    assert w.metrics.counter_value("config.pulls", {"layer": "fog"}) == 4  # 0, 5, 10, 15 s
     w.drain()

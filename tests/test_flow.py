@@ -30,6 +30,7 @@ from flowbridge.topology import (
 )
 from flowbridge.tracing import Trace
 from oracles import synthetic_corpus
+from tracefile import records
 
 # -- dedupe window ---------------------------------------------------------
 
@@ -203,14 +204,15 @@ class Mini:
 
     ``config`` holds layer-config overrides for every layer; a test may
     replace a layer's entry in ``bodies`` to change what its engine reads.
+    With ``trace_path`` the trace is written there, readable after drain().
     """
 
-    def __init__(self, spec, links=None, seed=0, config=None):
+    def __init__(self, spec, links=None, seed=0, config=None, trace_path=None):
         self.topology = build_topology(spec)
         self.clock = SimClock()
         self.rng = Random(seed)
         self.metrics = MetricsRegistry(self.clock)
-        self.trace = Trace(enabled=True)
+        self.trace = Trace(trace_path)
         self.network = Network(self.topology, self.clock, self.rng,
                                self.metrics, self.trace, links)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
@@ -237,6 +239,7 @@ class Mini:
         for e in self.engines.values():
             e.running = False
         self.clock.run_until_idle(200_000)
+        self.trace.close()
 
     def bridge_keys(self, layer):
         return set(self.engines[layer].bridges)
@@ -391,17 +394,17 @@ def test_withdraw_never_announced_is_noop():
     w.drain()
 
 
-def test_flood_crosses_each_layer_once():
-    w = Mini(SPEC3)
+def test_flood_crosses_each_layer_once(tmp_path):
+    w = Mini(SPEC3, trace_path=tmp_path / "trace.jsonl")
     w.engines["edge"].announce(decl(topic="t", node="robot-1"), "svc")
     w.settle()
-    # one flood, two crossings (fog and cloud), no re-forwarding
-    assert w.trace.count("xlink", topic=FLOW_ADVERTISE) == 2
     # remote engines hold the declaration at their inter-layer scope
     for layer in ("fog", "cloud"):
         key = (ADVERTISE, "t", "robot-1@edge", f"inter_layer:{layer}")
         assert key in w.engines[layer].table.entries
     w.drain()
+    # one flood, two crossings (fog and cloud), no re-forwarding
+    assert len(records(tmp_path / "trace.jsonl", "xlink", topic=FLOW_ADVERTISE)) == 2
 
 
 def test_message_crosses_layers_exactly_once():
@@ -419,8 +422,8 @@ def test_message_crosses_layers_exactly_once():
     w.drain()
 
 
-def test_echo_loop_closed_when_both_sides_advertise_and_request():
-    w = Mini(SPEC3)
+def test_echo_loop_closed_when_both_sides_advertise_and_request(tmp_path):
+    w = Mini(SPEC3, trace_path=tmp_path / "trace.jsonl")
     # both layers advertise and request the same topic: bridges run both ways
     w.engines["edge"].announce(decl(topic="t", node="robot-1", rate=5.0), "edge-svc")
     w.engines["edge"].announce(decl(REQUEST, topic="t", node="robot-1"), "edge-svc")
@@ -435,9 +438,10 @@ def test_echo_loop_closed_when_both_sides_advertise_and_request():
     # (fog republishing it back toward the bus) was absorbed by dedupe
     assert len(edge_box) == 1 and len(fog_box) == 1
     assert w.metrics.sum_counter("flow.drop.dedupe", {"topic": "t"}) >= 1
-    # and it crossed to fog exactly once
-    assert w.trace.count("xlink", topic="t", frm="edge", to="fog") == 1
     w.drain()
+    # and it crossed to fog exactly once
+    assert len(records(tmp_path / "trace.jsonl", "xlink",
+                       topic="t", frm="edge", to="fog")) == 1
 
 
 def test_inter_bridge_applies_rate_limit():
@@ -535,8 +539,8 @@ def test_compression_disabled_at_level_zero():
     w.drain()
 
 
-def test_watchdog_withdraws_dead_service():
-    w = Mini(SPEC3)
+def test_watchdog_withdraws_dead_service(tmp_path):
+    w = Mini(SPEC3, trace_path=tmp_path / "trace.jsonl")
     adv = decl(topic="t", node="robot-1", rate=1.0)
     w.heartbeats["edge"].refresh("cam", "robot-1", ns_from_s(3.0))
     w.engines["edge"].announce(adv, "cam")
@@ -549,14 +553,14 @@ def test_watchdog_withdraws_dead_service():
     w.settle(6_000)
     assert w.bridge_keys("edge") == set()
     assert w.bridge_keys("fog") == set()
-    assert w.trace.count("watchdog_withdraw", service="cam") == 1
     as_key = (ADVERTISE, "t", "robot-1@edge", "intra_node:robot-1@edge")
     assert as_key not in w.engines["edge"].table.entries
     w.drain()
+    assert len(records(tmp_path / "trace.jsonl", "watchdog_withdraw", service="cam")) == 1
 
 
-def test_config_notice_reconfigures_limiters():
-    w = Mini(SPEC3)
+def test_config_notice_reconfigures_limiters(tmp_path):
+    w = Mini(SPEC3, trace_path=tmp_path / "trace.jsonl")
     w.engines["edge"].announce(decl(topic="img", node="robot-1", size=1_000_000), "cam")
     w.engines["fog"].announce(decl(REQUEST, topic="img", node="fog-1", layer="fog"), "mon")
     w.settle()
@@ -571,7 +575,7 @@ def test_config_notice_reconfigures_limiters():
     assert w.engines["edge"].limit_cfg.limit_mbps == 80.0
     r80 = w.engines["edge"].limiters["node:robot-1"].allocation("img").allocated_rate
     assert r80 == pytest.approx(r160 / 2)
-    assert w.trace.count("limit_reconfig", layer="edge") == 1
+    first_done = w.clock.now
 
     # notices for other layers or unrelated paths are ignored
     other = {"scope": "layer", "subject": "fog", "revision": 3,
@@ -581,8 +585,10 @@ def test_config_notice_reconfigures_limiters():
                  "changed_paths": ["monitor.ping_period_s"]}
     w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(unrelated).encode(), "robot-1")
     w.settle()
-    assert w.trace.count("limit_reconfig") == 1
     w.drain()
+    # one reconfig, by the first notice
+    assert [(r["layer"], r["at"] <= first_done)
+            for r in records(tmp_path / "trace.jsonl", "limit_reconfig")] == [("edge", True)]
 
 
 def test_pushed_flow_periods_reach_the_engine():

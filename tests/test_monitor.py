@@ -319,10 +319,10 @@ def make_pair(delay_ms=25.0, period_s=1.0, timeout_s=5.0):
     fabric = LoopFabric(clock, int(delay_ms * MS))
     a = NodeId("edge", "a")
     b = NodeId("cloud", "b")
-    pa = PingProbe(a, [b], fabric.publish, clock, reg,
-                   period_ns=int(period_s * SECOND), timeout_ns=int(timeout_s * SECOND))
-    pb = PingProbe(b, [a], fabric.publish, clock, reg,
-                   period_ns=int(period_s * SECOND), timeout_ns=int(timeout_s * SECOND))
+    pa = PingProbe(a, [b], fabric.publish, clock, reg, period_ns=int(period_s * SECOND),
+                   timeout_ns=int(timeout_s * SECOND), offsets=[0])
+    pb = PingProbe(b, [a], fabric.publish, clock, reg, period_ns=int(period_s * SECOND),
+                   timeout_ns=int(timeout_s * SECOND), offsets=[0])
     fabric.probes += [pa, pb]
     return clock, reg, pa, pb
 
@@ -360,21 +360,6 @@ def test_probe_ignores_pings_for_other_nodes():
     pa.on_ping(env)  # not addressed to a: no pong, no crash
     clock.run_until(SECOND)
     assert reg.series("mon.rtt_half_ms", {"source": "c@far", "target": "nobody@nowhere"}) == []
-
-
-def test_probe_default_offsets_spread_sends():
-    clock = SimClock()
-    reg = MetricsRegistry(clock)
-    sent = []
-    targets = [NodeId("x", f"n{i}") for i in range(4)]
-    probe = PingProbe(
-        NodeId("x", "src"), targets,
-        publish=lambda t, p: sent.append(clock.now) or 1,
-        clock=clock, registry=reg, period_ns=SECOND, timeout_ns=10 * SECOND,
-    )
-    probe.cycle()
-    clock.run_until(SECOND)
-    assert sent == [0, SECOND // 4, 2 * SECOND // 4, 3 * SECOND // 4]
 
 
 def test_probe_explicit_offsets_validated():

@@ -265,7 +265,7 @@ flow_steps = st.lists(
 @given(flow_steps)
 @settings(max_examples=100, deadline=None)
 def test_engine_bridges_match_whole_table_oracle(steps):
-    w = World(build_topology(WORLD3), seed=1, trace_enabled=False)
+    w = World(build_topology(WORLD3), seed=1)
     w.start()
     running = {}
     for op, idx, node, advs, reqs in steps:

@@ -18,6 +18,7 @@ from flowbridge.ratelimit import HierarchicalLimiter
 from flowbridge.runner import World, WorldError, run_scenario
 from flowbridge.scenario import make_payload, parse_scenario
 from flowbridge.topology import build_topology
+from tracefile import records
 
 TOPO = {
     "layers": [
@@ -281,7 +282,7 @@ class NoScanEntries(dict):
     __iter__ = keys = values = items = _scan
 
 
-def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch):
+def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch, tmp_path):
     syncs = []
     sync = HierarchicalLimiter.sync_publishers
 
@@ -291,7 +292,8 @@ def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch):
 
     monkeypatch.setattr(HierarchicalLimiter, "sync_publishers", spy)
     topo = CHURN_WORLD["topology"]
-    world = World(build_topology(topo), topo["links"], CHURN_WORLD["seed"])
+    world = World(build_topology(topo), topo["links"], CHURN_WORLD["seed"],
+                  trace_path=tmp_path / "trace.jsonl")
     for engine in world.engines.values():
         engine.table.entries = NoScanEntries()
     world.start()
@@ -299,10 +301,10 @@ def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch):
     world.run_for(2.0)
     world.host.kill_service(world.handles["cam"])  # the watchdog withdraws it
     world.run_for(6.0)
-    assert world.trace.count("watchdog_withdraw", service="cam")
     assert sum(len(e.table.entries) for e in world.engines.values()) > 0
     world.drain()
     assert world.issues() == []
+    assert records(tmp_path / "trace.jsonl", "watchdog_withdraw", service="cam")
     # a topic's limiter registration is re-synced only when it changed
     assert syncs and all(syncs)
 
@@ -522,6 +524,8 @@ def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     assert "flowbridge: error:" in capsys.readouterr().err
     assert not list((tmp_path / "o").rglob("metrics.txt"))
+    # the trace is opened only once the world has accepted its input
+    assert not list((tmp_path / "o").rglob("trace.jsonl"))
 
 
 def test_cli_has_no_real_time_flag(tmp_path):

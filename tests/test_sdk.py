@@ -20,6 +20,7 @@ from flowbridge.sdk import (
 )
 from flowbridge.simnet import MS
 from flowbridge.topology import MessageEnvelope, build_topology
+from tracefile import records
 
 SPEC = {
     "layers": [
@@ -30,8 +31,8 @@ SPEC = {
 
 
 @pytest.fixture
-def world():
-    w = World(build_topology(SPEC), seed=1, trace_enabled=True)
+def world(tmp_path):
+    w = World(build_topology(SPEC), seed=1, trace_path=tmp_path / "trace.jsonl")
     w.start()
     w.clock.run_until(10 * MS)
     yield w
@@ -49,13 +50,14 @@ def test_advertise_validation():
         Advertise("t", rate_hz=-1)
 
 
-def test_start_service_lifecycle(world):
+def test_start_service_lifecycle(world, tmp_path):
     h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0, 100)])
     assert h.state == READY
     assert h.scope.key == "intra_node:robot-1@edge"
     assert world.host.services[("robot-1", "cam")] is h
     assert world.heartbeats["edge"].live("cam", "robot-1")
-    assert world.trace.count("service_started", service="cam") == 1
+    world.drain()
+    assert len(records(tmp_path / "trace.jsonl", "service_started", service="cam")) == 1
 
 
 def test_default_scope_depends_on_layer_depth(world):
@@ -163,7 +165,7 @@ def test_same_topic_advertise_and_request_suppresses_self(world):
     assert got == ["robot-2"]
 
 
-def test_stop_service_withdraws_and_cleans_up(world):
+def test_stop_service_withdraws_and_cleans_up(world, tmp_path):
     h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
     world.host.start_service("cloud-1", "viewer", requests=["img"])
     settle(world)
@@ -176,17 +178,19 @@ def test_stop_service_withdraws_and_cleans_up(world):
     assert ("robot-1", "cam") not in world.host.services
     # idempotent
     world.host.stop_service(h)
-    assert world.trace.count("service_stopped", service="cam") == 1
     # past one re-announce period: the stopped service's pending heartbeat
     # and re-announce ticks do nothing, so nothing comes back
     settle(world, 10_500)
     assert world.engines["edge"].bridges == {}
     assert world.engines["cloud"].bridges == {}
     assert not world.heartbeats["edge"].live("cam", "robot-1")
-    assert world.trace.count("hb_register", service="cam") == 1
+    world.drain()
+    trace = tmp_path / "trace.jsonl"
+    assert len(records(trace, "service_stopped", service="cam")) == 1
+    assert len(records(trace, "hb_register", service="cam")) == 1
 
 
-def test_killed_service_is_cleaned_up_by_watchdog(world):
+def test_killed_service_is_cleaned_up_by_watchdog(world, tmp_path):
     h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
     world.host.start_service("cloud-1", "viewer", requests=["img"])
     settle(world)
@@ -197,22 +201,25 @@ def test_killed_service_is_cleaned_up_by_watchdog(world):
     assert world.engines["edge"].bridges
     settle(world, 6_000)  # ttl 3 s + watchdog period + margin
     assert world.engines["edge"].bridges == {}
-    assert world.trace.count("service_killed", service="cam") == 1
-    assert world.trace.count("watchdog_withdraw", service="cam") >= 1
     # past one re-announce period: the dead service neither re-announces
     # nor refreshes its heartbeat
     settle(world, 10_500)
     assert world.engines["edge"].bridges == {}
     assert world.engines["cloud"].bridges == {}
-    assert world.trace.count("hb_register", service="cam") == 1
+    world.drain()
+    trace = tmp_path / "trace.jsonl"
+    assert len(records(trace, "service_killed", service="cam")) == 1
+    assert records(trace, "watchdog_withdraw", service="cam")
+    assert len(records(trace, "hb_register", service="cam")) == 1
 
 
-def test_heartbeats_keep_long_running_service_alive(world):
+def test_heartbeats_keep_long_running_service_alive(world, tmp_path):
     world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
     world.host.start_service("cloud-1", "viewer", requests=["img"])
     settle(world, 12_000)  # several ttl periods
     assert world.engines["edge"].bridges  # never withdrawn
-    assert world.trace.count("watchdog_withdraw", service="cam") == 0
+    world.drain()
+    assert records(tmp_path / "trace.jsonl", "watchdog_withdraw", service="cam") == []
 
 
 def test_duplicate_delivery_is_flagged_as_violation(world):

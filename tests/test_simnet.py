@@ -18,6 +18,7 @@ from flowbridge.simnet import (
 )
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
+from tracefile import records
 
 TOPO = build_topology(
     {
@@ -160,11 +161,11 @@ def test_unlimited_bandwidth_is_instant():
 # -- network construction -------------------------------------------------
 
 
-def make_net(links=None, seed=0):
+def make_net(links=None, seed=0, trace_path=None):
     clock = SimClock()
     rng = Random(seed)
     metrics = MetricsRegistry(clock)
-    net = Network(TOPO, clock, rng, metrics, Trace(enabled=True), links)
+    net = Network(TOPO, clock, rng, metrics, Trace(trace_path), links)
     return net, clock, metrics
 
 
@@ -300,8 +301,9 @@ def test_jitter_spreads_but_never_negative():
     assert all(0 <= d <= 3 * MS for d in deltas)  # clamped at 0, max 1+2 ms
 
 
-def test_inter_layer_bus_charges_only_matching_layers():
+def test_inter_layer_bus_charges_only_matching_layers(tmp_path):
     net, clock, metrics = make_net(
+        trace_path=tmp_path / "trace.jsonl",
         links={
             "crossings": [
                 {"between": ["edge", "cloud"], "latency_ms": 30.0},
@@ -317,7 +319,8 @@ def test_inter_layer_bus_charges_only_matching_layers():
     assert metrics.counter_value("link.msgs", {"link": "edge->cloud"}) == 1
     # fog had no subscriber: its crossing stays idle
     assert metrics.counter_value("link.msgs", {"link": "edge->fog"}) == 0
-    xlinks = list(net.trace.select("xlink"))
+    net.trace.close()
+    xlinks = records(tmp_path / "trace.jsonl", "xlink")
     assert len(xlinks) == 1 and xlinks[0]["to"] == "cloud"
 
 
