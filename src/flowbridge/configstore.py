@@ -3,12 +3,13 @@
 The main store lives on the most central layer and owns versioned
 documents keyed by (scope, subject): layer, node, or service configs.
 Each layer runs a worker that pulls the relevant documents over the
-inter-layer bus each sync period and serves reads locally; reads fall
-back to built-in defaults (revision 0) until a stored document arrives.
-After applying a newer revision the worker publishes one
-ConfigChangeNotice on its layer's intra-layer scope listing the changed
-key paths, which is what drives live reconfiguration (for example the
-flow engine re-running its rate-limit allocation).
+inter-layer bus each sync period and serves reads locally. Until a
+stored document arrives, a read of the worker's own layer gets that
+layer's resolved config at revision 0, and a node or service read gets
+an empty body. After applying a newer revision the worker publishes one
+change notice on its layer's intra-layer scope listing the changed key
+paths, which is what drives live reconfiguration (for example the flow
+engine re-running its rate-limit allocation).
 """
 
 from __future__ import annotations
@@ -111,26 +112,17 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
     return cfg
 
 
-class _LayerDefaults:
-    """Revision-0 bodies: each layer's resolved config, {} for the rest."""
-
-    def __init__(self, topology: Topology, layer_defaults: dict[str, dict] | None):
-        overrides = layer_defaults or {}
-        unknown = set(overrides) - {l.name for l in topology.layers}
-        if unknown:
-            raise ConfigError(f"defaults for unknown layers: {sorted(unknown)}")
-        self._layer_defaults = {
-            l.name: resolve_layer_config(overrides.get(l.name, {}))
-            for l in topology.layers
-        }
-
-    def default_body(self, scope: str, subject: str) -> dict:
-        if scope == "layer":
-            defaults = self._layer_defaults.get(subject)
-            if defaults is None:
-                raise ConfigError(f"unknown layer {subject!r}")
-            return json.loads(canonical(defaults))
-        return {}
+def resolve_layers(topology: Topology,
+                   overrides: dict[str, object] | None) -> dict[str, dict[str, Any]]:
+    """Every layer's resolved config: ``overrides`` maps layer names to
+    `resolve_layer_config` overrides; a layer without an entry gets the
+    defaults."""
+    overrides = overrides or {}
+    unknown = set(overrides) - {l.name for l in topology.layers}
+    if unknown:
+        raise ConfigError(f"defaults for unknown layers: {sorted(unknown)}")
+    return {l.name: resolve_layer_config(overrides.get(l.name, {}))
+            for l in topology.layers}
 
 
 @dataclass(frozen=True)
@@ -147,18 +139,6 @@ class ConfigDocument:
     @classmethod
     def from_obj(cls, obj: dict) -> "ConfigDocument":
         return cls(obj["scope"], obj["subject"], obj["revision"], obj["body"])
-
-
-@dataclass(frozen=True)
-class ConfigChangeNotice:
-    scope: str
-    subject: str
-    revision: int
-    changed_paths: tuple[str, ...]
-
-    def to_obj(self) -> dict:
-        return {"scope": self.scope, "subject": self.subject,
-                "revision": self.revision, "changed_paths": list(self.changed_paths)}
 
 
 def canonical(body: dict) -> str:
@@ -183,11 +163,10 @@ def diff_paths(old: dict, new: dict, prefix: str = "") -> list[str]:
     return paths
 
 
-class MainConfigStore(_LayerDefaults):
+class MainConfigStore:
     """Authoritative document set with monotonic per-document revisions."""
 
-    def __init__(self, topology: Topology, layer_defaults: dict[str, dict] | None = None):
-        super().__init__(topology, layer_defaults)
+    def __init__(self, topology: Topology):
         self.topology = topology
         self.docs: dict[tuple[str, str], ConfigDocument] = {}
 
@@ -229,13 +208,6 @@ class MainConfigStore(_LayerDefaults):
         log.info("config put %s/%s rev %d", scope, subject, revision)
         return doc
 
-    def get(self, scope: str, subject: str) -> ConfigDocument:
-        self._validate_subject(scope, subject)
-        doc = self.docs.get((scope, subject))
-        if doc is not None:
-            return doc
-        return ConfigDocument(scope, subject, 0, self.default_body(scope, subject))
-
     def snapshot_for_layer(self, layer: str) -> list[ConfigDocument]:
         """Stored documents relevant to one layer: its own, its nodes',
         and every service document."""
@@ -256,24 +228,17 @@ class MainConfigService:
 
     def __init__(self, store: MainConfigStore, network: Network, seq: SequenceCounter):
         self.store = store
-        self.network = network
         self.clock = network.clock
         self.seq = seq
         self.registry = network.metrics
         self.home_layer = store.topology.most_central_layer.name
         self.node = store.topology.system_node(self.home_layer)
         self._endpoint = network.endpoint(store.topology.inter_layer_scope(self.home_layer))
-        self._sub = None
 
     def start(self) -> None:
-        if self._sub is None:
-            self._sub = self._endpoint.subscribe(
-                CONFIG_REQUEST, self._on_request, kind=SUB_CONTROL, owner="__config-main")
-
-    def stop(self) -> None:
-        if self._sub is not None:
-            self._endpoint.unsubscribe(self._sub)
-            self._sub = None
+        """Answer pulls from now on; call once."""
+        self._endpoint.subscribe(
+            CONFIG_REQUEST, self._on_request, kind=SUB_CONTROL, owner="__config-main")
 
     def _on_request(self, env: MessageEnvelope) -> None:
         req = json.loads(env.payload)
@@ -286,16 +251,18 @@ class MainConfigService:
         self.registry.inc("config.pulls", {"layer": req["layer"]})
 
 
-class ConfigWorker(_LayerDefaults):
+class ConfigWorker:
     """Per-layer replica: periodic pull, local reads, change notices."""
 
     def __init__(self, layer: str, network: Network, seq: SequenceCounter,
-                 layer_defaults: dict[str, dict] | None = None):
+                 layer_config: dict[str, Any]):
+        """``layer_config`` is this layer's resolved config (see
+        `resolve_layers`), served at revision 0 until a stored layer
+        document arrives."""
         topology = network.topology
-        super().__init__(topology, layer_defaults)
         self.layer = topology.layer(layer).name
+        self._layer_default = ConfigDocument("layer", self.layer, 0, layer_config)
         self.topology = topology
-        self.network = network
         self.clock = network.clock
         self.seq = seq
         self.registry = network.metrics
@@ -304,7 +271,6 @@ class ConfigWorker(_LayerDefaults):
         self.replica: dict[tuple[str, str], ConfigDocument] = {}
         self.notices_sent = 0
         self.running = False
-        self._subs: list = []
         self._pending: dict[str, None] = {}  # unanswered correlation ids, as an ordered set
         self._corr = 0
         self._inter = network.endpoint(topology.inter_layer_scope(self.layer))
@@ -313,10 +279,17 @@ class ConfigWorker(_LayerDefaults):
     # -- reads -----------------------------------------------------------
 
     def get_config(self, scope: str, subject: str) -> ConfigDocument:
+        """The replica's document, else the revision-0 one: this layer's
+        resolved config, or an empty node or service body. Other layers'
+        documents never reach this worker, so reading one is an error."""
         doc = self.replica.get((scope, subject))
         if doc is not None:
             return doc
-        return ConfigDocument(scope, subject, 0, self.default_body(scope, subject))
+        if scope != "layer":
+            return ConfigDocument(scope, subject, 0, {})
+        if subject != self.layer:
+            raise ConfigError(f"layer {self.layer!r} serves no config for layer {subject!r}")
+        return self._layer_default
 
     # -- sync loop ---------------------------------------------------------
 
@@ -324,15 +297,9 @@ class ConfigWorker(_LayerDefaults):
         if self.running:
             return
         self.running = True
-        self._subs.append(self._inter.subscribe(
-            CONFIG_REPLY, self._on_reply, kind=SUB_CONTROL, owner=f"__config-worker/{self.layer}"))
+        self._inter.subscribe(
+            CONFIG_REPLY, self._on_reply, kind=SUB_CONTROL, owner=f"__config-worker/{self.layer}")
         self._sync_tick()
-
-    def stop(self) -> None:
-        self.running = False
-        for h in self._subs:
-            self.network.endpoint(h.scope).unsubscribe(h)
-        self._subs.clear()
 
     def _sync_tick(self) -> None:
         if not self.running:
@@ -365,24 +332,24 @@ class ConfigWorker(_LayerDefaults):
         """Apply newer revisions; emits one notice per changed document."""
         applied = 0
         for doc in docs:
-            key = (doc.scope, doc.subject)
-            have = self.replica.get(key)
-            if have is not None and have.revision >= doc.revision:
+            have = self.get_config(doc.scope, doc.subject)
+            if have.revision >= doc.revision:
                 continue
-            old_body = have.body if have is not None else self.default_body(doc.scope, doc.subject)
-            changed = diff_paths(old_body, doc.body)
-            self.replica[key] = doc
+            changed = diff_paths(have.body, doc.body)
+            self.replica[(doc.scope, doc.subject)] = doc
             applied += 1
-            self._notify(ConfigChangeNotice(doc.scope, doc.subject, doc.revision, tuple(changed)))
+            self._notify(doc, changed)
         if applied:
             self.registry.inc("config.applied", {"layer": self.layer}, applied)
         return applied
 
-    def _notify(self, notice: ConfigChangeNotice) -> None:
+    def _notify(self, doc: ConfigDocument, changed: list[str]) -> None:
+        notice = {"scope": doc.scope, "subject": doc.subject,
+                  "revision": doc.revision, "changed_paths": changed}
         self._intra.publish(control_envelope(
-            CONFIG_NOTICE, notice.to_obj(), self.node, self.seq, self.clock.now))
+            CONFIG_NOTICE, notice, self.node, self.seq, self.clock.now))
         self.notices_sent += 1
         self.registry.inc("config.notices", {"layer": self.layer})
         self.trace.record("config_notice", self.clock.now, layer=self.layer,
-                          scope=notice.scope, subject=notice.subject,
-                          revision=notice.revision, changed=list(notice.changed_paths))
+                          scope=doc.scope, subject=doc.subject,
+                          revision=doc.revision, changed=changed)

@@ -269,7 +269,6 @@ class FlowEngine:
         self._regs_by_client: dict[str, dict[str, tuple[float, int]]] = {}
         self._regs_by_topic: dict[str, dict[str, tuple[float, int]]] = {}
         self.running = False
-        self._subs: list[SubscriberHandle] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -284,28 +283,16 @@ class FlowEngine:
             if scope.kind is ScopeKind.INTER_LAYER:
                 flt = lambda env: env.origin_layer != self.layer
             for topic in (FLOW_ADVERTISE, FLOW_REQUEST, FLOW_WITHDRAW):
-                self._subs.append(ep.subscribe(
+                ep.subscribe(
                     topic, partial(self._on_control, scope), kind=SUB_CONTROL,
                     filter=flt, owner=self.service_name,
-                ))
+                )
         intra = self.network.endpoint(self.topology.intra_layer_scope(self.layer))
-        self._subs.append(intra.subscribe(
+        intra.subscribe(
             CONFIG_NOTICE, self._on_config_notice, kind=SUB_CONTROL, owner=self.service_name,
-        ))
+        )
         self.heartbeats.refresh(self.service_name, self.system_node.name, self.heartbeat_ttl_ns)
         self.clock.call_in(self.watchdog_period_ns, self._watchdog_scan)
-
-    def stop(self) -> None:
-        if not self.running:
-            return
-        self.running = False
-        for h in self._subs:
-            self.network.endpoint(h.scope).unsubscribe(h)
-        self._subs.clear()
-        for bridge in list(self.bridges.values()):
-            self._remove_bridge(bridge)
-        self._topic_bridges.clear()
-        self.heartbeats.remove(self.service_name, self.system_node.name)
 
     # -- declaration intake ------------------------------------------------
 

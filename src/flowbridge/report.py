@@ -88,8 +88,11 @@ SUMMARY_FIELDS = [
 
 
 def write_summary(path: str | Path, registry: MetricsRegistry,
-                  duration_s: float) -> None:
-    write_csv(path, SUMMARY_FIELDS, summary_rows(registry, duration_s))
+                  duration_s: float) -> list[dict]:
+    """Write summary.csv; returns its rows."""
+    rows = summary_rows(registry, duration_s)
+    write_csv(path, SUMMARY_FIELDS, rows)
+    return rows
 
 
 def link_rows(registry: MetricsRegistry, network, duration_s: float) -> list[dict]:
@@ -148,23 +151,19 @@ def write_bridges(path: str | Path, trace_path: str | Path) -> None:
     write_csv(path, BRIDGE_FIELDS, bridge_rows(trace_path))
 
 
-def placement_rows(tag: str, registry: MetricsRegistry,
-                   duration_s: float) -> list[dict]:
+def placement_rows(tag: str, rows: list[dict]) -> list[dict]:
     """Summary rows labeled with the placement they came from."""
-    rows = []
-    for row in summary_rows(registry, duration_s):
-        rows.append({"placement": tag, **row})
-    return rows
+    return [{"placement": tag, **row} for row in rows]
 
 
 def write_placement_compare(path: str | Path, rows: list[dict]) -> None:
     write_csv(path, ["placement"] + SUMMARY_FIELDS, rows)
 
 
-def digest_lines(registry: MetricsRegistry, duration_s: float) -> list[str]:
-    """Human-readable per-topic digest for the log."""
+def digest_lines(rows: list[dict]) -> list[str]:
+    """Human-readable per-topic digest of summary rows, for the log."""
     lines = []
-    for row in summary_rows(registry, duration_s):
+    for row in rows:
         lat = row["latency_mean_ms"]
         lat_part = f" mean={lat}ms" if lat else ""
         drops = row["drop_loss"] + row["drop_dedupe"] + row["drop_limiter"]

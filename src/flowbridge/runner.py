@@ -15,7 +15,7 @@ import random
 from pathlib import Path
 
 from . import report
-from .configstore import ConfigWorker, MainConfigService, MainConfigStore
+from .configstore import ConfigWorker, MainConfigService, MainConfigStore, resolve_layers
 from .flow import FlowEngine
 from .monitor import (
     PING_TOPIC,
@@ -28,7 +28,7 @@ from .monitor import (
 from .scenario import ProbesSpec, Scenario, ServiceSpec, StreamSpec, load_scenario, make_payload
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
 from .simnet import SECOND, Network, SimClock, ns_from_s
-from .topology import SequenceCounter, Topology, build_topology, load_topology
+from .topology import SequenceCounter, Topology, TopologyError, build_topology, load_topology
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
@@ -57,12 +57,11 @@ class _StreamDriver:
     """
 
     def __init__(self, world: "World", service: str, stream: StreamSpec,
-                 rng: random.Random, stop_at: int | None):
+                 rng: random.Random):
         self.world = world
         self.service = service
         self.stream = stream
         self.rng = rng
-        self.stop_at = stop_at
         self.period_ns = max(1, round(SECOND / stream.rate_hz))
         self.sent = 0
         self.frame: bytes | None = None  # the frame every tick reuses, once drawn
@@ -73,9 +72,6 @@ class _StreamDriver:
             return
         handle = world.handles.get(self.service)
         if handle is None or handle.state != READY:
-            return
-        now = world.clock.now
-        if self.stop_at is not None and now > self.stop_at:
             return
         payload = self.frame
         if payload is None:
@@ -112,7 +108,8 @@ class World:
         }
         self.seqs = {n.name: SequenceCounter() for n in topology.nodes}
 
-        self.store = MainConfigStore(topology, layer_defaults=config)
+        layer_configs = resolve_layers(topology, config)
+        self.store = MainConfigStore(topology)
         home = topology.most_central_layer.name
         self.config_main = MainConfigService(
             self.store, self.network, self._system_seq(home))
@@ -120,7 +117,7 @@ class World:
         self.engines: dict[str, FlowEngine] = {}
         for l in topology.layers:
             worker = ConfigWorker(l.name, self.network, self._system_seq(l.name),
-                                  layer_defaults=config)
+                                  layer_configs[l.name])
             self.workers[l.name] = worker
             self.engines[l.name] = FlowEngine(
                 l.name, self.network, self.heartbeats[l.name],
@@ -200,12 +197,10 @@ class World:
             external=spec.external,
         )
         self.handles[spec.name] = handle
-        stop_at = None if spec.stop_s is None else ns_from_s(spec.stop_s)
         for stream, seed in zip(spec.advertises, seeds):
             if stream.rate_hz <= 0:
                 continue
-            driver = _StreamDriver(self, spec.name, stream,
-                                   random.Random(seed), stop_at)
+            driver = _StreamDriver(self, spec.name, stream, random.Random(seed))
             self.drivers.append(driver)
             self.clock.call_in(driver.period_ns, driver.tick)
 
@@ -307,6 +302,25 @@ def _resolve_topology(topology_ref: str | None,
         "no topology given and the scenario does not embed one")
 
 
+def _check_fits(topology: Topology, scenario: Scenario) -> None:
+    """Reject, before any world runs, a scenario naming a node the topology
+    lacks or an external scope its layer does not have."""
+    sweep = scenario.sweep
+    placed = [(f"service {spec.name!r}", node, spec.external)
+              for spec in scenario.services
+              for node in (sweep.nodes if sweep and sweep.service == spec.name
+                           else (spec.node,))]
+    if scenario.probes is not None:
+        placed += [("probes", node, False) for node in scenario.probes.nodes]
+    for where, name, external in placed:
+        try:
+            node = topology.node(name)
+            if external:
+                topology.external_scope(node.layer)
+        except TopologyError as exc:
+            raise WorldError(f"{where}: {exc}") from None
+
+
 def run_scenario(
     topology_ref: str | None,
     scenario_ref: str,
@@ -318,6 +332,7 @@ def run_scenario(
     0 for a clean run, 3 when an invariant was violated."""
     scenario = load_scenario(scenario_ref)
     topology, links = _resolve_topology(topology_ref, scenario)
+    _check_fits(topology, scenario)
     run_seed = scenario.seed if seed is None else seed
     duration = duration_override if duration_override else scenario.duration_s
     out = Path(out_dir)
@@ -353,12 +368,12 @@ def run_scenario(
 
         with open(run_dir / "metrics.txt", "wb") as fh:
             export_metrics(world.registry, fh)
-        report.write_summary(run_dir / "summary.csv", world.registry, duration)
+        rows = report.write_summary(run_dir / "summary.csv", world.registry, duration)
         report.write_links(run_dir / "links.csv", world.registry,
                            world.network, duration)
         report.write_bridges(run_dir / "bridges.csv", trace_path)
-        compare_rows.extend(report.placement_rows(tag, world.registry, duration))
-        for line in report.digest_lines(world.registry, duration):
+        compare_rows.extend(report.placement_rows(tag, rows))
+        for line in report.digest_lines(rows):
             log.info("  %s", line)
         for msg in issues:
             log.error("  invariant: %s", msg)

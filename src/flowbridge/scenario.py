@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .configstore import ConfigError, resolve_layer_config
+from .topology import RESERVED_PREFIX
 
 
 class ScenarioError(ValueError):
@@ -74,6 +75,10 @@ class ServiceSpec:
             dupes = sorted({t for t in topics if topics.count(t) > 1})
             if dupes:
                 raise ScenarioError(f"service {self.name!r}: duplicate {kind} topics {dupes}")
+            reserved = sorted({t for t in topics if t.startswith(RESERVED_PREFIX)})
+            if reserved:
+                raise ScenarioError(f"service {self.name!r}: {kind} topics {reserved} "
+                                    f"are in the reserved {RESERVED_PREFIX!r} namespace")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from random import Random
 import pytest
 
 from flowbridge.configstore import (
-    ConfigChangeNotice,
     ConfigDocument,
     ConfigError,
     ConfigWorker,
@@ -16,6 +15,7 @@ from flowbridge.configstore import (
     default_layer_config,
     diff_paths,
     merge_config,
+    resolve_layers,
 )
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import MS, Network, SimClock
@@ -73,8 +73,15 @@ def test_diff_paths():
 def test_document_round_trip():
     doc = ConfigDocument("layer", "edge", 3, {"k": 1})
     assert ConfigDocument.from_obj(doc.to_obj()) == doc
-    notice = ConfigChangeNotice("layer", "edge", 3, ("rate_limit.beta",))
-    assert notice.to_obj()["changed_paths"] == ["rate_limit.beta"]
+
+
+def test_resolve_layers_covers_every_layer_and_rejects_unknown_ones():
+    layers = resolve_layers(make_topo(), {"edge": {"rate_limit": {"limit_mbps": 40.0}}})
+    assert list(layers) == ["edge", "fog", "cloud"]
+    assert layers["edge"]["rate_limit"]["limit_mbps"] == 40.0
+    assert layers["fog"] == layers["cloud"] == default_layer_config()
+    with pytest.raises(ConfigError, match="unknown layers"):
+        resolve_layers(make_topo(), {"mist": {}})
 
 
 # -- main store ---------------------------------------------------------------
@@ -96,16 +103,6 @@ def test_store_identical_body_is_noop():
     assert d2.revision == 1 and d1 == d2
 
 
-def test_store_get_falls_back_to_defaults():
-    store = MainConfigStore(make_topo(), layer_defaults={"edge": {"rate_limit": {"limit_mbps": 40.0}}})
-    doc = store.get("layer", "edge")
-    assert doc.revision == 0
-    assert doc.body["rate_limit"]["limit_mbps"] == 40.0
-    assert store.get("layer", "fog").body["rate_limit"]["limit_mbps"] == 160.0
-    assert store.get("node", "robot-1").body == {}
-    assert store.get("service", "cam").body == {}
-
-
 def test_store_validates_subjects():
     store = MainConfigStore(make_topo())
     with pytest.raises(Exception):
@@ -116,8 +113,6 @@ def test_store_validates_subjects():
         store.put("service", "", {})
     with pytest.raises(ConfigError):
         store.put("cluster", "edge", {})
-    with pytest.raises(ConfigError):
-        MainConfigStore(make_topo(), layer_defaults={"mist": {}})
 
 
 def test_store_snapshot_filters_by_layer():
@@ -155,20 +150,21 @@ def test_store_rejects_layer_document_that_cannot_run(body):
 
 
 class ConfigWorld:
-    def __init__(self, layer_defaults=None, links=None):
+    def __init__(self, config=None, links=None):
         self.topology = make_topo()
         self.clock = SimClock()
         self.metrics = MetricsRegistry(self.clock)
         self.network = Network(self.topology, self.clock, Random(0),
                                self.metrics, links=links)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
-        self.store = MainConfigStore(self.topology, layer_defaults=layer_defaults)
+        self.store = MainConfigStore(self.topology)
         self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])
+        layers = resolve_layers(self.topology, config)
         self.workers = {
             l.name: ConfigWorker(
                 l.name, self.network,
                 self.seqs[self.topology.system_node(l.name).name],
-                layer_defaults=layer_defaults,
+                layers[l.name],
             )
             for l in self.topology.layers
         }
@@ -188,12 +184,20 @@ class ConfigWorld:
 
 
 def test_worker_reads_default_before_first_sync():
-    w = ConfigWorld(layer_defaults={"fog": {"config": {"sync_period_s": 9.0}}})
-    doc = w.workers["fog"].get_config("layer", "fog")
+    w = ConfigWorld(config={"fog": {"config": {"sync_period_s": 9.0}}})
+    fog = w.workers["fog"]
+    doc = fog.get_config("layer", "fog")
     assert doc.revision == 0
     assert doc.body["config"]["sync_period_s"] == 9.0
+    assert fog.get_config("layer", "fog") is doc  # built once, served without copies
+    for scope, subject in (("node", "fog-1"), ("service", "cam")):
+        empty = fog.get_config(scope, subject)
+        assert (empty.revision, empty.body) == (0, {})
+    # another layer's document never reaches this worker: no stale defaults
     with pytest.raises(ConfigError):
-        w.workers["fog"].get_config("layer", "mist")
+        fog.get_config("layer", "edge")
+    with pytest.raises(ConfigError):
+        fog.get_config("layer", "mist")
     w.drain()
 
 

@@ -605,19 +605,6 @@ def test_pushed_flow_periods_reach_the_engine():
     assert w.issues() == []
 
 
-def test_engine_stop_removes_bridges_and_subscriptions():
-    w = Mini(SPEC3)
-    w.engines["edge"].announce(decl(topic="t", node="robot-1"), "svc")
-    w.engines["fog"].announce(decl(REQUEST, topic="t", node="fog-1", layer="fog"), "req")
-    w.settle()
-    assert w.bridge_keys("fog")
-    w.engines["fog"].stop()
-    assert w.bridge_keys("fog") == set()
-    assert not w.heartbeats["fog"].live(
-        w.engines["fog"].service_name, "fog-1")
-    w.drain()
-
-
 def test_convergence_is_order_independent():
     def build(order):
         w = Mini(SPEC3)

@@ -515,6 +515,25 @@ def _with_links(links):
     pytest.param(mini_scenario(topology={"layers": [
         {"name": "x@edge", "nodes": ["a", "robot-1"]}, {"name": "edge", "nodes": ["a@x"]},
         TOPO["layers"][1]]}), id="at-sign-in-names"),
+    # scenarios the topology cannot serve: each used to fail only once the
+    # world reached it, after writing earlier placements' files, or, for a
+    # reserved topic, with a traceback
+    pytest.param(mini_scenario(services=[
+        *mini_scenario()["services"],
+        {"name": "late", "node": "ghost", "start_s": 1.0}]), id="unknown-service-node"),
+    pytest.param(mini_scenario(sweep={"service": "mapper", "nodes": ["cloud-1", "ghost"]}),
+                 id="unknown-sweep-node"),
+    pytest.param(mini_scenario(probes={"nodes": ["robot-1", "ghost"]}), id="unknown-probe-node"),
+    pytest.param(mini_scenario(services=[
+        *mini_scenario()["services"],
+        {"name": "gateway", "node": "cloud-1", "external": True}]), id="no-external-scope"),
+    pytest.param(mini_scenario(services=[
+        {"name": "spoof", "node": "robot-1",
+         "advertises": [{"topic": "__flow/advertise", "rate_hz": 1.0, "size": 8}]}]),
+                 id="reserved-advertise"),
+    pytest.param(mini_scenario(services=[
+        {"name": "snoop", "node": "robot-1", "requests": ["__config/notice"]}]),
+                 id="reserved-request"),
 ])
 def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
     # each used to exit 1 with a traceback, crash mid-run (NaN, Infinity),
