@@ -38,7 +38,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from . import codec
 from .broker import SUB_BRIDGE, SUB_CONTROL, SubscriberHandle
@@ -59,6 +59,8 @@ from .topology import (
     ScopeKind,
     SequenceCounter,
     control_envelope,
+    declaration_body,
+    declaration_from_body,
 )
 
 CONTROL_TOPIC = {ADVERTISE: FLOW_ADVERTISE, REQUEST: FLOW_REQUEST}
@@ -266,7 +268,7 @@ class FlowEngine:
         self._topic_bridges: dict[str, set[BridgeKey]] = {}
         self.windows: dict[str, DedupeWindow] = {s.key: DedupeWindow() for s in self.scopes}
         self.limiters: dict[str, HierarchicalLimiter] = {}
-        self._regs_by_client: dict[str, dict[str, tuple[float, int]]] = {}
+        # the last registration synced per topic: {topic: {client: (rate, size)}}
         self._regs_by_topic: dict[str, dict[str, tuple[float, int]]] = {}
         self.running = False
 
@@ -324,17 +326,12 @@ class FlowEngine:
         for name in sorted(self._all_layers):
             if name not in out.visited_layers:
                 out = out.visit(name)
-        body = {"decl": out.to_obj(), "service": service, "sender_layer": self.layer}
-        self._publish_control(control_topic, body)
-
-    def _publish_control(self, topic: str, body: dict[str, Any]) -> None:
-        self.network.endpoint(self.inter_scope).publish(
-            control_envelope(topic, body, self.system_node, self.seq, self.clock.now))
+        self.network.endpoint(self.inter_scope).publish(control_envelope(
+            control_topic, declaration_body(out, service, self.layer),
+            self.system_node, self.seq, self.clock.now))
 
     def _on_control(self, scope: BrokerScope, env: MessageEnvelope) -> None:
-        body = json.loads(env.payload)
-        decl = FlowDeclaration.from_obj(body["decl"])
-        service = body.get("service", "anonymous")
+        decl, service = declaration_from_body(json.loads(env.payload))
         if env.topic == FLOW_WITHDRAW:
             self.withdraw(decl, service)
         else:
@@ -412,19 +409,17 @@ class FlowEngine:
         if fresh:
             self._regs_by_topic[topic] = fresh
         for client in sorted(stale.keys() | fresh.keys()):
-            if stale.get(client) == fresh.get(client):
+            reg = fresh.get(client)
+            if reg == stale.get(client):
                 continue
-            regs = self._regs_by_client.setdefault(client, {})
-            regs.pop(topic, None)
-            if client in fresh:
-                regs[topic] = fresh[client]
-            if not regs:
-                del self._regs_by_client[client], self.limiters[client]
-                continue
-            if client not in self.limiters:
-                self.limiters[client] = HierarchicalLimiter(
+            limiter = self.limiters.get(client)
+            if limiter is None:
+                limiter = self.limiters[client] = HierarchicalLimiter(
                     self.limit_cfg, self.clock, client, self.registry)
-            self.limiters[client].sync_publishers(regs)
+            elif reg is None and len(limiter.records) == 1:
+                del self.limiters[client]  # its last topic: nothing to reallocate
+                continue
+            limiter.sync_publishers(topic, reg)
 
     # -- data path -----------------------------------------------------------
 

@@ -28,7 +28,7 @@ messages. A denied acquire means the frame is dropped, never queued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping
 
 from .monitor import MetricsRegistry
@@ -63,15 +63,7 @@ class RateLimitConfig:
             raise ValueError("compression_level must be in [0, 16]")
 
     def to_obj(self) -> dict[str, Any]:
-        return {
-            "limit_mbps": self.limit_mbps,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "min_rate_hz": self.min_rate_hz,
-            "bucket_capacity": self.bucket_capacity,
-            "large_threshold": self.large_threshold,
-            "compression_level": self.compression_level,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: Mapping[str, Any]) -> "RateLimitConfig":
@@ -217,9 +209,13 @@ class TokenBucket:
 class HierarchicalLimiter:
     """Allocator plus per-topic buckets for one client (node or layer).
 
-    Registration changes and size observations trigger a reallocation;
-    buckets of retained topics keep their token balance across
-    reallocations, new topics start with a full bucket.
+    ``records`` is the only per-client copy of the registrations, and
+    only registered topics are admitted. The engine keeps the declared
+    ``(rate, size)`` per topic; a record's ``max_size`` can exceed the
+    declared size, since live payloads grow it. Registration changes
+    and size observations trigger a reallocation; buckets of retained
+    topics keep their token balance across reallocations, new topics
+    start with a full bucket.
     """
 
     def __init__(self, cfg: RateLimitConfig, clock, client: str = "",
@@ -234,40 +230,33 @@ class HierarchicalLimiter:
 
     # -- registration ----------------------------------------------------
 
-    def sync_publishers(self, wanted: Mapping[str, tuple[float, int]]) -> bool:
-        """Reconcile the registered set to ``wanted`` {topic: (rate, size)}.
+    def sync_publishers(self, topic: str, reg: tuple[float, int] | None) -> bool:
+        """Register or update one topic's ``(rate, size)``, or unregister it
+        when ``reg`` is None.
 
-        Observed max sizes never shrink while a topic stays registered.
-        Returns True when anything changed (a reallocation happened).
+        The rate is replaced; the observed max size only grows while the
+        topic stays registered. Returns True when a reallocation happened.
         """
-        changed = False
-        for topic in list(self.records):
-            if topic not in wanted:
-                del self.records[topic]
-                changed = True
-        for topic, (rate, size) in wanted.items():
-            rec = self.records.get(topic)
+        rec = self.records.get(topic)
+        if reg is None:
             if rec is None:
-                self.records[topic] = PublisherRecord(topic, rate, size)
-                changed = True
-            else:
-                if rec.advertised_rate != rate:
-                    rec.advertised_rate = rate
-                    changed = True
-                if size > rec.max_size:
-                    rec.max_size = size
-                    changed = True
-        if changed:
-            self._reallocate()
-        return changed
+                return False
+            del self.records[topic]
+        elif rec is None:
+            self.records[topic] = PublisherRecord(topic, *reg)
+        else:
+            rate, size = reg
+            if rate == rec.advertised_rate and size <= rec.max_size:
+                return False
+            rec.advertised_rate = rate
+            rec.max_size = max(rec.max_size, size)
+        self._reallocate()
+        return True
 
     def observe_size(self, topic: str, size: int) -> bool:
-        """Grow a topic's max size from a live payload; True if reallocated."""
-        rec = self.records.get(topic)
-        if rec is None:
-            self.records[topic] = PublisherRecord(topic, 0.0, size)
-            self._reallocate()
-            return True
+        """Grow a registered topic's max size from a live payload; True if
+        reallocated."""
+        rec = self.records[topic]
         if size > rec.max_size:
             rec.max_size = size
             self._reallocate()
@@ -285,12 +274,7 @@ class HierarchicalLimiter:
         return self.result.allocations.get(topic)
 
     def try_acquire(self, topic: str) -> bool:
-        bucket = self.buckets.get(topic)
-        if bucket is None:
-            # unregistered talker: admit it as unknown rate/size first
-            self.observe_size(topic, 0)
-            bucket = self.buckets[topic]
-        granted = bucket.try_acquire(self.clock.now)
+        granted = self.buckets[topic].try_acquire(self.clock.now)
         if not granted and self.registry is not None:
             self.registry.inc("ratelimit.denied", {"client": self.client, "topic": topic})
         return granted

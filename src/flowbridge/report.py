@@ -10,21 +10,18 @@ from .monitor import MetricsRegistry, ordered_sum
 from .tracing import events
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolated percentile, q in [0, 100]."""
-    if not values:
+def percentile(sorted_values: list[float], q: float) -> float:
+    """Linear-interpolated percentile of an ascending list, q in [0, 100]."""
+    if not sorted_values:
         raise ValueError("percentile of empty list")
     if not 0 <= q <= 100:
         raise ValueError("q must be within [0, 100]")
-    data = sorted(values)
-    if len(data) == 1:
-        return data[0]
-    pos = (len(data) - 1) * q / 100.0
+    pos = (len(sorted_values) - 1) * q / 100.0
     lo = int(pos)
     frac = pos - lo
-    if lo + 1 >= len(data):
-        return data[-1]
-    return data[lo] * (1 - frac) + data[lo + 1] * frac
+    if lo + 1 >= len(sorted_values):
+        return sorted_values[-1]
+    return sorted_values[lo] * (1 - frac) + sorted_values[lo + 1] * frac
 
 
 def write_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -53,26 +50,33 @@ def latency_by_topic(registry: MetricsRegistry) -> dict[str, list[float]]:
     return pools
 
 
+def conservation_totals(registry: MetricsRegistry) -> list[dict[str, float]]:
+    """Per-topic totals of offered, delivered and the three drop reasons
+    (loss, dedupe, limiter); once drained, offered splits exactly into
+    the other four."""
+    return [registry.totals(name, "topic") for name in (
+        "flow.offered", "flow.delivered", "flow.drop.loss",
+        "flow.drop.dedupe", "flow.drop.limiter")]
+
+
 def summary_rows(registry: MetricsRegistry, duration_s: float) -> list[dict]:
     """One row per topic: delivery rate, latency stats, drop breakdown."""
-    offered, delivered, loss, dedupe, limiter = (
-        registry.totals(name, "topic") for name in (
-            "flow.offered", "flow.delivered", "flow.drop.loss",
-            "flow.drop.dedupe", "flow.drop.limiter"))
+    offered, delivered, loss, dedupe, limiter = conservation_totals(registry)
     pools = latency_by_topic(registry)
     rows = []
     for topic in sorted(offered.keys() | delivered.keys()):
         n_delivered = delivered.get(topic, 0)
         lats = pools.get(topic, [])
+        ordered = sorted(lats)
         rows.append({
             "topic": topic,
             "offered": int(offered.get(topic, 0)),
             "delivered": int(n_delivered),
             "delivered_hz": _fmt(n_delivered / duration_s),
             "latency_mean_ms": _fmt(ordered_sum(lats) / len(lats)) if lats else "",
-            "latency_p50_ms": _fmt(percentile(lats, 50)) if lats else "",
-            "latency_p95_ms": _fmt(percentile(lats, 95)) if lats else "",
-            "latency_p99_ms": _fmt(percentile(lats, 99)) if lats else "",
+            "latency_p50_ms": _fmt(percentile(ordered, 50)) if lats else "",
+            "latency_p95_ms": _fmt(percentile(ordered, 95)) if lats else "",
+            "latency_p99_ms": _fmt(percentile(ordered, 99)) if lats else "",
             "drop_loss": int(loss.get(topic, 0)),
             "drop_dedupe": int(dedupe.get(topic, 0)),
             "drop_limiter": int(limiter.get(topic, 0)),

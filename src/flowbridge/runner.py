@@ -258,9 +258,7 @@ class World:
     def accounting(self) -> list[dict]:
         """Per-topic conservation: offered splits exactly into delivered
         plus the three drop reasons. Only valid after drain()."""
-        totals = [self.registry.totals(name, "topic") for name in (
-            "flow.offered", "flow.delivered", "flow.drop.loss",
-            "flow.drop.dedupe", "flow.drop.limiter")]
+        totals = report.conservation_totals(self.registry)
         rows = []
         for topic in sorted(totals[0]):
             offered, delivered, loss, dedupe, limiter = (t.get(topic, 0) for t in totals)

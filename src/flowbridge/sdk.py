@@ -35,6 +35,7 @@ from .topology import (
     NodeId,
     SequenceCounter,
     control_envelope,
+    declaration_body,
 )
 
 log = logging.getLogger(__name__)
@@ -305,10 +306,9 @@ class ServiceHost:
 
     def _publish_control(self, handle: ServiceHandle, control_topic: str,
                          decl: FlowDeclaration) -> None:
-        body = {"decl": decl.to_obj(), "service": handle.name,
-                "sender_layer": handle.node.layer}
         self.network.endpoint(handle.scope).publish(control_envelope(
-            control_topic, body, handle.node, self.seqs[handle.node.name], self.clock.now))
+            control_topic, declaration_body(decl, handle.name, handle.node.layer),
+            handle.node, self.seqs[handle.node.name], self.clock.now))
 
     # -- timers -------------------------------------------------------------
     # A tick re-arms itself while the service is READY and the host active;

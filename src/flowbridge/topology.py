@@ -136,6 +136,16 @@ def control_envelope(topic: str, body: dict[str, Any], node: NodeId,
     )
 
 
+def declaration_body(decl: "FlowDeclaration", service: str, sender_layer: str) -> dict[str, Any]:
+    """The control body that carries ``service``'s declaration."""
+    return {"decl": decl.to_obj(), "service": service, "sender_layer": sender_layer}
+
+
+def declaration_from_body(body: dict[str, Any]) -> tuple["FlowDeclaration", str]:
+    """The declaration and service carried by a ``declaration_body``."""
+    return FlowDeclaration.from_obj(body["decl"]), body.get("service", "anonymous")
+
+
 @dataclass(frozen=True)
 class FlowDeclaration:
     """An advertise or request for one topic, as flooded between layers.

@@ -290,6 +290,7 @@ def test_engine_bridges_match_whole_table_oracle(steps):
             regs = oracle_limiter_regs(engine)
             assert set(engine.limiters) == set(regs), engine.layer
             for client, limiter in engine.limiters.items():
+                assert limiter.records, (engine.layer, client)
                 got = {t: (r.advertised_rate, r.max_size) for t, r in limiter.records.items()}
                 assert got == regs[client], (engine.layer, client)
     w.drain()

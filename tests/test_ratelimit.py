@@ -258,21 +258,23 @@ def make_limiter(cfg=None):
 
 def test_limiter_register_and_acquire():
     lim, clock = make_limiter()
-    lim.sync_publishers({"scan": (30.0, 1024)})
+    lim.sync_publishers("scan", (30.0, 1024))
     assert lim.allocation("scan").allocated_rate == 30.0
     assert lim.try_acquire("scan")
 
 
-def test_limiter_admits_unregistered_talker():
+def test_limiter_admits_only_registered_topics():
     lim, _ = make_limiter()
-    assert lim.try_acquire("surprise")
-    rec = lim.records["surprise"]
-    assert rec.advertised_rate == 0.0 and rec.max_size == 0
+    with pytest.raises(KeyError):
+        lim.try_acquire("surprise")
+    with pytest.raises(KeyError):
+        lim.observe_size("surprise", 100)
+    assert lim.records == {} and lim.buckets == {}
 
 
 def test_limiter_denial_after_burst():
     lim, clock = make_limiter(RateLimitConfig(limit_mbps=8.0))
-    lim.sync_publishers({"image": (0.0, 1_000_000)})  # floored to 2 Hz
+    lim.sync_publishers("image", (0.0, 1_000_000))  # floored to 2 Hz
     assert lim.try_acquire("image")
     assert lim.try_acquire("image")
     assert not lim.try_acquire("image")  # bucket empty, frame dropped
@@ -280,26 +282,34 @@ def test_limiter_denial_after_burst():
 
 def test_limiter_sync_publishers_reconciles():
     lim, _ = make_limiter()
-    assert lim.sync_publishers({"a": (5.0, 100), "b": (1.0, 50)})
+    assert lim.sync_publishers("a", (5.0, 100))
+    assert lim.sync_publishers("b", (1.0, 50))
     assert set(lim.records) == {"a", "b"}
     assert set(lim.buckets) == {"a", "b"}
     # no-op sync reports no change
-    assert not lim.sync_publishers({"a": (5.0, 100), "b": (1.0, 50)})
+    assert not lim.sync_publishers("a", (5.0, 100))
+    assert not lim.sync_publishers("b", (1.0, 50))
+    # a new rate is a change
+    assert lim.sync_publishers("b", (2.0, 50))
+    assert lim.records["b"].advertised_rate == 2.0
     # removal drops both record and bucket
-    assert lim.sync_publishers({"a": (5.0, 100)})
+    assert lim.sync_publishers("b", None)
+    assert set(lim.records) == {"a"}
     assert set(lim.buckets) == {"a"}
+    # removing what is not registered is no change
+    assert not lim.sync_publishers("b", None)
 
 
 def test_limiter_max_size_never_shrinks():
     lim, _ = make_limiter()
-    lim.sync_publishers({"a": (5.0, 1000)})
-    assert not lim.sync_publishers({"a": (5.0, 10)})
+    lim.sync_publishers("a", (5.0, 1000))
+    assert not lim.sync_publishers("a", (5.0, 10))
     assert lim.records["a"].max_size == 1000
 
 
 def test_limiter_observe_size_grows_and_reallocates():
     lim, _ = make_limiter(RateLimitConfig(limit_mbps=8.0))
-    lim.sync_publishers({"image": (30.0, 1000)})
+    lim.sync_publishers("image", (30.0, 1000))
     assert lim.allocation("image").allocated_rate == 30.0
     assert lim.observe_size("image", 1_000_000)
     assert lim.allocation("image").large
@@ -308,17 +318,17 @@ def test_limiter_observe_size_grows_and_reallocates():
 
 def test_limiter_tokens_persist_across_reallocation():
     lim, _ = make_limiter()
-    lim.sync_publishers({"a": (10.0, 100)})
+    lim.sync_publishers("a", (10.0, 100))
     assert lim.try_acquire("a") and lim.try_acquire("a")
     # registering another topic reallocates but must not refill a's bucket
-    lim.sync_publishers({"a": (10.0, 100), "b": (10.0, 100)})
+    assert lim.sync_publishers("b", (10.0, 100))
     assert not lim.try_acquire("a")
     assert lim.try_acquire("b")
 
 
 def test_limiter_reconfigure_changes_rates():
     lim, _ = make_limiter()
-    lim.sync_publishers({"image": (0.0, 1_000_000)})
+    lim.sync_publishers("image", (0.0, 1_000_000))
     r160 = lim.allocation("image").allocated_rate
     lim.reconfigure(RateLimitConfig(limit_mbps=80.0))
     r80 = lim.allocation("image").allocated_rate
@@ -331,8 +341,6 @@ def test_limiter_registration_order_is_irrelevant():
     lim1, _ = make_limiter()
     lim2, _ = make_limiter()
     for lim, order in ((lim1, "abc"), (lim2, "cba")):
-        wanted = {}
         for t in order:  # one topic at a time, each sync a reallocation
-            wanted[t] = pubs[t]
-            lim.sync_publishers(wanted)
+            assert lim.sync_publishers(t, pubs[t])
     assert lim1.result.rates() == lim2.result.rates()

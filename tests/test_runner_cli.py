@@ -286,8 +286,8 @@ def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch, tmp_pa
     syncs = []
     sync = HierarchicalLimiter.sync_publishers
 
-    def spy(limiter, wanted):
-        syncs.append(sync(limiter, wanted))
+    def spy(limiter, topic, reg):
+        syncs.append(sync(limiter, topic, reg))
         return syncs[-1]
 
     monkeypatch.setattr(HierarchicalLimiter, "sync_publishers", spy)
