@@ -1,28 +1,26 @@
 """Distributed configuration: main store, per-layer workers, notices.
 
-The main store lives on the most central layer and owns versioned
-documents keyed by (scope, subject): layer, node, or service configs.
-Each layer runs a worker that pulls the relevant documents over the
-inter-layer bus each sync period and serves reads locally. Until a
-stored document arrives, a read of the worker's own layer gets that
-layer's resolved config at revision 0, and a node or service read gets
-an empty body. After applying a newer revision the worker publishes one
-change notice on its layer's intra-layer scope listing the changed key
-paths, which is what drives live reconfiguration (for example the flow
-engine re-running its rate-limit allocation).
+The main store lives on the most central layer and owns one versioned
+document per layer: that layer's whole config. Each layer runs a worker
+that pulls its layer's document over the inter-layer bus each sync
+period and serves reads locally. Until a stored document arrives, a
+worker serves its layer's resolved config at revision 0. After applying
+a newer revision the worker publishes one change notice on its layer's
+intra-layer scope listing the changed key paths, which is what drives
+live reconfiguration (for example the flow engine re-running its
+rate-limit allocation).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .broker import SUB_CONTROL
 from .ratelimit import RateLimitConfig
-from .simnet import Network, ns_from_s
+from .simnet import MAX_S, Network, finite_number, ns_from_s
 from .topology import (
     CONFIG_NOTICE,
     CONFIG_REPLY,
@@ -34,8 +32,6 @@ from .topology import (
 )
 
 log = logging.getLogger(__name__)
-
-SCOPES = ("layer", "node", "service")
 
 # periods that re-arm a timer: zero would re-fire at the same instant forever
 _POSITIVE = (("flow", "heartbeat_s"), ("flow", "heartbeat_ttl_s"),
@@ -75,9 +71,10 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
 
     Every section and key must exist in ``default_layer_config()`` and
     every value must be a finite number (an integer where the default is
-    one). Timer periods must be > 0; ``flow.reannounce_s`` may be 0,
-    which switches re-announce off. ``flow.heartbeat_ttl_s`` must cover
-    both the heartbeat and the watchdog period.
+    one). Timer periods must be > 0 and at most `simnet.MAX_S`;
+    ``flow.reannounce_s`` may be 0, which switches re-announce off.
+    ``flow.heartbeat_ttl_s`` must cover both the heartbeat and the
+    watchdog period.
     """
     if not isinstance(overrides, dict):
         raise ConfigError(f"layer config must be an object, got {type(overrides).__name__}")
@@ -91,14 +88,17 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
             if key not in base[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             kind = int if isinstance(base[section][key], int) else (int, float)
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or (isinstance(value, float) and not math.isfinite(value))):
+            if not finite_number(value, kind):
                 raise ConfigError(f"{section}.{key} must be a finite "
                                   f"{'integer' if kind is int else 'number'}, got {value!r}")
     cfg = merge_config(base, overrides)
     for section, key in _POSITIVE:
         if cfg[section][key] <= 0:
             raise ConfigError(f"{section}.{key} must be > 0")
+    for section in ("flow", "config"):  # every key there is a period in seconds
+        for key, value in cfg[section].items():
+            if value > MAX_S:
+                raise ConfigError(f"{section}.{key} must be at most {MAX_S:.4g} s, got {value!r}")
     flow = cfg["flow"]
     if flow["reannounce_s"] < 0:
         raise ConfigError("flow.reannounce_s must be >= 0 (0 switches it off)")
@@ -125,20 +125,18 @@ def resolve_layers(topology: Topology,
             for l in topology.layers}
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConfigDocument:
-    scope: str
-    subject: str
+    layer: str
     revision: int
     body: dict
 
     def to_obj(self) -> dict:
-        return {"scope": self.scope, "subject": self.subject,
-                "revision": self.revision, "body": self.body}
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ConfigDocument":
-        return cls(obj["scope"], obj["subject"], obj["revision"], obj["body"])
+        return cls(**obj)
 
 
 def canonical(body: dict) -> str:
@@ -164,63 +162,33 @@ def diff_paths(old: dict, new: dict, prefix: str = "") -> list[str]:
 
 
 class MainConfigStore:
-    """Authoritative document set with monotonic per-document revisions."""
+    """Authoritative layer documents with monotonic per-layer revisions."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self.docs: dict[tuple[str, str], ConfigDocument] = {}
+        self.docs: dict[str, ConfigDocument] = {}
 
-    def _validate_subject(self, scope: str, subject: str) -> None:
-        if scope not in SCOPES:
-            raise ConfigError(f"scope must be one of {SCOPES}, got {scope!r}")
-        if scope == "layer":
-            self.topology.layer(subject)
-        elif scope == "node":
-            self.topology.node(subject)
-        elif not subject:
-            raise ConfigError("empty service subject")
-
-    @staticmethod
-    def _validate_body(scope: str, subject: str, body: object) -> None:
-        """A layer document replaces the layer's whole config, so it must be
-        complete and pass `resolve_layer_config` unchanged."""
-        if scope != "layer":
-            return
+    def put(self, layer: str, body: dict) -> ConfigDocument:
+        """Store a new revision of a layer's document; a byte-identical body
+        is a no-op. The document replaces the layer's whole config, so it
+        must be complete and pass `resolve_layer_config` unchanged."""
+        self.topology.layer(layer)
         try:
             missing = diff_paths(body, resolve_layer_config(body))
         except ConfigError as exc:
-            raise ConfigError(f"layer {subject!r}: {exc}") from None
+            raise ConfigError(f"layer {layer!r}: {exc}") from None
         if missing:
-            raise ConfigError(f"layer {subject!r}: incomplete layer document, "
+            raise ConfigError(f"layer {layer!r}: incomplete layer document, "
                               f"missing {', '.join(missing)}")
-
-    def put(self, scope: str, subject: str, body: dict) -> ConfigDocument:
-        """Store a new revision; a byte-identical body is a no-op."""
-        self._validate_subject(scope, subject)
-        self._validate_body(scope, subject, body)
         text = canonical(body)
-        current = self.docs.get((scope, subject))
+        current = self.docs.get(layer)
         if current is not None and canonical(current.body) == text:
             return current
         revision = (current.revision if current else 0) + 1
-        doc = ConfigDocument(scope, subject, revision, json.loads(text))
-        self.docs[(scope, subject)] = doc
-        log.info("config put %s/%s rev %d", scope, subject, revision)
+        doc = ConfigDocument(layer, revision, json.loads(text))
+        self.docs[layer] = doc
+        log.info("config put %s rev %d", layer, revision)
         return doc
-
-    def snapshot_for_layer(self, layer: str) -> list[ConfigDocument]:
-        """Stored documents relevant to one layer: its own, its nodes',
-        and every service document."""
-        self.topology.layer(layer)
-        node_names = {n.name for n in self.topology.nodes_in(layer)}
-        out = []
-        for (scope, subject), doc in sorted(self.docs.items()):
-            if scope == "layer" and subject != layer:
-                continue
-            if scope == "node" and subject not in node_names:
-                continue
-            out.append(doc)
-        return out
 
 
 class MainConfigService:
@@ -244,15 +212,15 @@ class MainConfigService:
         req = json.loads(env.payload)
         if req.get("op") != "pull":
             return
-        docs = self.store.snapshot_for_layer(req["layer"])
-        reply = {"corr": req["corr"], "docs": [d.to_obj() for d in docs]}
+        doc = self.store.docs.get(req["layer"])
+        reply = {"corr": req["corr"], "docs": [] if doc is None else [doc.to_obj()]}
         self._endpoint.publish(control_envelope(
             CONFIG_REPLY, reply, self.node, self.seq, self.clock.now))
         self.registry.inc("config.pulls", {"layer": req["layer"]})
 
 
 class ConfigWorker:
-    """Per-layer replica: periodic pull, local reads, change notices."""
+    """One layer's copy of its document: periodic pull, local reads, change notices."""
 
     def __init__(self, layer: str, network: Network, seq: SequenceCounter,
                  layer_config: dict[str, Any]):
@@ -261,15 +229,12 @@ class ConfigWorker:
         document arrives."""
         topology = network.topology
         self.layer = topology.layer(layer).name
-        self._layer_default = ConfigDocument("layer", self.layer, 0, layer_config)
-        self.topology = topology
+        self.doc = ConfigDocument(self.layer, 0, layer_config)
         self.clock = network.clock
         self.seq = seq
         self.registry = network.metrics
         self.trace = network.trace
         self.node = topology.system_node(self.layer)
-        self.replica: dict[tuple[str, str], ConfigDocument] = {}
-        self.notices_sent = 0
         self.running = False
         self._pending: dict[str, None] = {}  # unanswered correlation ids, as an ordered set
         self._corr = 0
@@ -278,18 +243,10 @@ class ConfigWorker:
 
     # -- reads -----------------------------------------------------------
 
-    def get_config(self, scope: str, subject: str) -> ConfigDocument:
-        """The replica's document, else the revision-0 one: this layer's
-        resolved config, or an empty node or service body. Other layers'
-        documents never reach this worker, so reading one is an error."""
-        doc = self.replica.get((scope, subject))
-        if doc is not None:
-            return doc
-        if scope != "layer":
-            return ConfigDocument(scope, subject, 0, {})
-        if subject != self.layer:
-            raise ConfigError(f"layer {self.layer!r} serves no config for layer {subject!r}")
-        return self._layer_default
+    def get_config(self) -> ConfigDocument:
+        """This layer's current document, served without copies: the last
+        one pulled, else the resolved config at revision 0."""
+        return self.doc
 
     # -- sync loop ---------------------------------------------------------
 
@@ -307,7 +264,7 @@ class ConfigWorker:
         self._pending.clear()  # a reply still missing after a whole period was lost
         self.sync_now()
         # re-read at every pull, so a pushed period applies from the next one
-        period_s = self.get_config("layer", self.layer).body["config"]["sync_period_s"]
+        period_s = self.get_config().body["config"]["sync_period_s"]
         self.clock.call_in(ns_from_s(period_s), self._sync_tick)
 
     def sync_now(self) -> str:
@@ -329,27 +286,23 @@ class ConfigWorker:
         self.apply_snapshot(docs)
 
     def apply_snapshot(self, docs: Iterable[ConfigDocument]) -> int:
-        """Apply newer revisions; emits one notice per changed document."""
+        """Apply newer revisions; emits one notice per applied document."""
         applied = 0
         for doc in docs:
-            have = self.get_config(doc.scope, doc.subject)
-            if have.revision >= doc.revision:
+            if doc.revision <= self.doc.revision:
                 continue
-            changed = diff_paths(have.body, doc.body)
-            self.replica[(doc.scope, doc.subject)] = doc
+            changed = diff_paths(self.doc.body, doc.body)
+            self.doc = doc
             applied += 1
-            self._notify(doc, changed)
+            self._notify(changed)
         if applied:
             self.registry.inc("config.applied", {"layer": self.layer}, applied)
         return applied
 
-    def _notify(self, doc: ConfigDocument, changed: list[str]) -> None:
-        notice = {"scope": doc.scope, "subject": doc.subject,
-                  "revision": doc.revision, "changed_paths": changed}
+    def _notify(self, changed: list[str]) -> None:
+        notice = {"layer": self.layer, "revision": self.doc.revision, "changed_paths": changed}
         self._intra.publish(control_envelope(
             CONFIG_NOTICE, notice, self.node, self.seq, self.clock.now))
-        self.notices_sent += 1
         self.registry.inc("config.notices", {"layer": self.layer})
         self.trace.record("config_notice", self.clock.now, layer=self.layer,
-                          scope=doc.scope, subject=doc.subject,
-                          revision=doc.revision, changed=changed)
+                          revision=self.doc.revision, changed=changed)

@@ -464,11 +464,9 @@ class FlowEngine:
 
     # -- config and watchdog ---------------------------------------------------
 
-    def _on_config_notice(self, env: MessageEnvelope) -> None:
-        """A notice for this layer re-reads its flow periods and rate limit."""
-        body = json.loads(env.payload)
-        if body.get("scope") != "layer" or body.get("subject") != self.layer:
-            return
+    def _on_config_notice(self, _env: MessageEnvelope) -> None:
+        """Only this layer's worker publishes notices on its intra-layer
+        scope: re-read the layer's flow periods and rate limit."""
         layer_cfg = self.config()
         self._set_periods(layer_cfg["flow"])
         cfg = RateLimitConfig.from_obj(layer_cfg["rate_limit"])

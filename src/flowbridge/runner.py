@@ -62,7 +62,7 @@ class _StreamDriver:
         self.service = service
         self.stream = stream
         self.rng = rng
-        self.period_ns = max(1, round(SECOND / stream.rate_hz))
+        self.period_ns = round(SECOND / stream.rate_hz)  # >= 1: see StreamSpec
         self.sent = 0
         self.frame: bytes | None = None  # the frame every tick reuses, once drawn
 
@@ -122,11 +122,11 @@ class World:
             self.engines[l.name] = FlowEngine(
                 l.name, self.network, self.heartbeats[l.name],
                 self._system_seq(l.name),
-                config=lambda w=worker, ln=l.name: w.get_config("layer", ln).body,
+                config=lambda w=worker: w.get_config().body,
             )
         self.host = ServiceHost(
             self.network, self.engines, self.heartbeats, self.seqs,
-            flow_config=lambda ln: self.workers[ln].get_config("layer", ln).body["flow"],
+            flow_config=lambda ln: self.workers[ln].get_config().body["flow"],
         )
         self.handles: dict[str, ServiceHandle] = {}
         self.drivers: list[_StreamDriver] = []

@@ -10,13 +10,13 @@ service moved across a list of candidate nodes.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .configstore import ConfigError, resolve_layer_config
+from .simnet import MAX_S, SECOND, finite_number
 from .topology import RESERVED_PREFIX
 
 
@@ -25,6 +25,12 @@ class ScenarioError(ValueError):
 
 
 PAYLOAD_KINDS = ("random", "compressible", "zeros")
+
+
+def _check_name(value: object, what: str) -> None:
+    """Topics, service names and node names are non-empty strings."""
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(f"{what} must be a non-empty string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +43,13 @@ class StreamSpec:
     payload: str = "random"
 
     def __post_init__(self) -> None:
-        if not self.topic:
-            raise ScenarioError("stream topic must be non-empty")
+        _check_name(self.topic, "stream topic")
         if self.rate_hz < 0:
             raise ScenarioError(f"stream {self.topic!r}: rate_hz must be >= 0")
+        # the stream's period, SECOND / rate_hz, must be 1 ns to MAX_S
+        if self.rate_hz and not 1 / MAX_S <= self.rate_hz <= SECOND:
+            raise ScenarioError(f"stream {self.topic!r}: rate_hz must be 0 or from "
+                                f"{1 / MAX_S:.4g} to {SECOND:g}, got {self.rate_hz!r}")
         if self.size < 0:
             raise ScenarioError(f"stream {self.topic!r}: size must be >= 0")
         if self.payload not in PAYLOAD_KINDS:
@@ -62,10 +71,13 @@ class ServiceSpec:
     external: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ScenarioError("service name must be non-empty")
-        if not self.node:
-            raise ScenarioError(f"service {self.name!r}: node must be non-empty")
+        _check_name(self.name, "service name")
+        _check_name(self.node, f"service {self.name!r}: node")
+        for topic in self.requests:
+            _check_name(topic, f"service {self.name!r}: request topic")
+        if not isinstance(self.external, bool):
+            raise ScenarioError(f"service {self.name!r}: external must be true or false, "
+                                f"got {self.external!r}")
         if self.start_s < 0:
             raise ScenarioError(f"service {self.name!r}: start_s must be >= 0")
         if self.stop_s is not None and self.stop_s <= self.start_s:
@@ -90,6 +102,8 @@ class ProbesSpec:
     ping_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
+        for node in self.nodes:
+            _check_name(node, "probes: node")
         if self.ping_period_s <= 0:
             raise ScenarioError("probes: ping_period_s must be > 0")
         if self.ping_timeout_s <= 0:
@@ -104,8 +118,9 @@ class SweepSpec:
     nodes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.service:
-            raise ScenarioError("sweep: service must be non-empty")
+        _check_name(self.service, "sweep: service")
+        for node in self.nodes:
+            _check_name(node, "sweep: node")
         if not self.nodes:
             raise ScenarioError("sweep: nodes must be non-empty")
 
@@ -162,15 +177,28 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(obj: dict, key: str, default, where: str, kind: type = float):
-    """``kind`` of ``obj[key]`` (or of ``default``), refusing the NaN and Infinity json reads."""
+    """``obj[key]`` (or ``default``) as a ``kind``; it must be a finite
+    number, and integral when ``kind`` is int. Nothing is coerced."""
     value = obj.get(key, default)
-    try:
-        number = kind(value)
-        if kind is int or math.isfinite(number):  # int() itself refuses NaN and Infinity
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ScenarioError(f"{where}: {key} must be a finite number, got {value!r}")
+    if not finite_number(value, int if kind is int else (int, float)):
+        raise ScenarioError(f"{where}: {key} must be a finite number"
+                            f"{' (integral)' if kind is int else ''}, got {value!r}")
+    return kind(value)
+
+
+def _seconds(obj: dict, key: str, default, where: str) -> float:
+    """A time in seconds the nanosecond clock can hold."""
+    value = _number(obj, key, default, where)
+    if value > MAX_S:
+        raise ScenarioError(f"{where}: {key} must be at most {MAX_S:.4g} s, got {value!r}")
+    return value
+
+
+def _list(obj: dict, key: str, where: str) -> tuple:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: {key} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _parse_stream(obj: object) -> StreamSpec:
@@ -178,12 +206,12 @@ def _parse_stream(obj: object) -> StreamSpec:
         raise ScenarioError(f"stream must be an object, got {type(obj).__name__}")
     _reject_unknown(obj, _STREAM_KEYS, "stream")
     try:
-        topic = str(obj["topic"])
+        topic = obj["topic"]
         return StreamSpec(
             topic=topic,
             rate_hz=_number(obj, "rate_hz", 0.0, f"stream {topic!r}"),
             size=_number(obj, "size", 0, f"stream {topic!r}", int),
-            payload=str(obj.get("payload", "random")),
+            payload=obj.get("payload", "random"),
         )
     except KeyError as exc:
         raise ScenarioError(f"stream missing key {exc}") from None
@@ -194,23 +222,19 @@ def _parse_service(obj: object) -> ServiceSpec:
         raise ScenarioError(f"service must be an object, got {type(obj).__name__}")
     _reject_unknown(obj, _SERVICE_KEYS, "service")
     try:
-        name = str(obj["name"])
-        node = str(obj["node"])
+        name = obj["name"]
+        node = obj["node"]
     except KeyError as exc:
         raise ScenarioError(f"service missing key {exc}") from None
-    advertises = tuple(_parse_stream(s) for s in obj.get("advertises", []))
-    requests = obj.get("requests", [])
-    if not isinstance(requests, list):
-        raise ScenarioError(f"service {name!r}: requests must be a list")
     where = f"service {name!r}"
     return ServiceSpec(
         name=name,
         node=node,
-        advertises=advertises,
-        requests=tuple(str(t) for t in requests),
-        start_s=_number(obj, "start_s", 0.0, where),
-        stop_s=None if obj.get("stop_s") is None else _number(obj, "stop_s", None, where),
-        external=bool(obj.get("external", False)),
+        advertises=tuple(_parse_stream(s) for s in _list(obj, "advertises", where)),
+        requests=_list(obj, "requests", where),
+        start_s=_seconds(obj, "start_s", 0.0, where),
+        stop_s=None if obj.get("stop_s") is None else _seconds(obj, "stop_s", None, where),
+        external=obj.get("external", False),
     )
 
 
@@ -229,9 +253,9 @@ def parse_scenario(obj: object) -> Scenario:
             raise ScenarioError("probes must be an object")
         _reject_unknown(pobj, _PROBES_KEYS, "probes")
         probes = ProbesSpec(
-            nodes=tuple(str(n) for n in pobj.get("nodes", [])),
-            ping_period_s=_number(pobj, "ping_period_s", 1.0, "probes"),
-            ping_timeout_s=_number(pobj, "ping_timeout_s", 5.0, "probes"),
+            nodes=_list(pobj, "nodes", "probes"),
+            ping_period_s=_seconds(pobj, "ping_period_s", 1.0, "probes"),
+            ping_timeout_s=_seconds(pobj, "ping_timeout_s", 5.0, "probes"),
         )
     sweep = None
     if "sweep" in obj and obj["sweep"] is not None:
@@ -240,10 +264,7 @@ def parse_scenario(obj: object) -> Scenario:
             raise ScenarioError("sweep must be an object")
         _reject_unknown(sobj, _SWEEP_KEYS, "sweep")
         try:
-            sweep = SweepSpec(
-                service=str(sobj["service"]),
-                nodes=tuple(str(n) for n in sobj["nodes"]),
-            )
+            sweep = SweepSpec(service=sobj["service"], nodes=_list(sobj, "nodes", "sweep"))
         except KeyError as exc:
             raise ScenarioError(f"sweep missing key {exc}") from None
     config = obj.get("config", {})
@@ -263,7 +284,7 @@ def parse_scenario(obj: object) -> Scenario:
             raise ScenarioError(f"scenario missing key {key!r}")
     return Scenario(
         name=str(obj["name"]),
-        duration_s=_number(obj, "duration_s", None, "scenario"),
+        duration_s=_seconds(obj, "duration_s", None, "scenario"),
         seed=_number(obj, "seed", 0, "scenario", int),
         config=config,
         services=tuple(_parse_service(s) for s in services),

@@ -38,6 +38,19 @@ from .tracing import Trace
 
 MS = 1_000_000
 SECOND = 1_000_000_000
+# the longest time a run may name: the range of a signed 64-bit
+# nanosecond count, about 292 years
+MAX_S = (2**63 - 1) / SECOND
+
+
+def finite_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """Whether ``value`` is a ``kind`` JSON number: never a bool, NaN,
+    infinity or an integer too large for a float."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def ns_from_ms(ms: float) -> int:
@@ -121,10 +134,10 @@ class LinkSpec:
     def __post_init__(self) -> None:
         for f in self.FIELDS:
             v = getattr(self, f)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not finite_number(v):
                 raise TopologyError(f"link {f} must be a finite number, got {v!r}")
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise TopologyError("latency/jitter must be >= 0")
+        if not (0 <= self.latency_ms <= MAX_S * 1000 and 0 <= self.jitter_ms <= MAX_S * 1000):
+            raise TopologyError(f"latency/jitter must be >= 0 and at most {MAX_S * 1000:.4g} ms")
         if not 0.0 <= self.loss <= 1.0:
             raise TopologyError("loss must be a fraction in [0, 1]")
         if self.bandwidth_mbps < 0:

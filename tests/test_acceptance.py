@@ -440,10 +440,10 @@ def test_config_push_reallocates_within_cycle():
         rel_tol=1e-9)
 
     for layer in ("edge", "fog", "cloud"):
-        body = copy.deepcopy(world.workers[layer].get_config("layer", layer).body)
+        body = copy.deepcopy(world.workers[layer].get_config().body)
         assert body["rate_limit"]["limit_mbps"] == 160.0
         body["rate_limit"]["limit_mbps"] = 80.0
-        world.store.put("layer", layer, body)
+        world.store.put(layer, body)
 
     world.run_for(6.0)  # one 5 s sync cycle plus reallocation margin
     after = limiter.result.rates()["image"]
@@ -451,8 +451,8 @@ def test_config_push_reallocates_within_cycle():
         after, oracle_allocate(80.0, [("image", 30.0, 1_000_000)])["image"],
         rel_tol=1e-9)
     assert after < before
-    for layer, worker in world.workers.items():
-        assert worker.notices_sent == 1, layer
+    for layer in world.workers:
+        assert world.registry.counter_value("config.notices", {"layer": layer}) == 1, layer
     world.drain()
     assert world.issues() == []
 

@@ -71,7 +71,8 @@ def test_diff_paths():
 
 
 def test_document_round_trip():
-    doc = ConfigDocument("layer", "edge", 3, {"k": 1})
+    doc = ConfigDocument("edge", 3, {"k": 1})
+    assert doc.to_obj() == {"layer": "edge", "revision": 3, "body": {"k": 1}}
     assert ConfigDocument.from_obj(doc.to_obj()) == doc
 
 
@@ -89,43 +90,25 @@ def test_resolve_layers_covers_every_layer_and_rejects_unknown_ones():
 
 def test_store_revisions_are_monotonic_per_document():
     store = MainConfigStore(make_topo())
-    d1 = store.put("layer", "edge", layer_body(limit_mbps=100.0))
-    d2 = store.put("layer", "edge", layer_body(limit_mbps=80.0))
-    other = store.put("layer", "fog", layer_body(limit_mbps=100.0))
+    d1 = store.put("edge", layer_body(limit_mbps=100.0))
+    d2 = store.put("edge", layer_body(limit_mbps=80.0))
+    other = store.put("fog", layer_body(limit_mbps=100.0))
     assert (d1.revision, d2.revision, other.revision) == (1, 2, 1)
 
 
 def test_store_identical_body_is_noop():
     store = MainConfigStore(make_topo())
     body = layer_body()
-    d1 = store.put("layer", "edge", body)
-    d2 = store.put("layer", "edge", dict(reversed(body.items())))  # same canonical body
+    d1 = store.put("edge", body)
+    d2 = store.put("edge", dict(reversed(body.items())))  # same canonical body
     assert d2.revision == 1 and d1 == d2
 
 
 def test_store_validates_subjects():
     store = MainConfigStore(make_topo())
     with pytest.raises(Exception):
-        store.put("layer", "mist", {})
-    with pytest.raises(Exception):
-        store.put("node", "ghost", {})
-    with pytest.raises(ConfigError):
-        store.put("service", "", {})
-    with pytest.raises(ConfigError):
-        store.put("cluster", "edge", {})
-
-
-def test_store_snapshot_filters_by_layer():
-    store = MainConfigStore(make_topo())
-    store.put("layer", "edge", layer_body())
-    store.put("layer", "fog", layer_body())
-    store.put("node", "robot-1", {"c": 1})
-    store.put("service", "cam", {"d": 1})
-    docs = store.snapshot_for_layer("edge")
-    assert [(d.scope, d.subject) for d in docs] == [
-        ("layer", "edge"), ("node", "robot-1"), ("service", "cam")]
-    assert [(d.scope, d.subject) for d in store.snapshot_for_layer("cloud")] == [
-        ("service", "cam")]
+        store.put("mist", layer_body())
+    assert store.docs == {}
 
 
 @pytest.mark.parametrize("body", [
@@ -141,9 +124,8 @@ def test_store_rejects_layer_document_that_cannot_run(body):
     # so an invalid one would fail there one sync period later
     store = MainConfigStore(make_topo())
     with pytest.raises(ConfigError, match="layer 'edge'"):
-        store.put("layer", "edge", body)
+        store.put("edge", body)
     assert store.docs == {}
-    assert store.put("node", "robot-1", {"marker": 1}).revision == 1  # only layers are typed
 
 
 # -- wired sync ----------------------------------------------------------------
@@ -186,31 +168,23 @@ class ConfigWorld:
 def test_worker_reads_default_before_first_sync():
     w = ConfigWorld(config={"fog": {"config": {"sync_period_s": 9.0}}})
     fog = w.workers["fog"]
-    doc = fog.get_config("layer", "fog")
-    assert doc.revision == 0
+    doc = fog.get_config()
+    assert (doc.layer, doc.revision) == ("fog", 0)
     assert doc.body["config"]["sync_period_s"] == 9.0
-    assert fog.get_config("layer", "fog") is doc  # built once, served without copies
-    for scope, subject in (("node", "fog-1"), ("service", "cam")):
-        empty = fog.get_config(scope, subject)
-        assert (empty.revision, empty.body) == (0, {})
-    # another layer's document never reaches this worker: no stale defaults
-    with pytest.raises(ConfigError):
-        fog.get_config("layer", "edge")
-    with pytest.raises(ConfigError):
-        fog.get_config("layer", "mist")
+    assert fog.get_config() is doc  # built once, served without copies
     w.drain()
 
 
 def test_pull_sync_delivers_stored_documents():
     w = ConfigWorld()
     body = layer_body(limit_mbps=80.0)
-    w.store.put("layer", "edge", body)
+    w.store.put("edge", body)
     w.start_workers()
     w.settle()
-    doc = w.workers["edge"].get_config("layer", "edge")
+    doc = w.workers["edge"].get_config()
     assert doc.revision == 1 and doc.body == body
     # other layers never see edge's layer doc
-    assert w.workers["fog"].replica == {}
+    assert w.workers["fog"].get_config().revision == 0
     assert w.metrics.counter_value("config.pulls", {"layer": "edge"}) >= 1
     w.drain()
 
@@ -219,14 +193,18 @@ def test_change_emits_one_notice_per_document():
     w = ConfigWorld()
     w.start_workers()
     w.settle()
-    sent_before = w.workers["edge"].notices_sent
-    w.store.put("layer", "edge", layer_body(limit_mbps=80.0))
-    w.store.put("node", "robot-1", {"beta": 2})
+    def notices():
+        return w.metrics.counter_value("config.notices", {"layer": "edge"})
+
+    sent_before = notices()
+    w.store.put("edge", layer_body(limit_mbps=100.0))
+    w.store.put("edge", layer_body(limit_mbps=80.0))
     w.settle(6_000)  # one 5 s sync period later
-    assert w.workers["edge"].notices_sent == sent_before + 2
-    # replaying the same revisions produces no further notices
+    # the pull fetches only the latest revision
+    assert notices() == sent_before + 1
+    # replaying the same revision produces no further notices
     w.settle(6_000)
-    assert w.workers["edge"].notices_sent == sent_before + 2
+    assert notices() == sent_before + 1
     w.drain()
 
 
@@ -237,14 +215,11 @@ def test_notice_lists_changed_paths():
         CONFIG_NOTICE, lambda env: got.append(json.loads(env.payload)))
     w.start_workers()
     w.settle()
-    base = w.workers["edge"].get_config("layer", "edge").body
+    base = w.workers["edge"].get_config().body
     changed = merge_config(base, {"rate_limit": {"limit_mbps": 80.0}})
-    w.store.put("layer", "edge", changed)
+    w.store.put("edge", changed)
     w.settle(6_000)
-    notices = [n for n in got if n["scope"] == "layer" and n["subject"] == "edge"]
-    assert len(notices) == 1
-    assert notices[0]["changed_paths"] == ["rate_limit.limit_mbps"]
-    assert notices[0]["revision"] == 1
+    assert got == [{"layer": "edge", "revision": 1, "changed_paths": ["rate_limit.limit_mbps"]}]
     w.drain()
 
 
@@ -254,24 +229,24 @@ def test_worker_ignores_foreign_replies():
     w.settle()
     # a reply correlated to another layer's pull must not apply here
     edge = w.workers["edge"]
-    before = dict(edge.replica)
+    before = edge.get_config()
     edge._on_reply(type("E", (), {"payload": json.dumps(
         {"corr": "fog:1", "docs": [
-            {"scope": "layer", "subject": "edge", "revision": 99, "body": {"x": 1}}
+            {"layer": "edge", "revision": 99, "body": {"x": 1}}
         ]}).encode()})())
-    assert edge.replica == before
+    assert edge.get_config() is before
     w.drain()
 
 
 def test_apply_snapshot_skips_stale_revisions():
     w = ConfigWorld()
     worker = w.workers["edge"]
-    doc_v2 = ConfigDocument("layer", "edge", 2, {"a": 2})
-    doc_v1 = ConfigDocument("layer", "edge", 1, {"a": 1})
+    doc_v2 = ConfigDocument("edge", 2, {"a": 2})
+    doc_v1 = ConfigDocument("edge", 1, {"a": 1})
     assert worker.apply_snapshot([doc_v2]) == 1
     assert worker.apply_snapshot([doc_v1]) == 0
     assert worker.apply_snapshot([doc_v2]) == 0
-    assert worker.get_config("layer", "edge").body == {"a": 2}
+    assert worker.get_config().body == {"a": 2}
     w.drain()
 
 
@@ -305,7 +280,7 @@ def test_lost_replies_do_not_pile_up():
 
 def test_pushed_sync_period_applies_from_the_next_pull():
     w = ConfigWorld()
-    w.store.put("layer", "edge", merge_config(
+    w.store.put("edge", merge_config(
         default_layer_config(), {"config": {"sync_period_s": 1.0}}))
     w.start_workers()
     # pulls at 0 s and 5 s; the first one fetched the 1 s period, which

@@ -567,8 +567,7 @@ def test_config_notice_reconfigures_limiters(tmp_path):
     r160 = w.engines["edge"].limiters["node:robot-1"].allocation("img").allocated_rate
 
     w.bodies["edge"] = resolve_layer_config({"rate_limit": {"limit_mbps": 80.0}})
-    notice = {"scope": "layer", "subject": "edge", "revision": 2,
-              "changed_paths": ["rate_limit.limit_mbps"]}
+    notice = {"layer": "edge", "revision": 2, "changed_paths": ["rate_limit.limit_mbps"]}
     import json
     w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(notice).encode(), "robot-1")
     w.settle()
@@ -577,12 +576,8 @@ def test_config_notice_reconfigures_limiters(tmp_path):
     assert r80 == pytest.approx(r160 / 2)
     first_done = w.clock.now
 
-    # notices for other layers or unrelated paths are ignored
-    other = {"scope": "layer", "subject": "fog", "revision": 3,
-             "changed_paths": ["rate_limit.limit_mbps"]}
-    w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(other).encode(), "robot-1")
-    unrelated = {"scope": "layer", "subject": "edge", "revision": 4,
-                 "changed_paths": ["monitor.ping_period_s"]}
+    # a notice that leaves the rate limit as it is reconfigures nothing
+    unrelated = {"layer": "edge", "revision": 3, "changed_paths": ["flow.reannounce_s"]}
     w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(unrelated).encode(), "robot-1")
     w.settle()
     w.drain()
@@ -595,7 +590,7 @@ def test_pushed_flow_periods_reach_the_engine():
     w = World(build_topology({"layers": [{"name": "edge", "nodes": ["robot-1"]},
                                          {"name": "cloud", "nodes": ["cloud-1"]}]}), seed=3)
     w.start()
-    w.store.put("layer", "edge", resolve_layer_config(
+    w.store.put("edge", resolve_layer_config(
         {"flow": {"watchdog_s": 2.0, "heartbeat_ttl_s": 6.0}}))
     w.run_for(12.0)
     edge, cloud = w.engines["edge"], w.engines["cloud"]

@@ -44,6 +44,22 @@ def mini_scenario(**extra):
     return doc
 
 
+def with_service(index, **fields):
+    doc = mini_scenario()
+    doc["services"][index].update(fields)
+    return doc
+
+
+def with_stream(**fields):
+    doc = mini_scenario()
+    doc["services"][0]["advertises"][0].update(fields)
+    return doc
+
+
+def assert_no_outputs(out):
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def write_scenario(tmp_path, doc, name="sc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -448,11 +464,16 @@ def test_cli_rejects_malformed_scenario_file(tmp_path, capsys):
     pytest.param({"edge": {"flow": {"heartbeat_s": 2.0, "heartbeat_ttl_s": 0.5}}},
                  id="ttl-below-heartbeat"),
     pytest.param({"edge": {"flow": {"watchdog_s": 5.0}}}, id="ttl-below-watchdog"),
+    # periods past the nanosecond clock's range overflowed once the world ran
+    pytest.param({"edge": {"config": {"sync_period_s": 1e300}}}, id="sync-period-overflow"),
+    pytest.param({"edge": {"flow": {"watchdog_s": 1e300, "heartbeat_ttl_s": 1e300}}},
+                 id="watchdog-overflow"),
 ])
 def test_cli_rejects_layer_config_it_cannot_serve(tmp_path, capsys, config):
     sc = write_scenario(tmp_path, mini_scenario(config=config))
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     assert "flowbridge: error:" in capsys.readouterr().err
+    assert_no_outputs(tmp_path / "o")
 
 
 def test_cli_rejects_duplicate_requests(tmp_path, capsys):
@@ -480,14 +501,17 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, field, value):
     sc = write_scenario(tmp_path, doc)
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     assert f"{field} must be a finite number" in capsys.readouterr().err
+    assert_no_outputs(tmp_path / "o")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", pytest.param("1e300", id="overflow")])
 def test_cli_rejects_duration_override_it_cannot_run(tmp_path, capsys, value):
     sc = write_scenario(tmp_path, mini_scenario())
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o"),
                  "--duration-override", value]) == 2
-    assert "--duration-override must be a finite number > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "flowbridge: error: --duration-override must be a finite number > 0" in err
+    assert_no_outputs(tmp_path / "o")
 
 
 def _with_links(links):
@@ -534,6 +558,35 @@ def _with_links(links):
     pytest.param(mini_scenario(services=[
         {"name": "snoop", "node": "robot-1", "requests": ["__config/notice"]}]),
                  id="reserved-request"),
+    # values that used to be coerced: "false" ran as true, null as the
+    # topic "None", "12" and 10.9 as 12 and 10 bytes, true as 1 Hz; an
+    # empty topic passed parsing and crashed the run
+    pytest.param(mini_scenario(
+        topology={"layers": [{**TOPO["layers"][0], "external_protocol": True}, TOPO["layers"][1]]},
+        services=[{"name": "gateway", "node": "robot-1", "external": "false"}]),
+                 id="external-string"),
+    pytest.param(with_service(1, requests=[None]), id="request-null"),
+    pytest.param(with_service(1, requests=[""]), id="request-empty"),
+    pytest.param(with_service(1, name=7), id="service-name-number"),
+    pytest.param(with_stream(topic=1), id="topic-number"),
+    pytest.param(with_stream(size="12"), id="size-string"),
+    pytest.param(with_stream(size=10.9), id="size-fraction"),
+    pytest.param(with_stream(rate_hz=True), id="rate-bool"),
+    pytest.param(mini_scenario(seed=1.7), id="seed-fraction"),
+    # times the nanosecond clock cannot hold overflowed once the world ran;
+    # a rate above 1 GHz ran at a 1 ns period
+    pytest.param(mini_scenario(duration_s=1e300), id="duration-overflow"),
+    pytest.param(with_service(1, start_s=1e300), id="start-overflow"),
+    pytest.param(with_service(1, stop_s=1e300), id="stop-overflow"),
+    pytest.param(mini_scenario(probes={"nodes": ["robot-1"], "ping_period_s": 1e300}),
+                 id="ping-period-overflow"),
+    pytest.param(with_stream(rate_hz=1e-300), id="rate-period-overflow"),
+    pytest.param(mini_scenario(duration_s=1e-6, services=[
+        {"name": "scanner", "node": "robot-1",
+         "advertises": [{"topic": "scan", "rate_hz": 2e9, "size": 8}]}]),
+                 id="rate-above-1ghz"),
+    pytest.param(_with_links({"defaults": {"crossing": {"latency_ms": 1e300}}}),
+                 id="latency-overflow"),
 ])
 def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
     # each used to exit 1 with a traceback, crash mid-run (NaN, Infinity),
