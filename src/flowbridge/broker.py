@@ -2,14 +2,13 @@
 
 One BrokerEndpoint exists per broker scope. Publishing targets the
 subscribers of that scope only; reaching another scope always goes
-through a bridge. Delivery transport is pluggable: standalone endpoints
-dispatch synchronously in-process, endpoints owned by a simulated
-network dispatch through its links.
+through a bridge. The endpoint holds subscriptions; delivery is the
+dispatch function it is built with, which for every endpoint of a
+simulated network routes through that network's links.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 from .topology import BrokerScope, MessageEnvelope
@@ -29,8 +28,7 @@ class BrokerError(Exception):
 class SubscriberHandle:
     """One subscription; deactivated exactly once by unsubscribe."""
 
-    __slots__ = ("id", "scope", "topic", "callback", "kind", "filter", "owner", "active")
-    _ids = itertools.count(1)
+    __slots__ = ("scope", "topic", "callback", "kind", "filter", "owner", "active")
 
     def __init__(
         self,
@@ -41,7 +39,6 @@ class SubscriberHandle:
         filter: Optional[FilterFn] = None,
         owner: str | None = None,
     ):
-        self.id = next(SubscriberHandle._ids)
         self.scope = scope
         self.topic = topic
         self.callback = callback
@@ -52,13 +49,13 @@ class SubscriberHandle:
 
     def __repr__(self) -> str:
         state = "active" if self.active else "inactive"
-        return f"<sub {self.id} {self.topic!r} on {self.scope.key} ({self.kind}, {state})>"
+        return f"<sub {self.topic!r} on {self.scope.key} ({self.kind}, {state})>"
 
 
 class BrokerEndpoint:
-    def __init__(self, scope: BrokerScope, dispatch: DispatchFn | None = None):
+    def __init__(self, scope: BrokerScope, dispatch: DispatchFn):
         self.scope = scope
-        self._dispatch = dispatch or _sync_dispatch
+        self._dispatch = dispatch
         self._subs: dict[str, list[SubscriberHandle]] = {}
         self.errors: list[tuple[str, BaseException]] = []
 
@@ -108,11 +105,3 @@ class BrokerEndpoint:
         except Exception as exc:  # noqa: BLE001 - one bad callback must not block others
             self.errors.append((env.topic, exc))
             return False
-
-
-def _sync_dispatch(endpoint: BrokerEndpoint, env: MessageEnvelope) -> int:
-    """Default transport: deliver immediately on the publisher's stack."""
-    handles = endpoint.snapshot(env)
-    for h in handles:
-        endpoint.invoke(h, env)
-    return len(handles)

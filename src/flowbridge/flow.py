@@ -2,9 +2,10 @@
 
 One engine runs per layer, attached to every broker scope of that
 layer. Services announce advertise/request declarations on their local
-scope; the engine stores them, floods them once onto the inter-layer
-bus (loop-guarded by the declaration's visited_layers set), and keeps
-the bridge set reconciled with the table:
+scope; the engine stores them, floods what arrived on a local scope
+onto the inter-layer bus (which reaches every other layer in one hop,
+so nothing that arrives over the bus is flooded again), and keeps the
+bridge set reconciled with the table:
 
     for every topic, one bridge per (advertiser scope, requester scope)
     pair with distinct scopes; remote declarations count under the
@@ -111,7 +112,6 @@ class TableEntry:
     """Merged declarations for one (direction, topic, origin, scope)."""
 
     origin_node: NodeId
-    origin_layer: str
     declared_rate: float = 0.0
     declared_max_size: int = 0
     contributors: set[str] = field(default_factory=set)
@@ -137,8 +137,8 @@ class FlowTable:
         key = (direction, decl.topic, decl.origin_node.key, scope_key)
         ent = self.entries.get(key)
         if ent is None:  # a new entry changes through its first contributor
-            ent = TableEntry(decl.origin_node, decl.origin_layer, decl.declared_rate,
-                             decl.declared_max_size, serial=next(self._serials))
+            ent = TableEntry(decl.origin_node, decl.declared_rate, decl.declared_max_size,
+                             serial=next(self._serials))
             self.entries[key] = self._by_topic.setdefault(decl.topic, {})[key] = ent
         changed = False
         if decl.declared_rate > ent.declared_rate:
@@ -261,7 +261,6 @@ class FlowEngine:
         self.inter_scope = topology.inter_layer_scope(self.layer)
         self.system_node = topology.system_node(self.layer)
         self.service_name = f"__flow-engine/{self.layer}"
-        self._all_layers = frozenset(l.name for l in topology.layers)
 
         self.table = FlowTable()
         self.bridges: dict[BridgeKey, BridgeSpec] = {}
@@ -283,7 +282,7 @@ class FlowEngine:
             # own forwards reflected off the bus are filtered at the source
             flt = None
             if scope.kind is ScopeKind.INTER_LAYER:
-                flt = lambda env: env.origin_layer != self.layer
+                flt = lambda env: env.origin_node.layer != self.layer
             for topic in (FLOW_ADVERTISE, FLOW_REQUEST, FLOW_WITHDRAW):
                 ep.subscribe(
                     topic, partial(self._on_control, scope), kind=SUB_CONTROL,
@@ -306,34 +305,32 @@ class FlowEngine:
         if scope.key not in self.scope_by_key:
             raise FlowEngineError(f"scope {scope.key} is not on layer {self.layer}")
         changed = self.table.store(decl.direction, scope.key, decl, service)
-        self._flood(CONTROL_TOPIC[decl.direction], decl, service)
+        self._flood(scope, CONTROL_TOPIC[decl.direction], decl, service)
         return self._reconcile(decl.topic)[0] if changed else []
 
-    def withdraw(self, decl: FlowDeclaration, service: str = "anonymous") -> list[BridgeKey]:
-        """Remove a declaration and flood that; returns bridge keys torn down."""
+    def withdraw(self, decl: FlowDeclaration, service: str = "anonymous",
+                 scope: BrokerScope | None = None) -> list[BridgeKey]:
+        """Remove a declaration and flood that; returns bridge keys torn down.
+        ``scope`` is where the withdrawal arrived; None means a local one."""
         died = self.table.remove_contributor(
             decl.direction, decl.topic, decl.origin_node.key, service)
-        self._flood(FLOW_WITHDRAW, decl, service)
+        self._flood(scope, FLOW_WITHDRAW, decl, service)
         return self._reconcile(decl.topic)[1] if died else []
 
-    def _flood(self, control_topic: str, decl: FlowDeclaration, service: str) -> None:
-        """Forward once onto the bus when any layer has not seen it yet."""
-        unvisited = self._all_layers - decl.visited_layers - {self.layer}
-        if not unvisited:
+    def _flood(self, scope: BrokerScope | None, control_topic: str,
+               decl: FlowDeclaration, service: str) -> None:
+        """Forward what arrived locally onto the bus, which reaches every
+        other layer in one hop; what arrived over the bus is not forwarded."""
+        if scope == self.inter_scope or len(self.topology.layers) == 1:
             return
-        # the bus reaches every layer in one hop, so stamp them all
-        out = decl
-        for name in sorted(self._all_layers):
-            if name not in out.visited_layers:
-                out = out.visit(name)
         self.network.endpoint(self.inter_scope).publish(control_envelope(
-            control_topic, declaration_body(out, service, self.layer),
+            control_topic, declaration_body(decl, service),
             self.system_node, self.seq, self.clock.now))
 
     def _on_control(self, scope: BrokerScope, env: MessageEnvelope) -> None:
         decl, service = declaration_from_body(json.loads(env.payload))
         if env.topic == FLOW_WITHDRAW:
-            self.withdraw(decl, service)
+            self.withdraw(decl, service, scope)
         else:
             self.announce(decl, service, scope)
 
@@ -451,16 +448,14 @@ class FlowEngine:
         blob, orig = codec.compress(env.payload, cfg.compression_level)
         if len(blob) >= orig:
             return env  # incompressible; ship original bytes
-        return replace(env, payload=blob, payload_len=len(blob),
-                       compressed=True, uncompressed_len=orig)
+        return replace(env, payload=blob, compressed=True, uncompressed_len=orig)
 
     def _decompress(self, env: MessageEnvelope) -> MessageEnvelope:
         data = codec.decompress(env.payload)
         if len(data) != env.uncompressed_len:
             raise FlowEngineError(
                 f"decompressed length {len(data)} != declared {env.uncompressed_len}")
-        return replace(env, payload=data, payload_len=len(data),
-                       compressed=False, uncompressed_len=len(data))
+        return replace(env, payload=data, compressed=False)
 
     # -- config and watchdog ---------------------------------------------------
 
@@ -500,8 +495,7 @@ class FlowEngine:
         for (direction, topic, _origin, _scope), ent in doomed:
             decl = FlowDeclaration(
                 direction=direction, topic=topic, origin_node=ent.origin_node,
-                origin_layer=ent.origin_layer, declared_rate=ent.declared_rate,
-                declared_max_size=ent.declared_max_size,
+                declared_rate=ent.declared_rate, declared_max_size=ent.declared_max_size,
             )
             self.trace.record("watchdog_withdraw", self.clock.now, layer=self.layer,
                               service=service, topic=topic, direction=direction)

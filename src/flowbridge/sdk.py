@@ -245,8 +245,7 @@ class ServiceHost:
         seq = self.seqs[handle.node.name].next(topic)
         env = MessageEnvelope(
             topic=topic, payload=payload, origin_node=handle.node,
-            origin_layer=handle.node.layer, sequence=seq,
-            sent_at=self.clock.now,
+            sequence=seq, sent_at=self.clock.now,
         )
         handle._published.record(handle.node.key, topic, seq)
         self.network.endpoint(handle.scope).publish(env)
@@ -290,13 +289,11 @@ class ServiceHost:
         for adv in handle.advertises:
             decls.append(FlowDeclaration(
                 direction=ADVERTISE, topic=adv.topic, origin_node=handle.node,
-                origin_layer=handle.node.layer, declared_rate=adv.rate_hz,
-                declared_max_size=adv.max_size,
+                declared_rate=adv.rate_hz, declared_max_size=adv.max_size,
             ))
         for topic in handle.requests:
             decls.append(FlowDeclaration(
                 direction=REQUEST, topic=topic, origin_node=handle.node,
-                origin_layer=handle.node.layer,
             ))
         return decls
 
@@ -307,7 +304,7 @@ class ServiceHost:
     def _publish_control(self, handle: ServiceHandle, control_topic: str,
                          decl: FlowDeclaration) -> None:
         self.network.endpoint(handle.scope).publish(control_envelope(
-            control_topic, declaration_body(decl, handle.name, handle.node.layer),
+            control_topic, declaration_body(decl, handle.name),
             handle.node, self.seqs[handle.node.name], self.clock.now))
 
     # -- timers -------------------------------------------------------------

@@ -10,7 +10,7 @@ broker endpoint binds to and the vertices bridges connect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable
 
@@ -91,28 +91,26 @@ class MessageEnvelope:
     time; together they identify the message for deduplication.
     ``sent_at`` is virtual time in ns. When ``compressed`` is set,
     ``payload`` holds codec output and ``uncompressed_len`` the original
-    size; otherwise ``uncompressed_len`` equals ``payload_len``.
+    size; otherwise ``uncompressed_len`` equals ``payload_len``. Frozen
+    because one envelope object is handed to every subscriber of a
+    fan-out.
     """
 
     topic: str
     payload: bytes
     origin_node: NodeId
-    origin_layer: str
     sequence: int
     sent_at: int
-    payload_len: int = -1
     compressed: bool = False
     uncompressed_len: int = -1
+    payload_len: int = field(init=False, repr=False, compare=False)  # len(payload)
 
     def __post_init__(self) -> None:
         if not self.topic:
             raise ValueError("empty topic")
         if self.sequence < 1:
             raise ValueError("sequence starts at 1")
-        if self.payload_len < 0:
-            object.__setattr__(self, "payload_len", len(self.payload))
-        elif self.payload_len != len(self.payload):
-            raise ValueError("payload_len does not match payload")
+        object.__setattr__(self, "payload_len", len(self.payload))
         if self.uncompressed_len < 0:
             if self.compressed:
                 raise ValueError("compressed envelope requires uncompressed_len")
@@ -130,38 +128,36 @@ def control_envelope(topic: str, body: dict[str, Any], node: NodeId,
         topic=topic,
         payload=json.dumps(body, sort_keys=True).encode(),
         origin_node=node,
-        origin_layer=node.layer,
         sequence=seq.next(topic),
         sent_at=now,
     )
 
 
-def declaration_body(decl: "FlowDeclaration", service: str, sender_layer: str) -> dict[str, Any]:
+def declaration_body(decl: "FlowDeclaration", service: str) -> dict[str, Any]:
     """The control body that carries ``service``'s declaration."""
-    return {"decl": decl.to_obj(), "service": service, "sender_layer": sender_layer}
+    return {"decl": decl.to_obj(), "service": service}
 
 
 def declaration_from_body(body: dict[str, Any]) -> tuple["FlowDeclaration", str]:
     """The declaration and service carried by a ``declaration_body``."""
-    return FlowDeclaration.from_obj(body["decl"]), body.get("service", "anonymous")
+    return FlowDeclaration.from_obj(body["decl"]), body["service"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class FlowDeclaration:
     """An advertise or request for one topic, as flooded between layers.
 
-    ``visited_layers`` lists every layer that has already forwarded the
-    declaration; the origin layer stamps itself in before the first
-    forward, and receivers only forward to layers not yet listed.
+    Its origin layer is ``origin_node.layer``. The bus reaches every
+    layer in one hop, so a declaration needs no record of where it has
+    been: an engine floods what arrives on its local scopes and never
+    what arrives over the bus.
     """
 
     direction: str
     topic: str
     origin_node: NodeId
-    origin_layer: str
     declared_rate: float = 0.0
     declared_max_size: int = 0
-    visited_layers: frozenset[str] = field(default=frozenset())
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
@@ -170,23 +166,14 @@ class FlowDeclaration:
             raise ValueError("empty topic")
         if self.declared_rate < 0 or self.declared_max_size < 0:
             raise ValueError("declared rate/size must be >= 0")
-        if not self.visited_layers:
-            object.__setattr__(self, "visited_layers", frozenset({self.origin_layer}))
-        elif self.origin_layer not in self.visited_layers:
-            raise ValueError("origin layer missing from visited_layers")
-
-    def visit(self, layer: str) -> "FlowDeclaration":
-        return replace(self, visited_layers=self.visited_layers | {layer})
 
     def to_obj(self) -> dict[str, Any]:
         return {
             "direction": self.direction,
             "topic": self.topic,
             "origin_node": [self.origin_node.layer, self.origin_node.name],
-            "origin_layer": self.origin_layer,
             "declared_rate": self.declared_rate,
             "declared_max_size": self.declared_max_size,
-            "visited_layers": sorted(self.visited_layers),
         }
 
     @classmethod
@@ -195,10 +182,8 @@ class FlowDeclaration:
             direction=obj["direction"],
             topic=obj["topic"],
             origin_node=NodeId(obj["origin_node"][0], obj["origin_node"][1]),
-            origin_layer=obj["origin_layer"],
             declared_rate=obj["declared_rate"],
             declared_max_size=obj["declared_max_size"],
-            visited_layers=frozenset(obj["visited_layers"]),
         )
 
 

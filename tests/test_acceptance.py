@@ -383,7 +383,7 @@ def test_latency_and_loss_emulation():
     for i in range(total):
         net.endpoint("inter_layer:edge").publish(MessageEnvelope(
             topic="bulk", payload=b"x", origin_node=origin,
-            origin_layer="edge", sequence=i + 1, sent_at=0,
+            sequence=i + 1, sent_at=0,
         ))
     clock.run_until_idle(400_000)
     dropped = total - len(got)
@@ -524,17 +524,17 @@ def test_compression_roundtrip_and_ratio():
 PINNED_METRICS = {
     "estop": (None, {
         "metrics.txt":
-            "f744c33ea8d8e8443a077e6338462fd06f70800643f223bcc7fbba260e86ffbe",
+            "7aac51d7d5d3a0cb6e119255580f352b61ea38bde5454bafdb7b9f5f1bd0768f",
     }),
     "navigation": ("1.2.13", {
         "placement-cloud-gpu2/metrics.txt":
-            "1b58cb5c9697fb9f950dd20fc0acaf7db1033ac3cfe4eaf1a5acec67b2df09e6",
+            "f6e045930fd3b306336f216501224532e164a6d60e32b1b46b5d91b21820a136",
         "placement-edge-gpu2/metrics.txt":
-            "c7e1d2cdcb1549bfa9483590a89276bed1951ce3b1f298434a9c9cc921e7df06",
+            "e078b96cb6f87b0bcc4f5cece27af7c65ae378cb2bede467e45fd61612f3c508",
         "placement-fog-gpu3/metrics.txt":
-            "2b125ca6a42dac26b260170918533e8be38cf1aa6f68cea1fba041f5114689ea",
+            "60fbbf0f1a9ec33801e421c51c38144fc6587b03df608726888a81e373acc2d8",
         "placement-robot-1/metrics.txt":
-            "686504e78bf4ec7e71c452d24b8e5f331e506b9379fa22cdd620ce526be8f2f5",
+            "65d25b40b81696e8e1f1d1ea36cbe175f67c2fa490ac7d0a971c1e0cd983abc1",
     }),
 }
 

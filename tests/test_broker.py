@@ -18,14 +18,21 @@ def env(topic="scan", seq=1):
         topic=topic,
         payload=b"data",
         origin_node=NodeId("edge", "robot-1"),
-        origin_layer="edge",
         sequence=seq,
         sent_at=0,
     )
 
 
+def sync_dispatch(endpoint, env):
+    """Deliver at once on the publisher's stack, with no network between."""
+    handles = endpoint.snapshot(env)
+    for h in handles:
+        endpoint.invoke(h, env)
+    return len(handles)
+
+
 def make_ep():
-    return BrokerEndpoint(BrokerScope(ScopeKind.INTRA_LAYER, "edge"))
+    return BrokerEndpoint(BrokerScope(ScopeKind.INTRA_LAYER, "edge"), sync_dispatch)
 
 
 def test_sync_publish_reaches_topic_subscribers_only():
@@ -77,7 +84,6 @@ def test_handle_metadata():
     assert "scan" in repr(h)
     h2 = ep.subscribe("scan", lambda e: None)
     assert h2.kind == SUB_USER
-    assert h2.id > h.id
 
 
 def test_callback_exception_contained():

@@ -1,5 +1,6 @@
 """Unit tests for the flow engine: tables, dedupe, flooding, bridges."""
 
+import json
 from random import Random
 
 import pytest
@@ -14,11 +15,14 @@ from flowbridge.flow import (
 )
 from flowbridge.monitor import HeartbeatRegistry, MetricsRegistry
 from flowbridge.runner import World
+from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, Network, SimClock, ns_from_s
 from flowbridge.topology import (
     ADVERTISE,
     CONFIG_NOTICE,
+    CONFIG_REQUEST,
     FLOW_ADVERTISE,
+    FLOW_WITHDRAW,
     REQUEST,
     BrokerScope,
     FlowDeclaration,
@@ -27,6 +31,7 @@ from flowbridge.topology import (
     ScopeKind,
     SequenceCounter,
     build_topology,
+    declaration_from_body,
 )
 from flowbridge.tracing import Trace
 from oracles import synthetic_corpus
@@ -100,7 +105,7 @@ def test_dedupe_seen_never_marks():
 def decl(direction=ADVERTISE, topic="t", node="a", layer="edge", rate=0.0, size=0):
     return FlowDeclaration(
         direction=direction, topic=topic, origin_node=NodeId(layer, node),
-        origin_layer=layer, declared_rate=rate, declared_max_size=size,
+        declared_rate=rate, declared_max_size=size,
     )
 
 
@@ -248,7 +253,6 @@ class Mini:
         node_id = self.topology.node(node)
         env = MessageEnvelope(
             topic=topic, payload=payload, origin_node=node_id,
-            origin_layer=node_id.layer,
             sequence=seq if seq is not None else self.seqs[node].next(topic),
             sent_at=self.clock.now,
         )
@@ -405,6 +409,70 @@ def test_flood_crosses_each_layer_once(tmp_path):
     w.drain()
     # one flood, two crossings (fog and cloud), no re-forwarding
     assert len(records(tmp_path / "trace.jsonl", "xlink", topic=FLOW_ADVERTISE)) == 2
+
+
+def bus_publishes(world):
+    """Log every publish on an inter-layer scope as (control topic, layer of
+    the publishing node, declared topic or None)."""
+    log = []
+    for layer in world.engines:
+        ep = world.network.endpoint(world.topology.inter_layer_scope(layer))
+
+        def publish(env, publish=ep.publish):
+            decl = None
+            if env.topic.startswith("__flow/"):
+                decl = declaration_from_body(json.loads(env.payload))[0].topic
+            log.append((env.topic, env.origin_node.layer, decl))
+            return publish(env)
+        ep.publish = publish
+    return log
+
+
+def test_each_local_declaration_crosses_the_bus_once():
+    w = World(build_topology(SPEC3), seed=1)
+    w.start()
+    w.clock.run_until(SECOND)
+    log = bus_publishes(w)
+    remote = {layer: (ADVERTISE, "img", "robot-1@edge", f"inter_layer:{layer}")
+              for layer in ("fog", "cloud")}
+
+    def settle(ms, control_topic, stored):
+        w.clock.run_until(w.clock.now + int(ms * MS))
+        # one publish, by the origin layer's engine; the others forward nothing
+        assert [entry for entry in log if entry[2] == "img"] == [(control_topic, "edge", "img")]
+        for layer, key in remote.items():
+            assert (key in w.engines[layer].table.entries) is stored
+        log.clear()
+
+    cam = w.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
+    settle(100, FLOW_ADVERTISE, True)
+    w.host.stop_service(cam)
+    settle(100, FLOW_WITHDRAW, False)
+    cam = w.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
+    settle(100, FLOW_ADVERTISE, True)
+    # a crash leaves the withdrawal to the edge engine's watchdog
+    w.host.kill_service(cam)
+    settle(5_000, FLOW_WITHDRAW, False)
+    w.drain()
+    assert w.issues() == []
+
+
+def test_one_layer_world_floods_nothing_on_its_inter_layer_scope():
+    w = World(build_topology({"layers": [{"name": "edge", "nodes": ["robot-1", "robot-2"]}]}),
+              seed=1)
+    log = bus_publishes(w)
+    w.start()
+    cam = w.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
+    w.host.start_service("robot-2", "viewer", requests=["img"])
+    w.clock.run_until(2 * SECOND)
+    w.host.stop_service(cam)
+    w.clock.run_until(12 * SECOND)
+    assert w.engines["edge"].bridges == {}
+    w.drain()
+    # config pulls still use the scope; flow control has no other layer to reach
+    assert [entry for entry in log if entry[0].startswith("__flow/")] == []
+    assert any(entry[0] == CONFIG_REQUEST for entry in log)
+    assert w.issues() == []
 
 
 def test_message_crosses_layers_exactly_once():
@@ -568,7 +636,6 @@ def test_config_notice_reconfigures_limiters(tmp_path):
 
     w.bodies["edge"] = resolve_layer_config({"rate_limit": {"limit_mbps": 80.0}})
     notice = {"layer": "edge", "revision": 2, "changed_paths": ["rate_limit.limit_mbps"]}
-    import json
     w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(notice).encode(), "robot-1")
     w.settle()
     assert w.engines["edge"].limit_cfg.limit_mbps == 80.0

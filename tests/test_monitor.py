@@ -214,7 +214,7 @@ def test_export_mean_adds_left_to_right():
 def env_sent_at(t, topic="scan"):
     return MessageEnvelope(
         topic=topic, payload=b"x", origin_node=NodeId("edge", "a"),
-        origin_layer="edge", sequence=1, sent_at=t,
+        sequence=1, sent_at=t,
     )
 
 
@@ -305,7 +305,7 @@ class LoopFabric:
     def publish(self, topic, payload):
         env = MessageEnvelope(
             topic=topic, payload=payload, origin_node=NodeId("x", "src"),
-            origin_layer="x", sequence=1, sent_at=self.clock.now,
+            sequence=1, sent_at=self.clock.now,
         )
         for p in self.probes:
             cb = p.on_ping if topic == PING_TOPIC else p.on_pong
@@ -355,7 +355,7 @@ def test_probe_ignores_pings_for_other_nodes():
     body = {"src": "c@far", "dst": "nobody@nowhere", "nonce": 9, "t0": 0}
     env = MessageEnvelope(
         topic=PING_TOPIC, payload=json.dumps(body).encode(),
-        origin_node=NodeId("far", "c"), origin_layer="far", sequence=1, sent_at=0,
+        origin_node=NodeId("far", "c"), sequence=1, sent_at=0,
     )
     pa.on_ping(env)  # not addressed to a: no pong, no crash
     clock.run_until(SECOND)

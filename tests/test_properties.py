@@ -219,7 +219,7 @@ def test_table_queries_match_full_scan_oracles(ops):
             want = (old is None or rate > old.declared_rate or size > old.declared_max_size
                     or service not in old.contributors)
             decl = FlowDeclaration(direction=direction, topic=topic, origin_node=origin,
-                                   origin_layer="edge", declared_rate=float(rate),
+                                   declared_rate=float(rate),
                                    declared_max_size=size)
             assert table.store(direction, scope, decl, service) == want
         else:

@@ -268,15 +268,15 @@ CHURN_WORLD = {
 
 PINNED_CHURN = {
     "metrics.txt":
-        "4ecbcfb87d868c9090fd743af2d9822f32057cd75f4b94676c80e1007371038f",
+        "0093a810b4c933e5885139c62a2f3b5c356acc88bd26bd4d4fd6e3bfc5569b63",
     "summary.csv":
-        "d2a6fe2f987799143bee110422885fed62d766a809efe5025cd7a1348afcf472",
+        "c6c49bc5ced428bf117efbc563a3e0d57dd72ea9862ea1fea46898a1695c7ba7",
     "links.csv":
-        "3a500e442eeeba7261a81db9d148b55fda30849b047ee44c732a217ef063fe3c",
+        "310fe0cee735ace008211aa58cf65c12e92f796d088600a50ed393452687b24d",
     "bridges.csv":
-        "9dea58cd4bcff6348d6ebac5467c9cdac2b690ccb9918d95902f29811ce0065a",
+        "1cd774ae1962e486e702229c126e838e32cae3f914d4ceedaaa1756238b3b85d",
     "trace.jsonl":
-        "8f8ef7c6afd2109aecee9e870dd70ffc316c6f65748ab2c2af297371a5306714",
+        "a55ce06d444aa1409b27b0e34b1fbca0f09fd41b81056f72e2db39340c3437df",
 }
 
 

@@ -227,7 +227,7 @@ def test_duplicate_delivery_is_flagged_as_violation(world):
     sink = world.host.services[("robot-1", "sink")]
     env = MessageEnvelope(
         topic="t", payload=b"x", origin_node=world.topology.node("robot-2"),
-        origin_layer="edge", sequence=1, sent_at=0,
+        sequence=1, sent_at=0,
     )
     # bypass the bridge layer and hand the same envelope over twice
     ep = world.network.endpoint(sink.scope)

@@ -36,7 +36,6 @@ def env(topic="scan", payload=b"x" * 100, seq=1, sent_at=0):
         topic=topic,
         payload=payload,
         origin_node=NodeId("edge", "robot-1"),
-        origin_layer="edge",
         sequence=seq,
         sent_at=sent_at,
     )

@@ -1,6 +1,7 @@
 """Unit tests for the deployment model: layers, nodes, scopes, envelopes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,8 @@ from flowbridge.topology import (
     Topology,
     TopologyError,
     build_topology,
+    declaration_body,
+    declaration_from_body,
     load_topology,
 )
 
@@ -168,7 +171,6 @@ def env(**kw) -> MessageEnvelope:
         topic="scan",
         payload=b"hello",
         origin_node=NodeId("edge", "robot-1"),
-        origin_layer="edge",
         sequence=1,
         sent_at=0,
     )
@@ -181,6 +183,8 @@ def test_envelope_defaults_and_stream_key():
     assert e.payload_len == 5
     assert e.uncompressed_len == 5
     assert not e.compressed
+    # the length follows the payload, also through replace()
+    assert replace(e, payload=b"hi", uncompressed_len=-1).payload_len == 2
 
 
 def test_envelope_validation():
@@ -188,8 +192,6 @@ def test_envelope_validation():
         env(topic="")
     with pytest.raises(ValueError):
         env(sequence=0)
-    with pytest.raises(ValueError):
-        env(payload_len=3)
     with pytest.raises(ValueError):
         env(compressed=True)  # needs uncompressed_len
     with pytest.raises(ValueError):
@@ -206,24 +208,11 @@ def decl(**kw) -> FlowDeclaration:
         direction=ADVERTISE,
         topic="scan",
         origin_node=NodeId("edge", "robot-1"),
-        origin_layer="edge",
         declared_rate=10.0,
         declared_max_size=512,
     )
     base.update(kw)
     return FlowDeclaration(**base)
-
-
-def test_declaration_stamps_origin_layer():
-    d = decl()
-    assert d.visited_layers == frozenset({"edge"})
-
-
-def test_declaration_visit_accumulates():
-    d = decl().visit("fog").visit("cloud")
-    assert d.visited_layers == frozenset({"edge", "fog", "cloud"})
-    # original is unchanged
-    assert decl().visited_layers == frozenset({"edge"})
 
 
 def test_declaration_validation():
@@ -233,12 +222,19 @@ def test_declaration_validation():
         decl(topic="")
     with pytest.raises(ValueError):
         decl(declared_rate=-1.0)
-    with pytest.raises(ValueError):
-        decl(visited_layers=frozenset({"fog"}))  # origin missing
+
+
+def test_flow_control_body_carries_each_fact_once():
+    d = decl()
+    body = json.loads(json.dumps(declaration_body(d, "cam")))
+    assert set(body) == {"decl", "service"}
+    assert set(body["decl"]) == {
+        "direction", "topic", "origin_node", "declared_rate", "declared_max_size"}
+    assert declaration_from_body(body) == (d, "cam")
 
 
 def test_declaration_obj_round_trip():
-    d = decl(direction=REQUEST).visit("fog")
+    d = decl(direction=REQUEST)
     assert FlowDeclaration.from_obj(d.to_obj()) == d
     # to_obj output is JSON-serializable
     json.dumps(d.to_obj())
