@@ -33,8 +33,10 @@ from .tracing import Trace
 
 log = logging.getLogger(__name__)
 
-# hard ceiling on post-run drain work; a healthy world goes idle in a
-# tiny fraction of this, so hitting it means runaway forwarding
+# hard ceiling on post-run drain work, in clock events: the copies of one
+# publish that share a link and an arrival time are one event, so this
+# counts events, not copies; a healthy world goes idle in a tiny fraction
+# of this, so hitting it means runaway forwarding
 DRAIN_EVENT_BUDGET = 5_000_000
 
 PROBE_PAYLOAD_SIZE = 128

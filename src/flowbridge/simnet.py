@@ -20,6 +20,14 @@ A publish on an inter_layer scope also fans out across the layer bus:
 for every other layer with at least one matching subscriber, the
 envelope is charged once on the directed crossing link to that layer
 and delivered to those subscribers with the crossing's loss/latency.
+
+On a link without jitter every copy of one publish arrives at the same
+time, so the copies that survive their loss draws travel as one event
+that delivers them in target order; a jittered link schedules one event
+per copy. Nothing can run between the copies of one event, as nothing
+could between their consecutively scheduled events before, so outputs
+are the same. ``SimClock.events_processed`` and
+``run_until_idle(max_events)`` count these events, not copies.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, MetricsRegistry
@@ -69,26 +77,22 @@ class SimClock:
     """
 
     def __init__(self, start: int = 0):
-        self._now = start
+        self.now = start  # read-only outside this class
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self.events_processed = 0
 
-    @property
-    def now(self) -> int:
-        return self._now
-
     def schedule(self, at: int, fn: Callable, *args: Any) -> None:
         """Schedule fn(*args) at virtual time ``at`` (clamped to now)."""
-        if at < self._now:
-            at = self._now
+        if at < self.now:
+            at = self.now
         heapq.heappush(self._heap, (at, next(self._seq), fn, args))
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
-        self.schedule(self._now + max(0, delay), fn, *args)
+        self.schedule(self.now + max(0, delay), fn, *args)
 
     def _pop_run(self) -> None:
-        self._now, _, fn, args = heapq.heappop(self._heap)
+        self.now, _, fn, args = heapq.heappop(self._heap)
         self.events_processed += 1
         fn(*args)
 
@@ -97,8 +101,8 @@ class SimClock:
         start = self.events_processed
         while self._heap and self._heap[0][0] <= t:
             self._pop_run()
-        if t > self._now:
-            self._now = t
+        if t > self.now:
+            self.now = t
         return self.events_processed - start
 
     def run_until_idle(self, max_events: int | None = None) -> int:
@@ -155,14 +159,18 @@ class LinkSpec:
 
 
 class LinkState:
-    """A directed link instance: immutable spec plus FIFO backlog state."""
+    """A directed link instance: immutable spec plus FIFO backlog state,
+    its fixed delay and its ``link.bytes``/``link.msgs`` counters."""
 
-    __slots__ = ("name", "spec", "busy_until")
+    __slots__ = ("name", "spec", "busy_until", "delay_ns", "bytes_cell", "msgs_cell")
 
-    def __init__(self, name: str, spec: LinkSpec):
+    def __init__(self, name: str, spec: LinkSpec, metrics: MetricsRegistry):
         self.name = name
         self.spec = spec
         self.busy_until = 0
+        self.delay_ns = ns_from_ms(spec.latency_ms)
+        self.bytes_cell = metrics.counter("link.bytes", {"link": name})
+        self.msgs_cell = metrics.counter("link.msgs", {"link": name})
 
     def charge(self, nbytes: int, now: int) -> int:
         """Serialize nbytes starting no earlier than now; returns finish time."""
@@ -233,10 +241,13 @@ class Network:
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
             for key, scope in topology.scopes.items()
         }
-        self._inter_peers: dict[str, list[str]] = {}
-        layer_names = [l.name for l in topology.layers]
-        for name in layer_names:
-            self._inter_peers[name] = [n for n in layer_names if n != name]
+        # per layer: every other layer's bus endpoint and the crossing to it
+        self._inter_peers: dict[str, list[tuple[BrokerEndpoint, LinkState]]] = {
+            a.name: [(self.endpoints[f"{ScopeKind.INTER_LAYER.value}:{b.name}"],
+                      self.crossings[(a.name, b.name)])
+                     for b in topology.layers if b is not a]
+            for a in topology.layers
+        }
 
     def _build_links(self, links: dict) -> None:
         unknown = set(_expect(links, dict, "links")) - {"defaults", "scopes", "crossings"}
@@ -254,7 +265,7 @@ class Network:
             spec = defaults[scope.kind.value]
             if key in scope_overrides:
                 spec = spec.merged(scope_overrides[key])
-            self.local_links[key] = LinkState(key, spec)
+            self.local_links[key] = LinkState(key, spec, self.metrics)
         stray = set(scope_overrides) - set(self.topology.scopes)
         if stray:
             raise TopologyError(f"link override for unknown scope: {sorted(stray)}")
@@ -277,13 +288,8 @@ class Network:
         self.crossings: dict[tuple[str, str], LinkState] = {}
         for pair, spec in pair_specs.items():
             a, b = sorted(pair, key=lambda n: self.topology.layer(n).depth)
-            self.crossings[(a, b)] = LinkState(f"{a}->{b}", spec)
-            self.crossings[(b, a)] = LinkState(f"{b}->{a}", spec)
-        self._link_counters: dict[str, tuple[CounterCell, CounterCell]] = {
-            link.name: (self.metrics.counter("link.bytes", {"link": link.name}),
-                        self.metrics.counter("link.msgs", {"link": link.name}))
-            for link in [*self.local_links.values(), *self.crossings.values()]
-        }
+            self.crossings[(a, b)] = LinkState(f"{a}->{b}", spec, self.metrics)
+            self.crossings[(b, a)] = LinkState(f"{b}->{a}", spec, self.metrics)
 
     # -- endpoint access -------------------------------------------------
 
@@ -300,68 +306,77 @@ class Network:
 
         targets = endpoint.snapshot(env)
         if targets:
-            link = self.local_links[scope.key]
-            ser_end = link.charge(env.payload_len, now)
-            self._count_link(link, env)
-            for h in targets:
-                self._send_copy(endpoint, h, env, link, ser_end)
+            self._send(endpoint, targets, env, self.local_links[scope.key], now)
             total += len(targets)
 
         if scope.kind is ScopeKind.INTER_LAYER:
-            for other in self._inter_peers[scope.layer]:
-                peer = self.endpoints[f"{ScopeKind.INTER_LAYER.value}:{other}"]
+            for peer, xlink in self._inter_peers[scope.layer]:
                 remote = peer.snapshot(env)
                 if not remote:
                     continue
-                xlink = self.crossings[(scope.layer, other)]
-                xser_end = xlink.charge(env.payload_len, now)
-                self._count_link(xlink, env)
                 self.trace.record(
-                    "xlink", now, frm=scope.layer, to=other, topic=env.topic,
+                    "xlink", now, frm=scope.layer, to=peer.scope.layer, topic=env.topic,
                     origin=env.origin_node.key, seq=env.sequence,
                 )
-                for h in remote:
-                    self._send_copy(peer, h, env, xlink, xser_end)
+                self._send(peer, remote, env, xlink, now)
                 total += len(remote)
 
         if total:
             self._offered[env.topic].inc(total)
         return total
 
-    def _count_link(self, link: LinkState, env: MessageEnvelope) -> None:
-        nbytes, msgs = self._link_counters[link.name]
-        nbytes.inc(env.payload_len)
-        msgs.inc()
-
-    def _send_copy(
+    def _send(
         self,
         endpoint: BrokerEndpoint,
-        handle: SubscriberHandle,
+        handles: list[SubscriberHandle],
         env: MessageEnvelope,
         link: LinkState,
-        ser_end: int,
+        now: int,
     ) -> None:
-        spec = link.spec
-        if spec.loss > 0.0 and self.rng.random() < spec.loss:
-            self.metrics.inc("flow.drop.loss", {"topic": env.topic, "link": link.name})
-            return
-        if spec.jitter_ms > 0.0:
-            delay_ms = self.rng.uniform(spec.latency_ms - spec.jitter_ms,
-                                        spec.latency_ms + spec.jitter_ms)
-            if delay_ms < 0.0:
-                delay_ms = 0.0
-        else:
-            delay_ms = spec.latency_ms
-        self.clock.schedule(ser_end + ns_from_ms(delay_ms), self._deliver, endpoint, handle, env)
+        """Charge one publish on link and schedule its copies' arrivals.
 
-    def _deliver(self, endpoint: BrokerEndpoint, handle: SubscriberHandle, env: MessageEnvelope) -> None:
+        Loss is drawn per copy in target order; on a jittered link each
+        survivor then draws its delay and arrives as its own event, else
+        the survivors share one event at the link's fixed delay.
+        """
+        ser_end = link.charge(env.payload_len, now)
+        link.bytes_cell.inc(env.payload_len)
+        link.msgs_cell.inc()
+        spec = link.spec
+        if spec.jitter_ms > 0.0:
+            for h in handles:
+                if spec.loss > 0.0 and self._lost(env, link):
+                    continue
+                delay_ms = self.rng.uniform(spec.latency_ms - spec.jitter_ms,
+                                            spec.latency_ms + spec.jitter_ms)
+                if delay_ms < 0.0:
+                    delay_ms = 0.0
+                self.clock.schedule(ser_end + ns_from_ms(delay_ms), self._deliver,
+                                    endpoint, (h,), env)
+            return
+        if spec.loss > 0.0:
+            handles = [h for h in handles if not self._lost(env, link)]
+        if handles:
+            self.clock.schedule(ser_end + link.delay_ns, self._deliver, endpoint, handles, env)
+
+    def _lost(self, env: MessageEnvelope, link: LinkState) -> bool:
+        if self.rng.random() < link.spec.loss:
+            self.metrics.inc("flow.drop.loss", {"topic": env.topic, "link": link.name})
+            return True
+        return False
+
+    def _deliver(self, endpoint: BrokerEndpoint, handles: Sequence[SubscriberHandle],
+                 env: MessageEnvelope) -> None:
         # Bridge callbacks account their own outcome (forward / dedupe /
         # limiter drop); every other arrival terminates here as delivered,
-        # including arrivals at handles unsubscribed while in flight.
-        if handle.kind != SUB_BRIDGE or not handle.active:
-            self._delivered[env.topic].inc()
-        if handle.active and not endpoint.invoke(handle, env):
-            self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
+        # including arrivals at handles unsubscribed while in flight, also
+        # by an earlier copy's callback in this same event.
+        delivered = self._delivered[env.topic]
+        for handle in handles:
+            if handle.kind != SUB_BRIDGE or not handle.active:
+                delivered.inc()
+            if handle.active and not endpoint.invoke(handle, env):
+                self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
 
     def endpoint_errors(self) -> list[tuple[str, str, str]]:
         out = []

@@ -204,6 +204,66 @@ class OracleRingWindow:
         return True
 
 
+def oracle_dispatch_per_copy(net, endpoint, env) -> int:
+    """A network's transport with one delivery event per copy.
+
+    Each targeted copy draws its loss, then its jitter, and is scheduled
+    as its own event, in target order; the local link first, then each
+    other layer's crossing. Counters are updated through the registry by
+    name. Install it on every endpoint with `install_per_copy_dispatch`.
+    """
+    now = net.clock.now
+    scope = endpoint.scope
+    total = 0
+    hops = [(endpoint, net.local_links[scope.key], None)]
+    if scope.kind.value == "inter_layer":
+        hops += [(net.endpoints[f"inter_layer:{layer.name}"],
+                  net.crossings[(scope.layer, layer.name)], layer.name)
+                 for layer in net.topology.layers if layer.name != scope.layer]
+    for ep, link, to_layer in hops:
+        targets = ep.snapshot(env)
+        if not targets:
+            continue
+        ser_end = link.charge(env.payload_len, now)
+        net.metrics.inc("link.bytes", {"link": link.name}, env.payload_len)
+        net.metrics.inc("link.msgs", {"link": link.name})
+        if to_layer is not None:
+            net.trace.record("xlink", now, frm=scope.layer, to=to_layer, topic=env.topic,
+                             origin=env.origin_node.key, seq=env.sequence)
+        for handle in targets:
+            _oracle_send_copy(net, ep, handle, env, link, ser_end)
+        total += len(targets)
+    if total:
+        net.metrics.inc("flow.offered", {"topic": env.topic}, total)
+    return total
+
+
+def _oracle_send_copy(net, endpoint, handle, env, link, ser_end) -> None:
+    spec = link.spec
+    if spec.loss > 0.0 and net.rng.random() < spec.loss:
+        net.metrics.inc("flow.drop.loss", {"topic": env.topic, "link": link.name})
+        return
+    delay_ms = spec.latency_ms
+    if spec.jitter_ms > 0.0:
+        delay_ms = max(0.0, net.rng.uniform(spec.latency_ms - spec.jitter_ms,
+                                            spec.latency_ms + spec.jitter_ms))
+    net.clock.schedule(ser_end + int(round(delay_ms * 1_000_000)),
+                       _oracle_deliver, net, endpoint, handle, env)
+
+
+def _oracle_deliver(net, endpoint, handle, env) -> None:
+    if handle.kind != "bridge" or not handle.active:
+        net.metrics.inc("flow.delivered", {"topic": env.topic})
+    if handle.active and not endpoint.invoke(handle, env):
+        net.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
+
+
+def install_per_copy_dispatch(net) -> None:
+    """Route every publish on net through `oracle_dispatch_per_copy`."""
+    for ep in net.endpoints.values():
+        ep._dispatch = lambda ep, env: oracle_dispatch_per_copy(net, ep, env)
+
+
 def synthetic_corpus(nbytes: int = 1 << 20, seed: int = 1318) -> bytes:
     """Deterministic compressible test corpus: repeated random blocks
     with scattered byte mutations, the texture the codec is sized for."""

@@ -1,9 +1,14 @@
 """Unit tests for the deterministic event clock and simulated network."""
 
+import tempfile
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowbridge.broker import SUB_BRIDGE, SUB_USER, BrokerEndpoint
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import (
     DEFAULT_LINKS,
@@ -18,6 +23,7 @@ from flowbridge.simnet import (
 )
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
+from oracles import install_per_copy_dispatch
 from tracefile import records
 
 TOPO = build_topology(
@@ -137,14 +143,18 @@ def test_link_spec_merge_keeps_unset_fields():
     assert base.loss == 0.5
 
 
+def bare_link(spec):
+    return LinkState("l", spec, MetricsRegistry(SimClock()))
+
+
 def test_serialization_time_exact():
     # 1 MB at 160 Mbit/s is exactly 50 ms on the wire
-    link = LinkState("l", LinkSpec(bandwidth_mbps=160.0))
+    link = bare_link(LinkSpec(bandwidth_mbps=160.0))
     assert link.charge(1_000_000, 0) == 50 * MS
 
 
 def test_link_charge_is_fifo():
-    link = LinkState("l", LinkSpec(bandwidth_mbps=8.0))  # 1000 ns per byte
+    link = bare_link(LinkSpec(bandwidth_mbps=8.0))  # 1000 ns per byte
     assert link.charge(100, 0) == 100_000
     # second frame queues behind the first
     assert link.charge(100, 50_000) == 200_000
@@ -153,7 +163,7 @@ def test_link_charge_is_fifo():
 
 
 def test_unlimited_bandwidth_is_instant():
-    link = LinkState("l", LinkSpec(bandwidth_mbps=0.0))
+    link = bare_link(LinkSpec(bandwidth_mbps=0.0))
     assert link.charge(10**9, 42) == 42
 
 
@@ -380,3 +390,146 @@ def test_different_seed_diverges():
     log_a, _ = run_noisy_world(seed=11)
     log_b, _ = run_noisy_world(seed=12)
     assert log_a != log_b
+
+
+# -- one event per (link, arrival) against the per-copy reference ------------
+
+
+def per_copy_net(**kwargs):
+    net, clock, metrics = make_net(**kwargs)
+    install_per_copy_dispatch(net)
+    return net, clock, metrics
+
+
+def test_lossy_jitter_free_link_drops_what_the_reference_drops():
+    links = {"defaults": {"intra_layer": {"latency_ms": 2.0, "loss": 0.4}}}
+    runs = []
+    for build in (make_net, per_copy_net):
+        net, clock, metrics = build(links=links, seed=7)
+        ep = net.endpoint("intra_layer:edge")
+        log = []
+        for tag in range(6):
+            ep.subscribe("scan", lambda e, tag=tag: log.append((clock.now, tag, e.sequence)))
+        states = []
+        for i in range(40):
+            clock.run_until(i * MS)
+            ep.publish(env(seq=i + 1))
+            states.append(net.rng.getstate())
+        clock.run_until_idle()
+        runs.append((log, states, metrics.snapshot(), clock.events_processed))
+    (log, states, snap, events), (ref_log, ref_states, ref_snap, ref_events) = runs
+    assert log == ref_log and states == ref_states and snap == ref_snap
+    assert 0 < len(log) < 240  # some copies dropped, some kept
+    assert events == len({t for t, _, _ in log}) < ref_events == len(log)
+
+
+def test_jittered_link_schedules_one_event_per_copy():
+    net, clock, _ = make_net(
+        links={"defaults": {"intra_layer": {"latency_ms": 1.0, "jitter_ms": 0.5}}})
+    ep = net.endpoint("intra_layer:edge")
+    got = []
+    for _ in range(4):
+        ep.subscribe("scan", got.append)
+    ep.publish(env())
+    assert clock.run_until_idle() == 4 and len(got) == 4
+
+
+def test_sibling_unsubscribed_mid_batch_is_counted_but_not_called():
+    for build in (make_net, per_copy_net):
+        net, clock, metrics = build()
+        ep = net.endpoint("intra_layer:edge")
+        log = []
+        later = []
+        ep.subscribe("scan", lambda e: (log.append("a"), ep.unsubscribe(later[0])))
+        ep.subscribe("scan", lambda e: log.append("b"))
+        # an active bridge accounts its own arrivals; an unsubscribed one
+        # ends here as delivered
+        later.append(ep.subscribe("scan", lambda e: log.append("c"), kind=SUB_BRIDGE))
+        ep.publish(env())
+        clock.run_until_idle()
+        assert log == ["a", "b"]
+        assert metrics.counter_value("flow.delivered", {"topic": "scan"}) == 3
+
+
+def test_zero_delay_event_runs_after_every_sibling():
+    net, clock, _ = make_net()
+    ep = net.endpoint("intra_layer:edge")
+    log = []
+    ep.subscribe("scan", lambda e: (log.append("a"), clock.schedule(clock.now, log.append, "zero")))
+    ep.subscribe("scan", lambda e: log.append("b"))
+    ep.subscribe("scan", lambda e: log.append("c"))
+    ep.publish(env())
+    assert clock.run_until_idle() == 2
+    assert log == ["a", "b", "c", "zero"]
+
+
+def test_invoke_runs_once_per_copy(monkeypatch):
+    calls = []
+    invoke = BrokerEndpoint.invoke
+
+    def counted(self, handle, e):
+        calls.append(self.scope.key)
+        return invoke(self, handle, e)
+
+    monkeypatch.setattr(BrokerEndpoint, "invoke", counted)
+    net, clock, _ = make_net()
+    for _ in range(3):
+        net.endpoint("inter_layer:edge").subscribe("scan", lambda e: None)
+    for _ in range(2):
+        net.endpoint("inter_layer:cloud").subscribe("scan", lambda e: None)
+    assert net.endpoint("inter_layer:edge").publish(env()) == 5
+    assert clock.run_until_idle() == 2
+    assert calls == ["inter_layer:edge"] * 3 + ["inter_layer:cloud"] * 2
+
+
+link_specs = st.fixed_dictionaries({
+    "latency_ms": st.sampled_from([0.0, 0.5, 3.0]),
+    "jitter_ms": st.sampled_from([0.0, 0.0, 1.0]),
+    "loss": st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+    "bandwidth_mbps": st.sampled_from([0.0, 8.0]),
+})
+BUS = ["intra_layer:edge", "inter_layer:edge", "inter_layer:fog", "inter_layer:cloud"]
+# what a subscriber's callback does besides logging its arrival
+actions = st.sampled_from(["log", "forward", "unsubscribe", "zero_delay"])
+subscribers = st.lists(st.tuples(st.sampled_from(BUS), st.sampled_from([SUB_USER, SUB_BRIDGE]),
+                                 actions), max_size=8)
+publishes = st.lists(st.tuples(st.integers(0, 20), st.sampled_from(BUS)), min_size=1, max_size=12)
+
+
+def run_transport(build, links, subs, pubs, seed, trace_path):
+    net, clock, metrics = build(links=links, seed=seed, trace_path=trace_path)
+    log = []
+    handles = []
+
+    def callback(i, action):
+        def on_message(e):
+            log.append((clock.now, i, e.sequence))
+            if action == "forward" and e.sequence < 1000:
+                net.endpoint("inter_layer:fog").publish(env(seq=e.sequence + 1000))
+            elif action == "unsubscribe" and i + 1 < len(handles):
+                sibling = handles[i + 1]
+                net.endpoint(sibling.scope).unsubscribe(sibling)
+            elif action == "zero_delay":
+                clock.schedule(clock.now, log.append, (clock.now, "zero", i, e.sequence))
+        return on_message
+
+    for i, (scope, kind, action) in enumerate(subs):
+        handles.append(net.endpoint(scope).subscribe("scan", callback(i, action), kind=kind))
+    for n, (at_ms, scope) in enumerate(sorted(pubs)):
+        clock.run_until(at_ms * MS)
+        net.endpoint(scope).publish(env(seq=n + 1, sent_at=clock.now))
+    events = clock.run_until_idle()
+    net.trace.close()
+    return log, metrics.snapshot(), net.rng.getstate(), Path(trace_path).read_bytes(), events
+
+
+@given(link_specs, link_specs, link_specs, subscribers, publishes, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_batched_transport_matches_per_copy_reference(local, bus, crossing, subs, pubs, seed):
+    links = {"defaults": {"intra_layer": local, "inter_layer": bus, "crossing": crossing}}
+    with tempfile.TemporaryDirectory() as tmp:
+        *got, events = run_transport(make_net, links, subs, pubs, seed, Path(tmp) / "a.jsonl")
+        *want, ref_events = run_transport(per_copy_net, links, subs, pubs, seed,
+                                          Path(tmp) / "b.jsonl")
+    assert got == want
+    assert events <= ref_events
