@@ -68,40 +68,65 @@ CONTROL_TOPIC = {ADVERTISE: FLOW_ADVERTISE, REQUEST: FLOW_REQUEST}
 
 
 class DedupeWindow:
-    """Per-destination-scope duplicate filter: an RFC 6479-style sliding bitmap.
+    """Per-destination-scope duplicate filter: an RFC 6479-style window of
+    the last ``capacity`` sequences of each stream.
 
-    Each (origin node, topic) stream holds ``[highest, mask]``: bit *i*
-    of the mask marks sequence ``highest - i``, and the mask keeps
-    ``capacity`` bits. A sequence is fresh when it is not marked and not
+    Each (origin node, topic) stream holds ``[highest, holes, first]``:
+    bit *i* of ``holes`` means sequence ``highest - i`` is unseen, and
+    every sequence below ``first`` is unseen without a bit. An in-order
+    stream so holds ``holes == 0``, and an arrival only moves ``highest``;
+    only skipped sequences cost bits, and ``holes`` keeps at most
+    ``capacity`` of them. A stream starts at ``[seq, 0, seq]`` (as after a
+    jump of at least ``capacity``), or at ``[0, 0, 1]`` when its first
+    sequence is at most 0. A sequence is fresh when it is unseen and not
     older than the window; anything older counts as a duplicate, keeping
     delivery at-most-once.
     """
 
-    __slots__ = ("capacity", "_streams")
+    __slots__ = ("capacity", "_streams", "_all")
 
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
         self._streams: dict[tuple[str, str], list[int]] = {}
+        self._all = (1 << capacity) - 1
 
     def seen(self, origin: str, topic: str, seq: int) -> bool:
-        """True when this sequence is marked inside the window."""
-        highest, mask = self._streams.get((origin, topic), (0, 0))
-        back = highest - seq
-        return 0 <= back < self.capacity and mask >> back & 1 == 1
+        """True when this sequence was recorded and is inside the window."""
+        st = self._streams.get((origin, topic))
+        if st is None:
+            return False
+        back = st[0] - seq
+        return 0 <= back < self.capacity and seq >= st[2] and not st[1] >> back & 1
 
     def test_and_record(self, origin: str, topic: str, seq: int) -> bool:
         """True (and marks it) when this sequence was not seen before."""
-        key = (origin, topic)
-        st = self._streams.get(key) or self._streams.setdefault(key, [0, 0])
+        st = self._streams.get((origin, topic))
+        if st is None:
+            if seq > 0:
+                self._streams[(origin, topic)] = [seq, 0, seq]
+                return True
+            st = self._streams[(origin, topic)] = [0, 0, 1]
         back = st[0] - seq
-        if back < 0:  # newest yet: slide the window up to it
-            st[0] = seq
-            st[1] = (st[1] << min(-back, self.capacity) | 1) & ((1 << self.capacity) - 1)
+        if back < 0:  # newest yet: the sequences skipped over become holes
+            if back <= -self.capacity:
+                st[0] = st[2] = seq
+                st[1] = 0
+            else:
+                st[0] = seq
+                if st[1] or back != -1:
+                    st[1] = (st[1] << -back | (1 << -back) - 2) & self._all
             return True
-        if back >= self.capacity or st[1] >> back & 1:
-            return False  # seen, or too old to judge: drop rather than risk a dup
-        st[1] |= 1 << back
-        return True
+        if back >= self.capacity:
+            return False  # too old to judge: drop rather than risk a dup
+        if seq < st[2]:  # below the floor: the sequences between become holes
+            st[1] |= (1 << back) - (1 << st[0] - st[2] + 1)
+            st[2] = seq
+            return True
+        bit = 1 << back
+        if st[1] & bit:
+            st[1] ^= bit
+            return True
+        return False
 
     # marking a sequence observed elsewhere is the same step, answer unused
     record = test_and_record

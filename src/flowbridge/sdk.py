@@ -91,6 +91,7 @@ class ServiceHandle:
         self.node = node
         self.scope = scope
         self.advertises = advertises
+        self.advertised_topics = frozenset(a.topic for a in advertises)
         self.requests = requests
         self.state = READY
         self.published = 0
@@ -103,10 +104,6 @@ class ServiceHandle:
     @property
     def key(self) -> tuple[str, str]:
         return (self.node.name, self.name)
-
-    @property
-    def advertised_topics(self) -> set[str]:
-        return {a.topic for a in self.advertises}
 
     def __repr__(self) -> str:
         return f"<service {self.name} on {self.node.key} ({self.state})>"

@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, MetricsRegistry
 from .topology import BrokerScope, MessageEnvelope, ScopeKind, Topology, TopologyError
-from .tracing import Trace
+from .tracing import Trace, XlinkParts, xlink_parts
 
 MS = 1_000_000
 SECOND = 1_000_000_000
@@ -241,10 +241,11 @@ class Network:
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
             for key, scope in topology.scopes.items()
         }
-        # per layer: every other layer's bus endpoint and the crossing to it
-        self._inter_peers: dict[str, list[tuple[BrokerEndpoint, LinkState]]] = {
+        # per layer: every other layer's bus endpoint, the crossing to it
+        # and the fixed parts of that crossing's trace lines
+        self._inter_peers: dict[str, list[tuple[BrokerEndpoint, LinkState, XlinkParts]]] = {
             a.name: [(self.endpoints[f"{ScopeKind.INTER_LAYER.value}:{b.name}"],
-                      self.crossings[(a.name, b.name)])
+                      self.crossings[(a.name, b.name)], xlink_parts(a.name, b.name))
                      for b in topology.layers if b is not a]
             for a in topology.layers
         }
@@ -310,15 +311,12 @@ class Network:
             total += len(targets)
 
         if scope.kind is ScopeKind.INTER_LAYER:
-            for peer, xlink in self._inter_peers[scope.layer]:
+            for peer, crossing, parts in self._inter_peers[scope.layer]:
                 remote = peer.snapshot(env)
                 if not remote:
                     continue
-                self.trace.record(
-                    "xlink", now, frm=scope.layer, to=peer.scope.layer, topic=env.topic,
-                    origin=env.origin_node.key, seq=env.sequence,
-                )
-                self._send(peer, remote, env, xlink, now)
+                self.trace.xlink(parts, now, env.origin_node.key, env.sequence, env.topic)
+                self._send(peer, remote, env, crossing, now)
                 total += len(remote)
 
         if total:

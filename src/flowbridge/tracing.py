@@ -7,6 +7,11 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator
 
+# one crossing's fixed parts of its xlink lines: (frm, to, the line's text
+# between the "at" value and the origin, its text between the "seq" value
+# and the topic)
+XlinkParts = tuple[str, str, str, str]
+
 
 class Trace:
     """Write-only sink of trace events: dicts with at least ``ev`` (event
@@ -18,6 +23,9 @@ class Trace:
     ":"))`` gives, assembled without it: each set of field names is sorted
     and its keys encoded once, and ``str`` and ``int`` values are encoded
     the way ``json`` encodes them. Other values go through ``json.dumps``.
+    The ``xlink`` lines of layer crossings, most of a trace, come from
+    `xlink`, which fills a crossing's pre-encoded `xlink_parts` in with the
+    per-message fields; they are the same bytes `record` writes.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -43,18 +51,22 @@ class Trace:
                 for i, k in enumerate(keys)]
         fields["ev"] = ev
         fields["at"] = at
-        parts = []
-        for key, name in shape:
-            value = fields[name]
-            kind = type(value)
-            if kind is str:
-                parts.append(key + encode_basestring_ascii(value))
-            elif kind is int:
-                parts.append(key + int.__repr__(value))
-            else:
-                parts.append(key + json.dumps(value, sort_keys=True, separators=(",", ":")))
-        parts.append("}\n")
-        self._fh.write("".join(parts))
+        self._fh.write("".join([key + _encode(fields[name]) for key, name in shape]) + "}\n")
+
+    def xlink(self, parts: XlinkParts, at: int, origin: str, seq: int, topic: str) -> None:
+        """Write the line ``record("xlink", at, frm=frm, to=to, topic=topic,
+        origin=origin, seq=seq)`` writes, for the crossing whose
+        `xlink_parts` are ``parts``. Only the four arguments are encoded
+        per call; a value of theirs that is not exactly ``str`` or ``int``
+        goes through `record`."""
+        if self._fh is None:
+            return
+        if type(at) is int and type(seq) is int and type(origin) is str and type(topic) is str:
+            self._fh.write(f'{{"at":{at}{parts[2]}{encode_basestring_ascii(origin)}'
+                           f',"seq":{seq}{parts[3]}{encode_basestring_ascii(topic)}}}\n')
+        else:
+            self.record("xlink", at, frm=parts[0], to=parts[1], topic=topic, origin=origin,
+                        seq=seq)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -62,14 +74,35 @@ class Trace:
             self._fh = None
 
 
+def xlink_parts(frm: str, to: str) -> XlinkParts:
+    """The fixed parts of the ``xlink`` lines of the crossing frm -> to,
+    encoded once for every `Trace.xlink` call."""
+    return (frm, to, f',"ev":"xlink","frm":{_encode(frm)},"origin":',
+            f',"to":{_encode(to)},"topic":')
+
+
+def _encode(value: Any) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=(",",
+    ":"))`` writes it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def events(path: str | Path, *names: str) -> Iterator[dict[str, Any]]:
     """The events of the named types in a written trace, in order. Only
-    lines holding ``"ev":"<name>"`` are decoded; in the writer's format
-    only an ``ev`` field can hold that text (quotes in values are escaped)."""
+    lines holding ``"ev":"<name>"`` are decoded. A field whose value is an
+    object with an ``ev`` key holds that text too, so a decoded line is
+    kept only when its own ``ev`` is one of the names."""
     marks = [f'"ev":{json.dumps(name)}' for name in names]
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             for mark in marks:
                 if mark in line:
-                    yield json.loads(line)
+                    rec = json.loads(line)
+                    if rec["ev"] in names:
+                        yield rec
                     break

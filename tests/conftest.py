@@ -6,6 +6,12 @@ status is readable at a glance.
 """
 
 import pytest
+from hypothesis import settings
+
+# A larger, derandomized run of the properties that check a fast path
+# against its reference; CI selects it with `--hypothesis-profile ci`.
+# Tier-1 runs under Hypothesis's default profile.
+settings.register_profile("ci", max_examples=2000, derandomize=True)
 
 _CRITERIA: dict[int, str] = {}
 _RESULTS: dict[int, list] = {}

@@ -204,6 +204,47 @@ class OracleRingWindow:
         return True
 
 
+class OracleMarkWindow:
+    """The dedupe window as a sliding mark bitmap (the package's window
+    before it kept holes instead of marks).
+
+    Each (origin node, topic) stream holds ``[highest, mask]``: bit *i*
+    of the mask marks sequence ``highest - i``, and the mask keeps
+    ``capacity`` bits. A sequence is fresh when it is not marked and not
+    older than the window; anything older counts as a duplicate, keeping
+    delivery at-most-once.
+    """
+
+    __slots__ = ("capacity", "_streams")
+
+    def __init__(self, capacity: int = 1024):
+        self.capacity = capacity
+        self._streams: dict[tuple[str, str], list[int]] = {}
+
+    def seen(self, origin: str, topic: str, seq: int) -> bool:
+        """True when this sequence is marked inside the window."""
+        highest, mask = self._streams.get((origin, topic), (0, 0))
+        back = highest - seq
+        return 0 <= back < self.capacity and mask >> back & 1 == 1
+
+    def test_and_record(self, origin: str, topic: str, seq: int) -> bool:
+        """True (and marks it) when this sequence was not seen before."""
+        key = (origin, topic)
+        st = self._streams.get(key) or self._streams.setdefault(key, [0, 0])
+        back = st[0] - seq
+        if back < 0:  # newest yet: slide the window up to it
+            st[0] = seq
+            st[1] = (st[1] << min(-back, self.capacity) | 1) & ((1 << self.capacity) - 1)
+            return True
+        if back >= self.capacity or st[1] >> back & 1:
+            return False  # seen, or too old to judge: drop rather than risk a dup
+        st[1] |= 1 << back
+        return True
+
+    # marking a sequence observed elsewhere is the same step, answer unused
+    record = test_and_record
+
+
 def oracle_dispatch_per_copy(net, endpoint, env) -> int:
     """A network's transport with one delivery event per copy.
 

@@ -75,8 +75,19 @@ def test_dedupe_ring_is_bounded():
     w = DedupeWindow(capacity=8)
     for seq in range(1, 100):
         assert w.test_and_record("a@edge", "scan", seq)
-    highest, mask = w._streams[("a@edge", "scan")]
-    assert highest == 99 and mask == 2**8 - 1  # the last 8 sequences, no more
+    assert w._streams[("a@edge", "scan")] == [99, 0, 1]  # highest, no holes, first
+    # the last 8 sequences count as seen, no more
+    seen = [w.seen("a@edge", "scan", v) for v in range(90, 101)]
+    assert seen == [False] * 2 + [True] * 8 + [False]
+
+
+def test_dedupe_in_order_streams_hold_no_holes():
+    w = DedupeWindow()
+    for seq in range(1, 5001):
+        assert w.test_and_record("a@edge", "scan", seq)
+        w.record("b@edge", "scan", seq)
+        w.record("c@edge", "scan", seq - 1)  # from 0, below the implicit floor
+    assert [st[1] for st in w._streams.values()] == [0, 0, 0]
 
 
 def test_dedupe_remembers_every_marked_sequence_in_window():

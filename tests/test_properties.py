@@ -20,6 +20,7 @@ from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND
 from flowbridge.topology import FlowDeclaration, NodeId, build_topology
 from oracles import (
+    OracleMarkWindow,
     OracleRingWindow,
     oracle_advertisers_at,
     oracle_allocate,
@@ -152,14 +153,18 @@ def test_dedupe_accepts_each_sequence_at_most_once(events):
     assert len(accepted) == len(set(accepted))
 
 
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 10**6)),
+# each stream moves by far steps, and by near ones whose gaps leave holes
+@given(st.lists(st.tuples(st.integers(0, 5), st.one_of(st.integers(-10**6, 10**6),
+                                                       st.integers(-20, 20))),
                 min_size=1, max_size=500))
 def test_dedupe_state_stays_bounded(events):
     window = DedupeWindow(capacity=16)
-    for stream, seq in events:
-        window.test_and_record(f"s{stream}@edge", "t", seq)
-    for _, mask in window._streams.values():
-        assert 0 <= mask < 2**16
+    seqs = [0] * 6
+    for stream, step in events:
+        seqs[stream] += step
+        window.test_and_record(f"s{stream}@edge", "t", seqs[stream])
+    for _, holes, _ in window._streams.values():
+        assert 0 <= holes < 2**16
 
 
 RING_CAPACITY = 16
@@ -190,6 +195,49 @@ def test_dedupe_bitmap_matches_ring_oracle(steps):
         low = highest[0] - RING_CAPACITY
         for v in range(low - 1, highest[0] + 2):  # marked in the window iff the ring holds it there
             assert window.seen(origin, "t", v) == (v in recent and v > low)
+
+
+@st.composite
+def window_steps(draw):
+    """A capacity, and record / test_and_record / seen steps on three
+    streams. A step's sequence is either absolute and at most 0, or the
+    stream's highest plus a delta: a small step or gap, one about a window
+    away, or any within three windows."""
+    capacity = draw(st.sampled_from((1, 2, 16, 1024)))
+    delta = st.one_of(st.integers(-3, 3),
+                      st.sampled_from((capacity - 1, capacity, capacity + 1,
+                                       -capacity + 1, -capacity, -capacity - 1)),
+                      st.integers(-3 * capacity, 3 * capacity))
+    sequence = st.one_of(st.tuples(st.just(False), st.integers(-3, 0)),
+                         st.tuples(st.just(True), delta))
+    steps = draw(st.lists(st.tuples(st.sampled_from(("record", "test", "seen")),
+                                    st.integers(0, 2), sequence), max_size=60))
+    return capacity, steps
+
+
+@given(window_steps())
+@settings(deadline=None)
+def test_dedupe_window_matches_mark_oracle(case):
+    capacity, steps = case
+    window, oracle = DedupeWindow(capacity), OracleMarkWindow(capacity)
+
+    def highest(origin):
+        return oracle._streams.get((origin, "t"), (0, 0))[0]
+
+    for kind, stream, (relative, value) in steps:
+        origin = f"s{stream}@edge"
+        seq = highest(origin) + value if relative else value
+        if kind == "record":
+            window.record(origin, "t", seq)
+            oracle.record(origin, "t", seq)
+        elif kind == "test":
+            fresh = window.test_and_record(origin, "t", seq)
+            assert fresh == oracle.test_and_record(origin, "t", seq)
+        else:
+            assert window.seen(origin, "t", seq) == oracle.seen(origin, "t", seq)
+        top = highest(origin)
+        for v in range(top - capacity - 1, top + 2):
+            assert window.seen(origin, "t", v) == oracle.seen(origin, "t", v)
 
 
 TABLE_TOPICS = ("x", "y")

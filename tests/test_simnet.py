@@ -524,7 +524,8 @@ def run_transport(build, links, subs, pubs, seed, trace_path):
 
 
 @given(link_specs, link_specs, link_specs, subscribers, publishes, st.integers(0, 3))
-@settings(max_examples=150, deadline=None)
+# at least 150 examples, more under a larger profile (tests/conftest.py)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 def test_batched_transport_matches_per_copy_reference(local, bus, crossing, subs, pubs, seed):
     links = {"defaults": {"intra_layer": local, "inter_layer": bus, "crossing": crossing}}
     with tempfile.TemporaryDirectory() as tmp:
