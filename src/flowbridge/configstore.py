@@ -235,7 +235,6 @@ class ConfigWorker:
         self.registry = network.metrics
         self.trace = network.trace
         self.node = topology.system_node(self.layer)
-        self.running = False
         self._pending: dict[str, None] = {}  # unanswered correlation ids, as an ordered set
         self._corr = 0
         self._inter = network.endpoint(topology.inter_layer_scope(self.layer))
@@ -251,21 +250,16 @@ class ConfigWorker:
     # -- sync loop ---------------------------------------------------------
 
     def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
+        """Pull at once, then every sync period; call once."""
         self._inter.subscribe(
             CONFIG_REPLY, self._on_reply, kind=SUB_CONTROL, owner=f"__config-worker/{self.layer}")
-        self._sync_tick()
+        self.clock.every(self._sync_tick(), self._sync_tick)
 
-    def _sync_tick(self) -> None:
-        if not self.running:
-            return
+    def _sync_tick(self) -> int:
         self._pending.clear()  # a reply still missing after a whole period was lost
         self.sync_now()
         # re-read at every pull, so a pushed period applies from the next one
-        period_s = self.get_config().body["config"]["sync_period_s"]
-        self.clock.call_in(ns_from_s(period_s), self._sync_tick)
+        return ns_from_s(self.get_config().body["config"]["sync_period_s"])
 
     def sync_now(self) -> str:
         """Issue one pull request; returns its correlation id."""

@@ -294,14 +294,11 @@ class FlowEngine:
         self.limiters: dict[str, HierarchicalLimiter] = {}
         # the last registration synced per topic: {topic: {client: (rate, size)}}
         self._regs_by_topic: dict[str, dict[str, tuple[float, int]]] = {}
-        self.running = False
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
+        """Subscribe to flow control and start the watchdog; call once."""
         for scope in self.scopes:
             ep = self.network.endpoint(scope)
             # own forwards reflected off the bus are filtered at the source
@@ -318,7 +315,7 @@ class FlowEngine:
             CONFIG_NOTICE, self._on_config_notice, kind=SUB_CONTROL, owner=self.service_name,
         )
         self.heartbeats.refresh(self.service_name, self.system_node.name, self.heartbeat_ttl_ns)
-        self.clock.call_in(self.watchdog_period_ns, self._watchdog_scan)
+        self.clock.every(self.watchdog_period_ns, self._watchdog_scan)
 
     # -- declaration intake ------------------------------------------------
 
@@ -502,13 +499,12 @@ class FlowEngine:
         self.watchdog_period_ns = ns_from_s(flow["watchdog_s"])
         self.heartbeat_ttl_ns = ns_from_s(flow["heartbeat_ttl_s"])
 
-    def _watchdog_scan(self) -> None:
-        if not self.running:
-            return
+    def _watchdog_scan(self) -> int:
         self.heartbeats.refresh(self.service_name, self.system_node.name, self.heartbeat_ttl_ns)
         for service, node in self.heartbeats.expire():
             self._withdraw_dead(service, node)
-        self.clock.call_in(self.watchdog_period_ns, self._watchdog_scan)
+        # read at every scan, so a pushed period applies from the next one
+        return self.watchdog_period_ns
 
     def _withdraw_dead(self, service: str, node: str) -> None:
         """Synthesize withdrawals for everything a dead service declared."""

@@ -313,11 +313,13 @@ class PingProbe:
         self._nonce = 0
         self._outstanding: dict[int, str] = {}  # nonce -> target key
 
-    def cycle(self) -> None:
+    def cycle(self) -> int:
+        """Schedule one cycle's pings; returns the delay to the next cycle."""
         # sends are spread across the cycle so bursts stay inside the
         # forwarding budget of any bridge the pings ride through
         for target, offset in zip(self.targets, self.offsets):
             self.clock.call_in(offset, self._send_ping, target)
+        return self.period_ns
 
     def _send_ping(self, target: NodeId) -> None:
         self._nonce += 1

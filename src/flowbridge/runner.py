@@ -68,13 +68,11 @@ class _StreamDriver:
         self.sent = 0
         self.frame: bytes | None = None  # the frame every tick reuses, once drawn
 
-    def tick(self) -> None:
+    def tick(self) -> int | None:
         world = self.world
-        if not world.running:
-            return
-        handle = world.handles.get(self.service)
-        if handle is None or handle.state != READY:
-            return
+        handle = world.handles[self.service]
+        if handle.state != READY:
+            return None
         payload = self.frame
         if payload is None:
             payload = make_payload(self.stream.payload, self.stream.size, self.rng)
@@ -82,7 +80,7 @@ class _StreamDriver:
                 self.frame = payload
         world.host.publish(handle, self.stream.topic, payload)
         self.sent += 1
-        world.clock.call_in(self.period_ns, self.tick)
+        return self.period_ns
 
 
 class World:
@@ -133,8 +131,6 @@ class World:
         self.handles: dict[str, ServiceHandle] = {}
         self.drivers: list[_StreamDriver] = []
         self.probes: list[PingProbe] = []
-        self.running = False
-        self._started = False
         self.trace.open(trace_path)  # last: a world that rejects its input leaves no file
 
     def _system_seq(self, layer: str) -> SequenceCounter:
@@ -143,10 +139,7 @@ class World:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.running = True
+        """Start the control plane; call once."""
         self.config_main.start()
         for layer in self.engines:
             self.engines[layer].start()
@@ -158,15 +151,9 @@ class World:
     def drain(self, max_events: int = DRAIN_EVENT_BUDGET) -> int:
         """Wind the world down and let the event queue empty out.
 
-        Recurring timers are gated off but nothing unsubscribes, so every
-        in-flight message still lands somewhere it gets accounted.
+        The clock ends every recurring timer, but nothing unsubscribes, so
+        every in-flight message still lands somewhere it gets accounted.
         """
-        self.running = False
-        self.host.active = False
-        for engine in self.engines.values():
-            engine.running = False
-        for worker in self.workers.values():
-            worker.running = False
         processed = self.clock.run_until_idle(max_events)
         self.trace.close()
         return processed
@@ -204,7 +191,7 @@ class World:
                 continue
             driver = _StreamDriver(self, spec.name, stream, random.Random(seed))
             self.drivers.append(driver)
-            self.clock.call_in(driver.period_ns, driver.tick)
+            self.clock.every(driver.period_ns, driver.tick)
 
     def _stop_named(self, name: str) -> None:
         handle = self.handles.get(name)
@@ -247,13 +234,7 @@ class World:
             )
             self.probes.append(probe)
             # first cycle one period in, once announcements have settled
-            self.clock.call_in(period, self._probe_tick, probe)
-
-    def _probe_tick(self, probe: PingProbe) -> None:
-        if not self.running:
-            return
-        probe.cycle()
-        self.clock.call_in(probe.period_ns, self._probe_tick, probe)
+            self.clock.every(period, probe.cycle)
 
     # -- verification ---------------------------------------------------------
 
@@ -302,9 +283,14 @@ def _resolve_topology(topology_ref: str | None,
         "no topology given and the scenario does not embed one")
 
 
-def _check_fits(topology: Topology, scenario: Scenario) -> None:
+def _check_fits(topology: Topology, scenario: Scenario, duration: float) -> None:
     """Reject, before any world runs, a scenario naming a node the topology
-    lacks or an external scope its layer does not have."""
+    lacks or an external scope its layer does not have, or starting a
+    service after the run's end. A stop after the end lands in the drain."""
+    for spec in scenario.services:
+        if ns_from_s(spec.start_s) > ns_from_s(duration):
+            raise WorldError(f"service {spec.name!r}: start_s {spec.start_s:g} is "
+                             f"after the run's end at {duration:g} s")
     sweep = scenario.sweep
     placed = [(f"service {spec.name!r}", node, spec.external)
               for spec in scenario.services
@@ -332,9 +318,9 @@ def run_scenario(
     0 for a clean run, 3 when an invariant was violated."""
     scenario = load_scenario(scenario_ref)
     topology, links = _resolve_topology(topology_ref, scenario)
-    _check_fits(topology, scenario)
-    run_seed = scenario.seed if seed is None else seed
     duration = duration_override if duration_override else scenario.duration_s
+    _check_fits(topology, scenario, duration)
+    run_seed = scenario.seed if seed is None else seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

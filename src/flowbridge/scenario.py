@@ -33,6 +33,15 @@ def _check_name(value: object, what: str) -> None:
         raise ScenarioError(f"{what} must be a non-empty string, got {value!r}")
 
 
+def _check_nodes(nodes: tuple, where: str) -> None:
+    """A node list names each node once: a probe per node, a run per placement."""
+    for node in nodes:
+        _check_name(node, f"{where}: node")
+    dupes = sorted({n for n in nodes if nodes.count(n) > 1})
+    if dupes:
+        raise ScenarioError(f"{where}: duplicate nodes {dupes}")
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """One advertised stream: topic plus the rate/size it will publish at."""
@@ -102,8 +111,7 @@ class ProbesSpec:
     ping_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
-        for node in self.nodes:
-            _check_name(node, "probes: node")
+        _check_nodes(self.nodes, "probes")
         if self.ping_period_s <= 0:
             raise ScenarioError("probes: ping_period_s must be > 0")
         if self.ping_timeout_s <= 0:
@@ -119,8 +127,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         _check_name(self.service, "sweep: service")
-        for node in self.nodes:
-            _check_name(node, "sweep: node")
+        _check_nodes(self.nodes, "sweep")
         if not self.nodes:
             raise ScenarioError("sweep: nodes must be non-empty")
 

@@ -6,7 +6,9 @@ layer, intra_layer deeper in), keeps a heartbeat refreshed, re-announces
 periodically as flood repair, and wires request subscriptions through a
 wrapper that records end-to-end latency and flags duplicate deliveries
 (the bridging layer delivers at most once within a 1024-sequence window
-per stream and scope; the detector remembers the same window).
+per stream and scope; the detector remembers the same window). The
+detector flags only the duplicates it can prove: an arrival older than
+the window is delivered as fresh, where a bridge would drop it.
 
 A service may advertise and request the same topic; its own publishes
 are then suppressed at delivery by origin and a window of its sequences,
@@ -132,9 +134,6 @@ class ServiceHost:
         self.trace = network.trace
         self.services: dict[tuple[str, str], ServiceHandle] = {}
         self.violations: list[dict[str, Any]] = []
-        # cleared when a run winds down, so recurring service timers stop
-        # rescheduling and the event queue can drain to empty
-        self.active = True
 
     # -- lifecycle -------------------------------------------------------
 
@@ -180,7 +179,7 @@ class ServiceHost:
         reannounce = ns_from_s(cfg["reannounce_s"])
 
         self.heartbeats[layer].refresh(name, node_id.name, hb_ttl)
-        self.clock.call_in(hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
+        self.clock.every(hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
 
         callbacks = self._normalize_callbacks(reqs, on_message)
         endpoint = self.network.endpoint(scope)
@@ -196,7 +195,7 @@ class ServiceHost:
 
         self._announce_all(handle)
         if reannounce > 0:
-            self.clock.call_in(reannounce, self._reannounce_tick, handle, reannounce)
+            self.clock.every(reannounce, self._reannounce_tick, handle, reannounce)
         self.trace.record("service_started", self.clock.now, service=name, node=node_id.name,
                           layer=layer, scope=scope.key)
         log.info("service %s started on %s", name, node_id.key)
@@ -305,20 +304,20 @@ class ServiceHost:
             handle.node, self.seqs[handle.node.name], self.clock.now))
 
     # -- timers -------------------------------------------------------------
-    # A tick re-arms itself while the service is READY and the host active;
-    # once either goes, the pending tick runs as a no-op and the timer ends.
+    # Recurring through `SimClock.every`: a tick returns its period while
+    # the service is READY, and None, which ends the timer, once it is not.
 
-    def _heartbeat_tick(self, handle: ServiceHandle, period: int, ttl: int) -> None:
-        if not self.active or handle.state != READY:
-            return
+    def _heartbeat_tick(self, handle: ServiceHandle, period: int, ttl: int) -> int | None:
+        if handle.state != READY:
+            return None
         self.heartbeats[handle.node.layer].refresh(handle.name, handle.node.name, ttl)
-        self.clock.call_in(period, self._heartbeat_tick, handle, period, ttl)
+        return period
 
-    def _reannounce_tick(self, handle: ServiceHandle, period: int) -> None:
-        if not self.active or handle.state != READY:
-            return
+    def _reannounce_tick(self, handle: ServiceHandle, period: int) -> int | None:
+        if handle.state != READY:
+            return None
         self._announce_all(handle)
-        self.clock.call_in(period, self._reannounce_tick, handle, period)
+        return period
 
     # -- helpers ----------------------------------------------------------------
 

@@ -72,8 +72,8 @@ def ns_from_s(s: float) -> int:
 class SimClock:
     """Virtual-time event queue; ties resolve by scheduling order.
 
-    Events cannot be cancelled: a recurring timer stops by checking the
-    state of its owner when it fires.
+    Events cannot be cancelled: a recurring timer (`every`) ends when its
+    callback returns None, or when `run_until_idle` clears ``repeating``.
     """
 
     def __init__(self, start: int = 0):
@@ -81,6 +81,7 @@ class SimClock:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self.events_processed = 0
+        self.repeating = True
 
     def schedule(self, at: int, fn: Callable, *args: Any) -> None:
         """Schedule fn(*args) at virtual time ``at`` (clamped to now)."""
@@ -90,6 +91,18 @@ class SimClock:
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
         self.schedule(self.now + max(0, delay), fn, *args)
+
+    def every(self, delay: int, fn: Callable[..., int | None], *args: Any) -> None:
+        """Call fn(*args) after ``delay`` ns, then again after each delay
+        it returns, until it returns None or the queue drains."""
+        self.call_in(delay, self._repeat, fn, args)
+
+    def _repeat(self, fn: Callable[..., int | None], args: tuple) -> None:
+        if self.repeating:
+            delay = fn(*args)
+            # re-armed after fn's own events, so ties keep their order
+            if delay is not None:
+                self.call_in(delay, self._repeat, fn, args)
 
     def _pop_run(self) -> None:
         self.now, _, fn, args = heapq.heappop(self._heap)
@@ -106,7 +119,9 @@ class SimClock:
         return self.events_processed - start
 
     def run_until_idle(self, max_events: int | None = None) -> int:
-        """Drain the queue completely; guards against runaway forwarding."""
+        """End every recurring timer, then drain the queue completely;
+        one-shot events still run. Guards against runaway forwarding."""
+        self.repeating = False
         start = self.events_processed
         while self._heap:
             if max_events is not None and self.events_processed - start >= max_events:

@@ -305,6 +305,36 @@ def install_per_copy_dispatch(net) -> None:
         ep._dispatch = lambda ep, env: oracle_dispatch_per_copy(net, ep, env)
 
 
+class OracleFlagTimer:
+    """A recurring timer as written by hand before `SimClock.every`.
+
+    Its tick does nothing once ``running`` is cleared. Otherwise it calls
+    fn(*args), then re-arms itself with ``call_in`` for the delay fn
+    returned; None ends the timer. `oracle_drain` clears the flag.
+    """
+
+    def __init__(self, clock, delay: int, fn, *args):
+        self.clock = clock
+        self.fn = fn
+        self.args = args
+        self.running = True
+        clock.call_in(delay, self.tick)
+
+    def tick(self) -> None:
+        if not self.running:
+            return
+        delay = self.fn(*self.args)
+        if delay is not None:
+            self.clock.call_in(delay, self.tick)
+
+
+def oracle_drain(clock, timers: list[OracleFlagTimer], max_events: int) -> int:
+    """Clear every timer's flag, then empty the queue."""
+    for timer in timers:
+        timer.running = False
+    return clock.run_until_idle(max_events)
+
+
 def synthetic_corpus(nbytes: int = 1 << 20, seed: int = 1318) -> bytes:
     """Deterministic compressible test corpus: repeated random blocks
     with scattered byte mutations, the texture the codec is sized for."""

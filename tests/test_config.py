@@ -160,8 +160,6 @@ class ConfigWorld:
         self.clock.run_until(self.clock.now + int(ms * MS))
 
     def drain(self):
-        for w in self.workers.values():
-            w.running = False
         self.clock.run_until_idle(100_000)
 
 

@@ -252,8 +252,6 @@ class Mini:
         self.clock.run_until(self.clock.now + int(ms * MS))
 
     def drain(self):
-        for e in self.engines.values():
-            e.running = False
         self.clock.run_until_idle(200_000)
         self.trace.close()
 

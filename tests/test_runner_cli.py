@@ -17,6 +17,7 @@ from flowbridge.report import (
 from flowbridge.ratelimit import HierarchicalLimiter
 from flowbridge.runner import World, WorldError, run_scenario
 from flowbridge.scenario import make_payload, parse_scenario
+from flowbridge.simnet import SimClock
 from flowbridge.topology import build_topology
 from tracefile import records
 
@@ -340,6 +341,35 @@ def test_world_accounting_balances_after_drain():
     assert world.issues() == []
 
 
+def test_drain_ends_every_recurring_timer(monkeypatch):
+    calls = []  # (timer, whether the drain had begun)
+    draining = [False]
+    every = SimClock.every
+
+    def spied(clock, delay, fn, *args):
+        def call(*a):
+            calls.append((fn.__qualname__, draining[0]))
+            return fn(*a)
+        every(clock, delay, call, *args)
+
+    monkeypatch.setattr(SimClock, "every", spied)
+    scenario = parse_scenario(mini_scenario(
+        probes={"nodes": ["robot-1", "cloud-1"]},
+        config={"edge": {"flow": {"reannounce_s": 0.5}},
+                "cloud": {"config": {"sync_period_s": 1.0}}}))
+    world = World(build_topology(TOPO), seed=5, config=scenario.config)
+    world.start()
+    world.setup_scenario(scenario)
+    world.run_for(2.0)
+    draining[0] = True
+    world.drain(max_events=100_000)
+    assert world.clock._heap == []
+    assert {name for name, _ in calls} == {
+        "_StreamDriver.tick", "PingProbe.cycle", "ServiceHost._heartbeat_tick",
+        "ServiceHost._reannounce_tick", "FlowEngine._watchdog_scan", "ConfigWorker._sync_tick"}
+    assert [name for name, late in calls if late] == []
+
+
 def test_world_issues_flag_accounting_imbalance():
     world = World(build_topology(TOPO), seed=5)
     world.start()
@@ -514,6 +544,22 @@ def test_cli_rejects_duration_override_it_cannot_run(tmp_path, capsys, value):
     assert_no_outputs(tmp_path / "o")
 
 
+def test_cli_rejects_start_after_overridden_end(tmp_path, capsys):
+    # within the document's 2 s, but after the 1 s the override runs
+    sc = write_scenario(tmp_path, with_service(1, start_s=1.5))
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o"),
+                 "--duration-override", "1"]) == 2
+    assert "start_s 1.5 is after the run's end at 1 s" in capsys.readouterr().err
+    assert_no_outputs(tmp_path / "o")
+
+
+def test_cli_runs_a_stop_after_the_end_in_the_drain(tmp_path):
+    sc = write_scenario(tmp_path, with_service(1, stop_s=5.0))
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o"),
+                 "--log-level", "error"]) == 0
+    assert records(tmp_path / "o" / "trace.jsonl", "service_stopped", service="mapper")
+
+
 def _with_links(links):
     return mini_scenario(topology={**TOPO, "links": links})
 
@@ -587,6 +633,15 @@ def _with_links(links):
                  id="rate-above-1ghz"),
     pytest.param(_with_links({"defaults": {"crossing": {"latency_ms": 1e300}}}),
                  id="latency-overflow"),
+    # a start after the end crashed the drain with a traceback, or started
+    # the service in the drain; a repeated probe node crashed the world,
+    # and a repeated sweep node ran twice into one placement directory
+    pytest.param(with_service(1, start_s=17.0), id="start-long-after-end"),
+    pytest.param(with_service(1, start_s=3.0), id="start-after-end"),
+    pytest.param(mini_scenario(probes={"nodes": ["robot-1", "robot-1"]}),
+                 id="duplicate-probe-node"),
+    pytest.param(mini_scenario(sweep={"service": "mapper", "nodes": ["cloud-1", "cloud-1"]}),
+                 id="duplicate-sweep-node"),
 ])
 def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
     # each used to exit 1 with a traceback, crash mid-run (NaN, Infinity),

@@ -242,6 +242,22 @@ def test_duplicate_delivery_is_flagged_as_violation(world):
         "sdk.duplicate", {"topic": "t", "node": "robot-1"}) == 1
 
 
+def test_arrival_older_than_the_window_is_delivered_as_fresh(world):
+    # the detector flags only the duplicates it can prove: after 2000,
+    # sequence 5 is out of the 1024-sequence window, so it is received
+    world.host.start_service("robot-1", "sink", requests=["t"])
+    sink = world.host.services[("robot-1", "sink")]
+    ep = world.network.endpoint(sink.scope)
+    for seq in (2000, 5):
+        ep.publish(MessageEnvelope(
+            topic="t", payload=b"x", origin_node=world.topology.node("robot-2"),
+            sequence=seq, sent_at=0,
+        ))
+        settle(world)
+    assert sink.received == 2
+    assert world.host.violations == []
+
+
 def state_bytes(obj, memo) -> int:
     """Bytes held by ``obj`` and by the containers and dedupe windows in it."""
     if id(obj) in memo:

@@ -1,5 +1,6 @@
 """Unit tests for the deterministic event clock and simulated network."""
 
+import itertools
 import tempfile
 from pathlib import Path
 from random import Random
@@ -23,7 +24,7 @@ from flowbridge.simnet import (
 )
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
-from oracles import install_per_copy_dispatch
+from oracles import OracleFlagTimer, install_per_copy_dispatch, oracle_drain
 from tracefile import records
 
 TOPO = build_topology(
@@ -534,3 +535,50 @@ def test_batched_transport_matches_per_copy_reference(local, bus, crossing, subs
                                           Path(tmp) / "b.jsonl")
     assert got == want
     assert events <= ref_events
+
+
+# -- recurring timers ----------------------------------------------------------
+
+# one recurring timer: the delays between its calls (cycled), the call
+# after which it ends itself (None: only the drain ends it), and the
+# delays of the one-shots each call schedules
+timers = st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+                            st.none() | st.integers(1, 6),
+                            st.lists(st.integers(0, 3), max_size=3)),
+                  min_size=1, max_size=4)
+# far above any drawn run, so a drain that cannot end fails, not hangs
+TIMER_DRAIN_EVENTS = 1_000
+
+
+def run_timers(timers, horizon, start, drain):
+    """The (time, label) call log and event count of ``timers`` started
+    through ``start(clock, delay, fn)``, run to ``horizon`` and drained
+    through ``drain(clock, started)``."""
+    clock, log, started = SimClock(), [], []
+    for label, (delays, stop_after, shots) in enumerate(timers):
+        if stop_after is None and not any(delays):
+            delays = [*delays, 1]  # else virtual time never passes this timer
+        calls = itertools.count(1)
+
+        def fn(label=label, delays=delays, stop_after=stop_after, shots=shots, calls=calls):
+            n = next(calls)
+            log.append((clock.now, label))
+            for j, delay in enumerate(shots):
+                clock.call_in(delay, lambda j=j: log.append((clock.now, f"{label}.{j}")))
+            return None if n == stop_after else delays[n % len(delays)]
+
+        started.append(start(clock, delays[0], fn))
+    clock.run_until(horizon)
+    log.append("drain")
+    drain(clock, started)
+    return log, clock.events_processed
+
+
+@given(timers, st.integers(0, 20))
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+def test_every_matches_the_flag_timer_oracle(timers, horizon):
+    got = run_timers(timers, horizon, SimClock.every,
+                     lambda clock, _: clock.run_until_idle(TIMER_DRAIN_EVENTS))
+    want = run_timers(timers, horizon, OracleFlagTimer,
+                      lambda clock, started: oracle_drain(clock, started, TIMER_DRAIN_EVENTS))
+    assert got == want
