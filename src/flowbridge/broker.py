@@ -5,20 +5,25 @@ subscribers of that scope only; reaching another scope always goes
 through a bridge. The endpoint holds subscriptions; delivery is the
 dispatch function it is built with, which for every endpoint of a
 simulated network routes through that network's links.
+
+A publish may name its sender, the owner of the publishing side's
+subscriptions; the broker then leaves those subscriptions out, on the
+publishing scope and on every scope the publish reaches, so a sender
+never hears itself (ROS 2's ``ignore_local_publications``, MQTT v5's
+No Local). Owners are unique: an SDK service's ends in ``@node``, and a
+system one (flow engine, config service) has no ``@``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .topology import BrokerScope, MessageEnvelope
 
 SUB_USER = "user"
 SUB_BRIDGE = "bridge"
-SUB_CONTROL = "control"
 
-DispatchFn = Callable[["BrokerEndpoint", MessageEnvelope], int]
-FilterFn = Callable[[MessageEnvelope], bool]
+DispatchFn = Callable[["BrokerEndpoint", MessageEnvelope, "str | None"], int]
 
 
 class BrokerError(Exception):
@@ -28,7 +33,7 @@ class BrokerError(Exception):
 class SubscriberHandle:
     """One subscription; deactivated exactly once by unsubscribe."""
 
-    __slots__ = ("scope", "topic", "callback", "kind", "filter", "owner", "active")
+    __slots__ = ("scope", "topic", "callback", "kind", "owner", "active")
 
     def __init__(
         self,
@@ -36,14 +41,12 @@ class SubscriberHandle:
         topic: str,
         callback: Callable[[MessageEnvelope], None],
         kind: str = SUB_USER,
-        filter: Optional[FilterFn] = None,
         owner: str | None = None,
     ):
         self.scope = scope
         self.topic = topic
         self.callback = callback
         self.kind = kind
-        self.filter = filter
         self.owner = owner
         self.active = True
 
@@ -64,12 +67,11 @@ class BrokerEndpoint:
         topic: str,
         callback: Callable[[MessageEnvelope], None],
         kind: str = SUB_USER,
-        filter: Optional[FilterFn] = None,
         owner: str | None = None,
     ) -> SubscriberHandle:
         if not topic:
             raise BrokerError("empty topic")
-        handle = SubscriberHandle(self.scope, topic, callback, kind, filter, owner)
+        handle = SubscriberHandle(self.scope, topic, callback, kind, owner)
         self._subs.setdefault(topic, []).append(handle)
         return handle
 
@@ -88,14 +90,16 @@ class BrokerEndpoint:
                 del self._subs[handle.topic]
         return True
 
-    def publish(self, env: MessageEnvelope) -> int:
-        """Hand the envelope to the transport; returns subscribers targeted."""
-        return self._dispatch(self, env)
+    def publish(self, env: MessageEnvelope, sender: str | None = None) -> int:
+        """Hand the envelope to the transport; returns subscribers targeted.
+        ``sender`` owns subscriptions that must not receive it."""
+        return self._dispatch(self, env, sender)
 
-    def snapshot(self, env: MessageEnvelope) -> list[SubscriberHandle]:
-        """Active subscribers of env.topic whose filters accept env."""
+    def snapshot(self, env: MessageEnvelope,
+                 sender: str | None = None) -> list[SubscriberHandle]:
+        """Active subscribers of env.topic not owned by sender."""
         return [h for h in self._subs.get(env.topic, ())
-                if h.active and (h.filter is None or h.filter(env))]
+                if h.active and (sender is None or h.owner != sender)]
 
     def invoke(self, handle: SubscriberHandle, env: MessageEnvelope) -> bool:
         """Run one callback, containing its exceptions; True if it ran clean."""

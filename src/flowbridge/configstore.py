@@ -18,7 +18,6 @@ import logging
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-from .broker import SUB_CONTROL
 from .ratelimit import RateLimitConfig
 from .simnet import MAX_S, Network, finite_number, ns_from_s
 from .topology import (
@@ -205,8 +204,7 @@ class MainConfigService:
 
     def start(self) -> None:
         """Answer pulls from now on; call once."""
-        self._endpoint.subscribe(
-            CONFIG_REQUEST, self._on_request, kind=SUB_CONTROL, owner="__config-main")
+        self._endpoint.subscribe(CONFIG_REQUEST, self._on_request, owner="__config-main")
 
     def _on_request(self, env: MessageEnvelope) -> None:
         req = json.loads(env.payload)
@@ -251,8 +249,7 @@ class ConfigWorker:
 
     def start(self) -> None:
         """Pull at once, then every sync period; call once."""
-        self._inter.subscribe(
-            CONFIG_REPLY, self._on_reply, kind=SUB_CONTROL, owner=f"__config-worker/{self.layer}")
+        self._inter.subscribe(CONFIG_REPLY, self._on_reply, owner=f"__config-worker/{self.layer}")
         self.clock.every(self._sync_tick(), self._sync_tick)
 
     def _sync_tick(self) -> int:

@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable, Iterable
 
 from . import codec
-from .broker import SUB_BRIDGE, SUB_CONTROL, SubscriberHandle
+from .broker import SUB_BRIDGE, SubscriberHandle
 from .monitor import CounterCell, HeartbeatRegistry, ordered_sum
 from .ratelimit import HierarchicalLimiter, RateLimitConfig
 from .simnet import Network, ns_from_s
@@ -301,19 +301,10 @@ class FlowEngine:
         """Subscribe to flow control and start the watchdog; call once."""
         for scope in self.scopes:
             ep = self.network.endpoint(scope)
-            # own forwards reflected off the bus are filtered at the source
-            flt = None
-            if scope.kind is ScopeKind.INTER_LAYER:
-                flt = lambda env: env.origin_node.layer != self.layer
             for topic in (FLOW_ADVERTISE, FLOW_REQUEST, FLOW_WITHDRAW):
-                ep.subscribe(
-                    topic, partial(self._on_control, scope), kind=SUB_CONTROL,
-                    filter=flt, owner=self.service_name,
-                )
+                ep.subscribe(topic, partial(self._on_control, scope), owner=self.service_name)
         intra = self.network.endpoint(self.topology.intra_layer_scope(self.layer))
-        intra.subscribe(
-            CONFIG_NOTICE, self._on_config_notice, kind=SUB_CONTROL, owner=self.service_name,
-        )
+        intra.subscribe(CONFIG_NOTICE, self._on_config_notice, owner=self.service_name)
         self.heartbeats.refresh(self.service_name, self.system_node.name, self.heartbeat_ttl_ns)
         self.clock.every(self.watchdog_period_ns, self._watchdog_scan)
 
@@ -347,7 +338,7 @@ class FlowEngine:
             return
         self.network.endpoint(self.inter_scope).publish(control_envelope(
             control_topic, declaration_body(decl, service),
-            self.system_node, self.seq, self.clock.now))
+            self.system_node, self.seq, self.clock.now), self.service_name)
 
     def _on_control(self, scope: BrokerScope, env: MessageEnvelope) -> None:
         decl, service = declaration_from_body(json.loads(env.payload))

@@ -25,9 +25,11 @@ from .monitor import (
     PingProbe,
     export_metrics,
 )
-from .scenario import ProbesSpec, Scenario, ServiceSpec, StreamSpec, load_scenario, make_payload
+from .scenario import (
+    ProbesSpec, Scenario, ScenarioError, ServiceSpec, StreamSpec, load_scenario, make_payload,
+)
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
-from .simnet import SECOND, Network, SimClock, ns_from_s
+from .simnet import MAX_S, SECOND, Network, SimClock, ns_from_s
 from .topology import SequenceCounter, Topology, TopologyError, build_topology, load_topology
 from .tracing import Trace
 
@@ -130,7 +132,6 @@ class World:
         )
         self.handles: dict[str, ServiceHandle] = {}
         self.drivers: list[_StreamDriver] = []
-        self.probes: list[PingProbe] = []
         self.trace.open(trace_path)  # last: a world that rejects its input leaves no file
 
     def _system_seq(self, layer: str) -> SequenceCounter:
@@ -232,7 +233,6 @@ class World:
                 on_message={PING_TOPIC: probe.on_ping, PONG_TOPIC: probe.on_pong},
                 internal=True,
             )
-            self.probes.append(probe)
             # first cycle one period in, once announcements have settled
             self.clock.every(period, probe.cycle)
 
@@ -316,9 +316,12 @@ def run_scenario(
 ) -> int:
     """Run a scenario (all placements when it sweeps); returns an exit code:
     0 for a clean run, 3 when an invariant was violated."""
+    if duration_override is not None and not 0 < duration_override <= MAX_S:
+        raise ScenarioError(f"--duration-override must be a finite number > 0 and at most "
+                            f"{MAX_S:.4g} s")
     scenario = load_scenario(scenario_ref)
     topology, links = _resolve_topology(topology_ref, scenario)
-    duration = duration_override if duration_override else scenario.duration_s
+    duration = scenario.duration_s if duration_override is None else duration_override
     _check_fits(topology, scenario, duration)
     run_seed = scenario.seed if seed is None else seed
     out = Path(out_dir)

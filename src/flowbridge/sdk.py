@@ -10,9 +10,9 @@ per stream and scope; the detector remembers the same window). The
 detector flags only the duplicates it can prove: an arrival older than
 the window is delivered as fresh, where a bridge would drop it.
 
-A service may advertise and request the same topic; its own publishes
-are then suppressed at delivery by origin and a window of its sequences,
-so only remote and third-party messages reach its callback.
+A service may advertise and request the same topic; it publishes as the
+owner of its subscriptions, so the broker never hands it its own
+messages, and only remote and third-party ones reach its callback.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class ServiceHandle:
                  advertises: tuple[Advertise, ...], requests: tuple[str, ...]):
         self.name = name
         self.node = node
+        self.owner = f"{name}@{node.name}"  # unique: node names have no "@"
         self.scope = scope
         self.advertises = advertises
         self.advertised_topics = frozenset(a.topic for a in advertises)
@@ -99,7 +100,6 @@ class ServiceHandle:
         self.published = 0
         self.received = 0
         self.received_by_topic: dict[str, int] = {}
-        self._published = DedupeWindow()  # own publishes, for the self-filter
         self._delivered = DedupeWindow()  # delivered streams, for the duplicate detector
         self._subs: list[SubscriberHandle] = []
 
@@ -184,14 +184,10 @@ class ServiceHost:
         callbacks = self._normalize_callbacks(reqs, on_message)
         endpoint = self.network.endpoint(scope)
         for topic in reqs:
-            flt = None
-            if topic in handle.advertised_topics:
-                flt = self._self_filter(handle, topic)
-            endpoint_sub = endpoint.subscribe(
+            handle._subs.append(endpoint.subscribe(
                 topic, self._delivery_wrapper(handle, topic, callbacks.get(topic)),
-                filter=flt, owner=f"{name}@{node}",
-            )
-            handle._subs.append(endpoint_sub)
+                owner=handle.owner,
+            ))
 
         self._announce_all(handle)
         if reannounce > 0:
@@ -243,8 +239,7 @@ class ServiceHost:
             topic=topic, payload=payload, origin_node=handle.node,
             sequence=seq, sent_at=self.clock.now,
         )
-        handle._published.record(handle.node.key, topic, seq)
-        self.network.endpoint(handle.scope).publish(env)
+        self.network.endpoint(handle.scope).publish(env, handle.owner)
         handle.published += 1
         return True
 
@@ -270,13 +265,6 @@ class ServiceHost:
             if user_cb is not None:
                 user_cb(env)
         return deliver
-
-    @staticmethod
-    def _self_filter(handle: ServiceHandle, topic: str):
-        def accept(env: MessageEnvelope) -> bool:
-            return (env.origin_node != handle.node
-                    or not handle._published.seen(handle.node.key, topic, env.sequence))
-        return accept
 
     # -- declarations ----------------------------------------------------------
 

@@ -315,19 +315,20 @@ class Network:
 
     # -- transport ---------------------------------------------------------
 
-    def _dispatch(self, endpoint: BrokerEndpoint, env: MessageEnvelope) -> int:
+    def _dispatch(self, endpoint: BrokerEndpoint, env: MessageEnvelope,
+                  sender: str | None) -> int:
         scope = endpoint.scope
         now = self.clock.now
         total = 0
 
-        targets = endpoint.snapshot(env)
+        targets = endpoint.snapshot(env, sender)
         if targets:
             self._send(endpoint, targets, env, self.local_links[scope.key], now)
             total += len(targets)
 
         if scope.kind is ScopeKind.INTER_LAYER:
             for peer, crossing, parts in self._inter_peers[scope.layer]:
-                remote = peer.snapshot(env)
+                remote = peer.snapshot(env, sender)
                 if not remote:
                     continue
                 self.trace.xlink(parts, now, env.origin_node.key, env.sequence, env.topic)

@@ -245,13 +245,14 @@ class OracleMarkWindow:
     record = test_and_record
 
 
-def oracle_dispatch_per_copy(net, endpoint, env) -> int:
+def oracle_dispatch_per_copy(net, endpoint, env, sender) -> int:
     """A network's transport with one delivery event per copy.
 
     Each targeted copy draws its loss, then its jitter, and is scheduled
     as its own event, in target order; the local link first, then each
-    other layer's crossing. Counters are updated through the registry by
-    name. Install it on every endpoint with `install_per_copy_dispatch`.
+    other layer's crossing; no copy goes to a handle that ``sender``
+    owns. Counters are updated through the registry by name. Install it
+    on every endpoint with `install_per_copy_dispatch`.
     """
     now = net.clock.now
     scope = endpoint.scope
@@ -262,7 +263,7 @@ def oracle_dispatch_per_copy(net, endpoint, env) -> int:
                   net.crossings[(scope.layer, layer.name)], layer.name)
                  for layer in net.topology.layers if layer.name != scope.layer]
     for ep, link, to_layer in hops:
-        targets = ep.snapshot(env)
+        targets = ep.snapshot(env, sender)
         if not targets:
             continue
         ser_end = link.charge(env.payload_len, now)
@@ -302,7 +303,7 @@ def _oracle_deliver(net, endpoint, handle, env) -> None:
 def install_per_copy_dispatch(net) -> None:
     """Route every publish on net through `oracle_dispatch_per_copy`."""
     for ep in net.endpoints.values():
-        ep._dispatch = lambda ep, env: oracle_dispatch_per_copy(net, ep, env)
+        ep._dispatch = lambda ep, env, sender: oracle_dispatch_per_copy(net, ep, env, sender)
 
 
 class OracleFlagTimer:

@@ -23,9 +23,9 @@ def env(topic="scan", seq=1):
     )
 
 
-def sync_dispatch(endpoint, env):
+def sync_dispatch(endpoint, env, sender):
     """Deliver at once on the publisher's stack, with no network between."""
-    handles = endpoint.snapshot(env)
+    handles = endpoint.snapshot(env, sender)
     for h in handles:
         endpoint.invoke(h, env)
     return len(handles)
@@ -68,13 +68,17 @@ def test_unsubscribe_is_idempotent():
     assert ep._subs == {}  # the emptied topic is dropped
 
 
-def test_filter_gates_delivery():
+def test_sender_does_not_hear_itself():
     ep = make_ep()
     got = []
-    ep.subscribe("scan", got.append, filter=lambda e: e.sequence % 2 == 0)
-    ep.publish(env(seq=1))
-    ep.publish(env(seq=2))
-    assert [e.sequence for e in got] == [2]
+    ep.subscribe("scan", lambda e: got.append("cam"), owner="cam@robot-1")
+    ep.subscribe("scan", lambda e: got.append("viewer"), owner="viewer@robot-1")
+    ep.subscribe("scan", lambda e: got.append("anon"))
+    assert ep.publish(env(), "cam@robot-1") == 2
+    assert got == ["viewer", "anon"]
+    got.clear()
+    assert ep.publish(env(seq=2)) == 3  # no sender: every subscriber
+    assert got == ["cam", "viewer", "anon"]
 
 
 def test_handle_metadata():
@@ -101,13 +105,18 @@ def test_callback_exception_contained():
 
 
 def test_snapshot_skips_inactive_and_filtered():
+    # filtered by sender: a publish leaves out the handles its sender owns
     ep = make_ep()
     keep = ep.subscribe("scan", lambda e: None)
     drop = ep.subscribe("scan", lambda e: None)
-    never = ep.subscribe("scan", lambda e: None, filter=lambda e: False)
+    own = ep.subscribe("scan", lambda e: None, owner="cam@robot-1")
+    other = ep.subscribe("scan", lambda e: None, owner="viewer@robot-1")
     ep.unsubscribe(drop)
-    assert ep.snapshot(env()) == [keep]
-    assert never.active
+    assert ep.snapshot(env()) == [keep, own, other]
+    assert ep.snapshot(env(), "cam@robot-1") == [keep, other]
+    assert ep.snapshot(env(), "viewer@robot-1") == [keep, own]
+    assert ep.snapshot(env(), "nobody@robot-1") == [keep, own, other]
+    assert own.active
 
 
 def test_unsubscribe_during_publish_from_another_thread():

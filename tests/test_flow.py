@@ -427,12 +427,12 @@ def bus_publishes(world):
     for layer in world.engines:
         ep = world.network.endpoint(world.topology.inter_layer_scope(layer))
 
-        def publish(env, publish=ep.publish):
+        def publish(env, sender=None, publish=ep.publish):
             decl = None
             if env.topic.startswith("__flow/"):
                 decl = declaration_from_body(json.loads(env.payload))[0].topic
             log.append((env.topic, env.origin_node.layer, decl))
-            return publish(env)
+            return publish(env, sender)
         ep.publish = publish
     return log
 

@@ -342,3 +342,52 @@ def test_engine_bridges_match_whole_table_oracle(steps):
                 got = {t: (r.advertised_rate, r.max_size) for t, r in limiter.records.items()}
                 assert got == regs[client], (engine.layer, client)
     w.drain()
+
+
+# 1-2 of these nodes carry 2-4 services: two edge nodes, and one two layers up
+SELF_NODES = ("robot-1", "robot-2", "cloud-1")
+topic_subsets = st.frozensets(st.sampled_from(("a", "b")))
+
+
+@st.composite
+def pubsub_worlds(draw):
+    """Services as (node, advertised topics, requested topics), and the
+    publishes as (service index, topic) in the order they are made."""
+    nodes = draw(st.lists(st.sampled_from(SELF_NODES), min_size=1, max_size=2, unique=True))
+    services = draw(st.lists(st.tuples(st.sampled_from(nodes), topic_subsets, topic_subsets),
+                             min_size=2, max_size=4))
+    streams = [(i, t) for i, (_, advs, _) in enumerate(services) for t in sorted(advs)]
+    schedule = draw(st.lists(st.sampled_from(streams), max_size=8)) if streams else []
+    return services, schedule
+
+
+@given(pubsub_worlds())
+@settings(max_examples=max(50, settings.default.max_examples // 4), deadline=None)
+def test_each_service_hears_every_other_publisher_once_and_never_itself(case):
+    services, schedule = case
+    w = World(build_topology(WORLD3), seed=1)
+    w.start()
+    w.clock.run_until(10 * MS)
+    got = [[] for _ in services]
+    handles = [
+        w.host.start_service(
+            node, f"s{i}", advertises=[Advertise(t, 50.0) for t in sorted(advs)],
+            requests=sorted(reqs),
+            on_message=lambda env, i=i: got[i].append((env.topic, env.payload)))
+        for i, (node, advs, reqs) in enumerate(services)
+    ]
+    w.clock.run_until(w.clock.now + SECOND)  # declarations flood, bridges come up
+    sent = []
+    for n, (i, topic) in enumerate(schedule):
+        payload = b"%d:%d" % (i, n)
+        w.host.publish(handles[i], topic, payload)
+        sent.append((i, topic, payload))
+        w.clock.run_until(w.clock.now + 100 * MS)
+    for engine in w.engines.values():  # nor does a layer's engine hear its own floods
+        assert not [key for key in engine.table.entries
+                    if key[3] == engine.inter_scope.key and key[2].endswith("@" + engine.layer)]
+    w.drain()
+    for j, (_, _, reqs) in enumerate(services):
+        want = [(topic, payload) for i, topic, payload in sent if i != j and topic in reqs]
+        assert sorted(got[j]) == sorted(want), f"s{j}"
+    assert w.issues() == []

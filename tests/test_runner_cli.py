@@ -16,7 +16,7 @@ from flowbridge.report import (
 )
 from flowbridge.ratelimit import HierarchicalLimiter
 from flowbridge.runner import World, WorldError, run_scenario
-from flowbridge.scenario import make_payload, parse_scenario
+from flowbridge.scenario import ScenarioError, make_payload, parse_scenario
 from flowbridge.simnet import SimClock
 from flowbridge.topology import build_topology
 from tracefile import records
@@ -542,6 +542,15 @@ def test_cli_rejects_duration_override_it_cannot_run(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "flowbridge: error: --duration-override must be a finite number > 0" in err
     assert_no_outputs(tmp_path / "o")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_scenario_rejects_duration_override_it_cannot_run(tmp_path, value):
+    # the library call checks what the CLI checks: 0 would have run the
+    # document's whole duration, and the others failed later or oddly
+    with pytest.raises(ScenarioError, match="--duration-override must be a finite number > 0"):
+        run_scenario(None, "estop", out_dir=str(tmp_path / "o"), duration_override=value)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_start_after_overridden_end(tmp_path, capsys):

@@ -165,6 +165,23 @@ def test_same_topic_advertise_and_request_suppresses_self(world):
     assert got == ["robot-2"]
 
 
+def test_co_located_publishers_of_a_topic_hear_each_other_not_themselves(world):
+    # both draw sequences from robot-1's one counter, so origin node and
+    # sequence cannot tell them apart; the publishing service can
+    got = {"a": [], "b": []}
+    a, b = (world.host.start_service(
+        "robot-1", name, advertises=[Advertise("t", 5.0)], requests=["t"],
+        on_message=lambda env, name=name: got[name].append(env.payload))
+        for name in ("a", "b"))
+    settle(world)
+    for i in range(3):
+        world.host.publish(a, "t", b"a%d" % i)
+        world.host.publish(b, "t", b"b%d" % i)
+        settle(world)
+    assert got == {"a": [b"b0", b"b1", b"b2"], "b": [b"a0", b"a1", b"a2"]}
+    assert world.host.violations == []
+
+
 def test_stop_service_withdraws_and_cleans_up(world, tmp_path):
     h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
     world.host.start_service("cloud-1", "viewer", requests=["img"])

@@ -345,6 +345,24 @@ def test_inter_layer_bus_reaches_all_matching_layers():
     assert sorted(got) == ["cloud", "fog"]
 
 
+def test_sender_is_left_out_locally_and_on_every_peer():
+    net, clock, _ = make_net()
+    got = []
+    scopes = ("inter_layer:edge", "inter_layer:fog", "inter_layer:cloud")
+    for scope in scopes:
+        for owner in ("me", "you", None):
+            net.endpoint(scope).subscribe(
+                "scan", lambda e, at=(scope, owner): got.append(at), owner=owner)
+    bus = net.endpoint("inter_layer:edge")
+    assert bus.publish(env(), "me") == 6
+    clock.run_until_idle()
+    assert set(got) == {(s, o) for s in scopes for o in ("you", None)} and len(got) == 6
+    got.clear()
+    assert bus.publish(env(seq=2)) == 9  # no sender: every subscriber
+    clock.run_until_idle()
+    assert set(got) == {(s, o) for s in scopes for o in ("me", "you", None)} and len(got) == 9
+
+
 def test_callback_errors_are_contained_and_reported():
     net, clock, metrics = make_net()
     ep = net.endpoint("intra_layer:edge")
