@@ -12,6 +12,13 @@ publishing scope and on every scope the publish reaches, so a sender
 never hears itself (ROS 2's ``ignore_local_publications``, MQTT v5's
 No Local). Owners are unique: an SDK service's ends in ``@node``, and a
 system one (flow engine, config service) has no ``@``.
+
+Subscribers are matched when they subscribe, not when a message is
+published, as DDS matches readers to writers at discovery: ``routes``
+maps each topic to its active handles, in subscription order, and the
+set of their owners. ``subscribe`` and ``unsubscribe`` replace a topic's
+route rather than change it, so a delivery already in flight keeps the
+handles it was given; it still checks ``handle.active`` per copy.
 """
 
 from __future__ import annotations
@@ -55,12 +62,22 @@ class SubscriberHandle:
         return f"<sub {self.topic!r} on {self.scope.key} ({self.kind}, {state})>"
 
 
+# a topic's active handles in subscription order, and their owners
+Route = tuple[tuple[SubscriberHandle, ...], frozenset[str]]
+
+
+def _route(handles: tuple[SubscriberHandle, ...]) -> Route:
+    return handles, frozenset(h.owner for h in handles if h.owner is not None)
+
+
 class BrokerEndpoint:
     def __init__(self, scope: BrokerScope, dispatch: DispatchFn):
         self.scope = scope
         self._dispatch = dispatch
-        self._subs: dict[str, list[SubscriberHandle]] = {}
-        self.errors: list[tuple[str, BaseException]] = []
+        self.routes: dict[str, Route] = {}
+        # (topic, repr of the exception): the exception itself would pin
+        # the failing callback's frame, and its envelope, until the run ends
+        self.errors: list[tuple[str, str]] = []
 
     def subscribe(
         self,
@@ -72,22 +89,21 @@ class BrokerEndpoint:
         if not topic:
             raise BrokerError("empty topic")
         handle = SubscriberHandle(self.scope, topic, callback, kind, owner)
-        self._subs.setdefault(topic, []).append(handle)
+        self.routes[topic] = _route(self.routes.get(topic, ((),))[0] + (handle,))
         return handle
 
     def unsubscribe(self, handle: SubscriberHandle) -> bool:
         """Idempotent; returns True only on the call that removed it."""
+        if handle.scope.key != self.scope.key:
+            raise BrokerError(f"{handle!r} is not a subscription of {self.scope.key}")
         if not handle.active:
             return False
+        rest = tuple(h for h in self.routes[handle.topic][0] if h is not handle)
         handle.active = False
-        subs = self._subs.get(handle.topic)
-        if subs is not None:
-            try:
-                subs.remove(handle)
-            except ValueError:
-                pass
-            if not subs:
-                del self._subs[handle.topic]
+        if rest:
+            self.routes[handle.topic] = _route(rest)
+        else:
+            del self.routes[handle.topic]
         return True
 
     def publish(self, env: MessageEnvelope, sender: str | None = None) -> int:
@@ -97,9 +113,9 @@ class BrokerEndpoint:
 
     def snapshot(self, env: MessageEnvelope,
                  sender: str | None = None) -> list[SubscriberHandle]:
-        """Active subscribers of env.topic not owned by sender."""
-        return [h for h in self._subs.get(env.topic, ())
-                if h.active and (sender is None or h.owner != sender)]
+        """The route of env.topic, less the handles sender owns."""
+        return [h for h in self.routes.get(env.topic, ((),))[0]
+                if sender is None or h.owner != sender]
 
     def invoke(self, handle: SubscriberHandle, env: MessageEnvelope) -> bool:
         """Run one callback, containing its exceptions; True if it ran clean."""
@@ -107,5 +123,5 @@ class BrokerEndpoint:
             handle.callback(env)
             return True
         except Exception as exc:  # noqa: BLE001 - one bad callback must not block others
-            self.errors.append((env.topic, exc))
+            self.errors.append((env.topic, repr(exc)))
             return False

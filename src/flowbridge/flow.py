@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable, Iterable
 
 from . import codec
-from .broker import SUB_BRIDGE, SubscriberHandle
+from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, HeartbeatRegistry, ordered_sum
 from .ratelimit import HierarchicalLimiter, RateLimitConfig
 from .simnet import Network, ns_from_s
@@ -233,12 +233,15 @@ def compute_required_bridges(table: FlowTable, scopes: Iterable[BrokerScope],
 
 @dataclass
 class BridgeSpec:
-    """One installed bridge, with its outcome counters bound."""
+    """One installed bridge, with its destination endpoint, both scopes'
+    dedupe windows and its outcome counters bound."""
 
     topic: str
     source: BrokerScope
     dest: BrokerScope
-    dedupe_window: DedupeWindow
+    dest_endpoint: BrokerEndpoint
+    source_window: DedupeWindow
+    dedupe_window: DedupeWindow  # the destination scope's
     client: str | None  # limiter client when dest is inter_layer
     delivered: CounterCell
     forwarded: CounterCell
@@ -284,6 +287,7 @@ class FlowEngine:
         self.scopes: list[BrokerScope] = list(topology.scopes_for_layer(self.layer))
         self.scope_by_key = {s.key: s for s in self.scopes}
         self.inter_scope = topology.inter_layer_scope(self.layer)
+        self.inter_endpoint = network.endpoint(self.inter_scope)
         self.system_node = topology.system_node(self.layer)
         self.service_name = f"__flow-engine/{self.layer}"
 
@@ -336,7 +340,7 @@ class FlowEngine:
         other layer in one hop; what arrived over the bus is not forwarded."""
         if scope == self.inter_scope or len(self.topology.layers) == 1:
             return
-        self.network.endpoint(self.inter_scope).publish(control_envelope(
+        self.inter_endpoint.publish(control_envelope(
             control_topic, declaration_body(decl, service),
             self.system_node, self.seq, self.clock.now), self.service_name)
 
@@ -380,6 +384,7 @@ class FlowEngine:
         counter = self.registry.counter
         bridge = BridgeSpec(
             topic=topic, source=source, dest=dest,
+            dest_endpoint=self.network.endpoint(dest), source_window=self.windows[src_key],
             dedupe_window=self.windows[dst_key], client=client,
             delivered=counter("flow.delivered", {"topic": topic}),
             forwarded=counter("flow.forwarded",
@@ -435,7 +440,7 @@ class FlowEngine:
 
     def _on_bridge_message(self, bridge: BridgeSpec, env: MessageEnvelope) -> None:
         origin = env.origin_node.key
-        self.windows[bridge.source.key].record(origin, env.topic, env.sequence)
+        bridge.source_window.record(origin, env.topic, env.sequence)
         if not bridge.dedupe_window.test_and_record(origin, env.topic, env.sequence):
             bridge.dedupe_drops.inc()
             return
@@ -448,7 +453,7 @@ class FlowEngine:
             env = self._maybe_compress(env)
         elif env.compressed:
             env = self._decompress(env)
-        self.network.endpoint(bridge.dest).publish(env)
+        bridge.dest_endpoint.publish(env)
         bridge.delivered.inc()
         bridge.forwarded.inc()
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from . import monitor
-from .broker import SubscriberHandle
+from .broker import BrokerEndpoint, SubscriberHandle
 from .flow import CONTROL_TOPIC, DedupeWindow, FlowEngine
 from .monitor import HeartbeatRegistry
 from .simnet import Network, ns_from_s
@@ -31,7 +31,6 @@ from .topology import (
     FLOW_WITHDRAW,
     REQUEST,
     RESERVED_PREFIX,
-    BrokerScope,
     FlowDeclaration,
     MessageEnvelope,
     NodeId,
@@ -87,12 +86,13 @@ class Advertise:
 
 
 class ServiceHandle:
-    def __init__(self, name: str, node: NodeId, scope: BrokerScope,
+    def __init__(self, name: str, node: NodeId, endpoint: BrokerEndpoint,
                  advertises: tuple[Advertise, ...], requests: tuple[str, ...]):
         self.name = name
         self.node = node
         self.owner = f"{name}@{node.name}"  # unique: node names have no "@"
-        self.scope = scope
+        self.endpoint = endpoint  # of the scope it publishes and subscribes on
+        self.scope = endpoint.scope
         self.advertises = advertises
         self.advertised_topics = frozenset(a.topic for a in advertises)
         self.requests = requests
@@ -170,7 +170,8 @@ class ServiceHost:
 
         scope = (self.topology.external_scope(layer) if external
                  else self.topology.default_scope_for(node))
-        handle = ServiceHandle(name, node_id, scope, advs, reqs)
+        endpoint = self.network.endpoint(scope)
+        handle = ServiceHandle(name, node_id, endpoint, advs, reqs)
         self.services[handle.key] = handle
 
         cfg = self._flow_config(layer)
@@ -182,7 +183,6 @@ class ServiceHost:
         self.clock.every(hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
 
         callbacks = self._normalize_callbacks(reqs, on_message)
-        endpoint = self.network.endpoint(scope)
         for topic in reqs:
             handle._subs.append(endpoint.subscribe(
                 topic, self._delivery_wrapper(handle, topic, callbacks.get(topic)),
@@ -219,9 +219,8 @@ class ServiceHost:
                           service=handle.name, node=handle.node.name)
 
     def _teardown(self, handle: ServiceHandle, remove_heartbeat: bool) -> None:
-        endpoint = self.network.endpoint(handle.scope)
         for sub in handle._subs:
-            endpoint.unsubscribe(sub)
+            handle.endpoint.unsubscribe(sub)
         handle._subs.clear()
         if remove_heartbeat:
             self.heartbeats[handle.node.layer].remove(handle.name, handle.node.name)
@@ -239,7 +238,7 @@ class ServiceHost:
             topic=topic, payload=payload, origin_node=handle.node,
             sequence=seq, sent_at=self.clock.now,
         )
-        self.network.endpoint(handle.scope).publish(env, handle.owner)
+        handle.endpoint.publish(env, handle.owner)
         handle.published += 1
         return True
 
@@ -287,7 +286,7 @@ class ServiceHost:
 
     def _publish_control(self, handle: ServiceHandle, control_topic: str,
                          decl: FlowDeclaration) -> None:
-        self.network.endpoint(handle.scope).publish(control_envelope(
+        handle.endpoint.publish(control_envelope(
             control_topic, declaration_body(decl, handle.name),
             handle.node, self.seqs[handle.node.name], self.clock.now))
 

@@ -317,32 +317,44 @@ class Network:
 
     def _dispatch(self, endpoint: BrokerEndpoint, env: MessageEnvelope,
                   sender: str | None) -> int:
+        # reads each endpoint's route as `BrokerEndpoint.snapshot` does,
+        # copying it only when the sender owns some of its handles
         scope = endpoint.scope
+        topic = env.topic
         now = self.clock.now
         total = 0
 
-        targets = endpoint.snapshot(env, sender)
-        if targets:
-            self._send(endpoint, targets, env, self.local_links[scope.key], now)
-            total += len(targets)
+        route = endpoint.routes.get(topic)
+        if route is not None:
+            targets, owners = route
+            if sender in owners:
+                targets = [h for h in targets if h.owner != sender]
+            if targets:
+                self._send(endpoint, targets, env, self.local_links[scope.key], now)
+                total += len(targets)
 
         if scope.kind is ScopeKind.INTER_LAYER:
             for peer, crossing, parts in self._inter_peers[scope.layer]:
-                remote = peer.snapshot(env, sender)
-                if not remote:
+                route = peer.routes.get(topic)
+                if route is None:
                     continue
-                self.trace.xlink(parts, now, env.origin_node.key, env.sequence, env.topic)
+                remote, owners = route
+                if sender in owners:
+                    remote = [h for h in remote if h.owner != sender]
+                    if not remote:
+                        continue
+                self.trace.xlink(parts, now, env.origin_node.key, env.sequence, topic)
                 self._send(peer, remote, env, crossing, now)
                 total += len(remote)
 
         if total:
-            self._offered[env.topic].inc(total)
+            self._offered[topic].inc(total)
         return total
 
     def _send(
         self,
         endpoint: BrokerEndpoint,
-        handles: list[SubscriberHandle],
+        handles: Sequence[SubscriberHandle],
         env: MessageEnvelope,
         link: LinkState,
         now: int,
@@ -395,6 +407,6 @@ class Network:
     def endpoint_errors(self) -> list[tuple[str, str, str]]:
         out = []
         for key, ep in self.endpoints.items():
-            for topic, exc in ep.errors:
-                out.append((key, topic, repr(exc)))
+            for topic, err in ep.errors:
+                out.append((key, topic, err))
         return out

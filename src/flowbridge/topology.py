@@ -83,7 +83,7 @@ class BrokerScope:
         return self.key
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MessageEnvelope:
     """One published message as carried between scopes.
 
@@ -91,9 +91,14 @@ class MessageEnvelope:
     time; together they identify the message for deduplication.
     ``sent_at`` is virtual time in ns. When ``compressed`` is set,
     ``payload`` holds codec output and ``uncompressed_len`` the original
-    size; otherwise ``uncompressed_len`` equals ``payload_len``. Frozen
-    because one envelope object is handed to every subscriber of a
-    fan-out.
+    size; otherwise ``uncompressed_len`` equals ``payload_len``.
+
+    One envelope object is handed to every subscriber of a fan-out, so
+    it is never changed once built: a bridge that compresses or
+    decompresses builds a new one with ``dataclasses.replace``. That is
+    a convention, not ``frozen``, which would make every build several
+    times slower; a test checks that no code assigns to an envelope's
+    attributes outside ``__post_init__``.
     """
 
     topic: str
@@ -110,11 +115,11 @@ class MessageEnvelope:
             raise ValueError("empty topic")
         if self.sequence < 1:
             raise ValueError("sequence starts at 1")
-        object.__setattr__(self, "payload_len", len(self.payload))
+        self.payload_len = len(self.payload)
         if self.uncompressed_len < 0:
             if self.compressed:
                 raise ValueError("compressed envelope requires uncompressed_len")
-            object.__setattr__(self, "uncompressed_len", self.payload_len)
+            self.uncompressed_len = self.payload_len
         if self.compressed and self.uncompressed_len < self.payload_len:
             raise ValueError("compressed payload larger than original")
         if not self.compressed and self.uncompressed_len != self.payload_len:

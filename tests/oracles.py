@@ -245,14 +245,46 @@ class OracleMarkWindow:
     record = test_and_record
 
 
-def oracle_dispatch_per_copy(net, endpoint, env, sender) -> int:
+class OracleSubscriptions:
+    """The subscriptions of every endpoint as the broker kept them before
+    routes: per (scope key, topic), a list of handles in subscription
+    order, from which unsubscribing removes one.
+
+    It is fed by a harness's own calls: `subscribe` and `unsubscribe`
+    pass each call on to the endpoint and record what it did.
+    """
+
+    def __init__(self):
+        self.subs: dict[tuple[str, str], list] = {}
+
+    def subscribe(self, ep, topic, callback, kind="user", owner=None):
+        handle = ep.subscribe(topic, callback, kind=kind, owner=owner)
+        self.subs.setdefault((ep.scope.key, topic), []).append(handle)
+        return handle
+
+    def unsubscribe(self, ep, handle) -> bool:
+        removed = ep.unsubscribe(handle)
+        if removed:
+            self.subs[(ep.scope.key, handle.topic)].remove(handle)
+        return removed
+
+
+def oracle_snapshot(subs: OracleSubscriptions, ep, env, sender) -> list:
+    """The active handles of env.topic on ep that sender does not own,
+    in subscription order, from the record."""
+    return [h for h in subs.subs.get((ep.scope.key, env.topic), ())
+            if h.active and (sender is None or h.owner != sender)]
+
+
+def oracle_dispatch_per_copy(net, subs, endpoint, env, sender) -> int:
     """A network's transport with one delivery event per copy.
 
     Each targeted copy draws its loss, then its jitter, and is scheduled
     as its own event, in target order; the local link first, then each
     other layer's crossing; no copy goes to a handle that ``sender``
-    owns. Counters are updated through the registry by name. Install it
-    on every endpoint with `install_per_copy_dispatch`.
+    owns. Targets come from `oracle_snapshot` over ``subs``, not from the
+    endpoints' routes. Counters are updated through the registry by name.
+    Install it on every endpoint with `install_per_copy_dispatch`.
     """
     now = net.clock.now
     scope = endpoint.scope
@@ -263,7 +295,7 @@ def oracle_dispatch_per_copy(net, endpoint, env, sender) -> int:
                   net.crossings[(scope.layer, layer.name)], layer.name)
                  for layer in net.topology.layers if layer.name != scope.layer]
     for ep, link, to_layer in hops:
-        targets = ep.snapshot(env, sender)
+        targets = oracle_snapshot(subs, ep, env, sender)
         if not targets:
             continue
         ser_end = link.charge(env.payload_len, now)
@@ -300,10 +332,12 @@ def _oracle_deliver(net, endpoint, handle, env) -> None:
         net.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
 
 
-def install_per_copy_dispatch(net) -> None:
-    """Route every publish on net through `oracle_dispatch_per_copy`."""
+def install_per_copy_dispatch(net, subs: OracleSubscriptions) -> None:
+    """Route every publish on net through `oracle_dispatch_per_copy`,
+    targeting the subscriptions recorded in ``subs``."""
     for ep in net.endpoints.values():
-        ep._dispatch = lambda ep, env, sender: oracle_dispatch_per_copy(net, ep, env, sender)
+        ep._dispatch = lambda ep, env, sender: oracle_dispatch_per_copy(
+            net, subs, ep, env, sender)
 
 
 class OracleFlagTimer:

@@ -1,6 +1,7 @@
 """Unit tests for the scope-local pub/sub endpoint."""
 
 import threading
+import weakref
 
 import pytest
 
@@ -65,7 +66,21 @@ def test_unsubscribe_is_idempotent():
     assert ep.unsubscribe(h) is True
     assert ep.unsubscribe(h) is False
     assert ep.publish(env()) == 0
-    assert ep._subs == {}  # the emptied topic is dropped
+    assert ep.routes == {}  # the emptied topic is dropped
+
+
+def test_unsubscribe_rejects_a_handle_of_another_endpoint():
+    a = make_ep()
+    b = BrokerEndpoint(BrokerScope(ScopeKind.INTRA_LAYER, "fog"), sync_dispatch)
+    got = []
+    h = a.subscribe("scan", got.append)
+    with pytest.raises(BrokerError):
+        b.unsubscribe(h)
+    # untouched: still routed on its own endpoint, which can remove it
+    assert h.active
+    assert a.publish(env()) == 1 and len(got) == 1
+    assert a.unsubscribe(h) is True
+    assert a.publish(env(seq=2)) == 0 and len(got) == 1
 
 
 def test_sender_does_not_hear_itself():
@@ -102,6 +117,26 @@ def test_callback_exception_contained():
     assert ep.publish(env()) == 2
     assert len(got) == 1
     assert len(ep.errors) == 1 and ep.errors[0][0] == "scan"
+
+
+def test_a_failed_callback_leaves_nothing_of_its_frame_alive():
+    # the error is kept as text: the exception's traceback would pin the
+    # callback's locals, its envelope and payload among them, until the run ends
+    ep = make_ep()
+    refs = []
+
+    class Local:
+        pass
+
+    def boom(e):
+        local = Local()
+        refs.append(weakref.ref(local))
+        raise ValueError("nope")
+
+    ep.subscribe("scan", boom)
+    assert ep.publish(env()) == 1
+    assert refs[0]() is None
+    assert ep.errors == [("scan", "ValueError('nope')")]
 
 
 def test_snapshot_skips_inactive_and_filtered():

@@ -24,7 +24,12 @@ from flowbridge.simnet import (
 )
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
-from oracles import OracleFlagTimer, install_per_copy_dispatch, oracle_drain
+from oracles import (
+    OracleFlagTimer,
+    OracleSubscriptions,
+    install_per_copy_dispatch,
+    oracle_drain,
+)
 from tracefile import records
 
 TOPO = build_topology(
@@ -414,21 +419,30 @@ def test_different_seed_diverges():
 # -- one event per (link, arrival) against the per-copy reference ------------
 
 
-def per_copy_net(**kwargs):
+# Both builds take the harness's subscription record, through which the
+# harness makes every subscribe and unsubscribe call; only the reference
+# reads it, in place of the endpoints' routes.
+def plain_net(subs, **kwargs):
+    return make_net(**kwargs)
+
+
+def per_copy_net(subs, **kwargs):
     net, clock, metrics = make_net(**kwargs)
-    install_per_copy_dispatch(net)
+    install_per_copy_dispatch(net, subs)
     return net, clock, metrics
 
 
 def test_lossy_jitter_free_link_drops_what_the_reference_drops():
     links = {"defaults": {"intra_layer": {"latency_ms": 2.0, "loss": 0.4}}}
     runs = []
-    for build in (make_net, per_copy_net):
-        net, clock, metrics = build(links=links, seed=7)
+    for build in (plain_net, per_copy_net):
+        subs = OracleSubscriptions()
+        net, clock, metrics = build(subs, links=links, seed=7)
         ep = net.endpoint("intra_layer:edge")
         log = []
         for tag in range(6):
-            ep.subscribe("scan", lambda e, tag=tag: log.append((clock.now, tag, e.sequence)))
+            subs.subscribe(ep, "scan",
+                           lambda e, tag=tag: log.append((clock.now, tag, e.sequence)))
         states = []
         for i in range(40):
             clock.run_until(i * MS)
@@ -454,16 +468,17 @@ def test_jittered_link_schedules_one_event_per_copy():
 
 
 def test_sibling_unsubscribed_mid_batch_is_counted_but_not_called():
-    for build in (make_net, per_copy_net):
-        net, clock, metrics = build()
+    for build in (plain_net, per_copy_net):
+        subs = OracleSubscriptions()
+        net, clock, metrics = build(subs)
         ep = net.endpoint("intra_layer:edge")
         log = []
         later = []
-        ep.subscribe("scan", lambda e: (log.append("a"), ep.unsubscribe(later[0])))
-        ep.subscribe("scan", lambda e: log.append("b"))
+        subs.subscribe(ep, "scan", lambda e: (log.append("a"), subs.unsubscribe(ep, later[0])))
+        subs.subscribe(ep, "scan", lambda e: log.append("b"))
         # an active bridge accounts its own arrivals; an unsubscribed one
         # ends here as delivered
-        later.append(ep.subscribe("scan", lambda e: log.append("c"), kind=SUB_BRIDGE))
+        later.append(subs.subscribe(ep, "scan", lambda e: log.append("c"), kind=SUB_BRIDGE))
         ep.publish(env())
         clock.run_until_idle()
         assert log == ["a", "b"]
@@ -508,35 +523,49 @@ link_specs = st.fixed_dictionaries({
     "bandwidth_mbps": st.sampled_from([0.0, 8.0]),
 })
 BUS = ["intra_layer:edge", "inter_layer:edge", "inter_layer:fog", "inter_layer:cloud"]
+TOPICS = ["scan", "pose"]
+OWNERS = [None, "a@robot-1", "b@robot-2"]
 # what a subscriber's callback does besides logging its arrival
-actions = st.sampled_from(["log", "forward", "unsubscribe", "zero_delay"])
-subscribers = st.lists(st.tuples(st.sampled_from(BUS), st.sampled_from([SUB_USER, SUB_BRIDGE]),
-                                 actions), max_size=8)
-publishes = st.lists(st.tuples(st.integers(0, 20), st.sampled_from(BUS)), min_size=1, max_size=12)
+actions = st.sampled_from(["log", "forward", "unsubscribe", "subscribe", "zero_delay"])
+subscribers = st.lists(st.tuples(st.sampled_from(BUS), st.sampled_from(TOPICS),
+                                 st.sampled_from([SUB_USER, SUB_BRIDGE]),
+                                 st.sampled_from(OWNERS), actions), max_size=8)
+# (at ms, scope, topic, sender)
+publishes = st.lists(st.tuples(st.integers(0, 20), st.sampled_from(BUS), st.sampled_from(TOPICS),
+                               st.sampled_from(OWNERS)), min_size=1, max_size=12)
 
 
-def run_transport(build, links, subs, pubs, seed, trace_path):
-    net, clock, metrics = build(links=links, seed=seed, trace_path=trace_path)
+def run_transport(build, links, subscribers, pubs, seed, trace_path):
+    subs = OracleSubscriptions()
+    net, clock, metrics = build(subs, links=links, seed=seed, trace_path=trace_path)
     log = []
     handles = []
 
-    def callback(i, action):
+    def callback(i, action, owner):
         def on_message(e):
-            log.append((clock.now, i, e.sequence))
+            log.append((clock.now, i, e.topic, e.sequence))
             if action == "forward" and e.sequence < 1000:
-                net.endpoint("inter_layer:fog").publish(env(seq=e.sequence + 1000))
+                net.endpoint("inter_layer:fog").publish(
+                    env(topic=e.topic, seq=e.sequence + 1000), owner)
             elif action == "unsubscribe" and i + 1 < len(handles):
                 sibling = handles[i + 1]
-                net.endpoint(sibling.scope).unsubscribe(sibling)
+                subs.unsubscribe(net.endpoint(sibling.scope), sibling)
+            elif action == "subscribe" and e.sequence < 1000:
+                # joins the route this very arrival was delivered from
+                me = handles[i]
+                handles.append(subs.subscribe(net.endpoint(me.scope), e.topic,
+                                              callback(len(handles), "log", owner),
+                                              kind=me.kind, owner=owner))
             elif action == "zero_delay":
                 clock.schedule(clock.now, log.append, (clock.now, "zero", i, e.sequence))
         return on_message
 
-    for i, (scope, kind, action) in enumerate(subs):
-        handles.append(net.endpoint(scope).subscribe("scan", callback(i, action), kind=kind))
-    for n, (at_ms, scope) in enumerate(sorted(pubs)):
+    for i, (scope, topic, kind, owner, action) in enumerate(subscribers):
+        handles.append(subs.subscribe(net.endpoint(scope), topic, callback(i, action, owner),
+                                      kind=kind, owner=owner))
+    for n, (at_ms, scope, topic, sender) in enumerate(sorted(pubs, key=lambda p: p[0])):
         clock.run_until(at_ms * MS)
-        net.endpoint(scope).publish(env(seq=n + 1, sent_at=clock.now))
+        net.endpoint(scope).publish(env(topic=topic, seq=n + 1, sent_at=clock.now), sender)
     events = clock.run_until_idle()
     net.trace.close()
     return log, metrics.snapshot(), net.rng.getstate(), Path(trace_path).read_bytes(), events
@@ -546,9 +575,11 @@ def run_transport(build, links, subs, pubs, seed, trace_path):
 # at least 150 examples, more under a larger profile (tests/conftest.py)
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 def test_batched_transport_matches_per_copy_reference(local, bus, crossing, subs, pubs, seed):
+    # subscribers of two topics, some owned, that subscribe and unsubscribe
+    # while deliveries run; publishes that name a sender or none
     links = {"defaults": {"intra_layer": local, "inter_layer": bus, "crossing": crossing}}
     with tempfile.TemporaryDirectory() as tmp:
-        *got, events = run_transport(make_net, links, subs, pubs, seed, Path(tmp) / "a.jsonl")
+        *got, events = run_transport(plain_net, links, subs, pubs, seed, Path(tmp) / "a.jsonl")
         *want, ref_events = run_transport(per_copy_net, links, subs, pubs, seed,
                                           Path(tmp) / "b.jsonl")
     assert got == want

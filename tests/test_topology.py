@@ -1,10 +1,13 @@
 """Unit tests for the deployment model: layers, nodes, scopes, envelopes."""
 
+import ast
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+import flowbridge
 from flowbridge.topology import (
     ADVERTISE,
     REQUEST,
@@ -185,6 +188,76 @@ def test_envelope_defaults_and_stream_key():
     assert not e.compressed
     # the length follows the payload, also through replace()
     assert replace(e, payload=b"hi", uncompressed_len=-1).payload_len == 2
+
+
+ENVELOPE_FIELDS = {f.name for f in fields(MessageEnvelope)}
+
+
+def envelope_field_stores(tree: ast.Module) -> list[int]:
+    """Lines that store, or delete, an attribute named like an envelope
+    field on anything but ``self``, through ``setattr`` and
+    ``__setattr__`` too, or on ``self`` in a `MessageEnvelope` method
+    other than ``__post_init__``. Another class's ``self.topic = ...`` is
+    its own attribute, not an envelope's."""
+    found = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+              and node.attr in ENVELOPE_FIELDS):
+            on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            if not on_self or (cls == "MessageEnvelope" and fn != "__post_init__"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+            if name in ("setattr", "delattr", "__setattr__", "__delattr__"):
+                if any(isinstance(a, ast.Constant) and a.value in ENVELOPE_FIELDS
+                       for a in node.args):
+                    found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_no_code_assigns_to_an_envelope_after_it_is_built():
+    # an envelope is shared by every copy of a fan-out and is immutable by
+    # convention only (slots, not frozen)
+    src = Path(flowbridge.__file__).parent
+    stores = {path.name: lines for path in sorted(src.glob("*.py"))
+              if (lines := envelope_field_stores(ast.parse(path.read_text())))}
+    assert stores == {}
+
+
+def test_the_store_check_sees_what_it_forbids():
+    bad = """
+e.sent_at = 1
+e.payload_len += 1
+a.topic, b = 1, 2
+del e.payload
+setattr(e, "sequence", 2)
+object.__setattr__(e, "compressed", True)
+class MessageEnvelope:
+    def later(self):
+        self.topic = "x"
+"""
+    assert envelope_field_stores(ast.parse(bad)) == [2, 3, 4, 5, 6, 7, 10]
+    fine = """
+class MessageEnvelope:
+    def __post_init__(self):
+        self.payload_len = 1
+class Handle:
+    def __init__(self, topic):
+        self.topic = topic
+x.active = False
+setattr(x, "other", 1)
+"""
+    assert envelope_field_stores(ast.parse(fine)) == []
 
 
 def test_envelope_validation():
