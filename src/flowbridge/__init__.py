@@ -28,10 +28,11 @@ from .report import diff_runs
 from .runner import World, run_scenario
 from .scenario import Scenario, load_scenario
 from .sdk import Advertise, ServiceHandle, ServiceHost
-from .simnet import LinkSpec, Network, SimClock
+from .simnet import Network, SimClock
 from .topology import (
     BrokerScope,
     FlowDeclaration,
+    LinkSpec,
     MessageEnvelope,
     ScopeKind,
     Topology,

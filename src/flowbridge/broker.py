@@ -75,9 +75,10 @@ class BrokerEndpoint:
         self.scope = scope
         self._dispatch = dispatch
         self.routes: dict[str, Route] = {}
-        # (topic, repr of the exception): the exception itself would pin
-        # the failing callback's frame, and its envelope, until the run ends
-        self.errors: list[tuple[str, str]] = []
+        # (topic, repr of the exception) -> count: the exception itself
+        # would pin the failing callback's frame, and its envelope, until
+        # the run ends, and one entry per failed copy would grow with it
+        self.errors: dict[tuple[str, str], int] = {}
 
     def subscribe(
         self,
@@ -123,5 +124,6 @@ class BrokerEndpoint:
             handle.callback(env)
             return True
         except Exception as exc:  # noqa: BLE001 - one bad callback must not block others
-            self.errors.append((env.topic, repr(exc)))
+            key = (env.topic, repr(exc))
+            self.errors[key] = self.errors.get(key, 0) + 1
             return False

@@ -19,15 +19,17 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .ratelimit import RateLimitConfig
-from .simnet import MAX_S, Network, finite_number, ns_from_s
+from .simnet import Network, ns_from_s
 from .topology import (
     CONFIG_NOTICE,
     CONFIG_REPLY,
     CONFIG_REQUEST,
+    MAX_S,
     MessageEnvelope,
     SequenceCounter,
     Topology,
     control_envelope,
+    finite_number,
 )
 
 log = logging.getLogger(__name__)
@@ -70,7 +72,7 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
 
     Every section and key must exist in ``default_layer_config()`` and
     every value must be a finite number (an integer where the default is
-    one). Timer periods must be > 0 and at most `simnet.MAX_S`;
+    one). Timer periods must be > 0 and at most `topology.MAX_S`;
     ``flow.reannounce_s`` may be 0, which switches re-announce off.
     ``flow.heartbeat_ttl_s`` must cover both the heartbeat and the
     watchdog period.

@@ -218,15 +218,13 @@ class HierarchicalLimiter:
     start with a full bucket.
     """
 
-    def __init__(self, cfg: RateLimitConfig, clock, client: str = "",
-                 registry: MetricsRegistry | None = None):
+    def __init__(self, cfg: RateLimitConfig, clock, client: str, registry: MetricsRegistry):
         self.cfg = cfg
         self.clock = clock
         self.client = client
         self.registry = registry
         self.records: dict[str, PublisherRecord] = {}
-        self.result: AllocationResult = allocate(cfg, ())
-        self.buckets: dict[str, TokenBucket] = {}
+        self.buckets: dict[str, TokenBucket] = {}  # by topic, exactly those of records
 
     # -- registration ----------------------------------------------------
 
@@ -242,6 +240,7 @@ class HierarchicalLimiter:
             if rec is None:
                 return False
             del self.records[topic]
+            del self.buckets[topic]
         elif rec is None:
             self.records[topic] = PublisherRecord(topic, *reg)
         else:
@@ -270,33 +269,24 @@ class HierarchicalLimiter:
 
     # -- admission ---------------------------------------------------------
 
-    def allocation(self, topic: str) -> PublisherAllocation | None:
-        return self.result.allocations.get(topic)
-
     def try_acquire(self, topic: str) -> bool:
         granted = self.buckets[topic].try_acquire(self.clock.now)
-        if not granted and self.registry is not None:
+        if not granted:
             self.registry.inc("ratelimit.denied", {"client": self.client, "topic": topic})
         return granted
 
     def _reallocate(self) -> None:
         now = self.clock.now
-        self.result = allocate(self.cfg, self.records.values())
-        for topic in list(self.buckets):
-            if topic not in self.result.allocations:
-                del self.buckets[topic]
-        for topic, alloc in self.result.allocations.items():
+        result = allocate(self.cfg, self.records.values())
+        for topic, alloc in result.allocations.items():
             bucket = self.buckets.get(topic)
             if bucket is None:
                 self.buckets[topic] = TokenBucket(alloc.allocated_rate, self.cfg.bucket_capacity, now)
             else:
                 bucket.set_rate(alloc.allocated_rate, now)
-        if self.registry is not None:
-            self.registry.inc("ratelimit.realloc", {"client": self.client})
-            for topic, alloc in self.result.allocations.items():
-                self.registry.observe(
-                    "ratelimit.alloc_hz", {"client": self.client, "topic": topic},
-                    alloc.allocated_rate,
-                )
-            overcommit = max(0.0, -self.result.remaining)
-            self.registry.observe("ratelimit.overcommit_bytes", {"client": self.client}, overcommit)
+        self.registry.inc("ratelimit.realloc", {"client": self.client})
+        for topic, alloc in result.allocations.items():
+            self.registry.observe("ratelimit.alloc_hz", {"client": self.client, "topic": topic},
+                                  alloc.allocated_rate)
+        overcommit = max(0.0, -result.remaining)
+        self.registry.observe("ratelimit.overcommit_bytes", {"client": self.client}, overcommit)

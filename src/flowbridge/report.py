@@ -7,6 +7,7 @@ import csv
 from pathlib import Path
 
 from .monitor import MetricsRegistry, ordered_sum
+from .topology import Topology
 from .tracing import events
 
 
@@ -99,22 +100,18 @@ def write_summary(path: str | Path, registry: MetricsRegistry,
     return rows
 
 
-def link_rows(registry: MetricsRegistry, network, duration_s: float) -> list[dict]:
+def link_rows(registry: MetricsRegistry, topology: Topology,
+              duration_s: float) -> list[dict]:
     """One row per link that carried traffic: volume and utilization."""
     link_bytes = registry.totals("link.bytes", "link")
     link_msgs = registry.totals("link.msgs", "link")
-    specs = {}
-    for link in list(network.local_links.values()) + list(network.crossings.values()):
-        specs[link.name] = link.spec
     rows = []
     for name in sorted(link_bytes):
         nbytes = link_bytes[name]
         msgs = link_msgs.get(name, 0)
         mbps = nbytes * 8.0 / duration_s / 1e6
-        spec = specs.get(name)
-        util = ""
-        if spec is not None and spec.bandwidth_mbps > 0:
-            util = _fmt(mbps / spec.bandwidth_mbps)
+        bandwidth = topology.links[name].bandwidth_mbps
+        util = _fmt(mbps / bandwidth) if bandwidth > 0 else ""
         rows.append({
             "link": name,
             "bytes": int(nbytes),
@@ -128,9 +125,9 @@ def link_rows(registry: MetricsRegistry, network, duration_s: float) -> list[dic
 LINK_FIELDS = ["link", "bytes", "msgs", "throughput_mbps", "utilization"]
 
 
-def write_links(path: str | Path, registry: MetricsRegistry, network,
+def write_links(path: str | Path, registry: MetricsRegistry, topology: Topology,
                 duration_s: float) -> None:
-    write_csv(path, LINK_FIELDS, link_rows(registry, network, duration_s))
+    write_csv(path, LINK_FIELDS, link_rows(registry, topology, duration_s))
 
 
 def bridge_rows(trace_path: str | Path) -> list[dict]:

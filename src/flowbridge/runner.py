@@ -29,8 +29,8 @@ from .scenario import (
     ProbesSpec, Scenario, ScenarioError, ServiceSpec, StreamSpec, load_scenario, make_payload,
 )
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
-from .simnet import MAX_S, SECOND, Network, SimClock, ns_from_s
-from .topology import SequenceCounter, Topology, TopologyError, build_topology, load_topology
+from .simnet import SECOND, Network, SimClock, ns_from_s
+from .topology import MAX_S, SequenceCounter, Topology, TopologyError, build_topology, load_topology
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
@@ -91,7 +91,6 @@ class World:
     def __init__(
         self,
         topology: Topology,
-        links: dict | None = None,
         seed: int = 0,
         config: dict | None = None,
         trace_path: str | Path | None = None,
@@ -102,8 +101,7 @@ class World:
         self.rng = random.Random(seed)
         self.trace = Trace()
         self.registry = MetricsRegistry(self.clock)
-        self.network = Network(topology, self.clock, self.rng,
-                               self.registry, self.trace, links)
+        self.network = Network(topology, self.clock, self.rng, self.registry, self.trace)
         self.heartbeats = {
             l.name: HeartbeatRegistry(self.clock, self.registry, self.trace, l.name)
             for l in topology.layers
@@ -255,8 +253,8 @@ class World:
     def issues(self) -> list[str]:
         """Invariant violations observed by this world; empty when clean."""
         out = []
-        for scope, topic, err in self.network.endpoint_errors():
-            out.append(f"callback error on {scope} topic {topic!r}: {err}")
+        for scope, topic, err, n in self.network.endpoint_errors():
+            out.append(f"callback error on {scope} topic {topic!r}: {err} ({n}x)")
         for v in self.host.violations:
             out.append(
                 f"duplicate delivery to {v['service']}@{v['node']}: "
@@ -272,21 +270,23 @@ class World:
         return out
 
 
-def _resolve_topology(topology_ref: str | None,
-                      scenario: Scenario) -> tuple[Topology, dict]:
+def _resolve_topology(topology_ref: str | None, scenario: Scenario) -> Topology:
     if topology_ref:
         return load_topology(topology_ref)
     if scenario.topology is not None:
-        topology = build_topology(scenario.topology)
-        return topology, scenario.topology.get("links", {})
+        return build_topology(scenario.topology)
     raise WorldError(
         "no topology given and the scenario does not embed one")
 
 
 def _check_fits(topology: Topology, scenario: Scenario, duration: float) -> None:
-    """Reject, before any world runs, a scenario naming a node the topology
-    lacks or an external scope its layer does not have, or starting a
-    service after the run's end. A stop after the end lands in the drain."""
+    """Reject, before any world runs, a scenario naming a node or a config
+    layer the topology lacks or an external scope its layer does not have,
+    or starting a service after the run's end. A stop after the end lands
+    in the drain."""
+    unknown = set(scenario.config) - {l.name for l in topology.layers}
+    if unknown:
+        raise WorldError(f"config for unknown layers: {sorted(unknown)}")
     for spec in scenario.services:
         if ns_from_s(spec.start_s) > ns_from_s(duration):
             raise WorldError(f"service {spec.name!r}: start_s {spec.start_s:g} is "
@@ -320,7 +320,7 @@ def run_scenario(
         raise ScenarioError(f"--duration-override must be a finite number > 0 and at most "
                             f"{MAX_S:.4g} s")
     scenario = load_scenario(scenario_ref)
-    topology, links = _resolve_topology(topology_ref, scenario)
+    topology = _resolve_topology(topology_ref, scenario)
     duration = scenario.duration_s if duration_override is None else duration_override
     _check_fits(topology, scenario, duration)
     run_seed = scenario.seed if seed is None else seed
@@ -344,8 +344,7 @@ def run_scenario(
                  scenario.name, run_seed, duration, placement or "default")
 
         trace_path = run_dir / "trace.jsonl"
-        world = World(topology, links, run_seed, config=scenario.config,
-                      trace_path=trace_path)
+        world = World(topology, run_seed, config=scenario.config, trace_path=trace_path)
         world.start()
         world.setup_scenario(scenario, override)
         world.run_for(duration)
@@ -358,8 +357,7 @@ def run_scenario(
         with open(run_dir / "metrics.txt", "wb") as fh:
             export_metrics(world.registry, fh)
         rows = report.write_summary(run_dir / "summary.csv", world.registry, duration)
-        report.write_links(run_dir / "links.csv", world.registry,
-                           world.network, duration)
+        report.write_links(run_dir / "links.csv", world.registry, topology, duration)
         report.write_bridges(run_dir / "bridges.csv", trace_path)
         compare_rows.extend(report.placement_rows(tag, rows))
         for line in report.digest_lines(rows):

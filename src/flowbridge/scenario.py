@@ -16,8 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 from .configstore import ConfigError, resolve_layer_config
-from .simnet import MAX_S, SECOND, finite_number
-from .topology import RESERVED_PREFIX
+from .simnet import SECOND
+from .topology import MAX_S, RESERVED_PREFIX, finite_number
 
 
 class ScenarioError(ValueError):
@@ -142,8 +142,8 @@ class Scenario:
     probes: ProbesSpec | None = None
     sweep: SweepSpec | None = None
     # optional embedded topology document (same shape as a topology
-    # file, links section included); a topology file supplied alongside
-    # the scenario takes precedence
+    # file, links section included), read by `topology.build_topology`;
+    # a topology file supplied alongside the scenario takes precedence
     topology: dict | None = None
 
     def __post_init__(self) -> None:
@@ -277,7 +277,7 @@ def parse_scenario(obj: object) -> Scenario:
     config = obj.get("config", {})
     if not isinstance(config, dict):
         raise ScenarioError("config must be an object")
-    # layer names are checked against the topology when the world is built
+    # layer names are checked against the topology before any world is built
     for layer, overrides in config.items():
         try:
             resolve_layer_config(overrides)

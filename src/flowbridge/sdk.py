@@ -93,9 +93,12 @@ class ServiceHandle:
         self.owner = f"{name}@{node.name}"  # unique: node names have no "@"
         self.endpoint = endpoint  # of the scope it publishes and subscribes on
         self.scope = endpoint.scope
-        self.advertises = advertises
         self.advertised_topics = frozenset(a.topic for a in advertises)
         self.requests = requests
+        # announced at start and every re-announce, withdrawn at stop
+        self.declarations = tuple(
+            [FlowDeclaration(ADVERTISE, a.topic, node, a.rate_hz, a.max_size) for a in advertises]
+            + [FlowDeclaration(REQUEST, topic, node) for topic in requests])
         self.state = READY
         self.published = 0
         self.received = 0
@@ -141,7 +144,7 @@ class ServiceHost:
         self,
         node: str,
         name: str,
-        advertises: Iterable[Advertise | tuple] = (),
+        advertises: Iterable[Advertise] = (),
         requests: Iterable[str] = (),
         on_message: Callable[[MessageEnvelope], None] | Mapping[str, Callable] | None = None,
         external: bool = False,
@@ -158,7 +161,7 @@ class ServiceHost:
                 engine.service_name, engine.system_node.name):
             raise FlowEngineUnavailable(f"no live flow engine on layer {layer!r}")
 
-        advs = tuple(a if isinstance(a, Advertise) else Advertise(*a) for a in advertises)
+        advs = tuple(advertises)
         reqs = tuple(requests)
         for kind, topics in (("advertise", [a.topic for a in advs]), ("request", reqs)):
             dupes = sorted({t for t in topics if topics.count(t) > 1})
@@ -202,7 +205,7 @@ class ServiceHost:
         if handle.state != READY:
             return
         handle.state = STOPPED
-        for decl in self._declarations(handle):
+        for decl in handle.declarations:
             self._publish_control(handle, FLOW_WITHDRAW, decl)
         self._teardown(handle, remove_heartbeat=True)
         self.trace.record("service_stopped", self.clock.now,
@@ -267,21 +270,8 @@ class ServiceHost:
 
     # -- declarations ----------------------------------------------------------
 
-    def _declarations(self, handle: ServiceHandle) -> list[FlowDeclaration]:
-        decls = []
-        for adv in handle.advertises:
-            decls.append(FlowDeclaration(
-                direction=ADVERTISE, topic=adv.topic, origin_node=handle.node,
-                declared_rate=adv.rate_hz, declared_max_size=adv.max_size,
-            ))
-        for topic in handle.requests:
-            decls.append(FlowDeclaration(
-                direction=REQUEST, topic=topic, origin_node=handle.node,
-            ))
-        return decls
-
     def _announce_all(self, handle: ServiceHandle) -> None:
-        for decl in self._declarations(handle):
+        for decl in handle.declarations:
             self._publish_control(handle, CONTROL_TOPIC[decl.direction], decl)
 
     def _publish_control(self, handle: ServiceHandle, control_topic: str,

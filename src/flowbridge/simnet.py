@@ -2,10 +2,13 @@
 
 Virtual time is an integer nanosecond counter driven by SimClock. All
 randomness (loss and jitter draws) comes from one seeded Random handed
-to the Network, so a run is a pure function of (topology, links, seed,
+to the Network, so a run is a pure function of (topology, seed,
 workload): repeating it yields identical event traces.
 
-Link model, applied wherever a published envelope leaves an endpoint:
+Each link's parameters come resolved with the `Topology`, one
+`topology.LinkSpec` per link name; the Network only gives each link its
+backlog and counters. Link model, applied wherever a published envelope
+leaves an endpoint:
 
 * serialization: the link is FIFO per direction; transmission starts at
   ``max(now, busy_until)`` and takes ``payload_len * 8 / (bandwidth_mbps
@@ -34,31 +37,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Sequence
 
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, MetricsRegistry
-from .topology import BrokerScope, MessageEnvelope, ScopeKind, Topology, TopologyError
+from .topology import BrokerScope, LinkSpec, MessageEnvelope, ScopeKind, Topology
 from .tracing import Trace, XlinkParts, xlink_parts
 
 MS = 1_000_000
 SECOND = 1_000_000_000
-# the longest time a run may name: the range of a signed 64-bit
-# nanosecond count, about 292 years
-MAX_S = (2**63 - 1) / SECOND
-
-
-def finite_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """Whether ``value`` is a ``kind`` JSON number: never a bool, NaN,
-    infinity or an integer too large for a float."""
-    try:
-        return (isinstance(value, kind) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
 
 
 def ns_from_ms(ms: float) -> int:
@@ -130,49 +118,6 @@ class SimClock:
         return self.events_processed - start
 
 
-def _expect(obj: object, kind: type, where: str) -> Any:
-    if not isinstance(obj, kind):
-        want = "an object" if kind is dict else "a list"
-        raise TopologyError(f"{where} must be {want}, got {obj!r}")
-    return obj
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """Simulated link parameters.
-
-    ``loss`` is a fraction of copies dropped (0.0001 = 0.01%).
-    ``bandwidth_mbps`` is in multiples of 10^6 bits/s; 0 = unlimited.
-    """
-
-    latency_ms: float = 0.0
-    jitter_ms: float = 0.0
-    loss: float = 0.0
-    bandwidth_mbps: float = 0.0
-
-    def __post_init__(self) -> None:
-        for f in self.FIELDS:
-            v = getattr(self, f)
-            if not finite_number(v):
-                raise TopologyError(f"link {f} must be a finite number, got {v!r}")
-        if not (0 <= self.latency_ms <= MAX_S * 1000 and 0 <= self.jitter_ms <= MAX_S * 1000):
-            raise TopologyError(f"latency/jitter must be >= 0 and at most {MAX_S * 1000:.4g} ms")
-        if not 0.0 <= self.loss <= 1.0:
-            raise TopologyError("loss must be a fraction in [0, 1]")
-        if self.bandwidth_mbps < 0:
-            raise TopologyError("bandwidth_mbps must be >= 0")
-
-    FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
-
-    def merged(self, obj: dict) -> "LinkSpec":
-        _expect(obj, dict, "link spec")
-        unknown = set(obj) - set(self.FIELDS)
-        if unknown:
-            raise TopologyError(f"unknown link keys: {sorted(unknown)}")
-        vals = {f: obj.get(f, getattr(self, f)) for f in self.FIELDS}
-        return LinkSpec(**vals)
-
-
 class LinkState:
     """A directed link instance: immutable spec plus FIFO backlog state,
     its fixed delay and its ``link.bytes``/``link.msgs`` counters."""
@@ -198,15 +143,6 @@ class LinkState:
         return end
 
 
-DEFAULT_LINKS: dict[str, LinkSpec] = {
-    "intra_node": LinkSpec(latency_ms=0.1),
-    "intra_layer": LinkSpec(latency_ms=1.0),
-    "external_protocol": LinkSpec(latency_ms=1.0),
-    "inter_layer": LinkSpec(latency_ms=0.1),
-    "crossing": LinkSpec(latency_ms=10.0),
-}
-
-
 class _TopicCounters(dict):
     """``name{topic=...}`` counter cells by topic, bound on first use."""
 
@@ -221,19 +157,8 @@ class _TopicCounters(dict):
 
 
 class Network:
-    """Binds one BrokerEndpoint per scope and routes publishes over links.
-
-    ``links`` layout (all sections optional)::
-
-        {"defaults":  {"intra_node": {...}, "crossing": {...}, ...},
-         "scopes":    {"intra_layer:edge": {...}, ...},
-         "crossings": [{"between": ["edge", "cloud"], "latency_ms": 50,
-                        "jitter_ms": 10, "loss": 0.0001,
-                        "bandwidth_mbps": 160}, ...]}
-
-    Link fields not given fall back to the kind default; kinds are the
-    scope kinds plus "crossing" for inter-layer hops.
-    """
+    """Binds one BrokerEndpoint per scope and routes publishes over the
+    topology's links, one `LinkState` per name in ``topology.links``."""
 
     def __init__(
         self,
@@ -242,7 +167,6 @@ class Network:
         rng: Random,
         metrics: MetricsRegistry | None = None,
         trace: Trace | None = None,
-        links: dict | None = None,
     ):
         self.topology = topology
         self.clock = clock
@@ -251,7 +175,8 @@ class Network:
         self.trace = trace if trace is not None else Trace()
         self._offered = _TopicCounters(self.metrics, "flow.offered")
         self._delivered = _TopicCounters(self.metrics, "flow.delivered")
-        self._build_links({} if links is None else links)
+        self.links: dict[str, LinkState] = {
+            name: LinkState(name, spec, self.metrics) for name, spec in topology.links.items()}
         self.endpoints: dict[str, BrokerEndpoint] = {
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
             for key, scope in topology.scopes.items()
@@ -260,52 +185,10 @@ class Network:
         # and the fixed parts of that crossing's trace lines
         self._inter_peers: dict[str, list[tuple[BrokerEndpoint, LinkState, XlinkParts]]] = {
             a.name: [(self.endpoints[f"{ScopeKind.INTER_LAYER.value}:{b.name}"],
-                      self.crossings[(a.name, b.name)], xlink_parts(a.name, b.name))
+                      self.links[f"{a.name}->{b.name}"], xlink_parts(a.name, b.name))
                      for b in topology.layers if b is not a]
             for a in topology.layers
         }
-
-    def _build_links(self, links: dict) -> None:
-        unknown = set(_expect(links, dict, "links")) - {"defaults", "scopes", "crossings"}
-        if unknown:
-            raise TopologyError(f"unknown links sections: {sorted(unknown)}")
-        defaults = dict(DEFAULT_LINKS)
-        for kind, obj in _expect(links.get("defaults", {}), dict, "links.defaults").items():
-            if kind not in defaults:
-                raise TopologyError(f"unknown link kind {kind!r}")
-            defaults[kind] = defaults[kind].merged(obj)
-
-        self.local_links: dict[str, LinkState] = {}
-        scope_overrides = _expect(links.get("scopes", {}), dict, "links.scopes")
-        for key, scope in self.topology.scopes.items():
-            spec = defaults[scope.kind.value]
-            if key in scope_overrides:
-                spec = spec.merged(scope_overrides[key])
-            self.local_links[key] = LinkState(key, spec, self.metrics)
-        stray = set(scope_overrides) - set(self.topology.scopes)
-        if stray:
-            raise TopologyError(f"link override for unknown scope: {sorted(stray)}")
-
-        pair_specs: dict[frozenset[str], LinkSpec] = {
-            frozenset(p): defaults["crossing"] for p in self.topology.layer_pairs()
-        }
-        for entry in _expect(links.get("crossings", []), list, "links.crossings"):
-            entry = dict(_expect(entry, dict, "crossing entry"))
-            between = entry.pop("between", None)
-            if (not isinstance(between, list) or len(between) != 2
-                    or not all(isinstance(n, str) for n in between)):
-                raise TopologyError("crossing entry needs 'between': [layer_a, layer_b]")
-            a, b = between
-            self.topology.layer(a), self.topology.layer(b)
-            key = frozenset((a, b))
-            if key not in pair_specs:
-                raise TopologyError(f"crossing {a!r}-{b!r} is not a distinct layer pair")
-            pair_specs[key] = defaults["crossing"].merged(entry)
-        self.crossings: dict[tuple[str, str], LinkState] = {}
-        for pair, spec in pair_specs.items():
-            a, b = sorted(pair, key=lambda n: self.topology.layer(n).depth)
-            self.crossings[(a, b)] = LinkState(f"{a}->{b}", spec, self.metrics)
-            self.crossings[(b, a)] = LinkState(f"{b}->{a}", spec, self.metrics)
 
     # -- endpoint access -------------------------------------------------
 
@@ -330,7 +213,7 @@ class Network:
             if sender in owners:
                 targets = [h for h in targets if h.owner != sender]
             if targets:
-                self._send(endpoint, targets, env, self.local_links[scope.key], now)
+                self._send(endpoint, targets, env, self.links[scope.key], now)
                 total += len(targets)
 
         if scope.kind is ScopeKind.INTER_LAYER:
@@ -404,9 +287,7 @@ class Network:
             if handle.active and not endpoint.invoke(handle, env):
                 self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
 
-    def endpoint_errors(self) -> list[tuple[str, str, str]]:
-        out = []
-        for key, ep in self.endpoints.items():
-            for topic, err in ep.errors:
-                out.append((key, topic, err))
-        return out
+    def endpoint_errors(self) -> list[tuple[str, str, str, int]]:
+        """(scope, topic, error, count) per distinct callback error."""
+        return [(key, topic, err, n) for key, ep in self.endpoints.items()
+                for (topic, err), n in ep.errors.items()]

@@ -1,15 +1,18 @@
-"""Layered deployment model: layers, nodes, broker scopes, message types.
+"""Layered deployment model: layers, nodes, broker scopes, links, message types.
 
 A deployment is an ordered stack of layers (edge first, most central
 last). Every layer gets one intra-layer scope and one inter-layer scope;
 every node gets an intra-node scope; a layer may additionally expose an
 external-protocol scope for non-native clients. Scopes are the units a
 broker endpoint binds to and the vertices bridges connect.
+`build_topology` reads the whole topology document, ``links`` included,
+so a malformed links section is rejected when the document is read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable
@@ -29,8 +32,75 @@ REQUEST = "request"
 DIRECTIONS = (ADVERTISE, REQUEST)
 
 
+# the longest time a run may name: the range of a signed 64-bit
+# nanosecond count, about 292 years
+MAX_S = (2**63 - 1) / 1_000_000_000
+
+
 class TopologyError(ValueError):
     """Raised for malformed topology specs or unknown layer/node lookups."""
+
+
+def finite_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """Whether ``value`` is a ``kind`` JSON number: never a bool, NaN,
+    infinity or an integer too large for a float."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _expect(obj: object, kind: type, where: str) -> Any:
+    if not isinstance(obj, kind):
+        want = "an object" if kind is dict else "a list"
+        raise TopologyError(f"{where} must be {want}, got {obj!r}")
+    return obj
+
+
+@dataclass(frozen=True)
+class LinkSpec:
+    """Simulated link parameters.
+
+    ``loss`` is a fraction of copies dropped (0.0001 = 0.01%).
+    ``bandwidth_mbps`` is in multiples of 10^6 bits/s; 0 = unlimited.
+    """
+
+    latency_ms: float = 0.0
+    jitter_ms: float = 0.0
+    loss: float = 0.0
+    bandwidth_mbps: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in self.FIELDS:
+            v = getattr(self, f)
+            if not finite_number(v):
+                raise TopologyError(f"link {f} must be a finite number, got {v!r}")
+        if not (0 <= self.latency_ms <= MAX_S * 1000 and 0 <= self.jitter_ms <= MAX_S * 1000):
+            raise TopologyError(f"latency/jitter must be >= 0 and at most {MAX_S * 1000:.4g} ms")
+        if not 0.0 <= self.loss <= 1.0:
+            raise TopologyError("loss must be a fraction in [0, 1]")
+        if self.bandwidth_mbps < 0:
+            raise TopologyError("bandwidth_mbps must be >= 0")
+
+    FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
+
+    def merged(self, obj: dict) -> "LinkSpec":
+        _expect(obj, dict, "link spec")
+        unknown = set(obj) - set(self.FIELDS)
+        if unknown:
+            raise TopologyError(f"unknown link keys: {sorted(unknown)}")
+        vals = {f: obj.get(f, getattr(self, f)) for f in self.FIELDS}
+        return LinkSpec(**vals)
+
+
+DEFAULT_LINKS: dict[str, LinkSpec] = {
+    "intra_node": LinkSpec(latency_ms=0.1),
+    "intra_layer": LinkSpec(latency_ms=1.0),
+    "external_protocol": LinkSpec(latency_ms=1.0),
+    "inter_layer": LinkSpec(latency_ms=0.1),
+    "crossing": LinkSpec(latency_ms=10.0),
+}
 
 
 class ScopeKind(str, Enum):
@@ -207,9 +277,24 @@ class SequenceCounter:
 
 
 class Topology:
-    """Validated deployment: ordered layers, their nodes, and all scopes."""
+    """Validated deployment: ordered layers, their nodes, all scopes, and
+    every link's spec.
 
-    def __init__(self, layers: Iterable[tuple[str, list[str]]], external: Iterable[str] = ()):
+    ``links`` is the document's links section (all sections optional)::
+
+        {"defaults":  {"intra_node": {...}, "crossing": {...}, ...},
+         "scopes":    {"intra_layer:edge": {...}, ...},
+         "crossings": [{"between": ["edge", "cloud"], "latency_ms": 50,
+                        "jitter_ms": 10, "loss": 0.0001,
+                        "bandwidth_mbps": 160}, ...]}
+
+    Link fields not given fall back to the kind default; kinds are the
+    scope kinds plus "crossing" for inter-layer hops. ``self.links`` holds
+    each link's spec by name: a scope's key, or ``a->b`` for a crossing.
+    """
+
+    def __init__(self, layers: Iterable[tuple[str, list[str]]], external: Iterable[str] = (),
+                 links: dict | None = None):
         self.layers: tuple[LayerId, ...] = tuple(
             LayerId(i, name) for i, (name, _) in enumerate(layers)
         )
@@ -256,6 +341,42 @@ class Topology:
                 s = BrokerScope(ScopeKind.INTRA_NODE, layer.name, node.name)
                 scopes[s.key] = s
         self.scopes: dict[str, BrokerScope] = scopes
+        self.links: dict[str, LinkSpec] = self._resolve_links({} if links is None else links)
+
+    def _resolve_links(self, links: dict) -> dict[str, LinkSpec]:
+        unknown = set(_expect(links, dict, "links")) - {"defaults", "scopes", "crossings"}
+        if unknown:
+            raise TopologyError(f"unknown links sections: {sorted(unknown)}")
+        defaults = dict(DEFAULT_LINKS)
+        for kind, obj in _expect(links.get("defaults", {}), dict, "links.defaults").items():
+            if kind not in defaults:
+                raise TopologyError(f"unknown link kind {kind!r}")
+            defaults[kind] = defaults[kind].merged(obj)
+
+        overrides = _expect(links.get("scopes", {}), dict, "links.scopes")
+        stray = set(overrides) - set(self.scopes)
+        if stray:
+            raise TopologyError(f"link override for unknown scope: {sorted(stray)}")
+        specs = {key: defaults[scope.kind.value].merged(overrides.get(key, {}))
+                 for key, scope in self.scopes.items()}
+
+        pairs = {frozenset(p): defaults["crossing"] for p in self.layer_pairs()}
+        for entry in _expect(links.get("crossings", []), list, "links.crossings"):
+            entry = dict(_expect(entry, dict, "crossing entry"))
+            between = entry.pop("between", None)
+            if (not isinstance(between, list) or len(between) != 2
+                    or not all(isinstance(n, str) for n in between)):
+                raise TopologyError("crossing entry needs 'between': [layer_a, layer_b]")
+            a, b = between
+            self.layer(a), self.layer(b)
+            if frozenset(between) not in pairs:
+                raise TopologyError(f"crossing {a!r}-{b!r} is not a distinct layer pair")
+            pairs[frozenset(between)] = defaults["crossing"].merged(entry)
+        for a, b in self.layer_pairs():
+            specs[f"{a}->{b}"] = specs[f"{b}->{a}"] = pairs[frozenset((a, b))]
+        if len(specs) != len(self.scopes) + 2 * len(pairs):
+            raise TopologyError("layer names make a crossing's name equal a scope key")
+        return specs
 
     # -- lookups -------------------------------------------------------
 
@@ -336,9 +457,9 @@ def build_topology(spec: dict[str, Any]) -> Topology:
         {"layers": [{"name": "edge", "nodes": ["robot-1"],
                      "external_protocol": true}, ...]}
 
-    Layers are ordered outermost (edge) first. Unknown keys inside a
-    layer entry are rejected; a ``links`` key at the top level is
-    allowed and ignored here (the network consumes it).
+    plus an optional top-level ``links`` section (see `Topology`).
+    Layers are ordered outermost (edge) first. Unknown keys, at the top
+    level or inside a layer entry, are rejected.
     """
     if not isinstance(spec, dict) or not isinstance(spec.get("layers"), list):
         raise TopologyError("topology spec must be a dict with a 'layers' list")
@@ -368,13 +489,10 @@ def build_topology(spec: dict[str, Any]) -> Topology:
             raise TopologyError(f"layer {name!r}: external_protocol must be true or false")
         if ext:
             external.append(name)
-    return Topology(layers, external)
+    return Topology(layers, external, spec.get("links"))
 
 
-def load_topology(path: str) -> tuple[Topology, dict[str, Any]]:
-    """Read a topology JSON file; returns (topology, links section)."""
+def load_topology(path: str) -> Topology:
+    """Read and build a topology JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    topo = build_topology(spec)
-    links = spec.get("links", {})
-    return topo, links
+        return build_topology(json.load(fh))

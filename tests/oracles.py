@@ -289,10 +289,10 @@ def oracle_dispatch_per_copy(net, subs, endpoint, env, sender) -> int:
     now = net.clock.now
     scope = endpoint.scope
     total = 0
-    hops = [(endpoint, net.local_links[scope.key], None)]
+    hops = [(endpoint, net.links[scope.key], None)]
     if scope.kind.value == "inter_layer":
         hops += [(net.endpoints[f"inter_layer:{layer.name}"],
-                  net.crossings[(scope.layer, layer.name)], layer.name)
+                  net.links[f"{scope.layer}->{layer.name}"], layer.name)
                  for layer in net.topology.layers if layer.name != scope.layer]
     for ep, link, to_layer in hops:
         targets = oracle_snapshot(subs, ep, env, sender)

@@ -175,7 +175,7 @@ def test_small_message_priority_under_saturation():
         ],
     }
     scenario = parse_scenario(doc)
-    world = World(build_topology(TWO_LAYERS), links=links, seed=scenario.seed)
+    world = World(build_topology({**TWO_LAYERS, "links": links}), seed=scenario.seed)
     world.start()
     world.setup_scenario(scenario)
     world.run_for(scenario.duration_s)
@@ -352,7 +352,7 @@ def test_latency_and_loss_emulation():
         "crossings": [{"between": ["edge", "cloud"], "latency_ms": 50.0,
                        "jitter_ms": 10.0, "loss": 0.0001}],
     }
-    world = World(build_topology(TWO_LAYERS), links=links, seed=11)
+    world = World(build_topology({**TWO_LAYERS, "links": links}), seed=11)
     world.start()
     settle(world, 10)
     world.enable_probes(ProbesSpec(("robot-1", "cloud-1"), 0.05, 5.0))
@@ -369,12 +369,11 @@ def test_latency_and_loss_emulation():
 
     # loss frequency over 1e5 one-way messages: p=1e-4, so 10 +/- 12.65
     # expected drops at four sigma, i.e. at most 22
-    topo = build_topology(TWO_LAYERS)
+    topo = build_topology({**TWO_LAYERS, "links": {"crossings": [
+        {"between": ["edge", "cloud"], "latency_ms": 1.0, "loss": 0.0001}]}})
     clock = SimClock()
     registry = MetricsRegistry(clock)
-    net = Network(topo, clock, Random(9), registry,
-                  links={"crossings": [{"between": ["edge", "cloud"],
-                                        "latency_ms": 1.0, "loss": 0.0001}]})
+    net = Network(topo, clock, Random(9), registry)
     got = []
     net.endpoint("inter_layer:cloud").subscribe("bulk",
                                                 lambda env: got.append(env.sequence))
@@ -434,7 +433,7 @@ def test_config_push_reallocates_within_cycle():
     settle(world, 300)
 
     limiter = world.engines["edge"].limiters["node:robot-1"]
-    before = limiter.result.rates()["image"]
+    before = limiter.buckets["image"].rate
     assert math.isclose(
         before, oracle_allocate(160.0, [("image", 30.0, 1_000_000)])["image"],
         rel_tol=1e-9)
@@ -446,7 +445,7 @@ def test_config_push_reallocates_within_cycle():
         world.store.put(layer, body)
 
     world.run_for(6.0)  # one 5 s sync cycle plus reallocation margin
-    after = limiter.result.rates()["image"]
+    after = limiter.buckets["image"].rate
     assert math.isclose(
         after, oracle_allocate(80.0, [("image", 30.0, 1_000_000)])["image"],
         rel_tol=1e-9)

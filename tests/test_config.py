@@ -133,11 +133,10 @@ def test_store_rejects_layer_document_that_cannot_run(body):
 
 class ConfigWorld:
     def __init__(self, config=None, links=None):
-        self.topology = make_topo()
+        self.topology = build_topology({**SPEC, "links": links})
         self.clock = SimClock()
         self.metrics = MetricsRegistry(self.clock)
-        self.network = Network(self.topology, self.clock, Random(0),
-                               self.metrics, links=links)
+        self.network = Network(self.topology, self.clock, Random(0), self.metrics)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
         self.store = MainConfigStore(self.topology)
         self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])

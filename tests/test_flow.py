@@ -14,6 +14,7 @@ from flowbridge.flow import (
     compute_required_bridges,
 )
 from flowbridge.monitor import HeartbeatRegistry, MetricsRegistry
+from flowbridge.ratelimit import allocate
 from flowbridge.runner import World
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, Network, SimClock, ns_from_s
@@ -224,13 +225,12 @@ class Mini:
     """
 
     def __init__(self, spec, links=None, seed=0, config=None, trace_path=None):
-        self.topology = build_topology(spec)
+        self.topology = build_topology(spec if links is None else {**spec, "links": links})
         self.clock = SimClock()
         self.rng = Random(seed)
         self.metrics = MetricsRegistry(self.clock)
         self.trace = Trace(trace_path)
-        self.network = Network(self.topology, self.clock, self.rng,
-                               self.metrics, self.trace, links)
+        self.network = Network(self.topology, self.clock, self.rng, self.metrics, self.trace)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
         self.heartbeats = {
             l.name: HeartbeatRegistry(self.clock, self.metrics, self.trace, l.name)
@@ -528,7 +528,8 @@ def test_inter_bridge_applies_rate_limit():
     w.engines["fog"].announce(decl(REQUEST, topic="img", node="fog-1", layer="fog"), "viewer")
     w.settle()
     limiter = w.engines["edge"].limiters["node:robot-1"]
-    assert limiter.allocation("img").floored  # 8 Mbit/s cannot carry 1 MB frames
+    # 8 Mbit/s cannot carry 1 MB frames
+    assert allocate(limiter.cfg, limiter.records.values())["img"].floored
     box = w.collect("intra_layer:fog", "img")
     for _ in range(5):  # burst: capacity 2 grants, 3 denials
         w.publish("intra_node:robot-1@edge", "img", b"z" * 1_000_000, "robot-1")
@@ -641,14 +642,14 @@ def test_config_notice_reconfigures_limiters(tmp_path):
     w.engines["edge"].announce(decl(topic="img", node="robot-1", size=1_000_000), "cam")
     w.engines["fog"].announce(decl(REQUEST, topic="img", node="fog-1", layer="fog"), "mon")
     w.settle()
-    r160 = w.engines["edge"].limiters["node:robot-1"].allocation("img").allocated_rate
+    r160 = w.engines["edge"].limiters["node:robot-1"].buckets["img"].rate
 
     w.bodies["edge"] = resolve_layer_config({"rate_limit": {"limit_mbps": 80.0}})
     notice = {"layer": "edge", "revision": 2, "changed_paths": ["rate_limit.limit_mbps"]}
     w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(notice).encode(), "robot-1")
     w.settle()
     assert w.engines["edge"].limit_cfg.limit_mbps == 80.0
-    r80 = w.engines["edge"].limiters["node:robot-1"].allocation("img").allocated_rate
+    r80 = w.engines["edge"].limiters["node:robot-1"].buckets["img"].rate
     assert r80 == pytest.approx(r160 / 2)
     first_done = w.clock.now
 

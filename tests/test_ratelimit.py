@@ -14,6 +14,7 @@ from flowbridge.ratelimit import (
     allocate,
     available_bandwidth,
 )
+from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import SECOND, SimClock
 
 from oracles import oracle_allocate, oracle_bucket_replay, oracle_single_large_rate
@@ -252,14 +253,15 @@ def test_uniform_stream_grant_rate_converges():
 
 def make_limiter(cfg=None):
     clock = SimClock()
-    lim = HierarchicalLimiter(cfg or RateLimitConfig(), clock, client="node:robot-1")
+    lim = HierarchicalLimiter(cfg or RateLimitConfig(), clock, "node:robot-1",
+                              MetricsRegistry(clock))
     return lim, clock
 
 
 def test_limiter_register_and_acquire():
     lim, clock = make_limiter()
     lim.sync_publishers("scan", (30.0, 1024))
-    assert lim.allocation("scan").allocated_rate == 30.0
+    assert lim.buckets["scan"].rate == 30.0
     assert lim.try_acquire("scan")
 
 
@@ -310,9 +312,9 @@ def test_limiter_max_size_never_shrinks():
 def test_limiter_observe_size_grows_and_reallocates():
     lim, _ = make_limiter(RateLimitConfig(limit_mbps=8.0))
     lim.sync_publishers("image", (30.0, 1000))
-    assert lim.allocation("image").allocated_rate == 30.0
+    assert lim.buckets["image"].rate == 30.0
     assert lim.observe_size("image", 1_000_000)
-    assert lim.allocation("image").large
+    assert allocate(lim.cfg, lim.records.values())["image"].large
     assert not lim.observe_size("image", 500)  # smaller: no change
 
 
@@ -329,9 +331,9 @@ def test_limiter_tokens_persist_across_reallocation():
 def test_limiter_reconfigure_changes_rates():
     lim, _ = make_limiter()
     lim.sync_publishers("image", (0.0, 1_000_000))
-    r160 = lim.allocation("image").allocated_rate
+    r160 = lim.buckets["image"].rate
     lim.reconfigure(RateLimitConfig(limit_mbps=80.0))
-    r80 = lim.allocation("image").allocated_rate
+    r80 = lim.buckets["image"].rate
     assert r80 == pytest.approx(r160 / 2)
     assert r80 == pytest.approx(oracle_single_large_rate(80.0, 1_000_000, math.inf), rel=1e-12)
 
@@ -343,4 +345,5 @@ def test_limiter_registration_order_is_irrelevant():
     for lim, order in ((lim1, "abc"), (lim2, "cba")):
         for t in order:  # one topic at a time, each sync a reallocation
             assert lim.sync_publishers(t, pubs[t])
-    assert lim1.result.rates() == lim2.result.rates()
+    assert {t: b.rate for t, b in lim1.buckets.items()} == {
+        t: b.rate for t, b in lim2.buckets.items()}

@@ -4,6 +4,7 @@ import copy
 import csv
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -309,8 +310,7 @@ def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch, tmp_pa
 
     monkeypatch.setattr(HierarchicalLimiter, "sync_publishers", spy)
     topo = CHURN_WORLD["topology"]
-    world = World(build_topology(topo), topo["links"], CHURN_WORLD["seed"],
-                  trace_path=tmp_path / "trace.jsonl")
+    world = World(build_topology(topo), CHURN_WORLD["seed"], trace_path=tmp_path / "trace.jsonl")
     for engine in world.engines.values():
         engine.table.entries = NoScanEntries()
     world.start()
@@ -662,6 +662,22 @@ def test_cli_rejects_malformed_topology(tmp_path, capsys, doc):
     assert not list((tmp_path / "o").rglob("metrics.txt"))
     # the trace is opened only once the world has accepted its input
     assert not list((tmp_path / "o").rglob("trace.jsonl"))
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_with_links({"defaults": {"bogus": {}}}), id="unknown-link-kind"),
+    pytest.param(mini_scenario(config={"mars": {}}), id="config-for-unknown-layer"),
+])
+def test_cli_rejects_what_the_topology_cannot_serve_before_any_output(tmp_path, capsys,
+                                                                      caplog, doc):
+    # both used to create --out, a nested one too, and log the run's first
+    # line before the world that read them failed
+    sc = write_scenario(tmp_path, doc)
+    with caplog.at_level(logging.INFO, logger="flowbridge"):
+        assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o" / "nested")]) == 2
+    assert "flowbridge: error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert not [r for r in caplog.records if r.getMessage().startswith("run ")]
 
 
 def test_cli_has_no_real_time_flag(tmp_path):

@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 from flowbridge.broker import SUB_BRIDGE, SUB_USER, BrokerEndpoint
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import (
-    DEFAULT_LINKS,
     MS,
     SECOND,
-    LinkSpec,
     LinkState,
     Network,
     SimClock,
     ns_from_ms,
     ns_from_s,
 )
-from flowbridge.topology import MessageEnvelope, NodeId, build_topology
+from flowbridge.topology import DEFAULT_LINKS, LinkSpec, MessageEnvelope, NodeId, build_topology
 from flowbridge.tracing import Trace
 from oracles import (
     OracleFlagTimer,
@@ -32,15 +30,14 @@ from oracles import (
 )
 from tracefile import records
 
-TOPO = build_topology(
-    {
-        "layers": [
-            {"name": "edge", "nodes": ["robot-1", "robot-2"]},
-            {"name": "fog", "nodes": ["fog-1"]},
-            {"name": "cloud", "nodes": ["cloud-1"]},
-        ]
-    }
-)
+SPEC = {
+    "layers": [
+        {"name": "edge", "nodes": ["robot-1", "robot-2"]},
+        {"name": "fog", "nodes": ["fog-1"]},
+        {"name": "cloud", "nodes": ["cloud-1"]},
+    ]
+}
+TOPO = build_topology(SPEC)
 
 
 def env(topic="scan", payload=b"x" * 100, seq=1, sent_at=0):
@@ -177,10 +174,12 @@ def test_unlimited_bandwidth_is_instant():
 
 
 def make_net(links=None, seed=0, trace_path=None):
+    """A network over ``SPEC``, with ``links`` as its links section."""
+    topo = TOPO if links is None else build_topology({**SPEC, "links": links})
     clock = SimClock()
     rng = Random(seed)
     metrics = MetricsRegistry(clock)
-    net = Network(TOPO, clock, rng, metrics, Trace(trace_path), links)
+    net = Network(topo, clock, rng, metrics, Trace(trace_path))
     return net, clock, metrics
 
 
@@ -199,12 +198,15 @@ def test_network_link_overrides():
             "crossings": [{"between": ["edge", "cloud"], "latency_ms": 50.0}],
         }
     )
-    assert net.local_links["intra_node:robot-1@edge"].spec.latency_ms == 5.0
-    assert net.local_links["intra_node:robot-2@edge"].spec.latency_ms == 9.0
-    assert net.local_links["intra_layer:edge"].spec == DEFAULT_LINKS["intra_layer"]
-    assert net.crossings[("edge", "cloud")].spec.latency_ms == 50.0
-    assert net.crossings[("cloud", "edge")].spec.latency_ms == 50.0
-    assert net.crossings[("edge", "fog")].spec == DEFAULT_LINKS["crossing"]
+    assert net.links["intra_node:robot-1@edge"].spec.latency_ms == 5.0
+    assert net.links["intra_node:robot-2@edge"].spec.latency_ms == 9.0
+    assert net.links["intra_layer:edge"].spec == DEFAULT_LINKS["intra_layer"]
+    assert net.links["edge->cloud"].spec.latency_ms == 50.0
+    assert net.links["cloud->edge"].spec.latency_ms == 50.0
+    assert net.links["edge->fog"].spec == DEFAULT_LINKS["crossing"]
+    # one link state per resolved spec, each under its own name
+    assert {n: l.spec for n, l in net.links.items()} == net.topology.links
+    assert all(n == l.name for n, l in net.links.items())
 
 
 def test_network_rejects_bad_link_specs():
@@ -381,9 +383,28 @@ def test_callback_errors_are_contained_and_reported():
     ep.publish(env())
     clock.run_until_idle()
     assert len(got) == 1
-    errs = net.endpoint_errors()
-    assert len(errs) == 1 and errs[0][0] == "intra_layer:edge" and errs[0][1] == "scan"
+    assert net.endpoint_errors() == [
+        ("intra_layer:edge", "scan", "RuntimeError('bad subscriber')", 1)]
     assert metrics.counter_value("broker.callback_error", {"scope": "intra_layer:edge"}) == 1
+
+
+def test_repeated_callback_error_is_one_counted_record():
+    # one record per distinct error, however often it recurs: a list of
+    # every failed copy grew with the run
+    net, clock, metrics = make_net()
+    ep = net.endpoint("intra_layer:edge")
+
+    def boom(e):
+        raise RuntimeError("bad subscriber")
+
+    ep.subscribe("scan", boom)
+    for seq in range(1, 10_001):
+        ep.publish(env(seq=seq))
+    clock.run_until_idle()
+    assert ep.errors == {("scan", "RuntimeError('bad subscriber')"): 10_000}
+    assert net.endpoint_errors() == [
+        ("intra_layer:edge", "scan", "RuntimeError('bad subscriber')", 10_000)]
+    assert metrics.counter_value("broker.callback_error", {"scope": "intra_layer:edge"}) == 10_000
 
 
 def run_noisy_world(seed):

@@ -24,8 +24,7 @@ def test_trace_memory_does_not_grow_with_run_length(tmp_path):
     scenario = parse_scenario(ladder.generate(1, 80, 40.0))
     tracemalloc.start()
     try:
-        world = World(build_topology(scenario.topology), scenario.topology["links"],
-                      scenario.seed, config=scenario.config,
+        world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config,
                       trace_path=tmp_path / "trace.jsonl")
         world.start()
         world.setup_scenario(scenario)

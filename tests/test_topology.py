@@ -10,11 +10,13 @@ import pytest
 import flowbridge
 from flowbridge.topology import (
     ADVERTISE,
+    DEFAULT_LINKS,
     REQUEST,
     RESERVED_PREFIX,
     BrokerScope,
     FlowDeclaration,
     LayerId,
+    LinkSpec,
     MessageEnvelope,
     NodeId,
     ScopeKind,
@@ -157,13 +159,49 @@ def test_build_topology_rejects_bad_specs():
 
 
 def test_load_topology_returns_links(tmp_path):
+    # the links section is resolved with the topology, one spec per link name
     spec = dict(SPEC)
-    spec["links"] = {"defaults": {"latency_ms": 1.0}}
+    spec["links"] = {"defaults": {"intra_layer": {"latency_ms": 3.0}},
+                     "scopes": {"intra_layer:fog": {"loss": 0.5}},
+                     "crossings": [{"between": ["cloud", "edge"], "bandwidth_mbps": 160}]}
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(spec))
-    topo, links = load_topology(str(path))
+    topo = load_topology(str(path))
     assert topo.most_central_layer.name == "cloud"
-    assert links == {"defaults": {"latency_ms": 1.0}}
+    assert topo.links["intra_layer:edge"] == LinkSpec(latency_ms=3.0)
+    assert topo.links["intra_layer:fog"] == LinkSpec(latency_ms=3.0, loss=0.5)
+    assert topo.links["inter_layer:edge"] == DEFAULT_LINKS["inter_layer"]
+    assert topo.links["edge->cloud"] == topo.links["cloud->edge"] == LinkSpec(
+        latency_ms=10.0, bandwidth_mbps=160)
+    assert topo.links["fog->cloud"] == DEFAULT_LINKS["crossing"]
+    pairs = topo.layer_pairs()
+    assert set(topo.links) == set(topo.scopes) | {
+        f"{a}->{b}" for p in pairs for a, b in (p, p[::-1])}
+
+
+def test_topology_without_links_gets_the_defaults():
+    topo = Topology([("edge", ["a"]), ("cloud", ["b"])])
+    assert topo.links["intra_node:a@edge"] == DEFAULT_LINKS["intra_node"]
+    assert topo.links["cloud->edge"] == DEFAULT_LINKS["crossing"]
+
+
+@pytest.mark.parametrize("links", [
+    {"defaults": {"latency_ms": 1.0}},  # names no link kind
+    {"defaults": {"bogus": {}}},
+    {"crossings": [{"between": ["edge", "mars"]}]},
+])
+def test_load_topology_rejects_a_malformed_links_section(tmp_path, links):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps({**SPEC, "links": links}))
+    with pytest.raises(TopologyError):
+        load_topology(str(path))
+
+
+def test_crossing_name_may_not_equal_a_scope_key():
+    # the crossing from layer "intra_layer:x" to layer "y" would share its
+    # name, and so its spec, with the intra_layer scope of layer "x->y"
+    with pytest.raises(TopologyError, match="crossing's name"):
+        Topology([("intra_layer:x", ["a"]), ("y", ["b"]), ("x->y", ["c"])])
 
 
 # -- envelopes -----------------------------------------------------------
