@@ -442,20 +442,29 @@ class FlowEngine:
         origin = env.origin_node.key
         bridge.source_window.record(origin, env.topic, env.sequence)
         if not bridge.dedupe_window.test_and_record(origin, env.topic, env.sequence):
-            bridge.dedupe_drops.inc()
+            cell = bridge.dedupe_drops
+            cell.value += 1
+            cell.at = self.clock.now
             return
         if bridge.client is not None:
             limiter = self.limiters[bridge.client]
             limiter.observe_size(env.topic, env.uncompressed_len)
             if not limiter.try_acquire(env.topic):
-                bridge.limiter_drops.inc()
+                cell = bridge.limiter_drops
+                cell.value += 1
+                cell.at = self.clock.now
                 return
             env = self._maybe_compress(env)
         elif env.compressed:
             env = self._decompress(env)
         bridge.dest_endpoint.publish(env)
-        bridge.delivered.inc()
-        bridge.forwarded.inc()
+        now = self.clock.now
+        cell = bridge.delivered
+        cell.value += 1
+        cell.at = now
+        cell = bridge.forwarded
+        cell.value += 1
+        cell.at = now
 
     def _maybe_compress(self, env: MessageEnvelope) -> MessageEnvelope:
         cfg = self.limit_cfg

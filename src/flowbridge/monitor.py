@@ -55,70 +55,71 @@ class MetricPoint:
 
 
 class CounterCell:
-    """One counter series, its label key sorted once when it is bound.
+    """One counter series: its running ``value`` and the virtual time
+    ``at`` of its last update, -1 until the first.
 
-    The registry entry is made on the first ``inc``, so a cell that is
-    never used adds no line to the export, and entries keep the order of
-    their first update whichever path makes them.
+    The registry holds one cell per (name, labels) key, made when the key
+    is first bound and shared by every binder. Per-copy paths update the
+    two slots in place (``cell.value += n; cell.at = now``); `inc` does
+    the same through the cell's clock. A cell never updated adds no line
+    to any reader.
     """
 
-    __slots__ = ("_registry", "_key", "_entry")
+    __slots__ = ("clock", "value", "at")
 
-    def __init__(self, registry: "MetricsRegistry", key: tuple[str, LabelSet]):
-        self._registry = registry
-        self._key = key
-        self._entry: list | None = None
+    def __init__(self, clock):
+        self.clock = clock
+        self.value = 0
+        self.at = -1
 
     def inc(self, value: float = 1) -> None:
-        now = self._registry.clock.now
-        ent = self._entry
-        if ent is None:
-            counters = self._registry._counters
-            ent = self._entry = counters.get(self._key)
-            if ent is None:
-                self._entry = counters[self._key] = [value, now]
-                return
-        ent[0] += value
-        ent[1] = now
+        self.value += value
+        self.at = self.clock.now
 
 
 class GaugeCell:
-    """One gauge series, bound like `CounterCell` and made on first use."""
+    """One gauge series, registered like `CounterCell`: ``series`` is the
+    key's one list of ``(at, value)`` samples, empty until observed."""
 
-    __slots__ = ("_registry", "_key", "_series")
+    __slots__ = ("clock", "series")
 
-    def __init__(self, registry: "MetricsRegistry", key: tuple[str, LabelSet]):
-        self._registry = registry
-        self._key = key
-        self._series: list[tuple[int, float]] | None = None
+    def __init__(self, clock):
+        self.clock = clock
+        self.series: list[tuple[int, float]] = []
 
     def observe(self, value: float) -> None:
-        series = self._series
-        if series is None:
-            series = self._series = self._registry._gauges.setdefault(self._key, [])
-        series.append((self._registry.clock.now, float(value)))
+        self.series.append((self.clock.now, float(value)))
 
 
 class MetricsRegistry:
-    """Counters and gauge series keyed by (name, sorted labels).
+    """Counters and gauge series keyed by name, then by sorted labels.
 
     Hot paths bind a cell once (`counter`, `gauge`) and update it per
     message; `inc` and `observe` bind and update in one call and write
-    to the same entries.
+    to the same cells. A name's cells are kept in the order their keys
+    were first bound, and every reader skips the ones never updated.
     """
 
     def __init__(self, clock):
         self.clock = clock
-        self._counters: dict[tuple[str, LabelSet], list] = {}
-        self._gauges: dict[tuple[str, LabelSet], list[tuple[int, float]]] = {}
+        self._counters: dict[str, dict[LabelSet, CounterCell]] = {}
+        self._gauges: dict[str, dict[LabelSet, GaugeCell]] = {}
 
     # -- writes --------------------------------------------------------
 
+    def _cell(self, table: dict, make: type, name: str, labels: dict | None):
+        cells = table.setdefault(name, {})
+        key = _labels(labels)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = make(self.clock)
+        return cell
+
     def counter(self, name: str, labels: dict | None = None) -> CounterCell:
-        return CounterCell(self, (name, _labels(labels)))
+        return self._cell(self._counters, CounterCell, name, labels)
 
     def gauge(self, name: str, labels: dict | None = None) -> GaugeCell:
-        return GaugeCell(self, (name, _labels(labels)))
+        return self._cell(self._gauges, GaugeCell, name, labels)
 
     def inc(self, name: str, labels: dict | None = None, value: float = 1) -> None:
         self.counter(name, labels).inc(value)
@@ -129,43 +130,49 @@ class MetricsRegistry:
     # -- reads ---------------------------------------------------------
 
     def counter_value(self, name: str, labels: dict | None = None) -> float:
-        ent = self._counters.get((name, _labels(labels)))
-        return ent[0] if ent else 0
+        cell = self._counters.get(name, {}).get(_labels(labels))
+        return cell.value if cell is not None else 0
 
     def sum_counter(self, name: str, where: dict[str, str] | None = None) -> float:
         """Total over all label sets of ``name`` matching the `where` subset."""
-        want = _labels(where)
+        want = set(_labels(where))
         total = 0
-        for (n, labels), (value, _) in self._counters.items():
-            if n == name and set(want) <= set(labels):
-                total += value
+        for labels, cell in self._counters.get(name, {}).items():
+            if cell.at >= 0 and want <= set(labels):
+                total += cell.value
         return total
 
     def totals(self, name: str, label: str) -> dict[str, float]:
         """Per value of ``label``: the total over ``name``'s label sets that
-        carry it, summed in insertion order as `sum_counter` sums."""
+        carry it, summed in bind order as `sum_counter` sums."""
         out: dict[str, float] = {}
-        for (n, labels), (value, _) in self._counters.items():
-            if n == name:
+        for labels, cell in self._counters.get(name, {}).items():
+            if cell.at >= 0:
                 for k, v in labels:
                     if k == label:
-                        out[v] = out.get(v, 0) + value
+                        out[v] = out.get(v, 0) + cell.value
                         break
         return out
 
     def series(self, name: str, labels: dict | None = None) -> list[tuple[int, float]]:
-        return list(self._gauges.get((name, _labels(labels)), ()))
+        cell = self._gauges.get(name, {}).get(_labels(labels))
+        return list(cell.series) if cell is not None else []
 
     def gauge_sets(self, name: str) -> dict[LabelSet, list[tuple[int, float]]]:
-        return {labels: list(v) for (n, labels), v in self._gauges.items() if n == name}
+        return {labels: list(cell.series)
+                for labels, cell in self._gauges.get(name, {}).items() if cell.series}
 
     def snapshot(self) -> list[MetricPoint]:
         points = []
-        for (name, labels), (value, at) in self._counters.items():
-            points.append(MetricPoint(name, "counter", labels, value, at))
-        for (name, labels), series in self._gauges.items():
-            at, value = series[-1]
-            points.append(MetricPoint(name, "gauge", labels, value, at))
+        for name, cells in self._counters.items():
+            for labels, cell in cells.items():
+                if cell.at >= 0:
+                    points.append(MetricPoint(name, "counter", labels, cell.value, cell.at))
+        for name, cells in self._gauges.items():
+            for labels, cell in cells.items():
+                if cell.series:
+                    at, value = cell.series[-1]
+                    points.append(MetricPoint(name, "gauge", labels, value, at))
         points.sort(key=lambda p: (p.kind, p.name, p.labels))
         return points
 
@@ -186,11 +193,13 @@ def _fmt_num(x: float) -> str:
 def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
     """Write the registry in the line format above; returns bytes written."""
     lines = ["# flowbridge metrics v1"]
-    counters = sorted(registry._counters.items())
-    for (name, labels), (value, at) in counters:
-        lines.append(f"counter {name}{_fmt_labels(labels)} {_fmt_num(value)} {at}")
-    gauges = sorted(registry._gauges.items())
-    for (name, labels), series in gauges:
+    counters = sorted((name, labels, cell) for name, cells in registry._counters.items()
+                      for labels, cell in cells.items() if cell.at >= 0)
+    for name, labels, cell in counters:
+        lines.append(f"counter {name}{_fmt_labels(labels)} {_fmt_num(cell.value)} {cell.at}")
+    gauges = sorted((name, labels, cell.series) for name, cells in registry._gauges.items()
+                    for labels, cell in cells.items() if cell.series)
+    for name, labels, series in gauges:
         vals = [v for _, v in series]
         mean = ordered_sum(vals) / len(vals)
         lines.append(
@@ -210,7 +219,9 @@ def message_latency(registry: MetricsRegistry, latency: GaugeCell,
     ``node``.
 
     Negative intervals (skewed timestamps) clamp to 0 and bump a skew
-    counter instead of polluting the latency series.
+    counter instead of polluting the latency series. The SDK appends an
+    unskewed sample to ``latency.series`` itself and calls this only for
+    a skewed one.
     """
     ms = (now - env.sent_at) / 1e6
     if ms < 0:

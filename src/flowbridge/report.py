@@ -43,7 +43,9 @@ def _fmt(x: float) -> str:
 
 
 def latency_by_topic(registry: MetricsRegistry) -> dict[str, list[float]]:
-    """Observed end-to-end latencies (ms) pooled across consumer nodes."""
+    """Observed end-to-end latencies (ms) pooled across consumer nodes,
+    in the order their series were bound; the mean's float sum depends
+    on that order."""
     pools: dict[str, list[float]] = {}
     for labels, series in registry.gauge_sets("mon.msg_latency_ms").items():
         topic = dict(labels).get("topic", "")

@@ -247,10 +247,12 @@ class ServiceHost:
 
     def _delivery_wrapper(self, handle: ServiceHandle, topic: str,
                           user_cb: Callable[[MessageEnvelope], None] | None):
-        latency = self.registry.gauge("mon.msg_latency_ms",
-                                      {"topic": topic, "node": handle.node.name})
+        # bound at the first delivery, so the series keep the order of
+        # their first sample, which `report.latency_by_topic` pools in
+        latency: monitor.GaugeCell | None = None
 
         def deliver(env: MessageEnvelope) -> None:
+            nonlocal latency
             origin = env.origin_node.key
             if handle._delivered.seen(origin, env.topic, env.sequence):
                 self.registry.inc("sdk.duplicate", {"topic": env.topic, "node": handle.node.name})
@@ -260,8 +262,14 @@ class ServiceHost:
                 self.trace.record("duplicate_delivery", self.clock.now, **fields)
                 return
             handle._delivered.record(origin, env.topic, env.sequence)
-            monitor.message_latency(self.registry, latency, env, self.clock.now,
-                                    handle.node.name)
+            if latency is None:
+                latency = self.registry.gauge("mon.msg_latency_ms",
+                                              {"topic": topic, "node": handle.node.name})
+            now = self.clock.now
+            if env.sent_at <= now:
+                latency.series.append((now, (now - env.sent_at) / 1e6))
+            else:  # a skewed timestamp: clamped and counted
+                monitor.message_latency(self.registry, latency, env, now, handle.node.name)
             handle.received += 1
             handle.received_by_topic[env.topic] = handle.received_by_topic.get(env.topic, 0) + 1
             if user_cb is not None:

@@ -43,7 +43,7 @@ from typing import Any, Callable, Sequence
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, MetricsRegistry
 from .topology import BrokerScope, LinkSpec, MessageEnvelope, ScopeKind, Topology
-from .tracing import Trace, XlinkParts, xlink_parts
+from .tracing import Trace, xlink_parts
 
 MS = 1_000_000
 SECOND = 1_000_000_000
@@ -92,16 +92,14 @@ class SimClock:
             if delay is not None:
                 self.call_in(delay, self._repeat, fn, args)
 
-    def _pop_run(self) -> None:
-        self.now, _, fn, args = heapq.heappop(self._heap)
-        self.events_processed += 1
-        fn(*args)
-
     def run_until(self, t: int) -> int:
         """Process every event with timestamp <= t; leaves now == t."""
+        heap = self._heap
         start = self.events_processed
-        while self._heap and self._heap[0][0] <= t:
-            self._pop_run()
+        while heap and heap[0][0] <= t:
+            self.now, _, fn, args = heapq.heappop(heap)
+            self.events_processed += 1  # before the call: an event that raises counts
+            fn(*args)
         if t > self.now:
             self.now = t
         return self.events_processed - start
@@ -110,11 +108,14 @@ class SimClock:
         """End every recurring timer, then drain the queue completely;
         one-shot events still run. Guards against runaway forwarding."""
         self.repeating = False
+        heap = self._heap
         start = self.events_processed
-        while self._heap:
+        while heap:
             if max_events is not None and self.events_processed - start >= max_events:
                 raise RuntimeError(f"event queue not idle after {max_events} events")
-            self._pop_run()
+            self.now, _, fn, args = heapq.heappop(heap)
+            self.events_processed += 1
+            fn(*args)
         return self.events_processed - start
 
 
@@ -181,14 +182,18 @@ class Network:
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
             for key, scope in topology.scopes.items()
         }
-        # per layer: every other layer's bus endpoint, the crossing to it
-        # and the fixed parts of that crossing's trace lines
-        self._inter_peers: dict[str, list[tuple[BrokerEndpoint, LinkState, XlinkParts]]] = {
-            a.name: [(self.endpoints[f"{ScopeKind.INTER_LAYER.value}:{b.name}"],
-                      self.links[f"{a.name}->{b.name}"], xlink_parts(a.name, b.name))
-                     for b in topology.layers if b is not a]
-            for a in topology.layers
-        }
+        # per endpoint: its own link and, on a layer bus, every other
+        # layer's bus endpoint, the crossing to it and the fixed parts of
+        # that crossing's trace lines
+        bus = ScopeKind.INTER_LAYER.value
+        self._outbound: dict[BrokerEndpoint, tuple[LinkState, tuple]] = {}
+        for key, ep in self.endpoints.items():
+            a = ep.scope.layer
+            peers = ()
+            if ep.scope.kind is ScopeKind.INTER_LAYER:
+                peers = tuple((self.endpoints[f"{bus}:{b.name}"], self.links[f"{a}->{b.name}"],
+                               xlink_parts(a, b.name)) for b in topology.layers if b.name != a)
+            self._outbound[ep] = (self.links[key], peers)
 
     # -- endpoint access -------------------------------------------------
 
@@ -202,7 +207,7 @@ class Network:
                   sender: str | None) -> int:
         # reads each endpoint's route as `BrokerEndpoint.snapshot` does,
         # copying it only when the sender owns some of its handles
-        scope = endpoint.scope
+        link, peers = self._outbound[endpoint]
         topic = env.topic
         now = self.clock.now
         total = 0
@@ -213,25 +218,26 @@ class Network:
             if sender in owners:
                 targets = [h for h in targets if h.owner != sender]
             if targets:
-                self._send(endpoint, targets, env, self.links[scope.key], now)
+                self._send(endpoint, targets, env, link, now)
                 total += len(targets)
 
-        if scope.kind is ScopeKind.INTER_LAYER:
-            for peer, crossing, parts in self._inter_peers[scope.layer]:
-                route = peer.routes.get(topic)
-                if route is None:
+        for peer, crossing, parts in peers:
+            route = peer.routes.get(topic)
+            if route is None:
+                continue
+            remote, owners = route
+            if sender in owners:
+                remote = [h for h in remote if h.owner != sender]
+                if not remote:
                     continue
-                remote, owners = route
-                if sender in owners:
-                    remote = [h for h in remote if h.owner != sender]
-                    if not remote:
-                        continue
-                self.trace.xlink(parts, now, env.origin_node.key, env.sequence, topic)
-                self._send(peer, remote, env, crossing, now)
-                total += len(remote)
+            self.trace.xlink(parts, now, env.origin_node.key, env.sequence, topic)
+            self._send(peer, remote, env, crossing, now)
+            total += len(remote)
 
         if total:
-            self._offered[topic].inc(total)
+            cell = self._offered[topic]
+            cell.value += total
+            cell.at = now
         return total
 
     def _send(
@@ -249,8 +255,12 @@ class Network:
         the survivors share one event at the link's fixed delay.
         """
         ser_end = link.charge(env.payload_len, now)
-        link.bytes_cell.inc(env.payload_len)
-        link.msgs_cell.inc()
+        cell = link.bytes_cell
+        cell.value += env.payload_len
+        cell.at = now
+        cell = link.msgs_cell
+        cell.value += 1
+        cell.at = now
         spec = link.spec
         if spec.jitter_ms > 0.0:
             for h in handles:
@@ -281,9 +291,11 @@ class Network:
         # including arrivals at handles unsubscribed while in flight, also
         # by an earlier copy's callback in this same event.
         delivered = self._delivered[env.topic]
+        now = self.clock.now
         for handle in handles:
             if handle.kind != SUB_BRIDGE or not handle.active:
-                delivered.inc()
+                delivered.value += 1
+                delivered.at = now
             if handle.active and not endpoint.invoke(handle, env):
                 self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
 

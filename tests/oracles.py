@@ -370,6 +370,119 @@ def oracle_drain(clock, timers: list[OracleFlagTimer], max_events: int) -> int:
     return clock.run_until_idle(max_events)
 
 
+def _oracle_labels(labels) -> tuple:
+    return tuple(sorted((k, str(v)) for k, v in (labels or {}).items()))
+
+
+def _oracle_num(x) -> str:
+    if isinstance(x, int) or (isinstance(x, float) and x.is_integer()):
+        return str(int(x))
+    return repr(x)
+
+
+class _OracleCounterCell:
+    def __init__(self, reg, key):
+        self.reg = reg
+        self.key = key
+        self.entry = None
+
+    def inc(self, value=1) -> None:
+        now = self.reg.clock.now
+        if self.entry is None:
+            self.entry = self.reg.counters.get(self.key)
+            if self.entry is None:
+                self.entry = self.reg.counters[self.key] = [value, now]
+                return
+        self.entry[0] += value
+        self.entry[1] = now
+
+
+class _OracleGaugeCell:
+    def __init__(self, reg, key):
+        self.reg = reg
+        self.key = key
+        self.samples = None
+
+    def observe(self, value) -> None:
+        if self.samples is None:
+            self.samples = self.reg.gauges.setdefault(self.key, [])
+        self.samples.append((self.reg.clock.now, float(value)))
+
+
+class OracleMetrics:
+    """The metrics registry as it was before shared cells: every binder
+    gets its own cell, and a cell makes or finds its entry at its first
+    update, so entries exist only once updated and keep the order of
+    their first update. Readers and export read the entries as they are.
+    """
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.counters: dict[tuple, list] = {}  # key -> [value, at]
+        self.gauges: dict[tuple, list] = {}  # key -> [(at, value), ...]
+
+    def counter(self, name, labels=None) -> _OracleCounterCell:
+        return _OracleCounterCell(self, (name, _oracle_labels(labels)))
+
+    def gauge(self, name, labels=None) -> _OracleGaugeCell:
+        return _OracleGaugeCell(self, (name, _oracle_labels(labels)))
+
+    def inc(self, name, labels=None, value=1) -> None:
+        self.counter(name, labels).inc(value)
+
+    def observe(self, name, labels=None, value=0.0) -> None:
+        self.gauge(name, labels).observe(value)
+
+    def counter_value(self, name, labels=None):
+        ent = self.counters.get((name, _oracle_labels(labels)))
+        return ent[0] if ent else 0
+
+    def sum_counter(self, name, where=None):
+        want = set(_oracle_labels(where))
+        return sum(v for (n, labels), (v, _) in self.counters.items()
+                   if n == name and want <= set(labels))
+
+    def totals(self, name, label) -> dict:
+        out: dict = {}
+        for (n, labels), (value, _) in self.counters.items():
+            got = dict(labels)
+            if n == name and label in got:
+                out[got[label]] = out.get(got[label], 0) + value
+        return out
+
+    def series(self, name, labels=None) -> list:
+        return list(self.gauges.get((name, _oracle_labels(labels)), ()))
+
+    def gauge_sets(self, name) -> dict:
+        return {labels: list(v) for (n, labels), v in self.gauges.items() if n == name}
+
+    def snapshot(self) -> list[tuple]:
+        """(kind, name, labels, value, at) per entry, sorted."""
+        points = [("counter", n, labels, v, at) for (n, labels), (v, at) in self.counters.items()]
+        points += [("gauge", n, labels, s[-1][1], s[-1][0]) for (n, labels), s in self.gauges.items()]
+        return sorted(points, key=lambda p: p[:3])
+
+    def export(self) -> bytes:
+        """The metrics.txt line format."""
+        def fmt(name, labels):
+            inner = ",".join(f'{k}="{v}"' for k, v in labels)
+            return name + ("{" + inner + "}" if labels else "")
+
+        lines = ["# flowbridge metrics v1"]
+        for (name, labels), (value, at) in sorted(self.counters.items()):
+            lines.append(f"counter {fmt(name, labels)} {_oracle_num(value)} {at}")
+        for (name, labels), samples in sorted(self.gauges.items()):
+            vals = [v for _, v in samples]
+            total = 0
+            for v in vals:  # left to right, rounding after each addition
+                total += v
+            lines.append(
+                f"gauge {fmt(name, labels)} last={_oracle_num(vals[-1])} n={len(vals)}"
+                f" mean={_oracle_num(total / len(vals))} min={_oracle_num(min(vals))}"
+                f" max={_oracle_num(max(vals))} {samples[-1][0]}")
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def synthetic_corpus(nbytes: int = 1 << 20, seed: int = 1318) -> bytes:
     """Deterministic compressible test corpus: repeated random blocks
     with scattered byte mutations, the texture the codec is sized for."""

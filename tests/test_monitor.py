@@ -103,6 +103,7 @@ def test_counter_cell_and_inc_share_one_entry():
     reg.inc("hits", {"a": "1", "b": "2"}, 2)
     early.inc()
     late = reg.counter("hits", {"a": "1", "b": "2"})
+    assert late is early
     late.inc(3)
     early.inc()
     reg.inc("hits", {"b": "2", "a": "1"})

@@ -1,13 +1,15 @@
 """Property-based tests for the allocator, token bucket, dedupe window,
-the flow table's queries, and the flow engines' bridges and limiter
-registrations."""
+the flow table's queries, the flow engines' bridges and limiter
+registrations, and the metric cells."""
 
+import io
 import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbridge.flow import DedupeWindow, FlowTable
+from flowbridge.monitor import MetricsRegistry, export_metrics
 from flowbridge.ratelimit import (
     PublisherRecord,
     RateLimitConfig,
@@ -17,10 +19,11 @@ from flowbridge.ratelimit import (
 )
 from flowbridge.runner import World
 from flowbridge.sdk import Advertise
-from flowbridge.simnet import MS, SECOND
+from flowbridge.simnet import MS, SECOND, SimClock
 from flowbridge.topology import FlowDeclaration, NodeId, build_topology
 from oracles import (
     OracleMarkWindow,
+    OracleMetrics,
     OracleRingWindow,
     oracle_advertisers_at,
     oracle_allocate,
@@ -297,22 +300,31 @@ WORLD3 = {
 }
 FLOW_TOPICS = ("a", "b", "c")
 
-flow_steps = st.lists(
-    st.tuples(
-        st.sampled_from(("start", "stop", "kill")),
-        st.integers(0, 3),  # service s0..s3
-        st.sampled_from(("robot-1", "robot-2", "fog-1", "cloud-1")),
-        st.dictionaries(st.sampled_from(FLOW_TOPICS), st.tuples(  # advertises
-            st.floats(0.1, 100.0, allow_nan=False), st.integers(1, 200_000))),
-        st.sets(st.sampled_from(FLOW_TOPICS)),  # requests
-    ),
-    min_size=1, max_size=12,
-)
+FLOW_NODES = ("robot-1", "robot-2", "fog-1", "cloud-1")
 
 
-@given(flow_steps)
-# one node's limiter loses one of its two topics and keeps the other,
-# which random steps seldom reach
+@st.composite
+def flow_steps(draw):
+    """Service starts, stops and kills on 2-3 of the nodes, so that
+    services pile up on a node and one of its limiter's topics can go
+    while another stays."""
+    nodes = draw(st.lists(st.sampled_from(FLOW_NODES), min_size=2, max_size=3, unique=True))
+    return draw(st.lists(
+        st.tuples(
+            st.sampled_from(("start", "start", "stop", "kill")),
+            st.integers(0, 5),  # service s0..s5
+            st.sampled_from(nodes),
+            st.dictionaries(st.sampled_from(FLOW_TOPICS), st.tuples(  # advertises
+                st.floats(0.1, 100.0, allow_nan=False), st.integers(1, 200_000))),
+            st.sets(st.sampled_from(FLOW_TOPICS)),  # requests
+        ),
+        min_size=12, max_size=40,
+    ))
+
+
+@given(flow_steps())
+# one node's limiter loses one of its two topics and keeps the other:
+# the steps above reach this in nearly every run, this example in each
 @example([("start", 0, "robot-1", {"a": (1.0, 100)}, set()),
           ("start", 1, "robot-1", {"b": (1.0, 100)}, set()),
           ("start", 2, "cloud-1", {}, {"a", "b"}),
@@ -402,3 +414,81 @@ def test_each_service_hears_every_other_publisher_once_and_never_itself(case):
         want = [(topic, payload) for i, topic, payload in sent if i != j and topic in reqs]
         assert sorted(got[j]) == sorted(want), f"s{j}"
     assert w.issues() == []
+
+
+# two names over label sets that share the labels `totals` and the
+# `where` filters below pick out
+METRIC_KEYS = [(name, labels) for name in ("m", "n") for labels in (
+    {}, {"topic": "x"}, {"topic": "y", "link": "l1"}, {"link": "l1"})]
+METRIC_WHERE = (None, {"topic": "x"}, {"link": "l1"}, {"topic": "y", "link": "l1"})
+
+metric_ops = st.lists(st.one_of(
+    st.tuples(st.just("bind"), st.sampled_from("cg"), st.integers(0, 7), st.integers(0, 1)),
+    # how: 0 through the binder's cell, 1 in place as the per-copy paths
+    # write, 2 through the registry by name
+    st.tuples(st.just("inc"), st.integers(0, 7), st.integers(0, 1), st.integers(0, 2),
+              st.integers(0, 1000)),
+    st.tuples(st.just("observe"), st.integers(0, 7), st.integers(0, 1), st.integers(0, 2),
+              st.floats(-1e6, 1e6, allow_nan=False)),
+    st.tuples(st.just("advance"), st.integers(0, 3)),
+), max_size=40)
+
+
+@given(metric_ops)
+def test_metric_cells_match_first_update_oracle(ops):
+    clock = SimClock()
+    reg, ref = MetricsRegistry(clock), OracleMetrics(clock)
+    cells: dict[tuple, tuple] = {}  # (kind, key, binder) -> (cell, oracle cell)
+
+    def bound(kind, k, binder):
+        got = cells.get((kind, k, binder))
+        if got is None:
+            name, labels = METRIC_KEYS[k]
+            make = (reg.counter, ref.counter) if kind == "c" else (reg.gauge, ref.gauge)
+            got = cells[(kind, k, binder)] = (make[0](name, labels), make[1](name, labels))
+        return got
+
+    for op in ops:
+        if op[0] == "bind":
+            bound(op[1], op[2], op[3])
+        elif op[0] == "advance":
+            clock.run_until(clock.now + op[1])
+        elif op[0] == "inc":
+            _, k, binder, how, value = op
+            if how == 2:
+                reg.inc(*METRIC_KEYS[k], value)
+                ref.inc(*METRIC_KEYS[k], value)
+                continue
+            cell, ref_cell = bound("c", k, binder)
+            if how == 0:
+                cell.inc(value)
+            else:
+                cell.value += value
+                cell.at = clock.now
+            ref_cell.inc(value)
+        else:
+            _, k, binder, how, value = op
+            if how == 2:
+                reg.observe(*METRIC_KEYS[k], value)
+                ref.observe(*METRIC_KEYS[k], value)
+                continue
+            cell, ref_cell = bound("g", k, binder)
+            if how == 0:
+                cell.observe(value)
+            else:
+                cell.series.append((clock.now, float(value)))
+            ref_cell.observe(value)
+
+    sink = io.BytesIO()
+    export_metrics(reg, sink)
+    assert sink.getvalue() == ref.export()
+    assert [(p.kind, p.name, p.labels, p.value, p.at) for p in reg.snapshot()] == ref.snapshot()
+    for name, labels in METRIC_KEYS:
+        assert reg.counter_value(name, labels) == ref.counter_value(name, labels)
+        assert reg.series(name, labels) == ref.series(name, labels)
+    for name in ("m", "n"):
+        for where in METRIC_WHERE:
+            assert reg.sum_counter(name, where) == ref.sum_counter(name, where)
+        for label in ("topic", "link", "node"):
+            assert reg.totals(name, label) == ref.totals(name, label)
+        assert reg.gauge_sets(name) == ref.gauge_sets(name)

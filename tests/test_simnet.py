@@ -116,13 +116,43 @@ def test_events_can_schedule_more_events():
 
 def test_run_until_idle_guard():
     clock = SimClock()
+    for t in range(3):
+        clock.schedule(t, lambda: None)
+    assert clock.run_until_idle(max_events=3) == 3
 
     def forever():
         clock.call_in(1, forever)
 
     clock.schedule(0, forever)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="after 100 events"):
         clock.run_until_idle(max_events=100)
+    assert clock.events_processed == 103
+    assert len(clock._heap) == 1  # the 101st event is left queued
+
+
+def test_an_event_that_raises_is_counted_and_the_queue_resumes():
+    clock = SimClock()
+    seen = []
+
+    def boom():
+        raise ValueError("boom")
+
+    clock.schedule(5, seen.append, "a")
+    clock.schedule(10, boom)
+    clock.schedule(10, seen.append, "b")
+    clock.schedule(20, seen.append, "c")
+    with pytest.raises(ValueError):
+        clock.run_until(30)
+    assert (clock.events_processed, clock.now, seen) == (2, 10, ["a"])
+    assert clock.run_until(30) == 2
+    assert (clock.events_processed, clock.now, seen) == (4, 30, ["a", "b", "c"])
+
+    clock.schedule(40, boom)
+    clock.schedule(50, seen.append, "d")
+    with pytest.raises(ValueError):
+        clock.run_until_idle()
+    assert (clock.events_processed, clock.now) == (5, 40)
+    assert clock.run_until_idle() == 1 and seen[-1] == "d"
 
 
 # -- link specs ----------------------------------------------------------
