@@ -25,6 +25,7 @@ from .topology import (
     CONFIG_REPLY,
     CONFIG_REQUEST,
     MAX_S,
+    MIN_PERIOD_S,
     MessageEnvelope,
     SequenceCounter,
     Topology,
@@ -34,9 +35,9 @@ from .topology import (
 
 log = logging.getLogger(__name__)
 
-# periods that re-arm a timer: zero would re-fire at the same instant forever
-_POSITIVE = (("flow", "heartbeat_s"), ("flow", "heartbeat_ttl_s"),
-             ("flow", "watchdog_s"), ("config", "sync_period_s"))
+# periods that re-arm a timer, and the TTL that must cover two of them
+_PERIODS = (("flow", "heartbeat_s"), ("flow", "heartbeat_ttl_s"),
+            ("flow", "watchdog_s"), ("config", "sync_period_s"))
 
 
 def default_layer_config() -> dict[str, Any]:
@@ -72,8 +73,9 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
 
     Every section and key must exist in ``default_layer_config()`` and
     every value must be a finite number (an integer where the default is
-    one). Timer periods must be > 0 and at most `topology.MAX_S`;
-    ``flow.reannounce_s`` may be 0, which switches re-announce off.
+    one). Timer periods must be from `topology.MIN_PERIOD_S` (1 ns) to
+    `topology.MAX_S`; ``flow.reannounce_s`` may be 0, which switches
+    re-announce off.
     ``flow.heartbeat_ttl_s`` must cover both the heartbeat and the
     watchdog period.
     """
@@ -93,16 +95,17 @@ def resolve_layer_config(overrides: object) -> dict[str, Any]:
                 raise ConfigError(f"{section}.{key} must be a finite "
                                   f"{'integer' if kind is int else 'number'}, got {value!r}")
     cfg = merge_config(base, overrides)
-    for section, key in _POSITIVE:
-        if cfg[section][key] <= 0:
-            raise ConfigError(f"{section}.{key} must be > 0")
+    for section, key in _PERIODS:
+        if cfg[section][key] < MIN_PERIOD_S:
+            raise ConfigError(f"{section}.{key} must be at least 1 ns, got {cfg[section][key]!r}")
     for section in ("flow", "config"):  # every key there is a period in seconds
         for key, value in cfg[section].items():
             if value > MAX_S:
                 raise ConfigError(f"{section}.{key} must be at most {MAX_S:.4g} s, got {value!r}")
     flow = cfg["flow"]
-    if flow["reannounce_s"] < 0:
-        raise ConfigError("flow.reannounce_s must be >= 0 (0 switches it off)")
+    if flow["reannounce_s"] != 0 and flow["reannounce_s"] < MIN_PERIOD_S:
+        raise ConfigError("flow.reannounce_s must be 0 (off) or at least 1 ns, "
+                          f"got {flow['reannounce_s']!r}")
     if flow["heartbeat_ttl_s"] < max(flow["heartbeat_s"], flow["watchdog_s"]):
         raise ConfigError("flow.heartbeat_ttl_s must be >= flow.heartbeat_s and "
                           "flow.watchdog_s, or live heartbeats lapse between refreshes")

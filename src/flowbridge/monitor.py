@@ -129,22 +129,9 @@ class MetricsRegistry:
 
     # -- reads ---------------------------------------------------------
 
-    def counter_value(self, name: str, labels: dict | None = None) -> float:
-        cell = self._counters.get(name, {}).get(_labels(labels))
-        return cell.value if cell is not None else 0
-
-    def sum_counter(self, name: str, where: dict[str, str] | None = None) -> float:
-        """Total over all label sets of ``name`` matching the `where` subset."""
-        want = set(_labels(where))
-        total = 0
-        for labels, cell in self._counters.get(name, {}).items():
-            if cell.at >= 0 and want <= set(labels):
-                total += cell.value
-        return total
-
     def totals(self, name: str, label: str) -> dict[str, float]:
         """Per value of ``label``: the total over ``name``'s label sets that
-        carry it, summed in bind order as `sum_counter` sums."""
+        carry it, summed in bind order."""
         out: dict[str, float] = {}
         for labels, cell in self._counters.get(name, {}).items():
             if cell.at >= 0:
@@ -153,10 +140,6 @@ class MetricsRegistry:
                         out[v] = out.get(v, 0) + cell.value
                         break
         return out
-
-    def series(self, name: str, labels: dict | None = None) -> list[tuple[int, float]]:
-        cell = self._gauges.get(name, {}).get(_labels(labels))
-        return list(cell.series) if cell is not None else []
 
     def gauge_sets(self, name: str) -> dict[LabelSet, list[tuple[int, float]]]:
         return {labels: list(cell.series)
@@ -281,9 +264,6 @@ class HeartbeatRegistry:
         if dead:
             self._gauge()
         return dead
-
-    def entries(self) -> list[tuple[str, str]]:
-        return sorted(self._entries)
 
     def _gauge(self) -> None:
         if self.registry is not None:

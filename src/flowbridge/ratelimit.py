@@ -115,15 +115,6 @@ class AllocationResult:
     available: float
     remaining: float  # bytes/s left after all grants; negative = overcommitted
 
-    def __getitem__(self, topic: str) -> PublisherAllocation:
-        return self.allocations[topic]
-
-    def __contains__(self, topic: str) -> bool:
-        return topic in self.allocations
-
-    def rates(self) -> dict[str, float]:
-        return {t: a.allocated_rate for t, a in self.allocations.items()}
-
 
 def allocate(cfg: RateLimitConfig, publishers: Iterable[PublisherRecord]) -> AllocationResult:
     """Run the two-phase allocation over one client's publishers.
@@ -180,12 +171,12 @@ class TokenBucket:
 
     __slots__ = ("rate", "capacity", "tokens", "updated_at")
 
-    def __init__(self, rate: float, capacity: float, now: int = 0, tokens: float | None = None):
+    def __init__(self, rate: float, capacity: float, now: int = 0):
         if rate < 0 or capacity < 1:
             raise ValueError("rate must be >= 0 and capacity >= 1")
         self.rate = rate
         self.capacity = capacity
-        self.tokens = capacity if tokens is None else tokens
+        self.tokens = capacity
         self.updated_at = now
 
     def _refill(self, now: int) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .configstore import ConfigError, resolve_layer_config
 from .simnet import SECOND
-from .topology import MAX_S, RESERVED_PREFIX, finite_number
+from .topology import MAX_S, MIN_PERIOD_S, RESERVED_PREFIX, finite_number
 
 
 class ScenarioError(ValueError):
@@ -112,8 +112,8 @@ class ProbesSpec:
 
     def __post_init__(self) -> None:
         _check_nodes(self.nodes, "probes")
-        if self.ping_period_s <= 0:
-            raise ScenarioError("probes: ping_period_s must be > 0")
+        if self.ping_period_s < MIN_PERIOD_S:
+            raise ScenarioError("probes: ping_period_s must be at least 1 ns")
         if self.ping_timeout_s <= 0:
             raise ScenarioError("probes: ping_timeout_s must be > 0")
 
@@ -157,12 +157,6 @@ class Scenario:
             raise ScenarioError(
                 f"sweep service {self.sweep.service!r} is not defined"
             )
-
-    def service(self, name: str) -> ServiceSpec:
-        for spec in self.services:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
 
 
 _STREAM_KEYS = {"topic", "rate_hz", "size", "payload"}

@@ -64,8 +64,8 @@ class SimClock:
     callback returns None, or when `run_until_idle` clears ``repeating``.
     """
 
-    def __init__(self, start: int = 0):
-        self.now = start  # read-only outside this class
+    def __init__(self):
+        self.now = 0  # read-only outside this class
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self.events_processed = 0
@@ -182,18 +182,18 @@ class Network:
             key: BrokerEndpoint(scope, dispatch=self._dispatch)
             for key, scope in topology.scopes.items()
         }
-        # per endpoint: its own link and, on a layer bus, every other
-        # layer's bus endpoint, the crossing to it and the fixed parts of
-        # that crossing's trace lines
+        # per endpoint, where its publishes go: first (itself, its own
+        # link, None), then on a layer bus one (peer, crossing, the fixed
+        # parts of the crossing's trace lines) per other layer's bus
         bus = ScopeKind.INTER_LAYER.value
-        self._outbound: dict[BrokerEndpoint, tuple[LinkState, tuple]] = {}
+        self._outbound: dict[BrokerEndpoint, tuple[tuple, ...]] = {}
         for key, ep in self.endpoints.items():
             a = ep.scope.layer
             peers = ()
             if ep.scope.kind is ScopeKind.INTER_LAYER:
                 peers = tuple((self.endpoints[f"{bus}:{b.name}"], self.links[f"{a}->{b.name}"],
                                xlink_parts(a, b.name)) for b in topology.layers if b.name != a)
-            self._outbound[ep] = (self.links[key], peers)
+            self._outbound[ep] = ((ep, self.links[key], None), *peers)
 
     # -- endpoint access -------------------------------------------------
 
@@ -207,32 +207,22 @@ class Network:
                   sender: str | None) -> int:
         # reads each endpoint's route as `BrokerEndpoint.snapshot` does,
         # copying it only when the sender owns some of its handles
-        link, peers = self._outbound[endpoint]
         topic = env.topic
         now = self.clock.now
         total = 0
-
-        route = endpoint.routes.get(topic)
-        if route is not None:
-            targets, owners = route
-            if sender in owners:
-                targets = [h for h in targets if h.owner != sender]
-            if targets:
-                self._send(endpoint, targets, env, link, now)
-                total += len(targets)
-
-        for peer, crossing, parts in peers:
+        for peer, link, parts in self._outbound[endpoint]:
             route = peer.routes.get(topic)
             if route is None:
                 continue
-            remote, owners = route
+            targets, owners = route
             if sender in owners:
-                remote = [h for h in remote if h.owner != sender]
-                if not remote:
+                targets = [h for h in targets if h.owner != sender]
+                if not targets:
                     continue
-            self.trace.xlink(parts, now, env.origin_node.key, env.sequence, topic)
-            self._send(peer, remote, env, crossing, now)
-            total += len(remote)
+            if parts is not None:
+                self.trace.xlink(parts, now, env.origin_node.key, env.sequence, topic)
+            self._send(peer, targets, env, link, now)
+            total += len(targets)
 
         if total:
             cell = self._offered[topic]

@@ -35,6 +35,9 @@ DIRECTIONS = (ADVERTISE, REQUEST)
 # the longest time a run may name: the range of a signed 64-bit
 # nanosecond count, about 292 years
 MAX_S = (2**63 - 1) / 1_000_000_000
+# the shortest timer period, one tick of the nanosecond clock; a period
+# the clock rounds to 0 would re-fire at the same instant forever
+MIN_PERIOD_S = 1e-9
 
 
 class TopologyError(ValueError):
@@ -271,9 +274,6 @@ class SequenceCounter:
     def next(self, topic: str) -> int:
         seq = self._last[topic] = self._last.get(topic, 0) + 1
         return seq
-
-    def last(self, topic: str) -> int:
-        return self._last.get(topic, 0)
 
 
 class Topology:

@@ -19,20 +19,15 @@ class Trace:
     one sorted-key, compact JSON line, so equal runs produce byte-identical
     files. Nothing is kept in memory; with no file open, a no-op.
 
-    A line is the bytes ``json.dumps(rec, sort_keys=True, separators=(",",
-    ":"))`` gives, assembled without it: each set of field names is sorted
-    and its keys encoded once, and ``str`` and ``int`` values are encoded
-    the way ``json`` encodes them. Other values go through ``json.dumps``.
-    The ``xlink`` lines of layer crossings, most of a trace, come from
-    `xlink`, which fills a crossing's pre-encoded `xlink_parts` in with the
-    per-message fields; they are the same bytes `record` writes.
+    `record` writes ``json.dumps(rec, sort_keys=True, separators=(",",
+    ":"))``. Only the ``xlink`` lines of layer crossings, most of a trace,
+    are assembled by hand: `xlink` fills a crossing's pre-encoded
+    `xlink_parts` in with the per-message fields, and writes the bytes
+    `record` would.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._fh = None
-        # field names in call order -> (encoded key with its leading
-        # "{" or ",", field name) in sorted order
-        self._shapes: dict[tuple[str, ...], list[tuple[str, str]]] = {}
         self.open(path)
 
     def open(self, path: str | Path | None) -> None:
@@ -40,18 +35,9 @@ class Trace:
             self._fh = open(path, "w", encoding="utf-8")
 
     def record(self, ev: str, at: int, **fields: Any) -> None:
-        if self._fh is None:
-            return
-        names = tuple(fields)
-        shape = self._shapes.get(names)
-        if shape is None:
-            keys = sorted(("ev", "at", *names))
-            shape = self._shapes[names] = [
-                (("," if i else "{") + encode_basestring_ascii(k) + ":", k)
-                for i, k in enumerate(keys)]
-        fields["ev"] = ev
-        fields["at"] = at
-        self._fh.write("".join([key + _encode(fields[name]) for key, name in shape]) + "}\n")
+        if self._fh is not None:
+            self._fh.write(json.dumps({"ev": ev, "at": at, **fields}, sort_keys=True,
+                                      separators=(",", ":")) + "\n")
 
     def xlink(self, parts: XlinkParts, at: int, origin: str, seq: int, topic: str) -> None:
         """Write the line ``record("xlink", at, frm=frm, to=to, topic=topic,
@@ -77,19 +63,8 @@ class Trace:
 def xlink_parts(frm: str, to: str) -> XlinkParts:
     """The fixed parts of the ``xlink`` lines of the crossing frm -> to,
     encoded once for every `Trace.xlink` call."""
-    return (frm, to, f',"ev":"xlink","frm":{_encode(frm)},"origin":',
-            f',"to":{_encode(to)},"topic":')
-
-
-def _encode(value: Any) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, separators=(",",
-    ":"))`` writes it."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return (frm, to, f',"ev":"xlink","frm":{json.dumps(frm)},"origin":',
+            f',"to":{json.dumps(to)},"topic":')
 
 
 def events(path: str | Path, *names: str) -> Iterator[dict[str, Any]]:

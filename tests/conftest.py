@@ -5,13 +5,37 @@ per-criterion PASS/FAIL line printed after the run, so the acceptance
 status is readable at a glance.
 """
 
+import functools
+
 import pytest
 from hypothesis import settings
+
+from flowbridge.tracing import Trace
 
 # A larger, derandomized run of the properties that check a fast path
 # against its reference; CI selects it with `--hypothesis-profile ci`.
 # Tier-1 runs under Hypothesis's default profile.
 settings.register_profile("ci", max_examples=2000, derandomize=True)
+
+
+@pytest.fixture(autouse=True)
+def close_traces(monkeypatch):
+    """Close every trace a test opened when it ends, passed or failed. A
+    failed test's world never drains, and the ResourceWarning of its
+    open file would otherwise fail whichever test runs next."""
+    opened = []
+    open_trace = Trace.open
+
+    @functools.wraps(open_trace)
+    def open_and_keep(self, path):
+        open_trace(self, path)
+        opened.append(self)
+
+    monkeypatch.setattr(Trace, "open", open_and_keep)
+    yield
+    for trace in opened:
+        trace.close()
+
 
 _CRITERIA: dict[int, str] = {}
 _RESULTS: dict[int, list] = {}

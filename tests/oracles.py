@@ -433,15 +433,6 @@ class OracleMetrics:
     def observe(self, name, labels=None, value=0.0) -> None:
         self.gauge(name, labels).observe(value)
 
-    def counter_value(self, name, labels=None):
-        ent = self.counters.get((name, _oracle_labels(labels)))
-        return ent[0] if ent else 0
-
-    def sum_counter(self, name, where=None):
-        want = set(_oracle_labels(where))
-        return sum(v for (n, labels), (v, _) in self.counters.items()
-                   if n == name and want <= set(labels))
-
     def totals(self, name, label) -> dict:
         out: dict = {}
         for (n, labels), (value, _) in self.counters.items():
@@ -449,9 +440,6 @@ class OracleMetrics:
             if n == name and label in got:
                 out[got[label]] = out.get(got[label], 0) + value
         return out
-
-    def series(self, name, labels=None) -> list:
-        return list(self.gauges.get((name, _oracle_labels(labels)), ()))
 
     def gauge_sets(self, name) -> dict:
         return {labels: list(v) for (n, labels), v in self.gauges.items() if n == name}

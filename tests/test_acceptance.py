@@ -66,10 +66,10 @@ def test_allocator_oracle_equivalence():
 
     def check(pubs):
         nonlocal checked
-        got = allocate(cfg, [PublisherRecord(t, r, s) for t, r, s in pubs]).rates()
+        got = allocate(cfg, [PublisherRecord(t, r, s) for t, r, s in pubs]).allocations
         want = oracle_allocate(cfg.limit_mbps, list(pubs))
         for topic, rate in want.items():
-            assert math.isclose(got[topic], rate, rel_tol=1e-9, abs_tol=1e-12), \
+            assert math.isclose(got[topic].allocated_rate, rate, rel_tol=1e-9, abs_tol=1e-12), \
                 (pubs, topic, got[topic], rate)
         checked += 1
 
@@ -98,7 +98,7 @@ def test_allocator_oracle_equivalence():
 @pytest.mark.criterion(2, "single 1 MB 30 Hz publisher at 160 Mbps gets 19.5318 Hz")
 def test_single_large_publisher_known_value():
     cfg = RateLimitConfig(limit_mbps=160.0, alpha=1.02, beta=0.95)
-    got = allocate(cfg, [PublisherRecord("image", 30.0, 1_000_000)])["image"]
+    got = allocate(cfg, [PublisherRecord("image", 30.0, 1_000_000)]).allocations["image"]
     assert abs(got.allocated_rate - 19.5318) <= 1e-3
     assert math.isclose(
         got.allocated_rate,
@@ -136,7 +136,7 @@ def test_starvation_floor_exact():
         PublisherRecord("hog-b", 400.0, 60_000),
         PublisherRecord("image", 30.0, 1_000_000),
     ])
-    image = result["image"]
+    image = result.allocations["image"]
     assert image.large and image.floored
     assert image.allocated_rate == 2.0
     assert result.remaining < 0  # the floor is allowed to overcommit
@@ -387,7 +387,7 @@ def test_latency_and_loss_emulation():
     clock.run_until_idle(400_000)
     dropped = total - len(got)
     assert 0 <= dropped <= 22, dropped
-    assert registry.sum_counter("flow.drop.loss", {"topic": "bulk"}) == dropped
+    assert registry.totals("flow.drop.loss", "topic").get("bulk", 0) == dropped
 
 
 # -- criterion 10 -----------------------------------------------------------
@@ -451,7 +451,7 @@ def test_config_push_reallocates_within_cycle():
         rel_tol=1e-9)
     assert after < before
     for layer in world.workers:
-        assert world.registry.counter_value("config.notices", {"layer": layer}) == 1, layer
+        assert world.registry.counter("config.notices", {"layer": layer}).value == 1, layer
     world.drain()
     assert world.issues() == []
 

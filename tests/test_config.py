@@ -182,7 +182,7 @@ def test_pull_sync_delivers_stored_documents():
     assert doc.revision == 1 and doc.body == body
     # other layers never see edge's layer doc
     assert w.workers["fog"].get_config().revision == 0
-    assert w.metrics.counter_value("config.pulls", {"layer": "edge"}) >= 1
+    assert w.metrics.counter("config.pulls", {"layer": "edge"}).value >= 1
     w.drain()
 
 
@@ -191,7 +191,7 @@ def test_change_emits_one_notice_per_document():
     w.start_workers()
     w.settle()
     def notices():
-        return w.metrics.counter_value("config.notices", {"layer": "edge"})
+        return w.metrics.counter("config.notices", {"layer": "edge"}).value
 
     sent_before = notices()
     w.store.put("edge", layer_body(limit_mbps=100.0))
@@ -269,9 +269,9 @@ def test_lost_replies_do_not_pile_up():
     for layer in ("edge", "fog"):
         worker = w.workers[layer]
         assert worker._corr >= 12  # it kept pulling
-        assert w.metrics.counter_value("config.pulls", {"layer": layer}) == 0
+        assert w.metrics.counter("config.pulls", {"layer": layer}).value == 0
         assert len(worker._pending) <= 1, layer
-    assert w.metrics.counter_value("config.pulls", {"layer": "cloud"}) >= 12  # not crossing
+    assert w.metrics.counter("config.pulls", {"layer": "cloud"}).value >= 12  # not crossing
     w.drain()
 
 
@@ -283,8 +283,8 @@ def test_pushed_sync_period_applies_from_the_next_pull():
     # pulls at 0 s and 5 s; the first one fetched the 1 s period, which
     # the second one re-arms with
     w.settle(5_500)
-    before = w.metrics.counter_value("config.pulls", {"layer": "edge"})
+    before = w.metrics.counter("config.pulls", {"layer": "edge"}).value
     w.settle(10_000)
-    assert w.metrics.counter_value("config.pulls", {"layer": "edge"}) - before == 10
-    assert w.metrics.counter_value("config.pulls", {"layer": "fog"}) == 4  # 0, 5, 10, 15 s
+    assert w.metrics.counter("config.pulls", {"layer": "edge"}).value - before == 10
+    assert w.metrics.counter("config.pulls", {"layer": "fog"}).value == 4  # 0, 5, 10, 15 s
     w.drain()

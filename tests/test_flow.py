@@ -495,7 +495,7 @@ def test_message_crosses_layers_exactly_once():
         w.publish("intra_node:robot-1@edge", "t", b"x" * 64, "robot-1")
         w.settle(200)
     assert [e.sequence for e in box] == [1, 2, 3, 4, 5]
-    assert w.metrics.sum_counter("flow.drop.dedupe") == 0
+    assert w.metrics.totals("flow.drop.dedupe", "topic") == {}
     w.drain()
 
 
@@ -514,7 +514,7 @@ def test_echo_loop_closed_when_both_sides_advertise_and_request(tmp_path):
     # each requester scope saw the message exactly once; the echo path
     # (fog republishing it back toward the bus) was absorbed by dedupe
     assert len(edge_box) == 1 and len(fog_box) == 1
-    assert w.metrics.sum_counter("flow.drop.dedupe", {"topic": "t"}) >= 1
+    assert w.metrics.totals("flow.drop.dedupe", "topic")["t"] >= 1
     w.drain()
     # and it crossed to fog exactly once
     assert len(records(tmp_path / "trace.jsonl", "xlink",
@@ -529,13 +529,13 @@ def test_inter_bridge_applies_rate_limit():
     w.settle()
     limiter = w.engines["edge"].limiters["node:robot-1"]
     # 8 Mbit/s cannot carry 1 MB frames
-    assert allocate(limiter.cfg, limiter.records.values())["img"].floored
+    assert allocate(limiter.cfg, limiter.records.values()).allocations["img"].floored
     box = w.collect("intra_layer:fog", "img")
     for _ in range(5):  # burst: capacity 2 grants, 3 denials
         w.publish("intra_node:robot-1@edge", "img", b"z" * 1_000_000, "robot-1")
     w.settle(30_000)
     assert len(box) == 2
-    assert w.metrics.sum_counter("flow.drop.limiter", {"topic": "img"}) == 3
+    assert w.metrics.totals("flow.drop.limiter", "topic")["img"] == 3
     w.drain()
 
 

@@ -31,8 +31,8 @@ def test_counter_accumulates_with_timestamp():
     reg.inc("hits", {"topic": "scan"})
     clock.run_until(5)
     reg.inc("hits", {"topic": "scan"}, 2)
-    assert reg.counter_value("hits", {"topic": "scan"}) == 3
-    assert reg.counter_value("hits", {"topic": "other"}) == 0
+    assert reg.counter("hits", {"topic": "scan"}).value == 3
+    assert reg.counter("hits", {"topic": "other"}).value == 0
     point = [p for p in reg.snapshot() if p.name == "hits"][0]
     assert point.at == 5 and point.kind == "counter"
 
@@ -41,28 +41,24 @@ def test_label_order_does_not_matter():
     reg, _ = make_reg()
     reg.inc("x", {"a": "1", "b": "2"})
     reg.inc("x", {"b": "2", "a": "1"})
-    assert reg.counter_value("x", {"a": "1", "b": "2"}) == 2
+    assert reg.counter("x", {"a": "1", "b": "2"}).value == 2
 
 
-def test_sum_counter_matches_label_subsets():
+def test_totals_sum_per_label_value():
     reg, _ = make_reg()
     reg.inc("drops", {"topic": "scan", "link": "l1"}, 3)
     reg.inc("drops", {"topic": "scan", "link": "l2"}, 4)
     reg.inc("drops", {"topic": "pose", "link": "l1"}, 9)
-    assert reg.sum_counter("drops", {"topic": "scan"}) == 7
-    assert reg.sum_counter("drops") == 16
-    assert reg.sum_counter("drops", {"link": "l1"}) == 12
     assert reg.totals("drops", "topic") == {"scan": 7, "pose": 9}
     assert reg.totals("drops", "link") == {"l1": 12, "l2": 4}
     assert reg.totals("drops", "node") == {}
 
 
-def test_totals_sum_in_the_order_sum_counter_does():
+def test_totals_sum_in_bind_order():
     reg, _ = make_reg()
     for link, value in (("l1", 0.1), ("l2", 0.2), ("l3", 0.3), ("l4", 1e16), ("l5", 1.0)):
         reg.inc("bytes", {"topic": "scan", "link": link}, value)
     total = reg.totals("bytes", "topic")["scan"]
-    assert total == reg.sum_counter("bytes", {"topic": "scan"})
     assert total == (((0 + 0.1 + 0.2) + 0.3) + 1e16) + 1.0  # not math.fsum's value
 
 
@@ -72,7 +68,7 @@ def test_gauge_series_and_sets():
     clock.run_until(10)
     reg.observe("lat", {"topic": "a"}, 2.5)
     reg.observe("lat", {"topic": "b"}, 9.0)
-    assert reg.series("lat", {"topic": "a"}) == [(0, 1.5), (10, 2.5)]
+    assert reg.gauge("lat", {"topic": "a"}).series == [(0, 1.5), (10, 2.5)]
     sets = reg.gauge_sets("lat")
     assert {dict(k)["topic"] for k in sets} == {"a", "b"}
     snap = [p for p in reg.snapshot() if p.name == "lat" and dict(p.labels)["topic"] == "a"]
@@ -107,7 +103,7 @@ def test_counter_cell_and_inc_share_one_entry():
     late.inc(3)
     early.inc()
     reg.inc("hits", {"b": "2", "a": "1"})
-    assert reg.counter_value("hits", {"a": "1", "b": "2"}) == 8
+    assert reg.counter("hits", {"a": "1", "b": "2"}).value == 8
     assert [p.name for p in reg.snapshot()] == ["hits"]
 
 
@@ -148,8 +144,8 @@ def test_gauge_cell_records_what_observe_would():
         clock_b.run_until(t * 10)
         by_observe.observe("lat", {"topic": "a"}, v)
         cell.observe(v)
-    assert by_cell.series("lat", {"topic": "a"}) == by_observe.series("lat", {"topic": "a"})
-    assert all(type(v) is float for _, v in by_cell.series("lat", {"topic": "a"}))
+    assert cell.series == by_observe.gauge("lat", {"topic": "a"}).series
+    assert all(type(v) is float for _, v in cell.series)
     assert export_text(by_cell) == export_text(by_observe)
 
 
@@ -227,14 +223,14 @@ def test_message_latency_records_ms():
     reg, _ = make_reg()
     ms = message_latency(reg, latency_cell(reg), env_sent_at(0), now=7 * MS, node="b")
     assert ms == 7.0
-    assert reg.series("mon.msg_latency_ms", {"topic": "scan", "node": "b"}) == [(0, 7.0)]
+    assert reg.gauge("mon.msg_latency_ms", {"topic": "scan", "node": "b"}).series == [(0, 7.0)]
 
 
 def test_message_latency_clamps_skew():
     reg, _ = make_reg()
     ms = message_latency(reg, latency_cell(reg), env_sent_at(10 * MS), now=5 * MS, node="b")
     assert ms == 0.0
-    assert reg.counter_value("mon.clock_skew", {"node": "b"}) == 1
+    assert reg.counter("mon.clock_skew", {"node": "b"}).value == 1
 
 
 # -- heartbeats ----------------------------------------------------------------
@@ -269,7 +265,7 @@ def test_heartbeat_expire_removes_and_reports():
     clock.run_until(5 * SECOND)
     assert hb.expire() == [("cam", "robot-1")]
     assert hb.expire() == []
-    assert hb.entries() == [("mon", "robot-1")]
+    assert hb.live("mon", "robot-1")
 
 
 def test_heartbeat_remove_is_idempotent():
@@ -288,7 +284,7 @@ def test_heartbeat_gauges_track_count():
     hb.refresh("a", "n", SECOND)
     hb.refresh("b", "n", SECOND)
     hb.remove("a", "n")
-    counts = [v for _, v in reg.series("mon.heartbeats", {"layer": "edge"})]
+    counts = [v for _, v in reg.gauge("mon.heartbeats", {"layer": "edge"}).series]
     assert counts == [1, 2, 1]
 
 
@@ -332,9 +328,9 @@ def test_probe_measures_half_rtt():
     clock, reg, pa, _ = make_pair(delay_ms=25.0)
     pa.cycle()
     clock.run_until(SECOND)
-    series = reg.series("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"})
+    series = reg.gauge("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"}).series
     assert [v for _, v in series] == [25.0]
-    assert reg.sum_counter("mon.ping_timeout") == 0
+    assert reg.totals("mon.ping_timeout", "source") == {}
 
 
 def test_probe_timeout_when_unanswered():
@@ -343,8 +339,8 @@ def test_probe_timeout_when_unanswered():
     pb.on_ping = lambda env: None  # peer goes deaf
     pa.cycle()
     clock.run_until(5 * SECOND)
-    assert reg.counter_value("mon.ping_timeout", {"source": "a@edge", "target": "b@cloud"}) == 1
-    assert reg.series("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"}) == []
+    assert reg.counter("mon.ping_timeout", {"source": "a@edge", "target": "b@cloud"}).value == 1
+    assert reg.gauge("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"}).series == []
     # a late pong for a timed-out nonce is ignored quietly
     pb.on_ping = pb_on_ping
     pa.cycle()
@@ -360,7 +356,8 @@ def test_probe_ignores_pings_for_other_nodes():
     )
     pa.on_ping(env)  # not addressed to a: no pong, no crash
     clock.run_until(SECOND)
-    assert reg.series("mon.rtt_half_ms", {"source": "c@far", "target": "nobody@nowhere"}) == []
+    rtt = reg.gauge("mon.rtt_half_ms", {"source": "c@far", "target": "nobody@nowhere"})
+    assert rtt.series == []
 
 
 def test_probe_explicit_offsets_validated():

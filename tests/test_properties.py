@@ -56,28 +56,26 @@ def records(pubs):
 @given(limits, publishers)
 def test_allocation_matches_oracle(limit, pubs):
     cfg = RateLimitConfig(limit_mbps=limit)
-    got = allocate(cfg, records(pubs)).rates()
+    got = allocate(cfg, records(pubs)).allocations
     want = oracle_allocate(limit, pubs)
     assert got.keys() == want.keys()
     for topic in want:
-        assert math.isclose(got[topic], want[topic], rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(got[topic].allocated_rate, want[topic], rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(limits, publishers, st.randoms(use_true_random=False))
 def test_allocation_ignores_registration_order(limit, pubs, rnd):
     cfg = RateLimitConfig(limit_mbps=limit)
-    base = allocate(cfg, records(pubs)).rates()
+    base = allocate(cfg, records(pubs)).allocations
     shuffled = list(pubs)
     rnd.shuffle(shuffled)
-    assert allocate(cfg, records(shuffled)).rates() == base
+    assert allocate(cfg, records(shuffled)).allocations == base
 
 
 @given(limits, publishers)
 def test_allocation_is_deterministic(limit, pubs):
     cfg = RateLimitConfig(limit_mbps=limit)
-    a = allocate(cfg, records(pubs))
-    b = allocate(cfg, records(pubs))
-    assert a.rates() == b.rates() and a.remaining == b.remaining
+    assert allocate(cfg, records(pubs)) == allocate(cfg, records(pubs))
 
 
 @given(limits, publishers)
@@ -90,7 +88,7 @@ def test_allocation_invariants(limit, pubs):
     spent = 0.0
     standard_bytes = 0.0
     for topic, declared_rate, size in pubs:
-        alloc = result[topic]
+        alloc = result.allocations[topic]
         rate = alloc.allocated_rate
         eff = max(1, size)
         assert rate >= 0.0 and math.isfinite(rate)
@@ -111,7 +109,7 @@ def test_allocation_invariants(limit, pubs):
                         rel_tol=1e-9, abs_tol=1e-6)
     # only the large-publisher floor may overcommit the budget
     if result.remaining < -1e-6:
-        assert any(result[t].floored for t, _, _ in pubs)
+        assert any(result.allocations[t].floored for t, _, _ in pubs)
 
 
 @given(
@@ -361,9 +359,9 @@ def test_engine_bridges_match_whole_table_oracle(steps):
                 assert got == regs[client], (engine.layer, client)
                 # one bucket per record, each at the rate the records allocate
                 assert set(limiter.buckets) == set(limiter.records), (engine.layer, client)
-                rates = {t: b.rate for t, b in limiter.buckets.items()}
-                assert rates == allocate(limiter.cfg, limiter.records.values()).rates(), (
-                    engine.layer, client)
+                want = allocate(limiter.cfg, limiter.records.values()).allocations
+                assert {t: b.rate for t, b in limiter.buckets.items()} == {
+                    t: a.allocated_rate for t, a in want.items()}, (engine.layer, client)
     w.drain()
 
 
@@ -416,11 +414,9 @@ def test_each_service_hears_every_other_publisher_once_and_never_itself(case):
     assert w.issues() == []
 
 
-# two names over label sets that share the labels `totals` and the
-# `where` filters below pick out
+# two names over label sets that share the labels `totals` picks out
 METRIC_KEYS = [(name, labels) for name in ("m", "n") for labels in (
     {}, {"topic": "x"}, {"topic": "y", "link": "l1"}, {"link": "l1"})]
-METRIC_WHERE = (None, {"topic": "x"}, {"link": "l1"}, {"topic": "y", "link": "l1"})
 
 metric_ops = st.lists(st.one_of(
     st.tuples(st.just("bind"), st.sampled_from("cg"), st.integers(0, 7), st.integers(0, 1)),
@@ -483,12 +479,12 @@ def test_metric_cells_match_first_update_oracle(ops):
     export_metrics(reg, sink)
     assert sink.getvalue() == ref.export()
     assert [(p.kind, p.name, p.labels, p.value, p.at) for p in reg.snapshot()] == ref.snapshot()
-    for name, labels in METRIC_KEYS:
-        assert reg.counter_value(name, labels) == ref.counter_value(name, labels)
-        assert reg.series(name, labels) == ref.series(name, labels)
     for name in ("m", "n"):
-        for where in METRIC_WHERE:
-            assert reg.sum_counter(name, where) == ref.sum_counter(name, where)
         for label in ("topic", "link", "node"):
             assert reg.totals(name, label) == ref.totals(name, label)
         assert reg.gauge_sets(name) == ref.gauge_sets(name)
+    # each key's cell, bound last: a cell never updated reads as empty
+    for name, labels in METRIC_KEYS:
+        key = (name, tuple(sorted(labels.items())))
+        assert reg.counter(name, labels).value == ref.counters.get(key, [0])[0]
+        assert reg.gauge(name, labels).series == ref.gauges.get(key, [])

@@ -27,7 +27,7 @@ def records(pubs):
 def assert_rates_match(result: AllocationResult, expect: dict[str, float]):
     assert set(result.allocations) == set(expect)
     for topic, want in expect.items():
-        got = result[topic].allocated_rate
+        got = result.allocations[topic].allocated_rate
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12), topic
 
 
@@ -77,17 +77,17 @@ def test_available_bandwidth_unit():
 def test_single_small_publisher_gets_full_rate():
     res = allocate(RateLimitConfig(), records([("scan", 30.0, 1024)]))
     assert_rates_match(res, oracle_allocate(160.0, [("scan", 30.0, 1024)]))
-    assert res["scan"].allocated_rate == 30.0
-    assert not res["scan"].large and not res["scan"].floored
+    assert res.allocations["scan"].allocated_rate == 30.0
+    assert not res.allocations["scan"].large and not res.allocations["scan"].floored
 
 
 def test_single_large_publisher_beta_cap():
     # one 1 MB talker with unbounded demand: rate = beta * budget / (size * alpha)
     res = allocate(RateLimitConfig(), records([("image", 0.0, 1_000_000)]))
     want = oracle_single_large_rate(160.0, 1_000_000, math.inf)
-    assert res["image"].allocated_rate == pytest.approx(want, rel=1e-12)
-    assert res["image"].allocated_rate == pytest.approx(19.532298, abs=1e-6)
-    assert res["image"].large
+    assert res.allocations["image"].allocated_rate == pytest.approx(want, rel=1e-12)
+    assert res.allocations["image"].allocated_rate == pytest.approx(19.532298, abs=1e-6)
+    assert res.allocations["image"].large
 
 
 def test_large_single_rate_matches_known_value():
@@ -102,8 +102,8 @@ def test_standard_phase_before_large_phase():
     res = allocate(RateLimitConfig(limit_mbps=8.0), records(pubs))
     assert_rates_match(res, oracle_allocate(8.0, pubs))
     # the small topic got its full rate; the large one ate what remained
-    assert res["scan"].allocated_rate == 10.0
-    assert res["image"].allocated_rate < 10.0
+    assert res.allocations["scan"].allocated_rate == 10.0
+    assert res.allocations["image"].allocated_rate < 10.0
 
 
 def test_priority_is_descending_demand_then_topic():
@@ -115,21 +115,21 @@ def test_priority_is_descending_demand_then_topic():
     assert_rates_match(res1, want)
     assert_rates_match(res2, want)
     # with 13107.2 B/s budget: a and c (demand 10200 each) share before b
-    assert res1["a"].allocated_rate > res1["b"].allocated_rate
+    assert res1.allocations["a"].allocated_rate > res1.allocations["b"].allocated_rate
 
 
 def test_unknown_rate_sorts_last_and_takes_remainder():
     pubs = [("known", 5.0, 1000), ("mystery", 0.0, 1000)]
     res = allocate(RateLimitConfig(limit_mbps=0.1), records(pubs))
     assert_rates_match(res, oracle_allocate(0.1, pubs))
-    assert res["known"].allocated_rate == 5.0
-    assert res["mystery"].demand == 0.0
+    assert res.allocations["known"].allocated_rate == 5.0
+    assert res.allocations["mystery"].demand == 0.0
 
 
 def test_zero_size_counts_as_one_byte():
     res = allocate(RateLimitConfig(), records([("tiny", 100.0, 0)]))
     assert_rates_match(res, oracle_allocate(160.0, [("tiny", 100.0, 0)]))
-    assert res["tiny"].allocated_rate == 100.0
+    assert res.allocations["tiny"].allocated_rate == 100.0
 
 
 def test_large_floor_grants_minimum_rate():
@@ -137,16 +137,16 @@ def test_large_floor_grants_minimum_rate():
     pubs = [("hog", 0.0, 1000), ("image", 30.0, 1_000_000)]
     res = allocate(RateLimitConfig(limit_mbps=8.0), records(pubs))
     assert_rates_match(res, oracle_allocate(8.0, pubs))
-    assert res["image"].allocated_rate == 2.0
-    assert res["image"].floored
+    assert res.allocations["image"].allocated_rate == 2.0
+    assert res.allocations["image"].floored
     assert res.remaining < 0  # the floor overcommitted and said so
 
 
 def test_floor_never_exceeds_advertised_rate():
     pubs = [("hog", 0.0, 1000), ("image", 0.5, 1_000_000)]
     res = allocate(RateLimitConfig(limit_mbps=8.0), records(pubs))
-    assert res["image"].allocated_rate == 0.5
-    assert res["image"].floored
+    assert res.allocations["image"].allocated_rate == 0.5
+    assert res.allocations["image"].floored
 
 
 def test_duplicate_topic_rejected():
@@ -173,12 +173,6 @@ def test_oracle_agreement_on_mixed_workload():
     for mbps in (0.5, 2.0, 8.0, 40.0, 160.0, 1000.0):
         res = allocate(RateLimitConfig(limit_mbps=mbps), records(pubs))
         assert_rates_match(res, oracle_allocate(mbps, pubs))
-
-
-def test_rates_helper():
-    res = allocate(RateLimitConfig(), records([("a", 5.0, 10)]))
-    assert res.rates() == {"a": 5.0}
-    assert "a" in res and "b" not in res
 
 
 # -- token bucket ------------------------------------------------------------
@@ -314,7 +308,7 @@ def test_limiter_observe_size_grows_and_reallocates():
     lim.sync_publishers("image", (30.0, 1000))
     assert lim.buckets["image"].rate == 30.0
     assert lim.observe_size("image", 1_000_000)
-    assert allocate(lim.cfg, lim.records.values())["image"].large
+    assert allocate(lim.cfg, lim.records.values()).allocations["image"].large
     assert not lim.observe_size("image", 500)  # smaller: no change
 
 

@@ -498,6 +498,12 @@ def test_cli_rejects_malformed_scenario_file(tmp_path, capsys):
     pytest.param({"edge": {"config": {"sync_period_s": 1e300}}}, id="sync-period-overflow"),
     pytest.param({"edge": {"flow": {"watchdog_s": 1e300, "heartbeat_ttl_s": 1e300}}},
                  id="watchdog-overflow"),
+    # a period under 1 ns rounded to 0 ns: its timer re-fired at the same
+    # instant forever, or re-announce silently switched off
+    pytest.param({"edge": {"flow": {"heartbeat_s": 1e-10}}}, id="heartbeat-under-1ns"),
+    pytest.param({"edge": {"flow": {"watchdog_s": 1e-10}}}, id="watchdog-under-1ns"),
+    pytest.param({"edge": {"config": {"sync_period_s": 1e-10}}}, id="sync-period-under-1ns"),
+    pytest.param({"edge": {"flow": {"reannounce_s": 1e-10}}}, id="reannounce-under-1ns"),
 ])
 def test_cli_rejects_layer_config_it_cannot_serve(tmp_path, capsys, config):
     sc = write_scenario(tmp_path, mini_scenario(config=config))
@@ -635,6 +641,8 @@ def _with_links(links):
     pytest.param(with_service(1, stop_s=1e300), id="stop-overflow"),
     pytest.param(mini_scenario(probes={"nodes": ["robot-1"], "ping_period_s": 1e300}),
                  id="ping-period-overflow"),
+    pytest.param(mini_scenario(probes={"nodes": ["robot-1"], "ping_period_s": 1e-10}),
+                 id="ping-period-under-1ns"),
     pytest.param(with_stream(rate_hz=1e-300), id="rate-period-overflow"),
     pytest.param(mini_scenario(duration_s=1e-6, services=[
         {"name": "scanner", "node": "robot-1",

@@ -61,6 +61,9 @@ def test_service_validation():
 def test_probes_and_sweep_validation():
     with pytest.raises(ScenarioError):
         ProbesSpec(ping_period_s=0)
+    with pytest.raises(ScenarioError, match="at least 1 ns"):
+        ProbesSpec(ping_period_s=1e-10)  # 0 ns on the clock
+    assert ProbesSpec(ping_period_s=1e-9).ping_period_s == 1e-9
     with pytest.raises(ScenarioError):
         ProbesSpec(ping_timeout_s=0)
     with pytest.raises(ScenarioError):
@@ -77,10 +80,7 @@ def test_scenario_validation():
         Scenario("x", 1.0, (svc, ServiceSpec("a", "m")))
     with pytest.raises(ScenarioError):
         Scenario("x", 1.0, (svc,), sweep=SweepSpec("ghost", ("n",)))
-    sc = Scenario("x", 1.0, (svc,))
-    assert sc.service("a") is svc
-    with pytest.raises(KeyError):
-        sc.service("ghost")
+    assert Scenario("x", 1.0, (svc,)).services == (svc,)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -89,8 +89,9 @@ def test_scenario_validation():
 def test_parse_minimal_document():
     sc = parse_scenario(MINIMAL)
     assert sc.name == "mini" and sc.duration_s == 5.0 and sc.seed == 0
-    assert sc.service("cam").advertises[0] == StreamSpec("img", 10.0, 100)
-    assert sc.service("viewer").requests == ("img",)
+    cam, viewer = sc.services
+    assert cam.name == "cam" and cam.advertises[0] == StreamSpec("img", 10.0, 100)
+    assert viewer.name == "viewer" and viewer.requests == ("img",)
     assert sc.probes is None and sc.sweep is None and sc.topology is None
 
 
@@ -137,12 +138,17 @@ def test_parse_rejects_malformed_documents():
         parse_scenario({**MINIMAL, "services": [{"node": "n"}]})
 
 
-# A zero period re-arms its timer at the same virtual instant forever, and
-# a heartbeat TTL below the heartbeat or watchdog period lets live
-# heartbeats lapse, so these documents are only ever parsed here, never run.
+# A period the clock rounds to 0 ns (0, or under 1 ns) re-arms its timer at
+# the same virtual instant forever, and a heartbeat TTL below the heartbeat
+# or watchdog period lets live heartbeats lapse, so these documents are only
+# ever parsed here, never run.
 @pytest.mark.parametrize("section,key,value", [
     ("config", "sync_period_s", 0),
+    ("config", "sync_period_s", 1e-10),
     ("flow", "heartbeat_s", 0),
+    ("flow", "heartbeat_s", 1e-10),
+    ("flow", "watchdog_s", 1e-10),
+    ("flow", "reannounce_s", 1e-10),  # it switched re-announce off, as only 0 may
     ("flow", "heartbeat_ttl_s", 0.0),
     ("flow", "heartbeat_ttl_s", 0.5),
     ("flow", "watchdog_s", 0),
@@ -188,6 +194,9 @@ def test_parse_rejects_non_finite_numbers(path, key, literal):
 def test_parse_accepts_reannounce_off():
     sc = parse_scenario({**MINIMAL, "config": {"edge": {"flow": {"reannounce_s": 0}}}})
     assert sc.config == {"edge": {"flow": {"reannounce_s": 0}}}
+    # and the shortest period the nanosecond clock holds
+    sc = parse_scenario({**MINIMAL, "config": {"edge": {"flow": {"reannounce_s": 1e-9}}}})
+    assert sc.config == {"edge": {"flow": {"reannounce_s": 1e-9}}}
 
 
 def test_parse_rejects_duplicate_topics_of_one_service():

@@ -145,7 +145,7 @@ def test_end_to_end_delivery_and_latency(world):
     assert viewer.received == 1
     assert viewer.received_by_topic == {"img": 1}
     assert cam.published == 1
-    lat = world.registry.series("mon.msg_latency_ms", {"topic": "img", "node": "cloud-1"})
+    lat = world.registry.gauge("mon.msg_latency_ms", {"topic": "img", "node": "cloud-1"}).series
     assert len(lat) == 1 and lat[0][1] > 0
 
 
@@ -255,8 +255,7 @@ def test_duplicate_delivery_is_flagged_as_violation(world):
     assert len(world.host.violations) == 1
     v = world.host.violations[0]
     assert v["service"] == "sink" and v["seq"] == 1
-    assert world.registry.counter_value(
-        "sdk.duplicate", {"topic": "t", "node": "robot-1"}) == 1
+    assert world.registry.counter("sdk.duplicate", {"topic": "t", "node": "robot-1"}).value == 1
 
 
 def test_arrival_older_than_the_window_is_delivered_as_fresh(world):

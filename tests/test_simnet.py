@@ -266,15 +266,15 @@ def test_local_delivery_latency_and_counters():
     assert got == []  # nothing delivered synchronously
     clock.run_until_idle()
     assert [(t, e.topic) for t, e in got] == [(3 * MS, "scan")]
-    assert metrics.counter_value("flow.offered", {"topic": "scan"}) == 1
-    assert metrics.counter_value("flow.delivered", {"topic": "scan"}) == 1
+    assert metrics.counter("flow.offered", {"topic": "scan"}).value == 1
+    assert metrics.counter("flow.delivered", {"topic": "scan"}).value == 1
 
 
 def test_publish_without_subscribers_offers_nothing():
     net, clock, metrics = make_net()
     assert net.endpoint("intra_layer:edge").publish(env()) == 0
     clock.run_until_idle()
-    assert metrics.counter_value("flow.offered", {"topic": "scan"}) == 0
+    assert metrics.counter("flow.offered", {"topic": "scan"}).value == 0
 
 
 def test_bandwidth_charged_once_per_publish():
@@ -288,8 +288,8 @@ def test_bandwidth_charged_once_per_publish():
     ep.publish(env(payload=b"x" * 1000))  # 1 ms serialization at 8 Mbit/s
     clock.run_until_idle()
     assert got == [MS, MS, MS]
-    assert metrics.counter_value("link.bytes", {"link": "intra_layer:edge"}) == 1000
-    assert metrics.counter_value("link.msgs", {"link": "intra_layer:edge"}) == 1
+    assert metrics.counter("link.bytes", {"link": "intra_layer:edge"}).value == 1000
+    assert metrics.counter("link.msgs", {"link": "intra_layer:edge"}).value == 1
 
 
 def test_serialization_backlog_delays_later_publishes():
@@ -313,8 +313,8 @@ def test_total_loss_drops_every_copy():
     ep.publish(env())
     clock.run_until_idle()
     assert got == []
-    assert metrics.counter_value("flow.offered", {"topic": "scan"}) == 1
-    assert metrics.sum_counter("flow.drop.loss", {"topic": "scan"}) == 1
+    assert metrics.counter("flow.offered", {"topic": "scan"}).value == 1
+    assert metrics.totals("flow.drop.loss", "topic") == {"scan": 1}
 
 
 def test_loss_rate_tracks_probability():
@@ -324,7 +324,7 @@ def test_loss_rate_tracks_probability():
     for i in range(2000):
         ep.publish(env(seq=i + 1))
     clock.run_until_idle()
-    dropped = metrics.sum_counter("flow.drop.loss", {"topic": "scan"})
+    dropped = metrics.totals("flow.drop.loss", "topic").get("scan", 0)
     # binomial(2000, 0.2): mean 400, sigma ~17.9; allow 5 sigma
     assert 310 <= dropped <= 490
 
@@ -363,9 +363,9 @@ def test_inter_layer_bus_charges_only_matching_layers(tmp_path):
     net.endpoint("inter_layer:edge").publish(env(payload=b"x" * 100))
     clock.run_until_idle()
     assert got == [30 * MS]
-    assert metrics.counter_value("link.msgs", {"link": "edge->cloud"}) == 1
+    assert metrics.counter("link.msgs", {"link": "edge->cloud"}).value == 1
     # fog had no subscriber: its crossing stays idle
-    assert metrics.counter_value("link.msgs", {"link": "edge->fog"}) == 0
+    assert metrics.counter("link.msgs", {"link": "edge->fog"}).value == 0
     net.trace.close()
     xlinks = records(tmp_path / "trace.jsonl", "xlink")
     assert len(xlinks) == 1 and xlinks[0]["to"] == "cloud"
@@ -415,7 +415,7 @@ def test_callback_errors_are_contained_and_reported():
     assert len(got) == 1
     assert net.endpoint_errors() == [
         ("intra_layer:edge", "scan", "RuntimeError('bad subscriber')", 1)]
-    assert metrics.counter_value("broker.callback_error", {"scope": "intra_layer:edge"}) == 1
+    assert metrics.counter("broker.callback_error", {"scope": "intra_layer:edge"}).value == 1
 
 
 def test_repeated_callback_error_is_one_counted_record():
@@ -434,7 +434,7 @@ def test_repeated_callback_error_is_one_counted_record():
     assert ep.errors == {("scan", "RuntimeError('bad subscriber')"): 10_000}
     assert net.endpoint_errors() == [
         ("intra_layer:edge", "scan", "RuntimeError('bad subscriber')", 10_000)]
-    assert metrics.counter_value("broker.callback_error", {"scope": "intra_layer:edge"}) == 10_000
+    assert metrics.counter("broker.callback_error", {"scope": "intra_layer:edge"}).value == 10_000
 
 
 def run_noisy_world(seed):
@@ -533,7 +533,7 @@ def test_sibling_unsubscribed_mid_batch_is_counted_but_not_called():
         ep.publish(env())
         clock.run_until_idle()
         assert log == ["a", "b"]
-        assert metrics.counter_value("flow.delivered", {"topic": "scan"}) == 3
+        assert metrics.counter("flow.delivered", {"topic": "scan"}).value == 3
 
 
 def test_zero_delay_event_runs_after_every_sibling():

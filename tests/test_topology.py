@@ -356,10 +356,9 @@ def test_declaration_obj_round_trip():
 
 def test_sequence_counter():
     c = SequenceCounter()
-    assert c.last("a") == 0
     assert [c.next("a") for _ in range(3)] == [1, 2, 3]
     assert c.next("b") == 1
-    assert c.last("a") == 3
+    assert c.next("a") == 4
 
 
 def test_reserved_prefix_marks_control_topics():
