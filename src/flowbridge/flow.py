@@ -298,6 +298,11 @@ class FlowEngine:
         self.limiters: dict[str, HierarchicalLimiter] = {}
         # the last registration synced per topic: {topic: {client: (rate, size)}}
         self._regs_by_topic: dict[str, dict[str, tuple[float, int]]] = {}
+        # one-entry codec memos, (payload, level, blob, original length)
+        # and (blob, data), hit by identity with the held bytes, which
+        # cannot change
+        self._packed: tuple[bytes | None, int, bytes, int] = (None, 0, b"", 0)
+        self._unpacked: tuple[bytes | None, bytes] = (None, b"")
 
     # -- lifecycle -------------------------------------------------------
 
@@ -472,13 +477,19 @@ class FlowEngine:
             return env
         if env.payload_len < cfg.large_threshold:
             return env
-        blob, orig = codec.compress(env.payload, cfg.compression_level)
+        # a stream republishes one payload object: compress it once
+        payload, level = env.payload, cfg.compression_level
+        if self._packed[0] is not payload or self._packed[1] != level:
+            self._packed = (payload, level, *codec.compress(payload, level))
+        blob, orig = self._packed[2:]
         if len(blob) >= orig:
             return env  # incompressible; ship original bytes
         return replace(env, payload=blob, compressed=True, uncompressed_len=orig)
 
     def _decompress(self, env: MessageEnvelope) -> MessageEnvelope:
-        data = codec.decompress(env.payload)
+        if self._unpacked[0] is not env.payload:
+            self._unpacked = (env.payload, codec.decompress(env.payload))
+        data = self._unpacked[1]
         if len(data) != env.uncompressed_len:
             raise FlowEngineError(
                 f"decompressed length {len(data)} != declared {env.uncompressed_len}")

@@ -1,6 +1,9 @@
 """Deterministic discrete-event network simulation.
 
-Virtual time is an integer nanosecond counter driven by SimClock. All
+Virtual time is an integer nanosecond counter driven by SimClock. Its
+queue is keyed by time: a heap holds each distinct time that has
+events once, and each time holds its events in a FIFO, so events run in
+time order and, within one time, in the order they were scheduled. All
 randomness (loss and jitter draws) comes from one seeded Random handed
 to the Network, so a run is a pure function of (topology, seed,
 workload): repeating it yields identical event traces.
@@ -17,7 +20,8 @@ leaves an endpoint:
 * per-copy loss: each targeted subscriber copy is dropped independently
   with probability ``loss`` (drawn first, only when loss > 0).
 * per-copy latency: ``latency_ms`` plus a uniform jitter draw in
-  [-jitter_ms, +jitter_ms] (drawn only when jitter > 0), clamped at 0.
+  [-jitter_ms, +jitter_ms] (drawn only when jitter > 0, bit for bit as
+  ``Random.uniform`` draws it), clamped at 0.
 
 A publish on an inter_layer scope also fans out across the layer bus:
 for every other layer with at least one matching subscriber, the
@@ -30,13 +34,15 @@ that delivers them in target order; a jittered link schedules one event
 per copy. Nothing can run between the copies of one event, as nothing
 could between their consecutively scheduled events before, so outputs
 are the same. ``SimClock.events_processed`` and
-``run_until_idle(max_events)`` count these events, not copies.
+``run_until_idle(max_events)`` count these events, not copies: one per
+scheduled call, however many share its time.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
+from collections import deque
 from random import Random
 from typing import Any, Callable, Sequence
 
@@ -58,16 +64,24 @@ def ns_from_s(s: float) -> int:
 
 
 class SimClock:
-    """Virtual-time event queue; ties resolve by scheduling order.
+    """Virtual-time event queue: a heap of the distinct times that have
+    events, and per time a FIFO of its events, so ties resolve by
+    scheduling order.
 
-    Events cannot be cancelled: a recurring timer (`every`) ends when its
-    callback returns None, or when `run_until_idle` clears ``repeating``.
+    An event scheduled at ``now`` joins the tail of the time being run
+    and runs in the same pass. A time leaves the queue only once its
+    FIFO is empty, so an event that raises leaves the rest of its time
+    queued. Each event run counts once in ``events_processed``, also
+    one that raises; the count is added when `run_until` or
+    `run_until_idle` returns or raises. Events cannot be cancelled: a recurring timer
+    (`every`) ends when its callback returns None, or when
+    `run_until_idle` clears ``repeating``.
     """
 
     def __init__(self):
         self.now = 0  # read-only outside this class
-        self._heap: list[tuple[int, int, Callable, tuple]] = []
-        self._seq = itertools.count()
+        self._times: list[int] = []  # heap of the keys of _queues
+        self._queues: dict[int, deque[tuple[Callable, tuple]]] = {}
         self.events_processed = 0
         self.repeating = True
 
@@ -75,7 +89,11 @@ class SimClock:
         """Schedule fn(*args) at virtual time ``at`` (clamped to now)."""
         if at < self.now:
             at = self.now
-        heapq.heappush(self._heap, (at, next(self._seq), fn, args))
+        queue = self._queues.get(at)
+        if queue is None:
+            queue = self._queues[at] = deque()
+            heapq.heappush(self._times, at)
+        queue.append((fn, args))
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
         self.schedule(self.now + max(0, delay), fn, *args)
@@ -90,46 +108,76 @@ class SimClock:
             delay = fn(*args)
             # re-armed after fn's own events, so ties keep their order
             if delay is not None:
-                self.call_in(delay, self._repeat, fn, args)
+                self.schedule(self.now + delay, self._repeat, fn, args)
 
     def run_until(self, t: int) -> int:
         """Process every event with timestamp <= t; leaves now == t."""
-        heap = self._heap
-        start = self.events_processed
-        while heap and heap[0][0] <= t:
-            self.now, _, fn, args = heapq.heappop(heap)
-            self.events_processed += 1  # before the call: an event that raises counts
-            fn(*args)
+        times, queues = self._times, self._queues
+        n = 0
+        try:
+            while times and times[0] <= t:
+                at = times[0]
+                self.now = at
+                queue = queues[at]
+                popleft = queue.popleft
+                while queue:
+                    fn, args = popleft()
+                    n += 1  # before the call: an event that raises counts
+                    fn(*args)
+                heapq.heappop(times)
+                del queues[at]
+        finally:
+            self.events_processed += n
         if t > self.now:
             self.now = t
-        return self.events_processed - start
+        return n
 
     def run_until_idle(self, max_events: int | None = None) -> int:
         """End every recurring timer, then drain the queue completely;
-        one-shot events still run. Guards against runaway forwarding."""
+        one-shot events still run. Guards against runaway forwarding:
+        raises before running event ``max_events + 1``, leaving it and
+        ``now`` as they were."""
         self.repeating = False
-        heap = self._heap
-        start = self.events_processed
-        while heap:
-            if max_events is not None and self.events_processed - start >= max_events:
-                raise RuntimeError(f"event queue not idle after {max_events} events")
-            self.now, _, fn, args = heapq.heappop(heap)
-            self.events_processed += 1
-            fn(*args)
-        return self.events_processed - start
+        times, queues = self._times, self._queues
+        limit = math.inf if max_events is None else max_events
+        n = 0
+        try:
+            while times:
+                at = times[0]
+                queue = queues[at]
+                popleft = queue.popleft
+                while queue:
+                    if n >= limit:
+                        raise RuntimeError(f"event queue not idle after {max_events} events")
+                    self.now = at
+                    fn, args = popleft()
+                    n += 1
+                    fn(*args)
+                heapq.heappop(times)
+                del queues[at]
+        finally:
+            self.events_processed += n
+        return n
 
 
 class LinkState:
     """A directed link instance: immutable spec plus FIFO backlog state,
-    its fixed delay and its ``link.bytes``/``link.msgs`` counters."""
+    its fixed delay, its jitter draw's bounds and its
+    ``link.bytes``/``link.msgs`` counters."""
 
-    __slots__ = ("name", "spec", "busy_until", "delay_ns", "bytes_cell", "msgs_cell")
+    __slots__ = ("name", "spec", "busy_until", "delay_ns", "lo", "span", "bytes_cell",
+                 "msgs_cell")
 
     def __init__(self, name: str, spec: LinkSpec, metrics: MetricsRegistry):
         self.name = name
         self.spec = spec
         self.busy_until = 0
         self.delay_ns = ns_from_ms(spec.latency_ms)
+        # a copy's delay is lo + span * random(), in ms, as
+        # Random.uniform(latency - jitter, latency + jitter) computes it;
+        # span is None on a link without jitter
+        self.lo = spec.latency_ms - spec.jitter_ms
+        self.span = (spec.latency_ms + spec.jitter_ms) - self.lo if spec.jitter_ms > 0.0 else None
         self.bytes_cell = metrics.counter("link.bytes", {"link": name})
         self.msgs_cell = metrics.counter("link.msgs", {"link": name})
 
@@ -205,10 +253,21 @@ class Network:
 
     def _dispatch(self, endpoint: BrokerEndpoint, env: MessageEnvelope,
                   sender: str | None) -> int:
+        """Send one publish over every link with targets for it.
+
+        Each link is charged once for the publish. Loss is drawn per copy
+        in target order; on a jittered link each survivor then draws its
+        delay and arrives as its own event, else the survivors share one
+        event at the link's fixed delay.
+        """
         # reads each endpoint's route as `BrokerEndpoint.snapshot` does,
         # copying it only when the sender owns some of its handles
         topic = env.topic
-        now = self.clock.now
+        nbytes = env.payload_len
+        clock = self.clock
+        now = clock.now
+        rng = self.rng
+        deliver = self._deliver
         total = 0
         for peer, link, parts in self._outbound[endpoint]:
             route = peer.routes.get(topic)
@@ -221,58 +280,44 @@ class Network:
                     continue
             if parts is not None:
                 self.trace.xlink(parts, now, env.origin_node.key, env.sequence, topic)
-            self._send(peer, targets, env, link, now)
             total += len(targets)
+            ser_end = link.charge(nbytes, now)
+            cell = link.bytes_cell
+            cell.value += nbytes
+            cell.at = now
+            cell = link.msgs_cell
+            cell.value += 1
+            cell.at = now
+            loss = link.spec.loss
+            span = link.span
+            if span is not None:
+                lo = link.lo
+                for h in targets:
+                    if loss and rng.random() < loss:
+                        self.metrics.inc("flow.drop.loss", {"topic": topic, "link": link.name})
+                        continue
+                    delay_ms = lo + span * rng.random()
+                    if delay_ms < 0.0:
+                        delay_ms = 0.0
+                    clock.schedule(ser_end + int(round(delay_ms * MS)), deliver, peer, (h,), env)
+                continue
+            if loss:
+                kept = []
+                for h in targets:
+                    if rng.random() < loss:
+                        self.metrics.inc("flow.drop.loss", {"topic": topic, "link": link.name})
+                    else:
+                        kept.append(h)
+                if not kept:
+                    continue
+                targets = kept
+            clock.schedule(ser_end + link.delay_ns, deliver, peer, targets, env)
 
         if total:
             cell = self._offered[topic]
             cell.value += total
             cell.at = now
         return total
-
-    def _send(
-        self,
-        endpoint: BrokerEndpoint,
-        handles: Sequence[SubscriberHandle],
-        env: MessageEnvelope,
-        link: LinkState,
-        now: int,
-    ) -> None:
-        """Charge one publish on link and schedule its copies' arrivals.
-
-        Loss is drawn per copy in target order; on a jittered link each
-        survivor then draws its delay and arrives as its own event, else
-        the survivors share one event at the link's fixed delay.
-        """
-        ser_end = link.charge(env.payload_len, now)
-        cell = link.bytes_cell
-        cell.value += env.payload_len
-        cell.at = now
-        cell = link.msgs_cell
-        cell.value += 1
-        cell.at = now
-        spec = link.spec
-        if spec.jitter_ms > 0.0:
-            for h in handles:
-                if spec.loss > 0.0 and self._lost(env, link):
-                    continue
-                delay_ms = self.rng.uniform(spec.latency_ms - spec.jitter_ms,
-                                            spec.latency_ms + spec.jitter_ms)
-                if delay_ms < 0.0:
-                    delay_ms = 0.0
-                self.clock.schedule(ser_end + ns_from_ms(delay_ms), self._deliver,
-                                    endpoint, (h,), env)
-            return
-        if spec.loss > 0.0:
-            handles = [h for h in handles if not self._lost(env, link)]
-        if handles:
-            self.clock.schedule(ser_end + link.delay_ns, self._deliver, endpoint, handles, env)
-
-    def _lost(self, env: MessageEnvelope, link: LinkState) -> bool:
-        if self.rng.random() < link.spec.loss:
-            self.metrics.inc("flow.drop.loss", {"topic": env.topic, "link": link.name})
-            return True
-        return False
 
     def _deliver(self, endpoint: BrokerEndpoint, handles: Sequence[SubscriberHandle],
                  env: MessageEnvelope) -> None:

@@ -7,9 +7,12 @@ so a bug cannot hide in both.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 from collections import OrderedDict
+from typing import Any, Callable
 
 
 def oracle_allocate(
@@ -338,6 +341,70 @@ def install_per_copy_dispatch(net, subs: OracleSubscriptions) -> None:
     for ep in net.endpoints.values():
         ep._dispatch = lambda ep, env, sender: oracle_dispatch_per_copy(
             net, subs, ep, env, sender)
+
+
+class OracleHeapClock:
+    """The event clock as a heap of ``(at, seq, fn, args)`` entries,
+    as `SimClock` was before its queue was keyed by time; ties resolve
+    by scheduling order.
+
+    Events cannot be cancelled: a recurring timer (`every`) ends when its
+    callback returns None, or when `run_until_idle` clears ``repeating``.
+    """
+
+    def __init__(self):
+        self.now = 0  # read-only outside this class
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
+        self._seq = itertools.count()
+        self.events_processed = 0
+        self.repeating = True
+
+    def schedule(self, at: int, fn: Callable, *args: Any) -> None:
+        """Schedule fn(*args) at virtual time ``at`` (clamped to now)."""
+        if at < self.now:
+            at = self.now
+        heapq.heappush(self._heap, (at, next(self._seq), fn, args))
+
+    def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
+        self.schedule(self.now + max(0, delay), fn, *args)
+
+    def every(self, delay: int, fn: Callable[..., int | None], *args: Any) -> None:
+        """Call fn(*args) after ``delay`` ns, then again after each delay
+        it returns, until it returns None or the queue drains."""
+        self.call_in(delay, self._repeat, fn, args)
+
+    def _repeat(self, fn: Callable[..., int | None], args: tuple) -> None:
+        if self.repeating:
+            delay = fn(*args)
+            # re-armed after fn's own events, so ties keep their order
+            if delay is not None:
+                self.call_in(delay, self._repeat, fn, args)
+
+    def run_until(self, t: int) -> int:
+        """Process every event with timestamp <= t; leaves now == t."""
+        heap = self._heap
+        start = self.events_processed
+        while heap and heap[0][0] <= t:
+            self.now, _, fn, args = heapq.heappop(heap)
+            self.events_processed += 1  # before the call: an event that raises counts
+            fn(*args)
+        if t > self.now:
+            self.now = t
+        return self.events_processed - start
+
+    def run_until_idle(self, max_events: int | None = None) -> int:
+        """End every recurring timer, then drain the queue completely;
+        one-shot events still run. Guards against runaway forwarding."""
+        self.repeating = False
+        heap = self._heap
+        start = self.events_processed
+        while heap:
+            if max_events is not None and self.events_processed - start >= max_events:
+                raise RuntimeError(f"event queue not idle after {max_events} events")
+            self.now, _, fn, args = heapq.heappop(heap)
+            self.events_processed += 1
+            fn(*args)
+        return self.events_processed - start
 
 
 class OracleFlagTimer:

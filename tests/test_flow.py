@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from flowbridge import codec
 from flowbridge.configstore import resolve_layer_config
 from flowbridge.flow import (
     DedupeWindow,
@@ -614,6 +615,40 @@ def test_compression_disabled_at_level_zero():
     w.publish("intra_node:robot-1@edge", "big", payload, "robot-1")
     w.settle(5_000)
     assert len(wire) == 1 and not wire[0].compressed
+    w.drain()
+
+
+def test_a_republished_payload_is_compressed_and_decompressed_once(monkeypatch):
+    calls = []
+    for name in ("compress", "decompress"):
+        def counted(*args, real=getattr(codec, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(codec, name, counted)
+    w = Mini(SPEC3)
+    payload = synthetic_corpus(200_000)
+    w.engines["edge"].announce(
+        decl(topic="big", node="robot-1", rate=1.0, size=len(payload)), "src")
+    w.engines["fog"].announce(decl(REQUEST, topic="big", node="fog-1", layer="fog"), "dst")
+    w.settle()
+    wire = w.collect("inter_layer:fog", "big")
+    box = w.collect("intra_layer:fog", "big")
+    for _ in range(2):  # one bytes object, published twice
+        w.publish("intra_node:robot-1@edge", "big", payload, "robot-1")
+        w.settle(1_000)
+    assert calls == ["compress", "decompress"]
+    assert wire[0].payload is wire[1].payload and wire[0].compressed
+    assert [e.payload for e in box] == [payload, payload]
+
+    # a changed compression level misses the memo
+    w.bodies["edge"] = resolve_layer_config({"rate_limit": {"compression_level": 1}})
+    notice = {"layer": "edge", "revision": 2, "changed_paths": ["rate_limit.compression_level"]}
+    w.publish("intra_layer:edge", CONFIG_NOTICE, json.dumps(notice).encode(), "robot-1")
+    w.settle()
+    w.publish("intra_node:robot-1@edge", "big", payload, "robot-1")
+    w.settle(1_000)
+    assert calls == ["compress", "decompress"] * 2
+    assert wire[2].payload != wire[1].payload and box[2].payload == payload
     w.drain()
 
 

@@ -20,10 +20,18 @@ from flowbridge.simnet import (
     ns_from_ms,
     ns_from_s,
 )
-from flowbridge.topology import DEFAULT_LINKS, LinkSpec, MessageEnvelope, NodeId, build_topology
+from flowbridge.topology import (
+    DEFAULT_LINKS,
+    MAX_S,
+    LinkSpec,
+    MessageEnvelope,
+    NodeId,
+    build_topology,
+)
 from flowbridge.tracing import Trace
 from oracles import (
     OracleFlagTimer,
+    OracleHeapClock,
     OracleSubscriptions,
     install_per_copy_dispatch,
     oracle_drain,
@@ -127,7 +135,8 @@ def test_run_until_idle_guard():
     with pytest.raises(RuntimeError, match="after 100 events"):
         clock.run_until_idle(max_events=100)
     assert clock.events_processed == 103
-    assert len(clock._heap) == 1  # the 101st event is left queued
+    # the 101st event is left queued
+    assert sum(map(len, clock._queues.values())) == 1
 
 
 def test_an_event_that_raises_is_counted_and_the_queue_resumes():
@@ -153,6 +162,84 @@ def test_an_event_that_raises_is_counted_and_the_queue_resumes():
         clock.run_until_idle()
     assert (clock.events_processed, clock.now) == (5, 40)
     assert clock.run_until_idle() == 1 and seen[-1] == "d"
+
+
+class Boom(Exception):
+    pass
+
+
+# what an event does after logging its run, cycled by event id: nothing,
+# raise, or schedule one child at now (re-entrant), through call_in(0),
+# ``delay`` in the past (clamped to now) or ``delay`` later
+event_kinds = st.sampled_from(["log", "raise", "at_now", "call_in_0", "past", "later"])
+behaviours = st.lists(st.tuples(event_kinds, st.integers(1, 3)), min_size=1, max_size=8)
+# what the driver does: schedule an event at a time (maybe past), start a
+# recurring timer with a period, run to a time, or drain with a limit
+# (schedules twice as likely, and over few times, so that times tie)
+schedule_step = st.tuples(st.just("schedule"), st.integers(0, 4))
+clock_steps = st.lists(st.one_of(
+    schedule_step,
+    schedule_step,
+    st.tuples(st.just("every"), st.integers(1, 3)),
+    st.tuples(st.just("run_until"), st.integers(0, 6)),
+    st.tuples(st.just("run_until_idle"), st.none() | st.integers(0, 6)),
+), max_size=30)
+
+
+def run_clock(clock, behaviours, steps):
+    """The call log of ``steps`` driven on ``clock``: (now, event id) per
+    event run, and per step what it returned or raised, ``now`` and
+    ``events_processed`` after it."""
+    log = []
+    ids = itertools.count()
+
+    def event(i, depth):
+        log.append((clock.now, i))
+        kind, delay = behaviours[i % len(behaviours)]
+        if kind == "raise":
+            raise Boom(i)
+        if kind == "log" or depth == 3:
+            return
+        child = (next(ids), depth + 1)
+        if kind == "at_now":
+            clock.schedule(clock.now, event, *child)
+        elif kind == "call_in_0":
+            clock.call_in(0, event, *child)
+        elif kind == "past":
+            clock.schedule(clock.now - delay, event, *child)
+        else:
+            clock.call_in(delay, event, *child)
+
+    def timer(i, period, calls):
+        log.append((clock.now, "timer", i))
+        calls.append(clock.now)
+        return None if len(calls) == 4 else period
+
+    for step, arg in steps:
+        try:
+            if step == "schedule":
+                out = clock.schedule(arg, event, next(ids), 0)
+            elif step == "every":
+                out = clock.every(arg, timer, next(ids), arg, [])
+            elif step == "run_until":
+                out = clock.run_until(arg)
+            else:
+                out = clock.run_until_idle(arg)
+        except Boom as exc:
+            out = ("raised", exc.args)
+        except RuntimeError as exc:
+            out = ("guard", str(exc))
+        log.append((step, out, clock.now, clock.events_processed))
+    return log
+
+
+@given(behaviours, clock_steps)
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None)
+def test_clock_matches_the_heap_clock_oracle(behaviours, steps):
+    # ties, past times, re-entrant schedules, raising events, run_until in
+    # slices and drains whose limit falls inside one time's events
+    assert run_clock(SimClock(), behaviours, steps) == run_clock(
+        OracleHeapClock(), behaviours, steps)
 
 
 # -- link specs ----------------------------------------------------------
@@ -567,9 +654,14 @@ def test_invoke_runs_once_per_copy(monkeypatch):
     assert calls == ["inter_layer:edge"] * 3 + ["inter_layer:cloud"] * 2
 
 
+# any valid latency and jitter, jitter also above latency (the draw is
+# clamped at 0). From 1e9 ms up a float's last bit is worth a tenth of a
+# nanosecond or more, so there a jitter draw computed in another order
+# often arrives at another time
+delays_ms = st.floats(0.0, MAX_S * 1000) | st.floats(1e9, MAX_S * 1000)
 link_specs = st.fixed_dictionaries({
-    "latency_ms": st.sampled_from([0.0, 0.5, 3.0]),
-    "jitter_ms": st.sampled_from([0.0, 0.0, 1.0]),
+    "latency_ms": st.sampled_from([0.0, 0.5, 3.0]) | delays_ms,
+    "jitter_ms": st.sampled_from([0.0, 0.0, 1.0]) | delays_ms,
     "loss": st.sampled_from([0.0, 0.0, 0.3, 1.0]),
     "bandwidth_mbps": st.sampled_from([0.0, 8.0]),
 })
