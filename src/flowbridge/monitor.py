@@ -22,8 +22,16 @@ from .tracing import Trace
 
 LabelSet = tuple[tuple[str, str], ...]
 
-PING_TOPIC = "__mon/ping"
-PONG_TOPIC = "__mon/pong"
+
+def ping_topic(node_key: str) -> str:
+    """The topic of the pings addressed to the node keyed ``node_key``;
+    only that node's probe requests it."""
+    return f"__mon/ping/{node_key}"
+
+
+def pong_topic(node_key: str) -> str:
+    """The topic of the pongs that answer the pings of ``node_key``."""
+    return f"__mon/pong/{node_key}"
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -275,9 +283,12 @@ class PingProbe:
 
     Each cycle sends one ping per target node, at its offset into the
     cycle, over the regular topic fabric (so samples include bridge and
-    crossing delays); the target's probe answers with a pong carrying the
-    original send time, and the one-way estimate rtt/2 lands in
-    ``mon.rtt_half_ms``. Unanswered pings time out into ``mon.ping_timeout``.
+    crossing delays). A ping rides the target's `ping_topic` and a pong
+    the pinging node's `pong_topic`, so each reaches only the probe it is
+    addressed to; the body's ``dst`` is checked as well. The target's
+    probe answers with a pong carrying the original send time, and the
+    one-way estimate rtt/2 lands in ``mon.rtt_half_ms``. Unanswered pings
+    time out into ``mon.ping_timeout``.
     """
 
     def __init__(
@@ -318,7 +329,7 @@ class PingProbe:
         self._outstanding[nonce] = target.key
         body = {"src": self.node.key, "dst": target.key,
                 "nonce": nonce, "t0": self.clock.now}
-        self.publish(PING_TOPIC, json.dumps(body, sort_keys=True).encode())
+        self.publish(ping_topic(target.key), json.dumps(body, sort_keys=True).encode())
         self.clock.call_in(self.timeout_ns, self._check_timeout, nonce)
 
     def on_ping(self, env: MessageEnvelope) -> None:
@@ -326,7 +337,7 @@ class PingProbe:
         if body["dst"] != self.node.key:
             return
         reply = {"src": self.node.key, "dst": body["src"], "nonce": body["nonce"], "t0": body["t0"]}
-        self.publish(PONG_TOPIC, json.dumps(reply, sort_keys=True).encode())
+        self.publish(pong_topic(body["src"]), json.dumps(reply, sort_keys=True).encode())
 
     def on_pong(self, env: MessageEnvelope) -> None:
         body = json.loads(env.payload)

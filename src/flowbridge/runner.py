@@ -18,12 +18,12 @@ from . import report
 from .configstore import ConfigWorker, MainConfigService, MainConfigStore, resolve_layers
 from .flow import FlowEngine
 from .monitor import (
-    PING_TOPIC,
-    PONG_TOPIC,
     HeartbeatRegistry,
     MetricsRegistry,
     PingProbe,
     export_metrics,
+    ping_topic,
+    pong_topic,
 )
 from .scenario import (
     ProbesSpec, Scenario, ScenarioError, ServiceSpec, StreamSpec, load_scenario, make_payload,
@@ -203,7 +203,6 @@ class World:
         nodes = [self.topology.node(n) for n in names]
         period = ns_from_s(probes.ping_period_s)
         timeout = ns_from_s(probes.ping_timeout_s)
-        per_cycle = max(1, len(nodes) - 1)
         count = len(nodes)
         for i, node in enumerate(nodes):
             service = f"__probe/{node.name}"
@@ -222,13 +221,16 @@ class World:
                 clock=self.clock, registry=self.registry,
                 period_ns=period, timeout_ns=timeout, offsets=offsets,
             )
-            rate = per_cycle / probes.ping_period_s
+            # one ping and one pong per peer and cycle, each on a topic
+            # only the addressed probe requests
+            rate = 1 / probes.ping_period_s
+            own_ping, own_pong = ping_topic(node.key), pong_topic(node.key)
             self.handles[service] = self.host.start_service(
                 node.name, service,
-                advertises=[Advertise(PING_TOPIC, rate, PROBE_PAYLOAD_SIZE),
-                            Advertise(PONG_TOPIC, rate, PROBE_PAYLOAD_SIZE)],
-                requests=[PING_TOPIC, PONG_TOPIC],
-                on_message={PING_TOPIC: probe.on_ping, PONG_TOPIC: probe.on_pong},
+                advertises=[Advertise(topic, rate, PROBE_PAYLOAD_SIZE) for t in targets
+                            for topic in (ping_topic(t.key), pong_topic(t.key))],
+                requests=[own_ping, own_pong],
+                on_message={own_ping: probe.on_ping, own_pong: probe.on_pong},
                 internal=True,
             )
             # first cycle one period in, once announcements have settled

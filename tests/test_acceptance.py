@@ -527,13 +527,13 @@ PINNED_METRICS = {
     }),
     "navigation": ("1.2.13", {
         "placement-cloud-gpu2/metrics.txt":
-            "f6e045930fd3b306336f216501224532e164a6d60e32b1b46b5d91b21820a136",
+            "0519c2abb10ceb47ac1cd64cc10baf2fe5bb5890abee006f09accf6c748e492d",
         "placement-edge-gpu2/metrics.txt":
-            "e078b96cb6f87b0bcc4f5cece27af7c65ae378cb2bede467e45fd61612f3c508",
+            "c1ddd3628f4a4ab03f8a05ebf8aec389a7b4eb12fee59b01066df034e12848ab",
         "placement-fog-gpu3/metrics.txt":
-            "60fbbf0f1a9ec33801e421c51c38144fc6587b03df608726888a81e373acc2d8",
+            "cd9e679e8e6886a0f57e7fbc04cc01c8e8aa0d71cc70b111c62412476ba72955",
         "placement-robot-1/metrics.txt":
-            "65d25b40b81696e8e1f1d1ea36cbe175f67c2fa490ac7d0a971c1e0cd983abc1",
+            "6083d6af687feb439b9f9beb1b41dfe5619e1857fa3c9b90befc55d78c9f6216",
     }),
 }
 

@@ -6,13 +6,13 @@ import json
 import pytest
 
 from flowbridge.monitor import (
-    PING_TOPIC,
-    PONG_TOPIC,
     HeartbeatRegistry,
     MetricsRegistry,
     PingProbe,
     export_metrics,
     message_latency,
+    ping_topic,
+    pong_topic,
 )
 from flowbridge.simnet import MS, SECOND, SimClock
 from flowbridge.topology import MessageEnvelope, NodeId
@@ -292,7 +292,8 @@ def test_heartbeat_gauges_track_count():
 
 
 class LoopFabric:
-    """Two probes joined directly: publishes fan to both with fixed delay."""
+    """Probes joined directly: a publish reaches, after a fixed delay, only
+    the probe that requests its topic, as the flow engines route it."""
 
     def __init__(self, clock, delay_ns):
         self.clock = clock
@@ -304,10 +305,14 @@ class LoopFabric:
             topic=topic, payload=payload, origin_node=NodeId("x", "src"),
             sequence=1, sent_at=self.clock.now,
         )
+        copies = 0
         for p in self.probes:
-            cb = p.on_ping if topic == PING_TOPIC else p.on_pong
-            self.clock.call_in(self.delay, cb, env)
-        return len(self.probes)
+            for requested, cb in ((ping_topic(p.node.key), p.on_ping),
+                                  (pong_topic(p.node.key), p.on_pong)):
+                if topic == requested:
+                    self.clock.call_in(self.delay, cb, env)
+                    copies += 1
+        return copies
 
 
 def make_pair(delay_ms=25.0, period_s=1.0, timeout_s=5.0):
@@ -349,13 +354,17 @@ def test_probe_timeout_when_unanswered():
 
 def test_probe_ignores_pings_for_other_nodes():
     clock, reg, pa, pb = make_pair()
+    sent = []
+    pa.publish = lambda topic, payload: sent.append(topic)
+    # on a's own topic, but the body is addressed elsewhere: the dst guard
     body = {"src": "c@far", "dst": "nobody@nowhere", "nonce": 9, "t0": 0}
     env = MessageEnvelope(
-        topic=PING_TOPIC, payload=json.dumps(body).encode(),
+        topic=ping_topic(pa.node.key), payload=json.dumps(body).encode(),
         origin_node=NodeId("far", "c"), sequence=1, sent_at=0,
     )
     pa.on_ping(env)  # not addressed to a: no pong, no crash
     clock.run_until(SECOND)
+    assert sent == []
     rtt = reg.gauge("mon.rtt_half_ms", {"source": "c@far", "target": "nobody@nowhere"})
     assert rtt.series == []
 

@@ -1,15 +1,18 @@
 """Property-based tests for the allocator, token bucket, dedupe window,
 the flow table's queries, the flow engines' bridges and limiter
-registrations, and the metric cells."""
+registrations, latency probe addressing, and the metric cells."""
 
 import io
+import json
 import math
+from collections import Counter
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbridge.flow import DedupeWindow, FlowTable
-from flowbridge.monitor import MetricsRegistry, export_metrics
+from flowbridge.monitor import MetricsRegistry, PingProbe, export_metrics
 from flowbridge.ratelimit import (
     PublisherRecord,
     RateLimitConfig,
@@ -18,6 +21,7 @@ from flowbridge.ratelimit import (
     available_bandwidth,
 )
 from flowbridge.runner import World
+from flowbridge.scenario import ProbesSpec
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, SimClock
 from flowbridge.topology import FlowDeclaration, NodeId, build_topology
@@ -411,6 +415,59 @@ def test_each_service_hears_every_other_publisher_once_and_never_itself(case):
     for j, (_, _, reqs) in enumerate(services):
         want = [(topic, payload) for i, topic, payload in sent if i != j and topic in reqs]
         assert sorted(got[j]) == sorted(want), f"s{j}"
+    assert w.issues() == []
+
+
+PROBE_WORLD = {
+    "layers": [
+        {"name": "edge", "nodes": ["robot-1", "robot-2", "robot-3"]},
+        {"name": "fog", "nodes": ["fog-1", "fog-2"]},
+        {"name": "cloud", "nodes": ["cloud-1", "cloud-2"]},
+    ]
+}
+PROBE_NODES = [n for layer in PROBE_WORLD["layers"] for n in layer["nodes"]]
+
+
+@given(st.sampled_from((1, 2, 3, 5)).flatmap(
+    lambda k: st.lists(st.sampled_from(PROBE_NODES), min_size=k, max_size=k, unique=True)))
+@settings(max_examples=max(30, settings.default.max_examples // 4), deadline=None)
+def test_each_probe_hears_only_the_pings_addressed_to_it(nodes):
+    """Probes alone on nodes of every layer: a ping reaches its target's
+    probe once and no other probe, no probe copy is dropped in dedupe, and
+    every ping sent is answered with one round-trip sample."""
+    sent, heard = Counter(), []
+    send_ping, on_ping = PingProbe._send_ping, PingProbe.on_ping
+
+    def spy_send(probe, target):
+        sent[(probe.node.key, target.key)] += 1
+        send_ping(probe, target)
+
+    def spy_ping(probe, env):
+        body = json.loads(env.payload)
+        heard.append((probe.node.key, body["src"], body["dst"], body["nonce"]))
+        on_ping(probe, env)
+
+    w = World(build_topology(PROBE_WORLD), seed=1)
+    w.start()
+    with mock.patch.object(PingProbe, "_send_ping", spy_send), \
+            mock.patch.object(PingProbe, "on_ping", spy_ping):
+        w.enable_probes(ProbesSpec(nodes=tuple(nodes), ping_period_s=0.5, ping_timeout_s=5.0))
+        w.clock.run_until(2750 * MS)  # cycles at 0.5, 1.0, ... 2.5 s
+        w.drain()
+    keys = {w.topology.node(n).key for n in nodes}
+    assert all(receiver == dst for receiver, _, dst, _ in heard)
+    assert max(Counter(heard).values(), default=1) == 1
+    assert Counter((src, dst) for _, src, dst, _ in heard) == sent
+    if len(nodes) > 1:
+        assert sent == {(s, t): 5 for s in keys for t in keys if s != t}
+    rtt = w.registry.gauge_sets("mon.rtt_half_ms")
+    assert {(dict(k)["source"], dict(k)["target"]): len(v) for k, v in rtt.items()} == sent
+    assert w.registry.totals("mon.ping_timeout", "source") == {}
+    probe_topics = {t: n for t, n in w.registry.totals("flow.offered", "topic").items()
+                    if t.startswith("__mon/")}
+    assert bool(probe_topics) == (len(nodes) > 1)
+    dedupe = w.registry.totals("flow.drop.dedupe", "topic")
+    assert not [t for t, n in dedupe.items() if t.startswith("__mon/") and n]
     assert w.issues() == []
 
 

@@ -270,15 +270,15 @@ CHURN_WORLD = {
 
 PINNED_CHURN = {
     "metrics.txt":
-        "0093a810b4c933e5885139c62a2f3b5c356acc88bd26bd4d4fd6e3bfc5569b63",
+        "96f64d20c863281278f86bc52516e83f83d7fd21600d97d8e890a5eb1ea8ff65",
     "summary.csv":
-        "c6c49bc5ced428bf117efbc563a3e0d57dd72ea9862ea1fea46898a1695c7ba7",
+        "4c2ea0a4a5d8843ccb4def955579f7969a2f9077835c8ef3db06584414f08399",
     "links.csv":
-        "310fe0cee735ace008211aa58cf65c12e92f796d088600a50ed393452687b24d",
+        "0421f7408e5a9948d97977b39f0c0342739a2c86b05e83c4b446f7631b63c528",
     "bridges.csv":
-        "1cd774ae1962e486e702229c126e838e32cae3f914d4ceedaaa1756238b3b85d",
+        "008a9388da46c4da9ce30fb5b8995c1d5cc2d8eecc6954f46574f997d70e4de9",
     "trace.jsonl":
-        "a55ce06d444aa1409b27b0e34b1fbca0f09fd41b81056f72e2db39340c3437df",
+        "3734ab9cd3a58491e994774f6dfb4b563d69824ec8254124a5839a9f16c8e3e8",
 }
 
 
