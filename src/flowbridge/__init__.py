@@ -16,13 +16,10 @@ from .configstore import ConfigWorker, MainConfigService, MainConfigStore
 from .flow import DedupeWindow, FlowEngine, FlowTable
 from .monitor import HeartbeatRegistry, MetricsRegistry, PingProbe, export_metrics
 from .ratelimit import (
-    AllocationResult,
     HierarchicalLimiter,
-    PublisherRecord,
     RateLimitConfig,
     TokenBucket,
     allocate,
-    available_bandwidth,
 )
 from .report import diff_runs
 from .runner import World, run_scenario
@@ -45,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Advertise",
-    "AllocationResult",
     "BrokerEndpoint",
     "BrokerScope",
     "ConfigWorker",
@@ -62,7 +58,6 @@ __all__ = [
     "MetricsRegistry",
     "Network",
     "PingProbe",
-    "PublisherRecord",
     "RateLimitConfig",
     "Scenario",
     "ScopeKind",
@@ -75,7 +70,6 @@ __all__ = [
     "Trace",
     "World",
     "allocate",
-    "available_bandwidth",
     "build_topology",
     "compress",
     "decompress",

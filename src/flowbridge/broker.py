@@ -118,12 +118,11 @@ class BrokerEndpoint:
         return [h for h in self.routes.get(env.topic, ((),))[0]
                 if sender is None or h.owner != sender]
 
-    def invoke(self, handle: SubscriberHandle, env: MessageEnvelope) -> bool:
-        """Run one callback, containing its exceptions; True if it ran clean."""
+    def invoke(self, handle: SubscriberHandle, env: MessageEnvelope) -> None:
+        """Run one callback, containing its exceptions: each is counted in
+        ``errors`` by (topic, error)."""
         try:
             handle.callback(env)
-            return True
         except Exception as exc:  # noqa: BLE001 - one bad callback must not block others
             key = (env.topic, repr(exc))
             self.errors[key] = self.errors.get(key, 0) + 1
-            return False

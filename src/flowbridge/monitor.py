@@ -203,25 +203,6 @@ def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
     return len(data)
 
 
-def message_latency(registry: MetricsRegistry, latency: GaugeCell,
-                    env: MessageEnvelope, now: int, node: str) -> float:
-    """Record one end-to-end delivery latency sample, in milliseconds,
-    into ``latency``, the ``mon.msg_latency_ms`` cell of env's topic at
-    ``node``.
-
-    Negative intervals (skewed timestamps) clamp to 0 and bump a skew
-    counter instead of polluting the latency series. The SDK appends an
-    unskewed sample to ``latency.series`` itself and calls this only for
-    a skewed one.
-    """
-    ms = (now - env.sent_at) / 1e6
-    if ms < 0:
-        registry.inc("mon.clock_skew", {"node": node})
-        ms = 0.0
-    latency.observe(ms)
-    return ms
-
-
 class HeartbeatRegistry:
     """TTL liveness table for the services of one layer.
 

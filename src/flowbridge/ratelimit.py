@@ -5,7 +5,8 @@ Tier one is a bandwidth allocator: the configured inter-layer budget
     B_avail = limit_mbps * 1024^2 / 8        [bytes/s]
 
 is divided among the registered publishers of one client (a node or a
-layer). Publishers whose observed max payload is below
+layer), given as ``{topic: (advertised rate, max size)}``; the result is
+``{topic: allocated rate}`` and the budget left over. Publishers whose observed max payload is below
 ``large_threshold`` allocate first, in descending declared demand
 D = rate * size * alpha (ties by topic name); each receives
 
@@ -23,13 +24,17 @@ Tier two is one token bucket per topic refilled at its allocated rate:
 
 Buckets start full, so a topic may open with a burst of ``capacity``
 messages. A denied acquire means the frame is dropped, never queued.
+
+A ``HierarchicalLimiter`` holds one client's registrations in
+``records``, the same ``{topic: (rate, max size)}`` the allocator takes
+and the only per-client copy, and one bucket per registered topic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .monitor import MetricsRegistry
 
@@ -75,95 +80,39 @@ class RateLimitConfig:
         return cls(**base)
 
 
-def available_bandwidth(cfg: RateLimitConfig) -> float:
-    """Inter-layer budget in bytes/s."""
-    return cfg.limit_mbps * BYTES_PER_MBIT
+def allocate(cfg: RateLimitConfig,
+             publishers: Mapping[str, tuple[float, int]]) -> tuple[dict[str, float], float]:
+    """Run the two-phase allocation over one client's publishers,
+    ``{topic: (advertised rate, max size)}``.
 
-
-@dataclass
-class PublisherRecord:
-    """One registered publisher: declared rate plus running max size.
-
-    ``advertised_rate`` 0 means unknown (unbounded demand, lowest
-    priority); ``max_size`` 0 means unknown (counted as 1 byte until
-    ``observe_size`` raises it).
-    """
-
-    topic: str
-    advertised_rate: float = 0.0
-    max_size: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.topic:
-            raise ValueError("empty topic")
-        if self.advertised_rate < 0 or self.max_size < 0:
-            raise ValueError("advertised_rate/max_size must be >= 0")
-
-
-@dataclass(frozen=True)
-class PublisherAllocation:
-    topic: str
-    allocated_rate: float
-    demand: float  # declared bytes/s including headroom: r_adv * s * alpha
-    large: bool
-    floored: bool = False
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    allocations: dict[str, PublisherAllocation]
-    available: float
-    remaining: float  # bytes/s left after all grants; negative = overcommitted
-
-
-def allocate(cfg: RateLimitConfig, publishers: Iterable[PublisherRecord]) -> AllocationResult:
-    """Run the two-phase allocation over one client's publishers.
-
+    A rate of 0 means unknown: unbounded demand, lowest priority. A size
+    of 0 means unknown and counts as 1 byte. Returns ``({topic: allocated
+    rate}, remaining bytes/s)``, the rates in allocation order; the
+    remainder is negative when the large floor overcommits the budget.
     Deterministic: the result depends only on (cfg, publisher set),
     never on registration order.
     """
-    pubs = list(publishers)
-    seen: set[str] = set()
-    for p in pubs:
-        if p.topic in seen:
-            raise ValueError(f"duplicate publisher topic {p.topic!r}")
-        seen.add(p.topic)
-
-    b_avail = available_bandwidth(cfg)
+    b_avail = cfg.limit_mbps * BYTES_PER_MBIT
     b_rem = b_avail
-    allocations: dict[str, PublisherAllocation] = {}
-
-    def size_of(p: PublisherRecord) -> int:
-        return max(1, p.max_size)
-
-    def demand_of(p: PublisherRecord) -> float:
-        return p.advertised_rate * size_of(p) * cfg.alpha
-
-    standard = [p for p in pubs if size_of(p) < cfg.large_threshold]
-    large = [p for p in pubs if size_of(p) >= cfg.large_threshold]
-
-    for group, is_large in ((standard, False), (large, True)):
-        group.sort(key=lambda p: (-demand_of(p), p.topic))
-        for p in group:
-            s = size_of(p) * cfg.alpha
-            r_adv = p.advertised_rate if p.advertised_rate > 0 else math.inf
-            r = min(r_adv, b_rem / s, cfg.beta * b_avail / s)
-            r = max(r, 0.0)
-            floored = False
-            if is_large:
-                floor = min(cfg.min_rate_hz, r_adv)
-                if r < floor:
-                    r = floor
-                    floored = True
-            b_rem -= r * s
-            allocations[p.topic] = PublisherAllocation(
-                topic=p.topic,
-                allocated_rate=r,
-                demand=demand_of(p),
-                large=is_large,
-                floored=floored,
-            )
-    return AllocationResult(allocations, b_avail, b_rem)
+    # standard before large, each in descending demand, ties by topic
+    order = []
+    for topic, (rate, size) in publishers.items():
+        size = max(1, size)
+        order.append((size >= cfg.large_threshold, -(rate * size * cfg.alpha), topic, rate, size))
+    order.sort()
+    rates: dict[str, float] = {}
+    for large, _, topic, rate, size in order:
+        s = size * cfg.alpha
+        r_adv = rate if rate > 0 else math.inf
+        r = min(r_adv, b_rem / s, cfg.beta * b_avail / s)
+        r = max(r, 0.0)
+        if large:
+            floor = min(cfg.min_rate_hz, r_adv)
+            if r < floor:
+                r = floor
+        b_rem -= r * s
+        rates[topic] = r
+    return rates, b_rem
 
 
 class TokenBucket:
@@ -200,9 +149,10 @@ class TokenBucket:
 class HierarchicalLimiter:
     """Allocator plus per-topic buckets for one client (node or layer).
 
-    ``records`` is the only per-client copy of the registrations, and
-    only registered topics are admitted. The engine keeps the declared
-    ``(rate, size)`` per topic; a record's ``max_size`` can exceed the
+    ``records`` maps each registered topic to its ``(rate, max size)``;
+    it is the only per-client copy of the registrations, and only
+    registered topics are admitted. The engine keeps the declared
+    ``(rate, size)`` per topic; a record's max size can exceed the
     declared size, since live payloads grow it. Registration changes
     and size observations trigger a reallocation; buckets of retained
     topics keep their token balance across reallocations, new topics
@@ -214,7 +164,7 @@ class HierarchicalLimiter:
         self.clock = clock
         self.client = client
         self.registry = registry
-        self.records: dict[str, PublisherRecord] = {}
+        self.records: dict[str, tuple[float, int]] = {}
         self.buckets: dict[str, TokenBucket] = {}  # by topic, exactly those of records
 
     # -- registration ----------------------------------------------------
@@ -233,22 +183,21 @@ class HierarchicalLimiter:
             del self.records[topic]
             del self.buckets[topic]
         elif rec is None:
-            self.records[topic] = PublisherRecord(topic, *reg)
+            self.records[topic] = reg
         else:
             rate, size = reg
-            if rate == rec.advertised_rate and size <= rec.max_size:
+            if rate == rec[0] and size <= rec[1]:
                 return False
-            rec.advertised_rate = rate
-            rec.max_size = max(rec.max_size, size)
+            self.records[topic] = (rate, max(rec[1], size))
         self._reallocate()
         return True
 
     def observe_size(self, topic: str, size: int) -> bool:
         """Grow a registered topic's max size from a live payload; True if
         reallocated."""
-        rec = self.records[topic]
-        if size > rec.max_size:
-            rec.max_size = size
+        rate, max_size = self.records[topic]
+        if size > max_size:
+            self.records[topic] = (rate, size)
             self._reallocate()
             return True
         return False
@@ -268,16 +217,15 @@ class HierarchicalLimiter:
 
     def _reallocate(self) -> None:
         now = self.clock.now
-        result = allocate(self.cfg, self.records.values())
-        for topic, alloc in result.allocations.items():
+        rates, remaining = allocate(self.cfg, self.records)
+        for topic, rate in rates.items():
             bucket = self.buckets.get(topic)
             if bucket is None:
-                self.buckets[topic] = TokenBucket(alloc.allocated_rate, self.cfg.bucket_capacity, now)
+                self.buckets[topic] = TokenBucket(rate, self.cfg.bucket_capacity, now)
             else:
-                bucket.set_rate(alloc.allocated_rate, now)
+                bucket.set_rate(rate, now)
         self.registry.inc("ratelimit.realloc", {"client": self.client})
-        for topic, alloc in result.allocations.items():
-            self.registry.observe("ratelimit.alloc_hz", {"client": self.client, "topic": topic},
-                                  alloc.allocated_rate)
-        overcommit = max(0.0, -result.remaining)
+        for topic, rate in rates.items():
+            self.registry.observe("ratelimit.alloc_hz", {"client": self.client, "topic": topic}, rate)
+        overcommit = max(0.0, -remaining)
         self.registry.observe("ratelimit.overcommit_bytes", {"client": self.client}, overcommit)

@@ -60,10 +60,10 @@ class _StreamDriver:
     tick, because its compressed sizes reach the metrics.
     """
 
-    def __init__(self, world: "World", service: str, stream: StreamSpec,
+    def __init__(self, host: ServiceHost, handle: ServiceHandle, stream: StreamSpec,
                  rng: random.Random):
-        self.world = world
-        self.service = service
+        self.host = host
+        self.handle = handle
         self.stream = stream
         self.rng = rng
         self.period_ns = round(SECOND / stream.rate_hz)  # >= 1: see StreamSpec
@@ -71,16 +71,14 @@ class _StreamDriver:
         self.frame: bytes | None = None  # the frame every tick reuses, once drawn
 
     def tick(self) -> int | None:
-        world = self.world
-        handle = world.handles[self.service]
-        if handle.state != READY:
+        if self.handle.state != READY:
             return None
         payload = self.frame
         if payload is None:
             payload = make_payload(self.stream.payload, self.stream.size, self.rng)
             if self.stream.payload != "compressible":
                 self.frame = payload
-        world.host.publish(handle, self.stream.topic, payload)
+        self.host.publish(self.handle, self.stream.topic, payload)
         self.sent += 1
         return self.period_ns
 
@@ -188,7 +186,7 @@ class World:
         for stream, seed in zip(spec.advertises, seeds):
             if stream.rate_hz <= 0:
                 continue
-            driver = _StreamDriver(self, spec.name, stream, random.Random(seed))
+            driver = _StreamDriver(self.host, handle, stream, random.Random(seed))
             self.drivers.append(driver)
             self.clock.every(driver.period_ns, driver.tick)
 

@@ -266,10 +266,7 @@ class ServiceHost:
                 latency = self.registry.gauge("mon.msg_latency_ms",
                                               {"topic": topic, "node": handle.node.name})
             now = self.clock.now
-            if env.sent_at <= now:
-                latency.series.append((now, (now - env.sent_at) / 1e6))
-            else:  # a skewed timestamp: clamped and counted
-                monitor.message_latency(self.registry, latency, env, now, handle.node.name)
+            latency.series.append((now, (now - env.sent_at) / 1e6))
             handle.received += 1
             handle.received_by_topic[env.topic] = handle.received_by_topic.get(env.topic, 0) + 1
             if user_cb is not None:

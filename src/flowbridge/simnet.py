@@ -331,8 +331,8 @@ class Network:
             if handle.kind != SUB_BRIDGE or not handle.active:
                 delivered.value += 1
                 delivered.at = now
-            if handle.active and not endpoint.invoke(handle, env):
-                self.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
+            if handle.active:
+                endpoint.invoke(handle, env)
 
     def endpoint_errors(self) -> list[tuple[str, str, str, int]]:
         """(scope, topic, error, count) per distinct callback error."""

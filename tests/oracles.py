@@ -331,8 +331,8 @@ def _oracle_send_copy(net, endpoint, handle, env, link, ser_end) -> None:
 def _oracle_deliver(net, endpoint, handle, env) -> None:
     if handle.kind != "bridge" or not handle.active:
         net.metrics.inc("flow.delivered", {"topic": env.topic})
-    if handle.active and not endpoint.invoke(handle, env):
-        net.metrics.inc("broker.callback_error", {"scope": endpoint.scope.key})
+    if handle.active:
+        endpoint.invoke(handle, env)
 
 
 def install_per_copy_dispatch(net, subs: OracleSubscriptions) -> None:

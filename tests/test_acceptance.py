@@ -17,12 +17,7 @@ import pytest
 
 from flowbridge import codec
 from flowbridge.monitor import MetricsRegistry
-from flowbridge.ratelimit import (
-    PublisherRecord,
-    RateLimitConfig,
-    TokenBucket,
-    allocate,
-)
+from flowbridge.ratelimit import RateLimitConfig, TokenBucket, allocate
 from flowbridge.runner import World, run_scenario
 from flowbridge.scenario import ProbesSpec, builtin_scenarios, parse_scenario
 from flowbridge.sdk import Advertise
@@ -66,11 +61,10 @@ def test_allocator_oracle_equivalence():
 
     def check(pubs):
         nonlocal checked
-        got = allocate(cfg, [PublisherRecord(t, r, s) for t, r, s in pubs]).allocations
+        got, _ = allocate(cfg, {t: (r, s) for t, r, s in pubs})
         want = oracle_allocate(cfg.limit_mbps, list(pubs))
-        for topic, rate in want.items():
-            assert math.isclose(got[topic].allocated_rate, rate, rel_tol=1e-9, abs_tol=1e-12), \
-                (pubs, topic, got[topic], rate)
+        # the same float operations in the same order: equal values, equal order
+        assert list(got.items()) == list(want.items()), pubs
         checked += 1
 
     # every single-publisher set, exhaustively
@@ -98,14 +92,17 @@ def test_allocator_oracle_equivalence():
 @pytest.mark.criterion(2, "single 1 MB 30 Hz publisher at 160 Mbps gets 19.5318 Hz")
 def test_single_large_publisher_known_value():
     cfg = RateLimitConfig(limit_mbps=160.0, alpha=1.02, beta=0.95)
-    got = allocate(cfg, [PublisherRecord("image", 30.0, 1_000_000)]).allocations["image"]
-    assert abs(got.allocated_rate - 19.5318) <= 1e-3
+    rates, remaining = allocate(cfg, {"image": (30.0, 1_000_000)})
+    got = rates["image"]
+    assert abs(got - 19.5318) <= 1e-3
     assert math.isclose(
-        got.allocated_rate,
+        got,
         oracle_single_large_rate(160.0, 1_000_000, 30.0),
         rel_tol=1e-12,
     )
-    assert got.large and not got.floored
+    # a large publisher, above its floor: nothing overcommitted
+    assert 1_000_000 >= cfg.large_threshold
+    assert got > cfg.min_rate_hz and remaining >= 0
 
 
 # -- criterion 3 ------------------------------------------------------------
@@ -131,15 +128,14 @@ def test_token_bucket_throughput():
 @pytest.mark.criterion(4, "budget-starved large publisher is floored at exactly 2 Hz")
 def test_starvation_floor_exact():
     cfg = RateLimitConfig()  # 160 Mbps
-    result = allocate(cfg, [
-        PublisherRecord("hog-a", 400.0, 60_000),
-        PublisherRecord("hog-b", 400.0, 60_000),
-        PublisherRecord("image", 30.0, 1_000_000),
-    ])
-    image = result.allocations["image"]
-    assert image.large and image.floored
-    assert image.allocated_rate == 2.0
-    assert result.remaining < 0  # the floor is allowed to overcommit
+    rates, remaining = allocate(cfg, {
+        "hog-a": (400.0, 60_000),
+        "hog-b": (400.0, 60_000),
+        "image": (30.0, 1_000_000),
+    })
+    assert 1_000_000 >= cfg.large_threshold
+    assert rates["image"] == cfg.min_rate_hz == 2.0
+    assert remaining < 0  # the floor is allowed to overcommit
 
 
 # -- criterion 5 ------------------------------------------------------------

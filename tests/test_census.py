@@ -25,8 +25,6 @@ UNREACHED = {
     "flow:FlowTable.lookup": PERFBENCH,
     "flow:FlowTable.topics": PERFBENCH,
     "monitor:MetricsRegistry.snapshot": "perfbench's worker and tracer read the metrics with it",
-    "monitor:message_latency": "the SDK calls it only for an envelope sent in the future "
-                               "of its arrival, which the simulated clock never makes",
     "broker:SubscriberHandle.__repr__": DEBUG,
     "sdk:ServiceHandle.__repr__": DEBUG,
     "topology:BrokerScope.__str__": DEBUG,

@@ -529,8 +529,10 @@ def test_inter_bridge_applies_rate_limit():
     w.engines["fog"].announce(decl(REQUEST, topic="img", node="fog-1", layer="fog"), "viewer")
     w.settle()
     limiter = w.engines["edge"].limiters["node:robot-1"]
-    # 8 Mbit/s cannot carry 1 MB frames
-    assert allocate(limiter.cfg, limiter.records.values()).allocations["img"].floored
+    # 8 Mbit/s cannot carry 1 MB frames: lifted to the floor, overcommitted
+    rates, remaining = allocate(limiter.cfg, limiter.records)
+    assert limiter.records["img"][1] >= limiter.cfg.large_threshold
+    assert rates["img"] == limiter.cfg.min_rate_hz and remaining < 0
     box = w.collect("intra_layer:fog", "img")
     for _ in range(5):  # burst: capacity 2 grants, 3 denials
         w.publish("intra_node:robot-1@edge", "img", b"z" * 1_000_000, "robot-1")

@@ -10,7 +10,6 @@ from flowbridge.monitor import (
     MetricsRegistry,
     PingProbe,
     export_metrics,
-    message_latency,
     ping_topic,
     pong_topic,
 )
@@ -203,34 +202,6 @@ def test_export_mean_adds_left_to_right():
     sink = io.BytesIO()
     export_metrics(reg, sink)
     assert b" mean=0.09999999999999999 " in sink.getvalue()
-
-
-# -- latency helper ---------------------------------------------------------------
-
-
-def env_sent_at(t, topic="scan"):
-    return MessageEnvelope(
-        topic=topic, payload=b"x", origin_node=NodeId("edge", "a"),
-        sequence=1, sent_at=t,
-    )
-
-
-def latency_cell(reg):
-    return reg.gauge("mon.msg_latency_ms", {"topic": "scan", "node": "b"})
-
-
-def test_message_latency_records_ms():
-    reg, _ = make_reg()
-    ms = message_latency(reg, latency_cell(reg), env_sent_at(0), now=7 * MS, node="b")
-    assert ms == 7.0
-    assert reg.gauge("mon.msg_latency_ms", {"topic": "scan", "node": "b"}).series == [(0, 7.0)]
-
-
-def test_message_latency_clamps_skew():
-    reg, _ = make_reg()
-    ms = message_latency(reg, latency_cell(reg), env_sent_at(10 * MS), now=5 * MS, node="b")
-    assert ms == 0.0
-    assert reg.counter("mon.clock_skew", {"node": "b"}).value == 1
 
 
 # -- heartbeats ----------------------------------------------------------------

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from flowbridge.flow import DedupeWindow, FlowTable
 from flowbridge.monitor import MetricsRegistry, PingProbe, export_metrics
-from flowbridge.ratelimit import (
-    PublisherRecord,
-    RateLimitConfig,
-    TokenBucket,
-    allocate,
-    available_bandwidth,
-)
+from flowbridge.ratelimit import BYTES_PER_MBIT, RateLimitConfig, TokenBucket, allocate
 from flowbridge.runner import World
 from flowbridge.scenario import ProbesSpec
 from flowbridge.sdk import Advertise
@@ -53,67 +47,69 @@ publishers = st.lists(
 limits = st.floats(0.5, 400.0, allow_nan=False)
 
 
-def records(pubs):
-    return [PublisherRecord(t, r, s) for t, r, s in pubs]
+def regs(pubs):
+    return {t: (r, s) for t, r, s in pubs}
 
 
 @given(limits, publishers)
 def test_allocation_matches_oracle(limit, pubs):
     cfg = RateLimitConfig(limit_mbps=limit)
-    got = allocate(cfg, records(pubs)).allocations
-    want = oracle_allocate(limit, pubs)
-    assert got.keys() == want.keys()
-    for topic in want:
-        assert math.isclose(got[topic].allocated_rate, want[topic], rel_tol=1e-9, abs_tol=1e-9)
+    got, _ = allocate(cfg, regs(pubs))
+    # the same float operations in the same order: equal values, equal order
+    assert list(got.items()) == list(oracle_allocate(limit, pubs).items())
 
 
 @given(limits, publishers, st.randoms(use_true_random=False))
 def test_allocation_ignores_registration_order(limit, pubs, rnd):
     cfg = RateLimitConfig(limit_mbps=limit)
-    base = allocate(cfg, records(pubs)).allocations
+    rates, remaining = allocate(cfg, regs(pubs))
     shuffled = list(pubs)
     rnd.shuffle(shuffled)
-    assert allocate(cfg, records(shuffled)).allocations == base
+    rates2, remaining2 = allocate(cfg, regs(shuffled))
+    assert list(rates2.items()) == list(rates.items()) and remaining2 == remaining
 
 
 @given(limits, publishers)
 def test_allocation_is_deterministic(limit, pubs):
     cfg = RateLimitConfig(limit_mbps=limit)
-    assert allocate(cfg, records(pubs)) == allocate(cfg, records(pubs))
+    assert allocate(cfg, regs(pubs)) == allocate(cfg, regs(pubs))
 
 
 @given(limits, publishers)
 def test_allocation_invariants(limit, pubs):
     cfg = RateLimitConfig(limit_mbps=limit)
-    result = allocate(cfg, records(pubs))
-    b_avail = available_bandwidth(cfg)
-    assert result.available == b_avail
+    rates, remaining = allocate(cfg, regs(pubs))
+    b_avail = limit * BYTES_PER_MBIT
+    assert rates.keys() == regs(pubs).keys()
+    large = {t: max(1, size) >= cfg.large_threshold for t, _, size in pubs}
+    # standard publishers allocate before large ones
+    assert [large[t] for t in rates] == sorted(large[t] for t in rates)
 
     spent = 0.0
     standard_bytes = 0.0
+    floored = False
     for topic, declared_rate, size in pubs:
-        alloc = result.allocations[topic]
-        rate = alloc.allocated_rate
+        rate = rates[topic]
         eff = max(1, size)
         assert rate >= 0.0 and math.isfinite(rate)
         if declared_rate > 0:
             assert rate <= declared_rate
-        assert alloc.large == (eff >= cfg.large_threshold)
-        if alloc.large and declared_rate > 0:
-            assert rate >= min(cfg.min_rate_hz, declared_rate)
+        if large[topic]:
+            floor = min(cfg.min_rate_hz, declared_rate if declared_rate > 0 else math.inf)
+            assert rate >= floor
+            floored = floored or rate == floor
         take = rate * eff * cfg.alpha
         spent += take
-        if not alloc.large:
+        if not large[topic]:
             standard_bytes += take
             # no single standard publisher may hog the share cap
             assert take <= cfg.beta * b_avail * (1 + 1e-9)
 
     assert standard_bytes <= b_avail * (1 + 1e-9)
-    assert math.isclose(result.remaining, b_avail - spent,
-                        rel_tol=1e-9, abs_tol=1e-6)
+    assert math.isclose(remaining, b_avail - spent, rel_tol=1e-9, abs_tol=1e-6)
     # only the large-publisher floor may overcommit the budget
-    if result.remaining < -1e-6:
-        assert any(result.allocations[t].floored for t, _, _ in pubs)
+    if remaining < -1e-6:
+        assert floored
 
 
 @given(
@@ -359,13 +355,12 @@ def test_engine_bridges_match_whole_table_oracle(steps):
             assert set(engine.limiters) == set(regs), engine.layer
             for client, limiter in engine.limiters.items():
                 assert limiter.records, (engine.layer, client)
-                got = {t: (r.advertised_rate, r.max_size) for t, r in limiter.records.items()}
-                assert got == regs[client], (engine.layer, client)
+                assert limiter.records == regs[client], (engine.layer, client)
                 # one bucket per record, each at the rate the records allocate
                 assert set(limiter.buckets) == set(limiter.records), (engine.layer, client)
-                want = allocate(limiter.cfg, limiter.records.values()).allocations
-                assert {t: b.rate for t, b in limiter.buckets.items()} == {
-                    t: a.allocated_rate for t, a in want.items()}, (engine.layer, client)
+                want, _ = allocate(limiter.cfg, limiter.records)
+                assert {t: b.rate for t, b in limiter.buckets.items()} == want, (
+                    engine.layer, client)
     w.drain()
 
 

@@ -6,13 +6,10 @@ import pytest
 
 from flowbridge.ratelimit import (
     BYTES_PER_MBIT,
-    AllocationResult,
     HierarchicalLimiter,
-    PublisherRecord,
     RateLimitConfig,
     TokenBucket,
     allocate,
-    available_bandwidth,
 )
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import SECOND, SimClock
@@ -20,15 +17,13 @@ from flowbridge.simnet import SECOND, SimClock
 from oracles import oracle_allocate, oracle_bucket_replay, oracle_single_large_rate
 
 
-def records(pubs):
-    return [PublisherRecord(t, r, s) for t, r, s in pubs]
+def regs(pubs):
+    return {t: (r, s) for t, r, s in pubs}
 
 
-def assert_rates_match(result: AllocationResult, expect: dict[str, float]):
-    assert set(result.allocations) == set(expect)
-    for topic, want in expect.items():
-        got = result.allocations[topic].allocated_rate
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), topic
+def assert_rates_match(rates: dict[str, float], expect: dict[str, float]):
+    # the same float operations in the same order: equal values, equal order
+    assert list(rates.items()) == list(expect.items())
 
 
 # -- config ---------------------------------------------------------------
@@ -66,28 +61,27 @@ def test_config_obj_round_trip():
         RateLimitConfig.from_obj({"burst": 3})
 
 
-def test_available_bandwidth_unit():
-    assert available_bandwidth(RateLimitConfig(limit_mbps=160.0)) == 160 * 1024 * 1024 / 8
-    assert BYTES_PER_MBIT == 131072.0
-
-
 # -- allocator vs oracle ----------------------------------------------------
 
 
 def test_single_small_publisher_gets_full_rate():
-    res = allocate(RateLimitConfig(), records([("scan", 30.0, 1024)]))
-    assert_rates_match(res, oracle_allocate(160.0, [("scan", 30.0, 1024)]))
-    assert res.allocations["scan"].allocated_rate == 30.0
-    assert not res.allocations["scan"].large and not res.allocations["scan"].floored
+    cfg = RateLimitConfig()
+    rates, remaining = allocate(cfg, regs([("scan", 30.0, 1024)]))
+    assert_rates_match(rates, oracle_allocate(160.0, [("scan", 30.0, 1024)]))
+    assert 1024 < cfg.large_threshold
+    assert rates["scan"] == 30.0
+    assert remaining > 0
 
 
 def test_single_large_publisher_beta_cap():
     # one 1 MB talker with unbounded demand: rate = beta * budget / (size * alpha)
-    res = allocate(RateLimitConfig(), records([("image", 0.0, 1_000_000)]))
+    cfg = RateLimitConfig()
+    rates, remaining = allocate(cfg, regs([("image", 0.0, 1_000_000)]))
     want = oracle_single_large_rate(160.0, 1_000_000, math.inf)
-    assert res.allocations["image"].allocated_rate == pytest.approx(want, rel=1e-12)
-    assert res.allocations["image"].allocated_rate == pytest.approx(19.532298, abs=1e-6)
-    assert res.allocations["image"].large
+    assert 1_000_000 >= cfg.large_threshold
+    assert rates["image"] == pytest.approx(want, rel=1e-12)
+    assert rates["image"] == pytest.approx(19.532298, abs=1e-6)
+    assert remaining > 0  # above its floor: nothing overcommitted
 
 
 def test_large_single_rate_matches_known_value():
@@ -99,65 +93,65 @@ def test_large_single_rate_matches_known_value():
 
 def test_standard_phase_before_large_phase():
     pubs = [("image", 10.0, 100_000), ("scan", 10.0, 1000)]
-    res = allocate(RateLimitConfig(limit_mbps=8.0), records(pubs))
-    assert_rates_match(res, oracle_allocate(8.0, pubs))
+    rates, _ = allocate(RateLimitConfig(limit_mbps=8.0), regs(pubs))
+    assert_rates_match(rates, oracle_allocate(8.0, pubs))
     # the small topic got its full rate; the large one ate what remained
-    assert res.allocations["scan"].allocated_rate == 10.0
-    assert res.allocations["image"].allocated_rate < 10.0
+    assert list(rates) == ["scan", "image"]
+    assert rates["scan"] == 10.0
+    assert rates["image"] < 10.0
 
 
 def test_priority_is_descending_demand_then_topic():
     # equal demand ties break by topic name, independent of input order
     pubs = [("b", 10.0, 1000), ("a", 10.0, 1000), ("c", 20.0, 500)]
-    res1 = allocate(RateLimitConfig(limit_mbps=0.1), records(pubs))
-    res2 = allocate(RateLimitConfig(limit_mbps=0.1), records(reversed(pubs)))
+    rates1, _ = allocate(RateLimitConfig(limit_mbps=0.1), regs(pubs))
+    rates2, _ = allocate(RateLimitConfig(limit_mbps=0.1), regs(reversed(pubs)))
     want = oracle_allocate(0.1, pubs)
-    assert_rates_match(res1, want)
-    assert_rates_match(res2, want)
-    # with 13107.2 B/s budget: a and c (demand 10200 each) share before b
-    assert res1.allocations["a"].allocated_rate > res1.allocations["b"].allocated_rate
+    assert_rates_match(rates1, want)
+    assert_rates_match(rates2, want)
+    # all three demand 10200 B/s of a 13107.2 B/s budget: a, then b, then c
+    assert list(rates1) == ["a", "b", "c"]
+    assert rates1["a"] > rates1["b"] > rates1["c"]
 
 
 def test_unknown_rate_sorts_last_and_takes_remainder():
     pubs = [("known", 5.0, 1000), ("mystery", 0.0, 1000)]
-    res = allocate(RateLimitConfig(limit_mbps=0.1), records(pubs))
-    assert_rates_match(res, oracle_allocate(0.1, pubs))
-    assert res.allocations["known"].allocated_rate == 5.0
-    assert res.allocations["mystery"].demand == 0.0
+    for order in (pubs, pubs[::-1]):
+        rates, _ = allocate(RateLimitConfig(limit_mbps=0.1), regs(order))
+        assert_rates_match(rates, oracle_allocate(0.1, pubs))
+        assert list(rates) == ["known", "mystery"]  # allocated last
+        assert rates["known"] == 5.0
 
 
 def test_zero_size_counts_as_one_byte():
-    res = allocate(RateLimitConfig(), records([("tiny", 100.0, 0)]))
-    assert_rates_match(res, oracle_allocate(160.0, [("tiny", 100.0, 0)]))
-    assert res.allocations["tiny"].allocated_rate == 100.0
+    rates, remaining = allocate(RateLimitConfig(), regs([("tiny", 100.0, 0)]))
+    assert_rates_match(rates, oracle_allocate(160.0, [("tiny", 100.0, 0)]))
+    assert rates["tiny"] == 100.0
+    assert remaining == 160 * BYTES_PER_MBIT - 100.0 * 1 * 1.02
 
 
 def test_large_floor_grants_minimum_rate():
     # a saturating small publisher leaves nothing; large still gets the floor
     pubs = [("hog", 0.0, 1000), ("image", 30.0, 1_000_000)]
-    res = allocate(RateLimitConfig(limit_mbps=8.0), records(pubs))
-    assert_rates_match(res, oracle_allocate(8.0, pubs))
-    assert res.allocations["image"].allocated_rate == 2.0
-    assert res.allocations["image"].floored
-    assert res.remaining < 0  # the floor overcommitted and said so
+    cfg = RateLimitConfig(limit_mbps=8.0)
+    rates, remaining = allocate(cfg, regs(pubs))
+    assert_rates_match(rates, oracle_allocate(8.0, pubs))
+    assert 1_000_000 >= cfg.large_threshold
+    assert rates["image"] == cfg.min_rate_hz == 2.0
+    assert remaining < 0  # the floor overcommitted and said so
 
 
 def test_floor_never_exceeds_advertised_rate():
     pubs = [("hog", 0.0, 1000), ("image", 0.5, 1_000_000)]
-    res = allocate(RateLimitConfig(limit_mbps=8.0), records(pubs))
-    assert res.allocations["image"].allocated_rate == 0.5
-    assert res.allocations["image"].floored
-
-
-def test_duplicate_topic_rejected():
-    with pytest.raises(ValueError):
-        allocate(RateLimitConfig(), records([("a", 1.0, 1), ("a", 2.0, 1)]))
+    rates, remaining = allocate(RateLimitConfig(limit_mbps=8.0), regs(pubs))
+    assert rates["image"] == 0.5
+    assert remaining < 0  # lifted to its floor, which overcommitted
 
 
 def test_empty_allocation():
-    res = allocate(RateLimitConfig(), ())
-    assert res.allocations == {}
-    assert res.remaining == res.available
+    # nothing registered leaves the whole budget, in bytes/s
+    assert allocate(RateLimitConfig(), {}) == ({}, 160 * 1024 * 1024 / 8)
+    assert BYTES_PER_MBIT == 131072.0
 
 
 def test_oracle_agreement_on_mixed_workload():
@@ -171,8 +165,8 @@ def test_oracle_agreement_on_mixed_workload():
         ("mystery", 0.0, 4096),
     ]
     for mbps in (0.5, 2.0, 8.0, 40.0, 160.0, 1000.0):
-        res = allocate(RateLimitConfig(limit_mbps=mbps), records(pubs))
-        assert_rates_match(res, oracle_allocate(mbps, pubs))
+        rates, _ = allocate(RateLimitConfig(limit_mbps=mbps), regs(pubs))
+        assert_rates_match(rates, oracle_allocate(mbps, pubs))
 
 
 # -- token bucket ------------------------------------------------------------
@@ -287,7 +281,7 @@ def test_limiter_sync_publishers_reconciles():
     assert not lim.sync_publishers("b", (1.0, 50))
     # a new rate is a change
     assert lim.sync_publishers("b", (2.0, 50))
-    assert lim.records["b"].advertised_rate == 2.0
+    assert lim.records["b"] == (2.0, 50)
     # removal drops both record and bucket
     assert lim.sync_publishers("b", None)
     assert set(lim.records) == {"a"}
@@ -300,7 +294,7 @@ def test_limiter_max_size_never_shrinks():
     lim, _ = make_limiter()
     lim.sync_publishers("a", (5.0, 1000))
     assert not lim.sync_publishers("a", (5.0, 10))
-    assert lim.records["a"].max_size == 1000
+    assert lim.records["a"] == (5.0, 1000)
 
 
 def test_limiter_observe_size_grows_and_reallocates():
@@ -308,7 +302,9 @@ def test_limiter_observe_size_grows_and_reallocates():
     lim.sync_publishers("image", (30.0, 1000))
     assert lim.buckets["image"].rate == 30.0
     assert lim.observe_size("image", 1_000_000)
-    assert allocate(lim.cfg, lim.records.values()).allocations["image"].large
+    assert lim.records["image"] == (30.0, 1_000_000)
+    assert 1_000_000 >= lim.cfg.large_threshold
+    assert lim.buckets["image"].rate == oracle_allocate(8.0, [("image", 30.0, 1_000_000)])["image"]
     assert not lim.observe_size("image", 500)  # smaller: no change
 
 

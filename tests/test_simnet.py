@@ -488,7 +488,7 @@ def test_sender_is_left_out_locally_and_on_every_peer():
 
 
 def test_callback_errors_are_contained_and_reported():
-    net, clock, metrics = make_net()
+    net, clock, _ = make_net()
     ep = net.endpoint("intra_layer:edge")
     got = []
 
@@ -502,13 +502,12 @@ def test_callback_errors_are_contained_and_reported():
     assert len(got) == 1
     assert net.endpoint_errors() == [
         ("intra_layer:edge", "scan", "RuntimeError('bad subscriber')", 1)]
-    assert metrics.counter("broker.callback_error", {"scope": "intra_layer:edge"}).value == 1
 
 
 def test_repeated_callback_error_is_one_counted_record():
     # one record per distinct error, however often it recurs: a list of
     # every failed copy grew with the run
-    net, clock, metrics = make_net()
+    net, clock, _ = make_net()
     ep = net.endpoint("intra_layer:edge")
 
     def boom(e):
@@ -521,7 +520,6 @@ def test_repeated_callback_error_is_one_counted_record():
     assert ep.errors == {("scan", "RuntimeError('bad subscriber')"): 10_000}
     assert net.endpoint_errors() == [
         ("intra_layer:edge", "scan", "RuntimeError('bad subscriber')", 10_000)]
-    assert metrics.counter("broker.callback_error", {"scope": "intra_layer:edge"}).value == 10_000
 
 
 def run_noisy_world(seed):
