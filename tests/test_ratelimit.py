@@ -148,10 +148,18 @@ def test_floor_never_exceeds_advertised_rate():
     assert remaining < 0  # lifted to its floor, which overcommitted
 
 
-def test_empty_allocation():
-    # nothing registered leaves the whole budget, in bytes/s
-    assert allocate(RateLimitConfig(), {}) == ({}, 160 * 1024 * 1024 / 8)
+def test_available_bandwidth_unit():
+    # the budget is limit_mbps in binary megabits, counted in bytes/s
     assert BYTES_PER_MBIT == 131072.0
+    _, remaining = allocate(RateLimitConfig(limit_mbps=160.0), {})
+    assert remaining == 160 * 1024 * 1024 / 8
+    _, remaining = allocate(RateLimitConfig(limit_mbps=8.0), {})
+    assert remaining == 8 * BYTES_PER_MBIT
+
+
+def test_empty_allocation():
+    # nothing registered allocates nothing and leaves the whole budget
+    assert allocate(RateLimitConfig(), {}) == ({}, 160 * BYTES_PER_MBIT)
 
 
 def test_oracle_agreement_on_mixed_workload():
