@@ -122,11 +122,10 @@ def resolve_layers(topology: Topology,
     `resolve_layer_config` overrides; a layer without an entry gets the
     defaults."""
     overrides = overrides or {}
-    unknown = set(overrides) - {l.name for l in topology.layers}
+    unknown = set(overrides) - set(topology.layers)
     if unknown:
         raise ConfigError(f"defaults for unknown layers: {sorted(unknown)}")
-    return {l.name: resolve_layer_config(overrides.get(l.name, {}))
-            for l in topology.layers}
+    return {l: resolve_layer_config(overrides.get(l, {})) for l in topology.layers}
 
 
 @dataclass
@@ -203,9 +202,9 @@ class MainConfigService:
         self.clock = network.clock
         self.seq = seq
         self.registry = network.metrics
-        self.home_layer = store.topology.most_central_layer.name
-        self.node = store.topology.system_node(self.home_layer)
-        self._endpoint = network.endpoint(store.topology.inter_layer_scope(self.home_layer))
+        home = store.topology.most_central_layer
+        self.node = store.topology.system_node(home)
+        self._endpoint = network.endpoint(store.topology.inter_layer_scope(home))
 
     def start(self) -> None:
         """Answer pulls from now on; call once."""
@@ -231,7 +230,7 @@ class ConfigWorker:
         `resolve_layers`), served at revision 0 until a stored layer
         document arrives."""
         topology = network.topology
-        self.layer = topology.layer(layer).name
+        self.layer = topology.layer(layer)
         self.doc = ConfigDocument(self.layer, 0, layer_config)
         self.clock = network.clock
         self.seq = seq

@@ -16,8 +16,10 @@ touches one topic, so only that topic's bridges are recomputed, and only
 when the table reports that it changed. An unchanged re-announce costs a
 store and a flood, nothing more. The table is indexed by topic and by
 service, so a reconcile and the limiter resync after it cost one topic's
-entries and bridges, and only the traffic clients whose registration of
-that topic changed are re-synced.
+entries and bridges. The limiters' ``records`` are the only copy of the
+registrations: a resync reads the clients of the topic's bridges before
+and after, and re-syncs only those whose record of the topic differs
+from the table's.
 
 A bridge is a subscription on the source scope that republishes fresh
 envelopes on the destination scope. Freshness comes from a dedupe
@@ -39,7 +41,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import codec
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
@@ -217,18 +219,17 @@ class FlowTable:
 BridgeKey = tuple[str, str, str]  # (topic, source scope key, dest scope key)
 
 
-def compute_required_bridges(table: FlowTable, scopes: Iterable[BrokerScope],
-                             topic: str) -> set[BridgeKey]:
+def compute_required_bridges(table: FlowTable, topic: str) -> set[BridgeKey]:
     """Pure bridge-set computation for one topic of one engine's table.
 
     Every (advertiser scope, requester scope) pair of the topic yields one
     bridge when the scopes differ; a pair within one scope needs none
-    (scope-local delivery is direct).
+    (scope-local delivery is direct). Every row's scope is one of the
+    engine's: `FlowEngine.announce` rejects a foreign scope before it
+    stores anything.
     """
-    known = {s.key for s in scopes}
-    advs = table.scopes(ADVERTISE, topic) & known
-    reqs = table.scopes(REQUEST, topic) & known
-    return {(topic, a, r) for a in advs for r in reqs if a != r}
+    reqs = table.scopes(REQUEST, topic)
+    return {(topic, a, r) for a in table.scopes(ADVERTISE, topic) for r in reqs if a != r}
 
 
 @dataclass
@@ -271,7 +272,7 @@ class FlowEngine:
     ):
         """``config()`` returns the layer's resolved config body."""
         topology = network.topology
-        self.layer = topology.layer(layer).name
+        self.layer = topology.layer(layer)
         self.topology = topology
         self.network = network
         self.clock = network.clock
@@ -284,8 +285,7 @@ class FlowEngine:
         self.limit_cfg = RateLimitConfig.from_obj(body["rate_limit"])
         self._set_periods(body["flow"])
 
-        self.scopes: list[BrokerScope] = list(topology.scopes_for_layer(self.layer))
-        self.scope_by_key = {s.key: s for s in self.scopes}
+        self.scope_by_key = {s.key: s for s in topology.scopes_for_layer(self.layer)}
         self.inter_scope = topology.inter_layer_scope(self.layer)
         self.inter_endpoint = network.endpoint(self.inter_scope)
         self.system_node = topology.system_node(self.layer)
@@ -294,10 +294,8 @@ class FlowEngine:
         self.table = FlowTable()
         self.bridges: dict[BridgeKey, BridgeSpec] = {}
         self._topic_bridges: dict[str, set[BridgeKey]] = {}
-        self.windows: dict[str, DedupeWindow] = {s.key: DedupeWindow() for s in self.scopes}
+        self.windows: dict[str, DedupeWindow] = {key: DedupeWindow() for key in self.scope_by_key}
         self.limiters: dict[str, HierarchicalLimiter] = {}
-        # the last registration synced per topic: {topic: {client: (rate, size)}}
-        self._regs_by_topic: dict[str, dict[str, tuple[float, int]]] = {}
         # one-entry codec memos, (payload, level, blob, original length)
         # and (blob, data), hit by identity with the held bytes, which
         # cannot change
@@ -308,7 +306,7 @@ class FlowEngine:
 
     def start(self) -> None:
         """Subscribe to flow control and start the watchdog; call once."""
-        for scope in self.scopes:
+        for scope in self.scope_by_key.values():
             ep = self.network.endpoint(scope)
             for topic in (FLOW_ADVERTISE, FLOW_REQUEST, FLOW_WITHDRAW):
                 ep.subscribe(topic, partial(self._on_control, scope), owner=self.service_name)
@@ -365,8 +363,10 @@ class FlowEngine:
 
     def _reconcile(self, topic: str) -> tuple[list[BridgeSpec], list[BridgeKey]]:
         """Bring one topic's bridges in line with the table."""
-        required = compute_required_bridges(self.table, self.scopes, topic)
+        required = compute_required_bridges(self.table, topic)
         current = self._topic_bridges.pop(topic, set())
+        # the clients registered for the topic, read before any bridge goes
+        registered = {self.bridges[key].client for key in current} - {None}
         created: list[BridgeSpec] = []
         removed: list[BridgeKey] = []
         for key in sorted(current - required):
@@ -378,7 +378,7 @@ class FlowEngine:
             self._topic_bridges[topic] = required
         if created or removed:
             self.registry.observe("flow.bridges", {"layer": self.layer}, len(self.bridges))
-        self._sync_limiters(topic)
+        self._sync_limiters(topic, registered)
         return created, removed
 
     def _install_bridge(self, key: BridgeKey) -> BridgeSpec:
@@ -413,8 +413,10 @@ class FlowEngine:
         self.trace.record("bridge_removed", self.clock.now, layer=self.layer,
                           topic=bridge.topic, source=bridge.source.key, dest=bridge.dest.key)
 
-    def _sync_limiters(self, topic: str) -> None:
-        """Re-register one topic with the traffic clients whose share of it changed."""
+    def _sync_limiters(self, topic: str, registered: set[str]) -> None:
+        """Re-register one topic with the traffic clients whose record of it
+        differs from the table; ``registered`` are the clients of the
+        topic's bridges before this reconcile."""
         fresh: dict[str, tuple[float, int]] = {}
         for key in sorted(self._topic_bridges.get(topic, ())):
             bridge = self.bridges[key]
@@ -425,17 +427,14 @@ class FlowEngine:
             size = max((e.declared_max_size for e in entries), default=0)
             r0, s0 = fresh.get(bridge.client, (0, 0))
             fresh[bridge.client] = (r0 + rate, max(s0, size))
-        stale = self._regs_by_topic.pop(topic, {})
-        if fresh:
-            self._regs_by_topic[topic] = fresh
-        for client in sorted(stale.keys() | fresh.keys()):
+        for client in sorted(registered | fresh.keys()):
             reg = fresh.get(client)
-            if reg == stale.get(client):
-                continue
             limiter = self.limiters.get(client)
-            if limiter is None:
+            if limiter is None:  # a client with no topic yet
                 limiter = self.limiters[client] = HierarchicalLimiter(
                     self.limit_cfg, self.clock, client, self.registry)
+            elif reg == limiter.records.get(topic):
+                continue
             elif reg is None and len(limiter.records) == 1:
                 del self.limiters[client]  # its last topic: nothing to reallocate
                 continue

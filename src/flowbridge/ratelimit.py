@@ -27,7 +27,8 @@ messages. A denied acquire means the frame is dropped, never queued.
 
 A ``HierarchicalLimiter`` holds one client's registrations in
 ``records``, the same ``{topic: (rate, max size)}`` the allocator takes
-and the only per-client copy, and one bucket per registered topic.
+and the only copy of them (the flow engine keeps none), and one bucket
+per registered topic.
 """
 
 from __future__ import annotations
@@ -150,10 +151,11 @@ class HierarchicalLimiter:
     """Allocator plus per-topic buckets for one client (node or layer).
 
     ``records`` maps each registered topic to its ``(rate, max size)``;
-    it is the only per-client copy of the registrations, and only
-    registered topics are admitted. The engine keeps the declared
-    ``(rate, size)`` per topic; a record's max size can exceed the
-    declared size, since live payloads grow it. Registration changes
+    it is the only copy of the client's registrations, and only
+    registered topics are admitted. The engine keeps no copy of its own:
+    it re-syncs a topic when the table's ``(rate, size)`` differs from
+    the record. A record's max size can exceed the declared size, since
+    live payloads grow it. Registration changes
     and size observations trigger a reallocation; buckets of retained
     topics keep their token balance across reallocations, new topics
     start with a full bucket.

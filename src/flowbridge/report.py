@@ -44,10 +44,11 @@ def _fmt(x: float) -> str:
 
 def latency_by_topic(registry: MetricsRegistry) -> dict[str, list[float]]:
     """Observed end-to-end latencies (ms) pooled across consumer nodes,
-    in the order their series were bound; the mean's float sum depends
-    on that order."""
+    in label order (by node within a topic): the mean's float sum
+    depends on the order, so it must not depend on which node heard
+    first."""
     pools: dict[str, list[float]] = {}
-    for labels, series in registry.gauge_sets("mon.msg_latency_ms").items():
+    for labels, series in sorted(registry.gauge_sets("mon.msg_latency_ms").items()):
         topic = dict(labels).get("topic", "")
         pools.setdefault(topic, []).extend(v for _, v in series)
     return pools

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import random
+from functools import partial
 from pathlib import Path
 
 from . import report
@@ -67,7 +68,6 @@ class _StreamDriver:
         self.stream = stream
         self.rng = rng
         self.period_ns = round(SECOND / stream.rate_hz)  # >= 1: see StreamSpec
-        self.sent = 0
         self.frame: bytes | None = None  # the frame every tick reuses, once drawn
 
     def tick(self) -> int | None:
@@ -79,7 +79,6 @@ class _StreamDriver:
             if self.stream.payload != "compressible":
                 self.frame = payload
         self.host.publish(self.handle, self.stream.topic, payload)
-        self.sent += 1
         return self.period_ns
 
 
@@ -101,25 +100,21 @@ class World:
         self.registry = MetricsRegistry(self.clock)
         self.network = Network(topology, self.clock, self.rng, self.registry, self.trace)
         self.heartbeats = {
-            l.name: HeartbeatRegistry(self.clock, self.registry, self.trace, l.name)
-            for l in topology.layers
+            l: HeartbeatRegistry(self.clock, self.registry, self.trace, l) for l in topology.layers
         }
         self.seqs = {n.name: SequenceCounter() for n in topology.nodes}
 
         layer_configs = resolve_layers(topology, config)
         self.store = MainConfigStore(topology)
-        home = topology.most_central_layer.name
         self.config_main = MainConfigService(
-            self.store, self.network, self._system_seq(home))
+            self.store, self.network, self._system_seq(topology.most_central_layer))
         self.workers: dict[str, ConfigWorker] = {}
         self.engines: dict[str, FlowEngine] = {}
         for l in topology.layers:
-            worker = ConfigWorker(l.name, self.network, self._system_seq(l.name),
-                                  layer_configs[l.name])
-            self.workers[l.name] = worker
-            self.engines[l.name] = FlowEngine(
-                l.name, self.network, self.heartbeats[l.name],
-                self._system_seq(l.name),
+            worker = self.workers[l] = ConfigWorker(
+                l, self.network, self._system_seq(l), layer_configs[l])
+            self.engines[l] = FlowEngine(
+                l, self.network, self.heartbeats[l], self._system_seq(l),
                 config=lambda w=worker: w.get_config().body,
             )
         self.host = ServiceHost(
@@ -127,7 +122,6 @@ class World:
             flow_config=lambda ln: self.workers[ln].get_config().body["flow"],
         )
         self.handles: dict[str, ServiceHandle] = {}
-        self.drivers: list[_StreamDriver] = []
         self.trace.open(trace_path)  # last: a world that rejects its input leaves no file
 
     def _system_seq(self, layer: str) -> SequenceCounter:
@@ -187,13 +181,10 @@ class World:
             if stream.rate_hz <= 0:
                 continue
             driver = _StreamDriver(self.host, handle, stream, random.Random(seed))
-            self.drivers.append(driver)
             self.clock.every(driver.period_ns, driver.tick)
 
     def _stop_named(self, name: str) -> None:
-        handle = self.handles.get(name)
-        if handle is not None and handle.state == READY:
-            self.host.stop_service(handle)
+        self.host.stop_service(self.handles[name])
 
     def enable_probes(self, probes: ProbesSpec) -> None:
         """Run one latency probe per node, riding the regular topic fabric."""
@@ -213,9 +204,7 @@ class World:
                 for j, t in enumerate(nodes) if t != node
             ]
             probe = PingProbe(
-                node, targets,
-                publish=(lambda topic, payload, s=service:
-                         self.host.publish(self.handles[s], topic, payload)),
+                node, targets, publish=None,  # bound below, to the probe's own service
                 clock=self.clock, registry=self.registry,
                 period_ns=period, timeout_ns=timeout, offsets=offsets,
             )
@@ -223,7 +212,7 @@ class World:
             # only the addressed probe requests
             rate = 1 / probes.ping_period_s
             own_ping, own_pong = ping_topic(node.key), pong_topic(node.key)
-            self.handles[service] = self.host.start_service(
+            handle = self.handles[service] = self.host.start_service(
                 node.name, service,
                 advertises=[Advertise(topic, rate, PROBE_PAYLOAD_SIZE) for t in targets
                             for topic in (ping_topic(t.key), pong_topic(t.key))],
@@ -231,6 +220,7 @@ class World:
                 on_message={own_ping: probe.on_ping, own_pong: probe.on_pong},
                 internal=True,
             )
+            probe.publish = partial(self.host.publish, handle)
             # first cycle one period in, once announcements have settled
             self.clock.every(period, probe.cycle)
 
@@ -284,7 +274,7 @@ def _check_fits(topology: Topology, scenario: Scenario, duration: float) -> None
     layer the topology lacks or an external scope its layer does not have,
     or starting a service after the run's end. A stop after the end lands
     in the drain."""
-    unknown = set(scenario.config) - {l.name for l in topology.layers}
+    unknown = set(scenario.config) - set(topology.layers)
     if unknown:
         raise WorldError(f"config for unknown layers: {sorted(unknown)}")
     for spec in scenario.services:

@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
-from . import monitor
 from .broker import BrokerEndpoint, SubscriberHandle
 from .flow import CONTROL_TOPIC, DedupeWindow, FlowEngine
 from .monitor import HeartbeatRegistry
@@ -92,9 +91,7 @@ class ServiceHandle:
         self.node = node
         self.owner = f"{name}@{node.name}"  # unique: node names have no "@"
         self.endpoint = endpoint  # of the scope it publishes and subscribes on
-        self.scope = endpoint.scope
         self.advertised_topics = frozenset(a.topic for a in advertises)
-        self.requests = requests
         # announced at start and every re-announce, withdrawn at stop
         self.declarations = tuple(
             [FlowDeclaration(ADVERTISE, a.topic, node, a.rate_hz, a.max_size) for a in advertises]
@@ -247,12 +244,10 @@ class ServiceHost:
 
     def _delivery_wrapper(self, handle: ServiceHandle, topic: str,
                           user_cb: Callable[[MessageEnvelope], None] | None):
-        # bound at the first delivery, so the series keep the order of
-        # their first sample, which `report.latency_by_topic` pools in
-        latency: monitor.GaugeCell | None = None
+        latency = self.registry.gauge("mon.msg_latency_ms",
+                                      {"topic": topic, "node": handle.node.name})
 
         def deliver(env: MessageEnvelope) -> None:
-            nonlocal latency
             origin = env.origin_node.key
             if handle._delivered.seen(origin, env.topic, env.sequence):
                 self.registry.inc("sdk.duplicate", {"topic": env.topic, "node": handle.node.name})
@@ -262,9 +257,6 @@ class ServiceHost:
                 self.trace.record("duplicate_delivery", self.clock.now, **fields)
                 return
             handle._delivered.record(origin, env.topic, env.sequence)
-            if latency is None:
-                latency = self.registry.gauge("mon.msg_latency_ms",
-                                              {"topic": topic, "node": handle.node.name})
             now = self.clock.now
             latency.series.append((now, (now - env.sent_at) / 1e6))
             handle.received += 1

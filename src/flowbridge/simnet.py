@@ -239,8 +239,8 @@ class Network:
             a = ep.scope.layer
             peers = ()
             if ep.scope.kind is ScopeKind.INTER_LAYER:
-                peers = tuple((self.endpoints[f"{bus}:{b.name}"], self.links[f"{a}->{b.name}"],
-                               xlink_parts(a, b.name)) for b in topology.layers if b.name != a)
+                peers = tuple((self.endpoints[f"{bus}:{b}"], self.links[f"{a}->{b}"],
+                               xlink_parts(a, b)) for b in topology.layers if b != a)
             self._outbound[ep] = ((ep, self.links[key], None), *peers)
 
     # -- endpoint access -------------------------------------------------

@@ -114,14 +114,6 @@ class ScopeKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class LayerId:
-    """A named layer with its depth in the stack (0 = outermost edge)."""
-
-    depth: int
-    name: str
-
-
-@dataclass(frozen=True)
 class NodeId:
     layer: str
     name: str
@@ -280,6 +272,9 @@ class Topology:
     """Validated deployment: ordered layers, their nodes, all scopes, and
     every link's spec.
 
+    ``layers`` is the tuple of layer names, outermost (edge) first; a
+    layer's depth is its index there.
+
     ``links`` is the document's links section (all sections optional)::
 
         {"defaults":  {"intra_node": {...}, "crossing": {...}, ...},
@@ -295,10 +290,8 @@ class Topology:
 
     def __init__(self, layers: Iterable[tuple[str, list[str]]], external: Iterable[str] = (),
                  links: dict | None = None):
-        self.layers: tuple[LayerId, ...] = tuple(
-            LayerId(i, name) for i, (name, _) in enumerate(layers)
-        )
-        names = [l.name for l in self.layers]
+        self.layers: tuple[str, ...] = tuple(name for name, _ in layers)
+        names = self.layers
         if not names:
             raise TopologyError("at least one layer required")
         # node keys join node and layer with "@", so it may appear in neither
@@ -307,10 +300,9 @@ class Topology:
                 raise TopologyError(f"name {name!r} contains '@'")
         if len(set(names)) != len(names):
             raise TopologyError("duplicate layer name")
-        self._layer_by_name = {l.name: l for l in self.layers}
         self.external_layers = frozenset(external)
         for name in self.external_layers:
-            if name not in self._layer_by_name:
+            if name not in names:
                 raise TopologyError(f"external_protocol on unknown layer {name!r}")
 
         self._nodes_by_layer: dict[str, tuple[NodeId, ...]] = {}
@@ -330,15 +322,15 @@ class Topology:
         scopes: dict[str, BrokerScope] = {}
         for layer in self.layers:
             for s in (
-                BrokerScope(ScopeKind.INTRA_LAYER, layer.name),
-                BrokerScope(ScopeKind.INTER_LAYER, layer.name),
+                BrokerScope(ScopeKind.INTRA_LAYER, layer),
+                BrokerScope(ScopeKind.INTER_LAYER, layer),
             ):
                 scopes[s.key] = s
-            if layer.name in self.external_layers:
-                s = BrokerScope(ScopeKind.EXTERNAL, layer.name)
+            if layer in self.external_layers:
+                s = BrokerScope(ScopeKind.EXTERNAL, layer)
                 scopes[s.key] = s
-            for node in self._nodes_by_layer[layer.name]:
-                s = BrokerScope(ScopeKind.INTRA_NODE, layer.name, node.name)
+            for node in self._nodes_by_layer[layer]:
+                s = BrokerScope(ScopeKind.INTRA_NODE, layer, node.name)
                 scopes[s.key] = s
         self.scopes: dict[str, BrokerScope] = scopes
         self.links: dict[str, LinkSpec] = self._resolve_links({} if links is None else links)
@@ -380,11 +372,11 @@ class Topology:
 
     # -- lookups -------------------------------------------------------
 
-    def layer(self, name: str) -> LayerId:
-        try:
-            return self._layer_by_name[name]
-        except KeyError:
-            raise TopologyError(f"unknown layer {name!r}") from None
+    def layer(self, name: str) -> str:
+        """``name`` itself, once it is checked to be one of ``layers``."""
+        if name not in self.layers:
+            raise TopologyError(f"unknown layer {name!r}")
+        return name
 
     def node(self, name: str) -> NodeId:
         try:
@@ -401,7 +393,7 @@ class Topology:
         return tuple(self._node_by_name[n] for n in sorted(self._node_by_name))
 
     @property
-    def most_central_layer(self) -> LayerId:
+    def most_central_layer(self) -> str:
         return self.layers[-1]
 
     def scopes_for_layer(self, layer: str) -> tuple[BrokerScope, ...]:
@@ -431,7 +423,7 @@ class Topology:
         """Where a node's services attach: intra_node on the outermost
         (edge) layer, intra_layer on every deeper layer."""
         n = self.node(node)
-        if self.layer(n.layer).depth == 0:
+        if n.layer == self.layers[0]:
             return self.intra_node_scope(node)
         return self.intra_layer_scope(n.layer)
 
@@ -441,7 +433,7 @@ class Topology:
 
     def layer_pairs(self) -> list[tuple[str, str]]:
         """All unordered layer pairs, nearest-neighbor first."""
-        names = [l.name for l in self.layers]
+        names = self.layers
         pairs = []
         for span in range(1, len(names)):
             for i in range(len(names) - span):

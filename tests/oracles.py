@@ -294,9 +294,9 @@ def oracle_dispatch_per_copy(net, subs, endpoint, env, sender) -> int:
     total = 0
     hops = [(endpoint, net.links[scope.key], None)]
     if scope.kind.value == "inter_layer":
-        hops += [(net.endpoints[f"inter_layer:{layer.name}"],
-                  net.links[f"{scope.layer}->{layer.name}"], layer.name)
-                 for layer in net.topology.layers if layer.name != scope.layer]
+        hops += [(net.endpoints[f"inter_layer:{layer}"],
+                  net.links[f"{scope.layer}->{layer}"], layer)
+                 for layer in net.topology.layers if layer != scope.layer]
     for ep, link, to_layer in hops:
         targets = oracle_snapshot(subs, ep, env, sender)
         if not targets:

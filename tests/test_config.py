@@ -142,11 +142,8 @@ class ConfigWorld:
         self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])
         layers = resolve_layers(self.topology, config)
         self.workers = {
-            l.name: ConfigWorker(
-                l.name, self.network,
-                self.seqs[self.topology.system_node(l.name).name],
-                layers[l.name],
-            )
+            l: ConfigWorker(l, self.network, self.seqs[self.topology.system_node(l).name],
+                            layers[l])
             for l in self.topology.layers
         }
         self.main.start()

@@ -26,11 +26,9 @@ from flowbridge.topology import (
     FLOW_ADVERTISE,
     FLOW_WITHDRAW,
     REQUEST,
-    BrokerScope,
     FlowDeclaration,
     MessageEnvelope,
     NodeId,
-    ScopeKind,
     SequenceCounter,
     build_topology,
     declaration_from_body,
@@ -168,27 +166,15 @@ def test_table_queries():
 # -- bridge computation -------------------------------------------------------
 
 
-def scopes(*keys):
-    out = []
-    for key in keys:
-        kind, _, rest = key.partition(":")
-        if "@" in rest:
-            node, _, layer = rest.partition("@")
-            out.append(BrokerScope(ScopeKind(kind), layer, node))
-        else:
-            out.append(BrokerScope(ScopeKind(kind), rest))
-    return out
-
-
 def test_bridges_empty_table():
-    assert compute_required_bridges(FlowTable(), scopes("intra_layer:edge"), "t") == set()
+    assert compute_required_bridges(FlowTable(), "t") == set()
 
 
 def test_bridges_same_scope_needs_none():
     t = FlowTable()
     t.store(ADVERTISE, "intra_layer:edge", decl(), "s1")
     t.store(REQUEST, "intra_layer:edge", decl(REQUEST, node="b"), "s2")
-    assert compute_required_bridges(t, scopes("intra_layer:edge"), "t") == set()
+    assert compute_required_bridges(t, "t") == set()
 
 
 def test_bridges_cross_product_minus_diagonal():
@@ -197,8 +183,7 @@ def test_bridges_cross_product_minus_diagonal():
     t.store(ADVERTISE, "intra_layer:B", decl(node="b"), "s2")
     t.store(REQUEST, "intra_layer:B", decl(REQUEST, node="c"), "s3")
     t.store(REQUEST, "intra_layer:C", decl(REQUEST, node="d"), "s4")
-    all_scopes = [BrokerScope(ScopeKind.INTRA_LAYER, l) for l in ("A", "B", "C")]
-    got = compute_required_bridges(t, all_scopes, "t")
+    got = compute_required_bridges(t, "t")
     assert got == {
         ("t", "intra_layer:A", "intra_layer:B"),
         ("t", "intra_layer:A", "intra_layer:C"),
@@ -207,11 +192,16 @@ def test_bridges_cross_product_minus_diagonal():
     }
 
 
-def test_bridges_ignore_unattached_scopes():
+def test_bridges_join_only_the_topics_own_rows():
+    # another topic's advertiser or requester at a scope makes no bridge
     t = FlowTable()
-    t.store(ADVERTISE, "intra_layer:far", decl(), "s1")
-    t.store(REQUEST, "intra_layer:edge", decl(REQUEST, node="b"), "s2")
-    assert compute_required_bridges(t, scopes("intra_layer:edge"), "t") == set()
+    t.store(ADVERTISE, "intra_layer:A", decl(), "s1")
+    t.store(ADVERTISE, "intra_layer:B", decl(topic="u", node="b"), "s2")
+    t.store(REQUEST, "intra_layer:C", decl(REQUEST, node="c"), "s3")
+    t.store(REQUEST, "intra_layer:D", decl(REQUEST, topic="u", node="d"), "s4")
+    assert compute_required_bridges(t, "t") == {("t", "intra_layer:A", "intra_layer:C")}
+    assert compute_required_bridges(t, "u") == {("u", "intra_layer:B", "intra_layer:D")}
+    assert compute_required_bridges(t, "v") == set()
 
 
 # -- engine harness ------------------------------------------------------------
@@ -234,17 +224,16 @@ class Mini:
         self.network = Network(self.topology, self.clock, self.rng, self.metrics, self.trace)
         self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
         self.heartbeats = {
-            l.name: HeartbeatRegistry(self.clock, self.metrics, self.trace, l.name)
+            l: HeartbeatRegistry(self.clock, self.metrics, self.trace, l)
             for l in self.topology.layers
         }
-        self.bodies = {l.name: resolve_layer_config(config or {})
-                       for l in self.topology.layers}
+        self.bodies = {l: resolve_layer_config(config or {}) for l in self.topology.layers}
         self.engines = {}
         for l in self.topology.layers:
-            self.engines[l.name] = FlowEngine(
-                l.name, self.network, self.heartbeats[l.name],
-                self.seqs[self.topology.system_node(l.name).name],
-                config=lambda ln=l.name: self.bodies[ln],
+            self.engines[l] = FlowEngine(
+                l, self.network, self.heartbeats[l],
+                self.seqs[self.topology.system_node(l).name],
+                config=lambda ln=l: self.bodies[ln],
             )
         for e in self.engines.values():
             e.start()
@@ -360,11 +349,15 @@ def test_announce_is_idempotent():
 
 
 def test_announce_rejects_foreign_scope():
+    # rejected before anything is stored: `compute_required_bridges` relies
+    # on every row's scope being one of the engine's
     w = Mini(SPEC3)
+    engine = w.engines["edge"]
     with pytest.raises(FlowEngineError):
-        w.engines["edge"].announce(
+        engine.announce(
             decl(topic="t", node="robot-1"), "svc",
             scope=w.topology.intra_layer_scope("fog"))
+    assert engine.table.entries == {}
     w.drain()
 
 

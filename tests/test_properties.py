@@ -349,7 +349,7 @@ def test_engine_bridges_match_whole_table_oracle(steps):
                 assert not engine.table.contributions(name)
         w.clock.run_until(w.clock.now + 200 * MS)
         for engine in w.engines.values():
-            want = oracle_bridges(list(engine.table.entries), {s.key for s in engine.scopes})
+            want = oracle_bridges(list(engine.table.entries), set(engine.scope_by_key))
             assert set(engine.bridges) == want, engine.layer
             regs = oracle_limiter_regs(engine)
             assert set(engine.limiters) == set(regs), engine.layer

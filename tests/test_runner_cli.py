@@ -1,6 +1,5 @@
 """End-to-end tests for scenario runs, report files, and the CLI."""
 
-import copy
 import csv
 import hashlib
 import json
@@ -8,13 +7,16 @@ import logging
 
 import pytest
 
+from flowbridge import runner
 from flowbridge.cli import main
 from flowbridge.report import (
     MetricsParseError,
     diff_runs,
+    latency_by_topic,
     parse_metrics,
     percentile,
 )
+from flowbridge.monitor import MetricsRegistry
 from flowbridge.ratelimit import HierarchicalLimiter
 from flowbridge.runner import World, WorldError, run_scenario
 from flowbridge.scenario import ScenarioError, make_payload, parse_scenario
@@ -89,6 +91,22 @@ def test_percentile_rejects_bad_input():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 101)
+
+
+def test_latency_pool_does_not_depend_on_binding_order():
+    # summing these in the pooled order gives 2.5999999999999996 when node
+    # a's series comes first and 2.6 when b's does; the pool, and so the
+    # summary's mean, must not depend on which node heard first
+    pools = []
+    for order in (("a", "b"), ("b", "a")):
+        registry = MetricsRegistry(SimClock())
+        cells = {node: registry.gauge("mon.msg_latency_ms", {"topic": "t", "node": node})
+                 for node in order}
+        for node, values in (("a", (0.1, 0.2)), ("b", (2.3,))):
+            for value in values:
+                cells[node].observe(value)
+        pools.append(latency_by_topic(registry))
+    assert pools[0] == pools[1] == {"t": [0.1, 0.2, 2.3]}
 
 
 def test_parse_metrics_drops_timestamps(tmp_path):
@@ -398,16 +416,22 @@ def captured(world, scope, topic="scan"):
     return got
 
 
-def test_random_stream_repeats_its_first_draw():
+def test_random_stream_repeats_its_first_draw(monkeypatch):
+    draws = []
+
+    def drawing(kind, size, rng):
+        draws.append(make_payload(kind, size, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(runner, "make_payload", drawing)
     world = scan_world("random")
-    (driver,) = world.drivers
-    # the driver's RNG is still as seeded: no frame is drawn before the first tick
-    expected = make_payload("random", 512, copy.deepcopy(driver.rng))
+    assert draws == []  # no frame is drawn before the first tick
     sent = captured(world, world.topology.default_scope_for("robot-1"))
     world.run_for(2.0)
     world.drain()
-    assert len(sent) == driver.sent > 1
-    assert all(env.payload == expected for env in sent)
+    assert len(sent) == world.handles["scanner"].published > 1
+    (expected,) = draws
+    assert all(env.payload is expected for env in sent)
     assert len(expected) == 512
     assert world.issues() == []
 

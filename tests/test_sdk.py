@@ -53,7 +53,7 @@ def test_advertise_validation():
 def test_start_service_lifecycle(world, tmp_path):
     h = world.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0, 100)])
     assert h.state == READY
-    assert h.scope.key == "intra_node:robot-1@edge"
+    assert h.endpoint.scope.key == "intra_node:robot-1@edge"
     assert world.host.services[("robot-1", "cam")] is h
     assert world.heartbeats["edge"].live("cam", "robot-1")
     world.drain()
@@ -63,13 +63,13 @@ def test_start_service_lifecycle(world, tmp_path):
 def test_default_scope_depends_on_layer_depth(world):
     edge = world.host.start_service("robot-1", "a")
     cloud = world.host.start_service("cloud-1", "b")
-    assert edge.scope.kind.value == "intra_node"
-    assert cloud.scope.key == "intra_layer:cloud"
+    assert edge.endpoint.scope.kind.value == "intra_node"
+    assert cloud.endpoint.scope.key == "intra_layer:cloud"
 
 
 def test_external_services_attach_to_external_scope(world):
     h = world.host.start_service("robot-1", "legacy", external=True)
-    assert h.scope.key == "external_protocol:edge"
+    assert h.endpoint.scope.key == "external_protocol:edge"
     with pytest.raises(Exception):
         world.host.start_service("cloud-1", "nope", external=True)  # no ext scope there
 
@@ -247,7 +247,7 @@ def test_duplicate_delivery_is_flagged_as_violation(world):
         sequence=1, sent_at=0,
     )
     # bypass the bridge layer and hand the same envelope over twice
-    ep = world.network.endpoint(sink.scope)
+    ep = sink.endpoint
     ep.publish(env)
     ep.publish(env)
     settle(world)
@@ -263,7 +263,7 @@ def test_arrival_older_than_the_window_is_delivered_as_fresh(world):
     # sequence 5 is out of the 1024-sequence window, so it is received
     world.host.start_service("robot-1", "sink", requests=["t"])
     sink = world.host.services[("robot-1", "sink")]
-    ep = world.network.endpoint(sink.scope)
+    ep = sink.endpoint
     for seq in (2000, 5):
         ep.publish(MessageEnvelope(
             topic="t", payload=b"x", origin_node=world.topology.node("robot-2"),

@@ -15,7 +15,6 @@ from flowbridge.topology import (
     RESERVED_PREFIX,
     BrokerScope,
     FlowDeclaration,
-    LayerId,
     LinkSpec,
     MessageEnvelope,
     NodeId,
@@ -70,12 +69,12 @@ def test_scope_node_constraints():
 
 def test_build_and_lookups():
     topo = make_topo()
-    assert [l.name for l in topo.layers] == ["edge", "fog", "cloud"]
-    assert [l.depth for l in topo.layers] == [0, 1, 2]
-    assert topo.layer("fog") == LayerId(1, "fog")
+    # a layer is its name, and its depth is its index in ``layers``
+    assert topo.layers == ("edge", "fog", "cloud")
+    assert topo.layer("fog") == "fog"
     assert topo.node("robot-2") == NodeId("edge", "robot-2")
     assert topo.nodes_in("edge") == (NodeId("edge", "robot-1"), NodeId("edge", "robot-2"))
-    assert topo.most_central_layer.name == "cloud"
+    assert topo.most_central_layer == "cloud"
 
 
 def test_nodes_property_sorted_by_name():
@@ -167,7 +166,7 @@ def test_load_topology_returns_links(tmp_path):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(spec))
     topo = load_topology(str(path))
-    assert topo.most_central_layer.name == "cloud"
+    assert topo.most_central_layer == "cloud"
     assert topo.links["intra_layer:edge"] == LinkSpec(latency_ms=3.0)
     assert topo.links["intra_layer:fog"] == LinkSpec(latency_ms=3.0, loss=0.5)
     assert topo.links["inter_layer:edge"] == DEFAULT_LINKS["inter_layer"]
