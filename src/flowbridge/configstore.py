@@ -30,6 +30,7 @@ from .topology import (
     SequenceCounter,
     Topology,
     control_envelope,
+    control_payload,
     finite_number,
 )
 
@@ -217,7 +218,7 @@ class MainConfigService:
         doc = self.store.docs.get(req["layer"])
         reply = {"corr": req["corr"], "docs": [] if doc is None else [doc.to_obj()]}
         self._endpoint.publish(control_envelope(
-            CONFIG_REPLY, reply, self.node, self.seq, self.clock.now))
+            CONFIG_REPLY, control_payload(reply), self.node, self.seq, self.clock.now))
         self.registry.inc("config.pulls", {"layer": req["layer"]})
 
 
@@ -269,7 +270,7 @@ class ConfigWorker:
         self._pending[corr] = None
         body = {"op": "pull", "layer": self.layer, "corr": corr}
         self._inter.publish(control_envelope(
-            CONFIG_REQUEST, body, self.node, self.seq, self.clock.now))
+            CONFIG_REQUEST, control_payload(body), self.node, self.seq, self.clock.now))
         return corr
 
     def _on_reply(self, env: MessageEnvelope) -> None:
@@ -297,7 +298,7 @@ class ConfigWorker:
     def _notify(self, changed: list[str]) -> None:
         notice = {"layer": self.layer, "revision": self.doc.revision, "changed_paths": changed}
         self._intra.publish(control_envelope(
-            CONFIG_NOTICE, notice, self.node, self.seq, self.clock.now))
+            CONFIG_NOTICE, control_payload(notice), self.node, self.seq, self.clock.now))
         self.registry.inc("config.notices", {"layer": self.layer})
         self.trace.record("config_notice", self.clock.now, layer=self.layer,
                           revision=self.doc.revision, changed=changed)

@@ -38,7 +38,6 @@ scope, so local subscribers always see original bytes.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -62,8 +61,8 @@ from .topology import (
     ScopeKind,
     SequenceCounter,
     control_envelope,
-    declaration_body,
-    declaration_from_body,
+    declaration_payload,
+    decode_declaration,
 )
 
 CONTROL_TOPIC = {ADVERTISE: FLOW_ADVERTISE, REQUEST: FLOW_REQUEST}
@@ -318,41 +317,54 @@ class FlowEngine:
     # -- declaration intake ------------------------------------------------
 
     def announce(self, decl: FlowDeclaration, service: str = "anonymous",
-                 scope: BrokerScope | None = None) -> list[BridgeSpec]:
-        """Store a declaration and flood it; returns bridges created by it."""
+                 scope: BrokerScope | None = None,
+                 payload: bytes | None = None) -> list[BridgeSpec]:
+        """Store a declaration and flood it; returns bridges created by it.
+        ``payload`` is its canonical bytes, when they are at hand."""
         if scope is None:
             scope = self.topology.default_scope_for(decl.origin_node.name)
         if scope.key not in self.scope_by_key:
             raise FlowEngineError(f"scope {scope.key} is not on layer {self.layer}")
         changed = self.table.store(decl.direction, scope.key, decl, service)
-        self._flood(scope, CONTROL_TOPIC[decl.direction], decl, service)
+        self._flood(scope, CONTROL_TOPIC[decl.direction], decl, service, payload)
         return self._reconcile(decl.topic)[0] if changed else []
 
     def withdraw(self, decl: FlowDeclaration, service: str = "anonymous",
-                 scope: BrokerScope | None = None) -> list[BridgeKey]:
+                 scope: BrokerScope | None = None,
+                 payload: bytes | None = None) -> list[BridgeKey]:
         """Remove a declaration and flood that; returns bridge keys torn down.
-        ``scope`` is where the withdrawal arrived; None means a local one."""
+        ``scope`` is where the withdrawal arrived; None means a local one.
+        ``payload`` is as for `announce`."""
         died = self.table.remove_contributor(
             decl.direction, decl.topic, decl.origin_node.key, service)
-        self._flood(scope, FLOW_WITHDRAW, decl, service)
+        self._flood(scope, FLOW_WITHDRAW, decl, service, payload)
         return self._reconcile(decl.topic)[1] if died else []
 
     def _flood(self, scope: BrokerScope | None, control_topic: str,
-               decl: FlowDeclaration, service: str) -> None:
+               decl: FlowDeclaration, service: str, payload: bytes | None) -> None:
         """Forward what arrived locally onto the bus, which reaches every
-        other layer in one hop; what arrived over the bus is not forwarded."""
+        other layer in one hop; what arrived over the bus is not forwarded.
+
+        ``payload``, the canonical bytes that arrived, is published as it
+        is. Only a declaration that came without one (a direct call, a
+        watchdog withdrawal) is encoded here, to the same bytes."""
         if scope == self.inter_scope or len(self.topology.layers) == 1:
             return
+        if payload is None:
+            payload = declaration_payload(decl, service)
         self.inter_endpoint.publish(control_envelope(
-            control_topic, declaration_body(decl, service),
-            self.system_node, self.seq, self.clock.now), self.service_name)
+            control_topic, payload, self.system_node, self.seq, self.clock.now),
+            self.service_name)
 
     def _on_control(self, scope: BrokerScope, env: MessageEnvelope) -> None:
-        decl, service = declaration_from_body(json.loads(env.payload))
+        """Store or withdraw what a control message declares. A payload
+        is decoded once (`decode_declaration`), not once per engine and
+        re-announce; its canonical bytes go on to `_flood`."""
+        decl, service, payload = decode_declaration(env.payload)
         if env.topic == FLOW_WITHDRAW:
-            self.withdraw(decl, service, scope)
+            self.withdraw(decl, service, scope, payload)
         else:
-            self.announce(decl, service, scope)
+            self.announce(decl, service, scope, payload)
 
     # -- reconciliation ----------------------------------------------------
 
@@ -409,6 +421,7 @@ class FlowEngine:
     def _remove_bridge(self, bridge: BridgeSpec) -> None:
         if bridge.handle is not None:
             self.network.endpoint(bridge.source).unsubscribe(bridge.handle)
+            bridge.handle = None  # the handle's callback holds the bridge: break the cycle
         self.bridges.pop(bridge.key, None)
         self.trace.record("bridge_removed", self.clock.now, layer=self.layer,
                           topic=bridge.topic, source=bridge.source.key, dest=bridge.dest.key)

@@ -35,7 +35,7 @@ from .topology import (
     NodeId,
     SequenceCounter,
     control_envelope,
-    declaration_body,
+    declaration_payload,
 )
 
 log = logging.getLogger(__name__)
@@ -92,10 +92,13 @@ class ServiceHandle:
         self.owner = f"{name}@{node.name}"  # unique: node names have no "@"
         self.endpoint = endpoint  # of the scope it publishes and subscribes on
         self.advertised_topics = frozenset(a.topic for a in advertises)
-        # announced at start and every re-announce, withdrawn at stop
+        decls = ([FlowDeclaration(ADVERTISE, a.topic, node, a.rate_hz, a.max_size)
+                  for a in advertises]
+                 + [FlowDeclaration(REQUEST, topic, node) for topic in requests])
+        # (announce topic, payload) per declaration, encoded once: announced
+        # at start and every re-announce, withdrawn at stop
         self.declarations = tuple(
-            [FlowDeclaration(ADVERTISE, a.topic, node, a.rate_hz, a.max_size) for a in advertises]
-            + [FlowDeclaration(REQUEST, topic, node) for topic in requests])
+            (CONTROL_TOPIC[d.direction], declaration_payload(d, name)) for d in decls)
         self.state = READY
         self.published = 0
         self.received = 0
@@ -202,8 +205,8 @@ class ServiceHost:
         if handle.state != READY:
             return
         handle.state = STOPPED
-        for decl in handle.declarations:
-            self._publish_control(handle, FLOW_WITHDRAW, decl)
+        for _, payload in handle.declarations:
+            self._publish_control(handle, FLOW_WITHDRAW, payload)
         self._teardown(handle, remove_heartbeat=True)
         self.trace.record("service_stopped", self.clock.now,
                           service=handle.name, node=handle.node.name)
@@ -268,14 +271,13 @@ class ServiceHost:
     # -- declarations ----------------------------------------------------------
 
     def _announce_all(self, handle: ServiceHandle) -> None:
-        for decl in handle.declarations:
-            self._publish_control(handle, CONTROL_TOPIC[decl.direction], decl)
+        for control_topic, payload in handle.declarations:
+            self._publish_control(handle, control_topic, payload)
 
     def _publish_control(self, handle: ServiceHandle, control_topic: str,
-                         decl: FlowDeclaration) -> None:
+                         payload: bytes) -> None:
         handle.endpoint.publish(control_envelope(
-            control_topic, declaration_body(decl, handle.name),
-            handle.node, self.seqs[handle.node.name], self.clock.now))
+            control_topic, payload, handle.node, self.seqs[handle.node.name], self.clock.now))
 
     # -- timers -------------------------------------------------------------
     # Recurring through `SimClock.every`: a tick returns its period while

@@ -11,6 +11,7 @@ so a malformed links section is rejected when the document is read.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -191,12 +192,17 @@ class MessageEnvelope:
             raise ValueError("uncompressed envelope with mismatched uncompressed_len")
 
 
-def control_envelope(topic: str, body: dict[str, Any], node: NodeId,
+def control_payload(body: dict[str, Any]) -> bytes:
+    """The bytes of a control message: ``body`` as sorted-key JSON."""
+    return json.dumps(body, sort_keys=True).encode()
+
+
+def control_envelope(topic: str, payload: bytes, node: NodeId,
                      seq: "SequenceCounter", now: int) -> MessageEnvelope:
-    """A control message from ``node``: ``body`` as sorted-key JSON."""
+    """A control message from ``node`` carrying ``payload``."""
     return MessageEnvelope(
         topic=topic,
-        payload=json.dumps(body, sort_keys=True).encode(),
+        payload=payload,
         origin_node=node,
         sequence=seq.next(topic),
         sent_at=now,
@@ -208,19 +214,39 @@ def declaration_body(decl: "FlowDeclaration", service: str) -> dict[str, Any]:
     return {"decl": decl.to_obj(), "service": service}
 
 
+def declaration_payload(decl: "FlowDeclaration", service: str) -> bytes:
+    """The canonical bytes of ``declaration_body(decl, service)``."""
+    return control_payload(declaration_body(decl, service))
+
+
 def declaration_from_body(body: dict[str, Any]) -> tuple["FlowDeclaration", str]:
     """The declaration and service carried by a ``declaration_body``."""
     return FlowDeclaration.from_obj(body["decl"]), body["service"]
 
 
-@dataclass
+# A world holds a few declarations per service, re-announced every cycle
+# by the same bytes; the bound holds every distinct payload of a
+# 1280-service ladder (3,212). An evicted payload only costs a decode again.
+@functools.lru_cache(maxsize=4096)
+def decode_declaration(payload: bytes) -> tuple["FlowDeclaration", str, bytes]:
+    """The declaration and service a control payload carries, and its
+    canonical bytes: ``payload`` itself when it re-encodes to the same
+    bytes, else the re-encoding. Memoised, so each of the engines that
+    receive one payload shares one decode and one immutable result."""
+    decl, service = declaration_from_body(json.loads(payload))
+    canonical = declaration_payload(decl, service)
+    return decl, service, payload if canonical == payload else canonical
+
+
+@dataclass(frozen=True)
 class FlowDeclaration:
     """An advertise or request for one topic, as flooded between layers.
 
     Its origin layer is ``origin_node.layer``. The bus reaches every
     layer in one hop, so a declaration needs no record of where it has
     been: an engine floods what arrives on its local scopes and never
-    what arrives over the bus.
+    what arrives over the bus. Frozen: `decode_declaration` hands one
+    instance to every engine that receives its payload.
     """
 
     direction: str

@@ -31,7 +31,9 @@ from flowbridge.topology import (
     NodeId,
     SequenceCounter,
     build_topology,
+    control_envelope,
     declaration_from_body,
+    decode_declaration,
 )
 from flowbridge.tracing import Trace
 from oracles import synthetic_corpus
@@ -456,6 +458,78 @@ def test_each_local_declaration_crosses_the_bus_once():
     # a crash leaves the withdrawal to the edge engine's watchdog
     w.host.kill_service(cam)
     settle(5_000, FLOW_WITHDRAW, False)
+    w.drain()
+    assert w.issues() == []
+
+
+def bus_payloads(world):
+    """Log the payload of every declaration published on an inter-layer
+    scope, as the object published."""
+    log = []
+    for layer in world.engines:
+        ep = world.network.endpoint(world.topology.inter_layer_scope(layer))
+
+        def publish(env, sender=None, publish=ep.publish):
+            if env.topic.startswith("__flow/"):
+                log.append(env.payload)
+            return publish(env, sender)
+        ep.publish = publish
+    return log
+
+
+def test_a_service_declaration_reaches_the_bus_as_the_bytes_it_sent():
+    decode_declaration.cache_clear()  # an earlier test may hold equal bytes
+    w = World(build_topology(SPEC3), seed=1)
+    w.start()
+    log = bus_payloads(w)
+    cam = w.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)])
+    w.clock.run_until(w.clock.now + 100 * MS)
+    (sent,) = [payload for _, payload in cam.declarations]
+    assert len(log) == 1 and log[0] is sent
+    w.drain()
+
+
+def test_a_non_canonical_declaration_is_flooded_as_canonical_bytes():
+    w = World(build_topology(SPEC3), seed=1)
+    w.start()
+    log = bus_payloads(w)
+    # keys out of order and spaces where sorted-key JSON has none
+    hand_made = (b'{ "service" : "cam", "decl" : {"topic": "img", "direction": "advertise",'
+                 b' "origin_node": ["edge", "robot-1"], "declared_max_size": 0,'
+                 b' "declared_rate": 5.0} }')
+    node = w.topology.node("robot-1")
+    w.network.endpoint(w.topology.default_scope_for("robot-1")).publish(control_envelope(
+        FLOW_ADVERTISE, hand_made, node, w.seqs["robot-1"], w.clock.now))
+    w.clock.run_until(w.clock.now + 100 * MS)
+    canonical = json.dumps({"decl": {
+        "direction": "advertise", "topic": "img", "origin_node": ["edge", "robot-1"],
+        "declared_rate": 5.0, "declared_max_size": 0}, "service": "cam"}, sort_keys=True)
+    assert log == [canonical.encode()]
+    w.drain()
+
+
+def test_a_re_announce_decodes_nothing_new(monkeypatch):
+    decode_declaration.cache_clear()
+    decodes = []
+    from_obj = FlowDeclaration.from_obj.__func__
+
+    def counted(cls, obj):
+        decodes.append(obj["topic"])
+        return from_obj(cls, obj)
+    monkeypatch.setattr(FlowDeclaration, "from_obj", classmethod(counted))
+    w = World(build_topology(SPEC3), seed=1)
+    w.start()
+    w.host.start_service("robot-1", "cam", advertises=[Advertise("img", 5.0)],
+                         requests=["cmd"])
+    w.host.start_service("fog-1", "planner", advertises=[Advertise("cmd", 2.0)],
+                         requests=["img"])
+    w.clock.run_until(w.clock.now + SECOND)
+    assert sorted(decodes) == ["cmd", "cmd", "img", "img"]  # each payload once
+    log = bus_payloads(w)
+    decodes.clear()
+    period = w.workers["edge"].get_config().body["flow"]["reannounce_s"]
+    w.clock.run_until(w.clock.now + ns_from_s(period))
+    assert len(log) == 4 and decodes == []  # four re-announced, none decoded again
     w.drain()
     assert w.issues() == []
 

@@ -1,6 +1,7 @@
 """Property-based tests for the allocator, token bucket, dedupe window,
 the flow table's queries, the flow engines' bridges and limiter
-registrations, latency probe addressing, and the metric cells."""
+registrations, the declaration codec, latency probe addressing, and the
+metric cells."""
 
 import io
 import json
@@ -18,7 +19,14 @@ from flowbridge.runner import World
 from flowbridge.scenario import ProbesSpec
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, SimClock
-from flowbridge.topology import FlowDeclaration, NodeId, build_topology
+from flowbridge.topology import (
+    DIRECTIONS,
+    FlowDeclaration,
+    NodeId,
+    build_topology,
+    declaration_payload,
+    decode_declaration,
+)
 from oracles import (
     OracleMarkWindow,
     OracleMetrics,
@@ -299,6 +307,26 @@ WORLD3 = {
 FLOW_TOPICS = ("a", "b", "c")
 
 FLOW_NODES = ("robot-1", "robot-2", "fog-1", "cloud-1")
+
+
+names = st.text(min_size=1, max_size=8)  # any code point, non-ASCII included
+
+declarations = st.builds(
+    FlowDeclaration,
+    direction=st.sampled_from(DIRECTIONS),
+    topic=names,
+    origin_node=st.builds(NodeId, names, names),
+    declared_rate=st.one_of(st.integers(0, 10**12),
+                            st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False)),
+    declared_max_size=st.integers(0, 10**9),
+)
+
+
+@given(declarations, names)
+def test_declaration_payload_round_trips_through_the_decoder(d, service):
+    payload = declaration_payload(d, service)
+    # equal bytes back: an int rate stays an int and a float a float
+    assert decode_declaration(payload) == (d, service, payload)
 
 
 @st.composite

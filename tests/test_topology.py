@@ -2,7 +2,7 @@
 
 import ast
 import json
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -269,6 +269,13 @@ def test_no_code_assigns_to_an_envelope_after_it_is_built():
     stores = {path.name: lines for path in sorted(src.glob("*.py"))
               if (lines := envelope_field_stores(ast.parse(path.read_text())))}
     assert stores == {}
+
+
+def test_a_declaration_cannot_be_assigned_to():
+    # one decoded declaration is shared by every engine its payload reaches
+    d = FlowDeclaration(ADVERTISE, "scan", NodeId("edge", "robot-1"), 10.0, 512)
+    with pytest.raises(FrozenInstanceError):
+        d.declared_rate = 20.0
 
 
 def test_the_store_check_sees_what_it_forbids():
