@@ -471,7 +471,8 @@ class FlowEngine:
                 cell.value += 1
                 cell.at = self.clock.now
                 return
-            env = self._maybe_compress(env)
+            if env.payload_len >= self.limit_cfg.large_threshold:
+                env = self._maybe_compress(env)
         elif env.compressed:
             env = self._decompress(env)
         bridge.dest_endpoint.publish(env)
@@ -484,10 +485,10 @@ class FlowEngine:
         cell.at = now
 
     def _maybe_compress(self, env: MessageEnvelope) -> MessageEnvelope:
+        """Compress a large payload, unless it is compressed already or
+        compression is off; the caller tests the size."""
         cfg = self.limit_cfg
         if env.compressed or cfg.compression_level == 0:
-            return env
-        if env.payload_len < cfg.large_threshold:
             return env
         # a stream republishes one payload object: compress it once
         payload, level = env.payload, cfg.compression_level

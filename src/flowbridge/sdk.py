@@ -250,16 +250,21 @@ class ServiceHost:
         latency = self.registry.gauge("mon.msg_latency_ms",
                                       {"topic": topic, "node": handle.node.name})
 
+        window = handle._delivered
+
         def deliver(env: MessageEnvelope) -> None:
             origin = env.origin_node.key
-            if handle._delivered.seen(origin, env.topic, env.sequence):
+            # `record` marks a fresh sequence and refuses a duplicate and
+            # one older than the window, which it leaves unmarked; only a
+            # duplicate is `seen`: an older one is delivered as fresh
+            if (not window.record(origin, env.topic, env.sequence)
+                    and window.seen(origin, env.topic, env.sequence)):
                 self.registry.inc("sdk.duplicate", {"topic": env.topic, "node": handle.node.name})
                 fields = {"service": handle.name, "node": handle.node.name,
                           "topic": env.topic, "origin": origin, "seq": env.sequence}
                 self.violations.append({"kind": "duplicate_delivery", **fields})
                 self.trace.record("duplicate_delivery", self.clock.now, **fields)
                 return
-            handle._delivered.record(origin, env.topic, env.sequence)
             now = self.clock.now
             latency.series.append((now, (now - env.sent_at) / 1e6))
             handle.received += 1

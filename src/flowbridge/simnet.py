@@ -2,7 +2,7 @@
 
 Virtual time is an integer nanosecond counter driven by SimClock. Its
 queue is keyed by time: a heap holds each distinct time that has
-events once, and each time holds its events in a FIFO, so events run in
+events once, and each time holds its events in a list, so events run in
 time order and, within one time, in the order they were scheduled. All
 randomness (loss and jitter draws) comes from one seeded Random handed
 to the Network, so a run is a pure function of (topology, seed,
@@ -40,9 +40,9 @@ scheduled call, however many share its time.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
-from collections import deque
 from random import Random
 from typing import Any, Callable, Sequence
 
@@ -56,32 +56,44 @@ SECOND = 1_000_000_000
 
 
 def ns_from_ms(ms: float) -> int:
-    return int(round(ms * MS))
+    return round(ms * MS)
 
 
 def ns_from_s(s: float) -> int:
-    return int(round(s * SECOND))
+    return round(s * SECOND)
 
 
 class SimClock:
     """Virtual-time event queue: a heap of the distinct times that have
-    events, and per time a FIFO of its events, so ties resolve by
-    scheduling order.
+    events, and per time a list of its events in scheduling order, so
+    ties resolve by scheduling order.
 
-    An event scheduled at ``now`` joins the tail of the time being run
-    and runs in the same pass. A time leaves the queue only once its
-    FIFO is empty, so an event that raises leaves the rest of its time
-    queued. Each event run counts once in ``events_processed``, also
-    one that raises; the count is added when `run_until` or
-    `run_until_idle` returns or raises. Events cannot be cancelled: a recurring timer
+    A time's list is run in place with a ``for`` loop, whose iterator
+    also reaches the events appended meanwhile: an event scheduled at
+    ``now`` joins the tail of the time being run and runs in the same
+    pass. Every ``RUN_CHUNK`` events the run ones are cut from the
+    list's head, so a time holds at most that many events already run.
+    A time leaves the queue only once it is run to the end, so an event
+    that raises is cut and leaves the rest of its time queued. Each
+    event run counts once in ``events_processed``, also one that
+    raises; the count is added when `run_until` or `run_until_idle`
+    returns or raises. Events cannot be cancelled: a recurring timer
     (`every`) ends when its callback returns None, or when
     `run_until_idle` clears ``repeating``.
+
+    The cyclic garbage collector is off while `run_until` and
+    `run_until_idle` run events, and back in the caller's state when
+    they return or raise. A run makes no reference cycles, so the
+    collector would only re-scan the live world; a cycle that a
+    callback makes is collected after the call returns.
     """
+
+    RUN_CHUNK = 256  # run events a time's list holds at most
 
     def __init__(self):
         self.now = 0  # read-only outside this class
         self._times: list[int] = []  # heap of the keys of _queues
-        self._queues: dict[int, deque[tuple[Callable, tuple]]] = {}
+        self._queues: dict[int, list[tuple[Callable, tuple]]] = {}
         self.events_processed = 0
         self.repeating = True
 
@@ -91,9 +103,10 @@ class SimClock:
             at = self.now
         queue = self._queues.get(at)
         if queue is None:
-            queue = self._queues[at] = deque()
+            self._queues[at] = [(fn, args)]
             heapq.heappush(self._times, at)
-        queue.append((fn, args))
+        else:
+            queue.append((fn, args))
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
         self.schedule(self.now + max(0, delay), fn, *args)
@@ -112,22 +125,35 @@ class SimClock:
 
     def run_until(self, t: int) -> int:
         """Process every event with timestamp <= t; leaves now == t."""
-        times, queues = self._times, self._queues
+        times, queues, chunk = self._times, self._queues, self.RUN_CHUNK
         n = 0
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while times and times[0] <= t:
                 at = times[0]
                 self.now = at
                 queue = queues[at]
-                popleft = queue.popleft
-                while queue:
-                    fn, args = popleft()
-                    n += 1  # before the call: an event that raises counts
-                    fn(*args)
+                while True:
+                    start = n
+                    try:
+                        for fn, args in queue:
+                            n += 1  # before the call: an event that raises counts
+                            fn(*args)
+                            if n - start == chunk:
+                                break
+                        else:
+                            break  # run to the end of the list
+                    except BaseException:
+                        del queue[:n - start]
+                        raise
+                    del queue[:chunk]
                 heapq.heappop(times)
                 del queues[at]
         finally:
             self.events_processed += n
+            if collecting:
+                gc.enable()
         if t > self.now:
             self.now = t
         return n
@@ -138,25 +164,39 @@ class SimClock:
         raises before running event ``max_events + 1``, leaving it and
         ``now`` as they were."""
         self.repeating = False
-        times, queues = self._times, self._queues
+        times, queues, chunk = self._times, self._queues, self.RUN_CHUNK
         limit = math.inf if max_events is None else max_events
         n = 0
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while times:
                 at = times[0]
                 queue = queues[at]
-                popleft = queue.popleft
-                while queue:
-                    if n >= limit:
-                        raise RuntimeError(f"event queue not idle after {max_events} events")
-                    self.now = at
-                    fn, args = popleft()
-                    n += 1
-                    fn(*args)
+                while True:
+                    start = n
+                    try:
+                        for fn, args in queue:
+                            if n >= limit:
+                                raise RuntimeError(
+                                    f"event queue not idle after {max_events} events")
+                            self.now = at
+                            n += 1
+                            fn(*args)
+                            if n - start == chunk:
+                                break
+                        else:
+                            break
+                    except BaseException:
+                        del queue[:n - start]
+                        raise
+                    del queue[:chunk]
                 heapq.heappop(times)
                 del queues[at]
         finally:
             self.events_processed += n
+            if collecting:
+                gc.enable()
         return n
 
 
@@ -185,7 +225,7 @@ class LinkState:
         """Serialize nbytes starting no earlier than now; returns finish time."""
         start = now if now > self.busy_until else self.busy_until
         if self.spec.bandwidth_mbps > 0:
-            end = start + int(round(nbytes * 8000.0 / self.spec.bandwidth_mbps))
+            end = start + round(nbytes * 8000.0 / self.spec.bandwidth_mbps)
         else:
             end = start
         self.busy_until = end
@@ -299,7 +339,7 @@ class Network:
                     delay_ms = lo + span * rng.random()
                     if delay_ms < 0.0:
                         delay_ms = 0.0
-                    clock.schedule(ser_end + int(round(delay_ms * MS)), deliver, peer, (h,), env)
+                    clock.schedule(ser_end + round(delay_ms * MS), deliver, peer, (h,), env)
                 continue
             if loss:
                 kept = []

@@ -207,6 +207,18 @@ class OracleRingWindow:
         return True
 
 
+def oracle_sdk_delivers(window, origin: str, topic: str, seq: int) -> bool:
+    """Whether the SDK's delivery wrapper delivers an arrival, decided as
+    it was with two window calls on every delivery: a sequence that
+    ``window`` has `seen` is a duplicate; any other is marked with
+    `record` and delivered, also one older than the window, which
+    `record` leaves unmarked."""
+    if window.seen(origin, topic, seq):
+        return False
+    window.record(origin, topic, seq)
+    return True
+
+
 class OracleMarkWindow:
     """The dedupe window as a sliding mark bitmap (the package's window
     before it kept holes instead of marks).

@@ -21,6 +21,8 @@ UNREACHED = {
     "sdk:ServiceHost.kill_service": CRASH,
     "flow:FlowEngine._withdraw_dead": CRASH,
     "flow:FlowTable.contributions": CRASH,
+    "flow:DedupeWindow.seen": "the delivery check asks it only when `record` refuses: "
+                              "only a duplicate or an out-of-window arrival reaches it",
     "broker:BrokerEndpoint.snapshot": PERFBENCH,
     "flow:FlowTable.lookup": PERFBENCH,
     "flow:FlowTable.topics": PERFBENCH,

@@ -1,7 +1,7 @@
 """Property-based tests for the allocator, token bucket, dedupe window,
-the flow table's queries, the flow engines' bridges and limiter
-registrations, the declaration codec, latency probe addressing, and the
-metric cells."""
+the SDK's duplicate check, the flow table's queries, the flow engines'
+bridges and limiter registrations, the declaration codec, latency probe
+addressing, and the metric cells."""
 
 import io
 import json
@@ -17,11 +17,12 @@ from flowbridge.monitor import MetricsRegistry, PingProbe, export_metrics
 from flowbridge.ratelimit import BYTES_PER_MBIT, RateLimitConfig, TokenBucket, allocate
 from flowbridge.runner import World
 from flowbridge.scenario import ProbesSpec
-from flowbridge.sdk import Advertise
+from flowbridge.sdk import Advertise, ServiceHandle
 from flowbridge.simnet import MS, SECOND, SimClock
 from flowbridge.topology import (
     DIRECTIONS,
     FlowDeclaration,
+    MessageEnvelope,
     NodeId,
     build_topology,
     declaration_payload,
@@ -38,6 +39,7 @@ from oracles import (
     oracle_contributions,
     oracle_limiter_regs,
     oracle_scopes,
+    oracle_sdk_delivers,
 )
 
 topics = st.text(alphabet="abcdefghijkl", min_size=1, max_size=6)
@@ -247,6 +249,36 @@ def test_dedupe_window_matches_mark_oracle(case):
         top = highest(origin)
         for v in range(top - capacity - 1, top + 2):
             assert window.seen(origin, "t", v) == oracle.seen(origin, "t", v)
+
+
+@given(window_steps())
+@settings(deadline=None)
+def test_sdk_duplicate_check_matches_the_two_call_oracle(case):
+    # the delivery wrapper asks `record`, and `seen` only when it refuses:
+    # it delivers what `seen` then `record` delivered, leaving the same
+    # window, for fresh, duplicate, hole, out-of-window and below-floor
+    # arrivals (each step is one delivery, its kind unused; envelope
+    # sequences start at 1, so a step below that is skipped)
+    capacity, steps = case
+    host = World(build_topology(WORLD3), seed=1).host
+    handle = ServiceHandle("sink", host.topology.node("robot-1"), None, (), ("t",))
+    handle._delivered = DedupeWindow(capacity)
+    deliver = host._delivery_wrapper(handle, "t", None)
+    oracle = DedupeWindow(capacity)
+    refused = 0
+    for _, stream, (relative, value) in steps:
+        origin = NodeId("edge", f"s{stream}")
+        seq = oracle._streams.get((origin.key, "t"), (0,))[0] + value if relative else value
+        if seq < 1:
+            continue
+        received = handle.received
+        deliver(MessageEnvelope(topic="t", payload=b"", origin_node=origin, sequence=seq,
+                                sent_at=0))
+        fresh = oracle_sdk_delivers(oracle, origin.key, "t", seq)
+        assert handle.received - received == int(fresh)
+        assert handle._delivered._streams == oracle._streams
+        refused += not fresh
+    assert len(host.violations) == refused
 
 
 TABLE_TOPICS = ("x", "y")

@@ -1,12 +1,14 @@
 """Unit tests for the deterministic event clock and simulated network."""
 
+import gc
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbridge.broker import SUB_BRIDGE, SUB_USER, BrokerEndpoint
@@ -164,6 +166,71 @@ def test_an_event_that_raises_is_counted_and_the_queue_resumes():
     assert clock.run_until_idle() == 1 and seen[-1] == "d"
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_the_clock_leaves_the_collector_as_it_found_it(collecting):
+    # off while events run, then back as the caller had it: after a
+    # normal return, an event that raises, and the max_events guard
+    clock = SimClock()
+    inside = []
+
+    def probe():
+        inside.append(gc.isenabled())
+
+    def boom():
+        probe()
+        raise ValueError("boom")
+
+    def forever():
+        clock.call_in(1, forever)
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        clock.schedule(5, probe)
+        clock.run_until(10)
+        assert gc.isenabled() is collecting
+        clock.schedule(15, boom)
+        with pytest.raises(ValueError):
+            clock.run_until(20)
+        assert gc.isenabled() is collecting
+        clock.schedule(25, probe)
+        clock.run_until_idle()
+        assert gc.isenabled() is collecting
+        clock.schedule(30, boom)
+        with pytest.raises(ValueError):
+            clock.run_until_idle()
+        assert gc.isenabled() is collecting
+        clock.schedule(40, forever)
+        with pytest.raises(RuntimeError, match="after 10 events"):
+            clock.run_until_idle(max_events=10)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False] * 4
+
+
+def test_a_same_time_loop_holds_a_bounded_number_of_run_events():
+    # an event that reschedules itself at now never leaves its time; the
+    # time's list keeps at most RUN_CHUNK run events (about 150 bytes
+    # each here), not every one of the 200,000 the guard lets run, which
+    # would peak near 30 MB
+    clock = SimClock()
+
+    def again(i):
+        clock.schedule(clock.now, again, i + 1)
+
+    clock.schedule(0, again, 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="after 200000 events"):
+            clock.run_until_idle(max_events=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clock.now == 0 and len(clock._queues[0]) == 1
+    assert peak < 1024 * 1024
+
+
 class Boom(Exception):
     pass
 
@@ -174,15 +241,25 @@ class Boom(Exception):
 event_kinds = st.sampled_from(["log", "raise", "at_now", "call_in_0", "past", "later"])
 behaviours = st.lists(st.tuples(event_kinds, st.integers(1, 3)), min_size=1, max_size=8)
 # what the driver does: schedule an event at a time (maybe past), start a
-# recurring timer with a period, run to a time, or drain with a limit
+# recurring timer with a period, run to a time, drain with a limit, or
+# put a same-time burst at a time, longer than the clock cuts its run
+# events by: all scheduled at once, or each scheduling the next at now,
+# with maybe one member raising, before, at or after the first cut
 # (schedules twice as likely, and over few times, so that times tie)
+CHUNK = SimClock.RUN_CHUNK
 schedule_step = st.tuples(st.just("schedule"), st.integers(0, 4))
+burst_step = st.tuples(st.sampled_from(["burst", "chain"]), st.tuples(
+    st.integers(0, 4),
+    st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+    st.sampled_from([None, 0, CHUNK - 1, CHUNK, CHUNK + 2])))
 clock_steps = st.lists(st.one_of(
     schedule_step,
     schedule_step,
     st.tuples(st.just("every"), st.integers(1, 3)),
     st.tuples(st.just("run_until"), st.integers(0, 6)),
-    st.tuples(st.just("run_until_idle"), st.none() | st.integers(0, 6)),
+    st.tuples(st.just("run_until_idle"),
+              st.none() | st.integers(0, 6) | st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1])),
+    burst_step,
 ), max_size=30)
 
 
@@ -215,10 +292,22 @@ def run_clock(clock, behaviours, steps):
         calls.append(clock.now)
         return None if len(calls) == 4 else period
 
+    def member(i, j, size, raise_at, chained):
+        log.append((clock.now, i, j))
+        if chained and j + 1 < size:
+            clock.schedule(clock.now, member, i, j + 1, size, raise_at, chained)
+        if j == raise_at:
+            raise Boom(i, j)
+
     for step, arg in steps:
         try:
             if step == "schedule":
                 out = clock.schedule(arg, event, next(ids), 0)
+            elif step in ("burst", "chain"):
+                at, size, raise_at = arg
+                i, chained = next(ids), step == "chain"
+                for j in range(1 if chained else size):
+                    out = clock.schedule(at, member, i, j, size, raise_at, chained)
             elif step == "every":
                 out = clock.every(arg, timer, next(ids), arg, [])
             elif step == "run_until":
@@ -235,9 +324,17 @@ def run_clock(clock, behaviours, steps):
 
 @given(behaviours, clock_steps)
 @settings(max_examples=max(500, settings.default.max_examples), deadline=None)
+# a raise, and a guard, in the chunk after the first cut
+@example([("log", 1)], [("burst", (0, 2 * CHUNK + 3, CHUNK + 2)), ("run_until", 1),
+                        ("run_until", 1)])
+@example([("log", 1)], [("chain", (1, 2 * CHUNK + 3, CHUNK + 2)), ("run_until_idle", None),
+                        ("run_until_idle", None)])
+@example([("log", 1)], [("burst", (0, 2 * CHUNK + 3, None)), ("run_until_idle", CHUNK + 1),
+                        ("run_until_idle", None)])
 def test_clock_matches_the_heap_clock_oracle(behaviours, steps):
     # ties, past times, re-entrant schedules, raising events, run_until in
-    # slices and drains whose limit falls inside one time's events
+    # slices, drains whose limit falls inside one time's events, and
+    # same-time bursts the clock cuts into chunks
     assert run_clock(SimClock(), behaviours, steps) == run_clock(
         OracleHeapClock(), behaviours, steps)
 
