@@ -416,6 +416,8 @@ class FlowEngine:
         self.bridges[key] = bridge
         self.trace.record("bridge_installed", self.clock.now, layer=self.layer,
                           topic=topic, source=src_key, dest=dst_key)
+        self.network.bridge_events.append(
+            (self.clock.now, "install", self.layer, topic, src_key, dst_key))
         return bridge
 
     def _remove_bridge(self, bridge: BridgeSpec) -> None:
@@ -425,6 +427,8 @@ class FlowEngine:
         self.bridges.pop(bridge.key, None)
         self.trace.record("bridge_removed", self.clock.now, layer=self.layer,
                           topic=bridge.topic, source=bridge.source.key, dest=bridge.dest.key)
+        self.network.bridge_events.append((self.clock.now, "remove", self.layer, bridge.topic,
+                                           bridge.source.key, bridge.dest.key))
 
     def _sync_limiters(self, topic: str, registered: set[str]) -> None:
         """Re-register one topic with the traffic clients whose record of it

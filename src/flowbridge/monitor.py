@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Any, BinaryIO, Callable, Iterable
 
 from .topology import MessageEnvelope, NodeId
@@ -41,10 +43,7 @@ def ordered_sum(values: Iterable[float]) -> float:
     summation, which can round differently; exported figures must not
     depend on the Python version.
     """
-    total = 0
-    for v in values:
-        total += v
-    return total
+    return reduce(add, values, 0)
 
 
 def _labels(labels: dict[str, Any] | None) -> LabelSet:
@@ -191,7 +190,7 @@ def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
     gauges = sorted((name, labels, cell.series) for name, cells in registry._gauges.items()
                     for labels, cell in cells.items() if cell.series)
     for name, labels, series in gauges:
-        vals = [v for _, v in series]
+        vals = list(map(itemgetter(1), series))
         mean = ordered_sum(vals) / len(vals)
         lines.append(
             f"gauge {name}{_fmt_labels(labels)} last={_fmt_num(vals[-1])} n={len(vals)}"

@@ -4,11 +4,11 @@ and comparison of two finished runs from their metric exports."""
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from pathlib import Path
 
 from .monitor import MetricsRegistry, ordered_sum
 from .topology import Topology
-from .tracing import events
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -50,7 +50,7 @@ def latency_by_topic(registry: MetricsRegistry) -> dict[str, list[float]]:
     pools: dict[str, list[float]] = {}
     for labels, series in sorted(registry.gauge_sets("mon.msg_latency_ms").items()):
         topic = dict(labels).get("topic", "")
-        pools.setdefault(topic, []).extend(v for _, v in series)
+        pools.setdefault(topic, []).extend(map(itemgetter(1), series))
     return pools
 
 
@@ -133,26 +133,14 @@ def write_links(path: str | Path, registry: MetricsRegistry, topology: Topology,
     write_csv(path, LINK_FIELDS, link_rows(registry, topology, duration_s))
 
 
-def bridge_rows(trace_path: str | Path) -> list[dict]:
-    """Bridge inventory over time, from a written trace's install/remove events."""
-    rows = []
-    for rec in events(trace_path, "bridge_installed", "bridge_removed"):
-        rows.append({
-            "at_ms": _fmt(rec["at"] / 1e6),
-            "event": "install" if rec["ev"] == "bridge_installed" else "remove",
-            "layer": rec["layer"],
-            "topic": rec["topic"],
-            "source": rec["source"],
-            "dest": rec["dest"],
-        })
-    return rows
-
-
 BRIDGE_FIELDS = ["at_ms", "event", "layer", "topic", "source", "dest"]
 
 
-def write_bridges(path: str | Path, trace_path: str | Path) -> None:
-    write_csv(path, BRIDGE_FIELDS, bridge_rows(trace_path))
+def write_bridges(path: str | Path, events: list[tuple]) -> None:
+    """Write bridges.csv, the bridge inventory over time, from a world's
+    ``Network.bridge_events`` as they happened."""
+    write_csv(path, BRIDGE_FIELDS, [dict(zip(BRIDGE_FIELDS, (_fmt(at / 1e6), *rest)))
+                                    for at, *rest in events])
 
 
 def placement_rows(tag: str, rows: list[dict]) -> list[dict]:

@@ -348,7 +348,7 @@ def run_scenario(
             export_metrics(world.registry, fh)
         rows = report.write_summary(run_dir / "summary.csv", world.registry, duration)
         report.write_links(run_dir / "links.csv", world.registry, topology, duration)
-        report.write_bridges(run_dir / "bridges.csv", trace_path)
+        report.write_bridges(run_dir / "bridges.csv", world.network.bridge_events)
         compare_rows.extend(report.placement_rows(tag, rows))
         for line in report.digest_lines(rows):
             log.info("  %s", line)

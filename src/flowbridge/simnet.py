@@ -262,6 +262,9 @@ class Network:
         self.rng = rng
         self.metrics = metrics if metrics is not None else MetricsRegistry(clock)
         self.trace = trace if trace is not None else Trace()
+        # the world's bridge installs and removals as they happen, appended
+        # by every engine: (at, "install" or "remove", layer, topic, source, dest)
+        self.bridge_events: list[tuple[int, str, str, str, str, str]] = []
         self._offered = _TopicCounters(self.metrics, "flow.offered")
         self._delivered = _TopicCounters(self.metrics, "flow.delivered")
         self.links: dict[str, LinkState] = {

@@ -1,11 +1,12 @@
-"""Structured event trace: a write-only JSONL stream, and its reader."""
+"""Structured event trace: a write-only JSONL stream. Nothing in the
+package reads a trace back; a run's reports come from its own state."""
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 # one crossing's fixed parts of its xlink lines: (frm, to, the line's text
 # between the "at" value and the origin, its text between the "seq" value
@@ -66,18 +67,3 @@ def xlink_parts(frm: str, to: str) -> XlinkParts:
     return (frm, to, f',"ev":"xlink","frm":{json.dumps(frm)},"origin":',
             f',"to":{json.dumps(to)},"topic":')
 
-
-def events(path: str | Path, *names: str) -> Iterator[dict[str, Any]]:
-    """The events of the named types in a written trace, in order. Only
-    lines holding ``"ev":"<name>"`` are decoded. A field whose value is an
-    object with an ``ev`` key holds that text too, so a decoded line is
-    kept only when its own ``ev`` is one of the names."""
-    marks = [f'"ev":{json.dumps(name)}' for name in names]
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            for mark in marks:
-                if mark in line:
-                    rec = json.loads(line)
-                    if rec["ev"] in names:
-                        yield rec
-                    break

@@ -14,6 +14,8 @@ import random
 from collections import OrderedDict
 from typing import Any, Callable
 
+from tracefile import events
+
 
 def oracle_allocate(
     limit_mbps: float,
@@ -129,6 +131,30 @@ def oracle_bridges(
             if wanted == topic and dest != source:
                 bridges.add((topic, source, dest))
     return bridges
+
+
+def oracle_bridge_rows(trace_path) -> list[dict]:
+    """Bridge inventory over time, scanned from a written trace's install
+    and remove events: the rows of ``bridges.csv``, as strings."""
+    rows = []
+    for rec in events(trace_path, "bridge_installed", "bridge_removed"):
+        rows.append({
+            "at_ms": f"{rec['at'] / 1e6:.6g}",
+            "event": "install" if rec["ev"] == "bridge_installed" else "remove",
+            "layer": rec["layer"],
+            "topic": rec["topic"],
+            "source": rec["source"],
+            "dest": rec["dest"],
+        })
+    return rows
+
+
+def oracle_ordered_sum(values):
+    """Add left to right, rounding after every addition, one at a time."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def oracle_limiter_regs(engine) -> dict[str, dict[str, tuple[float, int]]]:

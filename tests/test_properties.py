@@ -1,7 +1,7 @@
 """Property-based tests for the allocator, token bucket, dedupe window,
 the SDK's duplicate check, the flow table's queries, the flow engines'
 bridges and limiter registrations, the declaration codec, latency probe
-addressing, and the metric cells."""
+addressing, the metric cells and their ordered sums."""
 
 import io
 import json
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbridge.flow import DedupeWindow, FlowTable
-from flowbridge.monitor import MetricsRegistry, PingProbe, export_metrics
+from flowbridge.monitor import MetricsRegistry, PingProbe, export_metrics, ordered_sum
 from flowbridge.ratelimit import BYTES_PER_MBIT, RateLimitConfig, TokenBucket, allocate
 from flowbridge.runner import World
 from flowbridge.scenario import ProbesSpec
@@ -38,6 +38,7 @@ from oracles import (
     oracle_bucket_replay,
     oracle_contributions,
     oracle_limiter_regs,
+    oracle_ordered_sum,
     oracle_scopes,
     oracle_sdk_delivers,
 )
@@ -208,22 +209,34 @@ def test_dedupe_bitmap_matches_ring_oracle(steps):
             assert window.seen(origin, "t", v) == (v in recent and v > low)
 
 
+# (kind, stream) of a window step: record / test_and_record / seen on
+# one of three streams
+STEP_TARGETS = [(kind, stream) for kind in ("record", "test", "seen") for stream in range(3)]
+
+
+def _window_steps(capacity: int):
+    """Steps on a window of ``capacity``. A step's sequence is either
+    absolute and at most 0, or the stream's highest plus a delta: a small
+    step or gap, one about a window away, or any within three windows.
+    Each step is one flat choice among those four, and each capacity's
+    strategy is built once: building and drawing nested ones cost more
+    than the checks they fed."""
+    near = (capacity - 1, capacity, capacity + 1, -capacity + 1, -capacity, -capacity - 1)
+    sequence = st.one_of(st.integers(-3, 0).map(lambda v: (False, v)),
+                         st.integers(-3, 3).map(lambda v: (True, v)),
+                         st.sampled_from([(True, delta) for delta in near]),
+                         st.integers(-3 * capacity, 3 * capacity).map(lambda v: (True, v)))
+    return st.lists(st.tuples(st.sampled_from(STEP_TARGETS), sequence), max_size=60)
+
+
+WINDOW_STEPS = {capacity: _window_steps(capacity) for capacity in (1, 2, 16, 1024)}
+
+
 @st.composite
 def window_steps(draw):
-    """A capacity, and record / test_and_record / seen steps on three
-    streams. A step's sequence is either absolute and at most 0, or the
-    stream's highest plus a delta: a small step or gap, one about a window
-    away, or any within three windows."""
-    capacity = draw(st.sampled_from((1, 2, 16, 1024)))
-    delta = st.one_of(st.integers(-3, 3),
-                      st.sampled_from((capacity - 1, capacity, capacity + 1,
-                                       -capacity + 1, -capacity, -capacity - 1)),
-                      st.integers(-3 * capacity, 3 * capacity))
-    sequence = st.one_of(st.tuples(st.just(False), st.integers(-3, 0)),
-                         st.tuples(st.just(True), delta))
-    steps = draw(st.lists(st.tuples(st.sampled_from(("record", "test", "seen")),
-                                    st.integers(0, 2), sequence), max_size=60))
-    return capacity, steps
+    """A capacity, and ((kind, stream), (relative, value)) steps for it."""
+    capacity = draw(st.sampled_from(tuple(WINDOW_STEPS)))
+    return capacity, draw(WINDOW_STEPS[capacity])
 
 
 @given(window_steps())
@@ -235,7 +248,7 @@ def test_dedupe_window_matches_mark_oracle(case):
     def highest(origin):
         return oracle._streams.get((origin, "t"), (0, 0))[0]
 
-    for kind, stream, (relative, value) in steps:
+    for (kind, stream), (relative, value) in steps:
         origin = f"s{stream}@edge"
         seq = highest(origin) + value if relative else value
         if kind == "record":
@@ -266,7 +279,7 @@ def test_sdk_duplicate_check_matches_the_two_call_oracle(case):
     deliver = host._delivery_wrapper(handle, "t", None)
     oracle = DedupeWindow(capacity)
     refused = 0
-    for _, stream, (relative, value) in steps:
+    for (_, stream), (relative, value) in steps:
         origin = NodeId("edge", f"s{stream}")
         seq = oracle._streams.get((origin.key, "t"), (0,))[0] + value if relative else value
         if seq < 1:
@@ -600,3 +613,39 @@ def test_metric_cells_match_first_update_oracle(ops):
         key = (name, tuple(sorted(labels.items())))
         assert reg.counter(name, labels).value == ref.counters.get(key, [0])[0]
         assert reg.gauge(name, labels).series == ref.gauges.get(key, [])
+
+
+# ints of any size, which overflow a float sum past 2**1024; every
+# float, subnormals, both zeros, both infinities and nan among them; and
+# floats spread over every binary exponent
+summands = st.one_of(
+    st.integers(),
+    st.integers(-(2**1100), 2**1100),
+    st.floats(),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 1e16, 0.1)),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+)
+
+
+def sum_outcome(add_up, values) -> tuple:
+    """What ``add_up`` makes of ``values``: its type and repr, so that -0.0
+    differs from 0.0 and every nan equals every other. The sign of a nan
+    that adds two nans of opposite signs is left out: CPython's loop gives
+    it from whichever C path its adaptive interpreter has chosen for `+=`
+    (on 3.11, -nan for [nan, -nan] on the loop's first two calls, nan
+    after), and the export writes either as ``nan``."""
+    try:
+        total = add_up(iter(values))
+    except OverflowError:
+        return ("OverflowError",)
+    return (type(total), repr(total))
+
+
+@given(st.lists(summands, max_size=30))
+@example([])
+@example([-0.0])
+@example([1e16, 1.0, -1e16])  # compensated summation gives 1.0 here, not 0.0
+@example([2**1100, 1.0])
+def test_ordered_sum_matches_the_loop_oracle(values):
+    assert sum_outcome(ordered_sum, values) == sum_outcome(oracle_ordered_sum, values)

@@ -8,7 +8,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowbridge.tracing import Trace, events, xlink_parts
+from flowbridge.tracing import Trace, xlink_parts
+from tracefile import events
 
 
 def dumps(rec):
