@@ -8,7 +8,9 @@ labels) so two identical runs produce byte-identical files::
     gauge mon.rtt_half_ms{source="a@edge",target="b@cloud"} last=50.1 n=100 mean=50.02 min=40.9 max=59.3 99000000000
 
 Counter lines carry the total and the virtual time of the last update;
-gauge lines summarize the observed series.
+gauge lines summarize the observed series. Label values are escaped as
+in the Prometheus text format (backslash, double quote, newline), so a
+series is one line and no value reads as more labels.
 """
 
 from __future__ import annotations
@@ -149,7 +151,9 @@ class MetricsRegistry:
         return out
 
     def gauge_sets(self, name: str) -> dict[LabelSet, list[tuple[int, float]]]:
-        return {labels: list(cell.series)
+        """Per label set, the cell's own ``(at, value)`` list, not a copy:
+        callers only read it."""
+        return {labels: cell.series
                 for labels, cell in self._gauges.get(name, {}).items() if cell.series}
 
     def snapshot(self) -> list[MetricPoint]:
@@ -170,8 +174,12 @@ class MetricsRegistry:
 def _fmt_labels(labels: LabelSet) -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
+    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in labels)
     return "{" + inner + "}"
+
+
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _fmt_num(x: float) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .monitor import MetricsRegistry, ordered_sum
 from .topology import Topology
@@ -25,12 +26,12 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] * (1 - frac) + sorted_values[lo + 1] * frac
 
 
-def write_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path: str | Path, fieldnames: list[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and ``rows``, each a sequence in header order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:
@@ -99,13 +100,14 @@ def write_summary(path: str | Path, registry: MetricsRegistry,
                   duration_s: float) -> list[dict]:
     """Write summary.csv; returns its rows."""
     rows = summary_rows(registry, duration_s)
-    write_csv(path, SUMMARY_FIELDS, rows)
+    write_csv(path, SUMMARY_FIELDS, map(itemgetter(*SUMMARY_FIELDS), rows))
     return rows
 
 
 def link_rows(registry: MetricsRegistry, topology: Topology,
-              duration_s: float) -> list[dict]:
-    """One row per link that carried traffic: volume and utilization."""
+              duration_s: float) -> list[tuple]:
+    """One row per link that carried traffic, in `LINK_FIELDS` order:
+    volume and utilization."""
     link_bytes = registry.totals("link.bytes", "link")
     link_msgs = registry.totals("link.msgs", "link")
     rows = []
@@ -115,13 +117,7 @@ def link_rows(registry: MetricsRegistry, topology: Topology,
         mbps = nbytes * 8.0 / duration_s / 1e6
         bandwidth = topology.links[name].bandwidth_mbps
         util = _fmt(mbps / bandwidth) if bandwidth > 0 else ""
-        rows.append({
-            "link": name,
-            "bytes": int(nbytes),
-            "msgs": int(msgs),
-            "throughput_mbps": _fmt(mbps),
-            "utilization": util,
-        })
+        rows.append((name, int(nbytes), int(msgs), _fmt(mbps), util))
     return rows
 
 
@@ -139,8 +135,7 @@ BRIDGE_FIELDS = ["at_ms", "event", "layer", "topic", "source", "dest"]
 def write_bridges(path: str | Path, events: list[tuple]) -> None:
     """Write bridges.csv, the bridge inventory over time, from a world's
     ``Network.bridge_events`` as they happened."""
-    write_csv(path, BRIDGE_FIELDS, [dict(zip(BRIDGE_FIELDS, (_fmt(at / 1e6), *rest)))
-                                    for at, *rest in events])
+    write_csv(path, BRIDGE_FIELDS, ((_fmt(at / 1e6), *rest) for at, *rest in events))
 
 
 def placement_rows(tag: str, rows: list[dict]) -> list[dict]:
@@ -149,7 +144,8 @@ def placement_rows(tag: str, rows: list[dict]) -> list[dict]:
 
 
 def write_placement_compare(path: str | Path, rows: list[dict]) -> None:
-    write_csv(path, ["placement"] + SUMMARY_FIELDS, rows)
+    fields = ["placement"] + SUMMARY_FIELDS
+    write_csv(path, fields, map(itemgetter(*fields), rows))
 
 
 def digest_lines(rows: list[dict]) -> list[str]:

@@ -68,24 +68,26 @@ class SimClock:
     events, and per time a list of its events in scheduling order, so
     ties resolve by scheduling order.
 
-    A time's list is run in place with a ``for`` loop, whose iterator
-    also reaches the events appended meanwhile: an event scheduled at
+    `run_until` and `run_until_idle` share one loop, `_run`, which runs
+    a time's list in place with a ``for`` loop; its iterator also
+    reaches the events appended meanwhile, so an event scheduled at
     ``now`` joins the tail of the time being run and runs in the same
-    pass. Every ``RUN_CHUNK`` events the run ones are cut from the
-    list's head, so a time holds at most that many events already run.
-    A time leaves the queue only once it is run to the end, so an event
-    that raises is cut and leaves the rest of its time queued. Each
-    event run counts once in ``events_processed``, also one that
-    raises; the count is added when `run_until` or `run_until_idle`
-    returns or raises. Events cannot be cancelled: a recurring timer
-    (`every`) ends when its callback returns None, or when
-    `run_until_idle` clears ``repeating``.
+    pass. The loop stops every ``RUN_CHUNK`` events, or at the limit of
+    `run_until_idle` if that comes first, and cuts the run events from
+    the list's head, so a time holds at most ``RUN_CHUNK`` of them. At
+    the limit, an event still due raises before it runs or ``now``
+    moves. A time leaves the queue only once it is run to the end, so
+    an event that raises is cut and leaves the rest of its time queued.
+    Each event run counts once in ``events_processed``, also one that
+    raises; the count is added when the loop returns or raises. Events
+    cannot be cancelled: a recurring timer (`every`) ends when its
+    callback returns None, or when `run_until_idle` clears
+    ``repeating``.
 
-    The cyclic garbage collector is off while `run_until` and
-    `run_until_idle` run events, and back in the caller's state when
-    they return or raise. A run makes no reference cycles, so the
-    collector would only re-scan the live world; a cycle that a
-    callback makes is collected after the call returns.
+    The cyclic garbage collector is off while the loop runs events, and
+    back in the caller's state when it returns or raises. A run makes
+    no reference cycles, so the collector would only re-scan the live
+    world; a cycle that a callback makes is collected after it returns.
     """
 
     RUN_CHUNK = 256  # run events a time's list holds at most
@@ -109,7 +111,7 @@ class SimClock:
             queue.append((fn, args))
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
-        self.schedule(self.now + max(0, delay), fn, *args)
+        self.schedule(self.now + delay, fn, *args)
 
     def every(self, delay: int, fn: Callable[..., int | None], *args: Any) -> None:
         """Call fn(*args) after ``delay`` ns, then again after each delay
@@ -125,35 +127,7 @@ class SimClock:
 
     def run_until(self, t: int) -> int:
         """Process every event with timestamp <= t; leaves now == t."""
-        times, queues, chunk = self._times, self._queues, self.RUN_CHUNK
-        n = 0
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            while times and times[0] <= t:
-                at = times[0]
-                self.now = at
-                queue = queues[at]
-                while True:
-                    start = n
-                    try:
-                        for fn, args in queue:
-                            n += 1  # before the call: an event that raises counts
-                            fn(*args)
-                            if n - start == chunk:
-                                break
-                        else:
-                            break  # run to the end of the list
-                    except BaseException:
-                        del queue[:n - start]
-                        raise
-                    del queue[:chunk]
-                heapq.heappop(times)
-                del queues[at]
-        finally:
-            self.events_processed += n
-            if collecting:
-                gc.enable()
+        n = self._run(t, math.inf)
         if t > self.now:
             self.now = t
         return n
@@ -164,33 +138,39 @@ class SimClock:
         raises before running event ``max_events + 1``, leaving it and
         ``now`` as they were."""
         self.repeating = False
+        return self._run(math.inf, math.inf if max_events is None else max_events)
+
+    def _run(self, until: float, limit: float) -> int:
+        """Run every event due by ``until``; raises before running event
+        ``limit + 1``."""
         times, queues, chunk = self._times, self._queues, self.RUN_CHUNK
-        limit = math.inf if max_events is None else max_events
         n = 0
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while times:
+            while times and times[0] <= until:
                 at = times[0]
                 queue = queues[at]
                 while True:
                     start = n
+                    stop = n + chunk
+                    if stop > limit:
+                        stop = limit
+                        if n >= limit and queue:
+                            raise RuntimeError(f"event queue not idle after {limit} events")
+                    self.now = at
                     try:
                         for fn, args in queue:
-                            if n >= limit:
-                                raise RuntimeError(
-                                    f"event queue not idle after {max_events} events")
-                            self.now = at
-                            n += 1
+                            n += 1  # before the call: an event that raises counts
                             fn(*args)
-                            if n - start == chunk:
+                            if n >= stop:
                                 break
                         else:
-                            break
+                            break  # run to the end of the list
                     except BaseException:
                         del queue[:n - start]
                         raise
-                    del queue[:chunk]
+                    del queue[:n - start]
                 heapq.heappop(times)
                 del queues[at]
         finally:

@@ -488,6 +488,28 @@ def test_cli_run_and_diff_roundtrip(tmp_path):
     assert main(["diff", a, b]) == 1
 
 
+def test_metrics_escape_label_values(tmp_path):
+    # a newline would split a line, and a quote would read as a second
+    # label: each series stays one line that diffs against itself
+    topics = ["a\nb", 'q",x="1', "back\\slash"]
+    doc = mini_scenario()
+    doc["services"] = [
+        {"name": "scanner", "node": "robot-1",
+         "advertises": [{"topic": t, "rate_hz": 10.0, "size": 64} for t in topics]},
+        {"name": "mapper", "node": "cloud-1", "requests": topics},
+    ]
+    run = str(tmp_path / "run")
+    assert main(["run", "--scenario", write_scenario(tmp_path, doc), "--out", run,
+                 "--log-level", "error"]) == 0
+    lines = (tmp_path / "run" / "metrics.txt").read_text().splitlines()[1:]
+    assert all(line.startswith(("counter ", "gauge ")) for line in lines)
+    assert len(parse_metrics(tmp_path / "run" / "metrics.txt")) == len(lines)
+    for escaped in (r'"a\nb"', r'"q\",x=\"1"', r'"back\\slash"'):
+        assert any(line.startswith(f"counter flow.offered{{topic={escaped}}} ")
+                   for line in lines)
+    assert main(["diff", run, run]) == 0
+
+
 def test_cli_error_exits_with_2(tmp_path, capsys):
     assert main(["run", "--scenario", "no-such-scenario"]) == 2
     assert "flowbridge: error:" in capsys.readouterr().err

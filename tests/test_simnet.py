@@ -331,6 +331,13 @@ def run_clock(clock, behaviours, steps):
                         ("run_until_idle", None)])
 @example([("log", 1)], [("burst", (0, 2 * CHUNK + 3, None)), ("run_until_idle", CHUNK + 1),
                         ("run_until_idle", None)])
+# a limit at the end of a time's list, with and without a later time
+# queued, and a limit on a chunk cut inside a longer burst
+@example([("log", 1)], [("schedule", 1), ("schedule", 1), ("run_until_idle", 2)])
+@example([("log", 1)], [("schedule", 1), ("schedule", 1), ("schedule", 3),
+                        ("run_until_idle", 2), ("run_until_idle", None)])
+@example([("log", 1)], [("burst", (0, 2 * CHUNK + 3, None)), ("run_until_idle", CHUNK),
+                        ("run_until_idle", None)])
 def test_clock_matches_the_heap_clock_oracle(behaviours, steps):
     # ties, past times, re-entrant schedules, raising events, run_until in
     # slices, drains whose limit falls inside one time's events, and
