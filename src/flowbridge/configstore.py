@@ -27,7 +27,6 @@ from .topology import (
     MAX_S,
     MIN_PERIOD_S,
     MessageEnvelope,
-    SequenceCounter,
     Topology,
     control_envelope,
     control_payload,
@@ -198,13 +197,13 @@ class MainConfigStore:
 class MainConfigService:
     """Messaging front-end for the main store, living on the home layer."""
 
-    def __init__(self, store: MainConfigStore, network: Network, seq: SequenceCounter):
+    def __init__(self, store: MainConfigStore, network: Network):
         self.store = store
         self.clock = network.clock
-        self.seq = seq
         self.registry = network.metrics
         home = store.topology.most_central_layer
         self.node = store.topology.system_node(home)
+        self.seq = network.seqs[self.node.name]
         self._endpoint = network.endpoint(store.topology.inter_layer_scope(home))
 
     def start(self) -> None:
@@ -225,8 +224,7 @@ class MainConfigService:
 class ConfigWorker:
     """One layer's copy of its document: periodic pull, local reads, change notices."""
 
-    def __init__(self, layer: str, network: Network, seq: SequenceCounter,
-                 layer_config: dict[str, Any]):
+    def __init__(self, layer: str, network: Network, layer_config: dict[str, Any]):
         """``layer_config`` is this layer's resolved config (see
         `resolve_layers`), served at revision 0 until a stored layer
         document arrives."""
@@ -234,10 +232,10 @@ class ConfigWorker:
         self.layer = topology.layer(layer)
         self.doc = ConfigDocument(self.layer, 0, layer_config)
         self.clock = network.clock
-        self.seq = seq
         self.registry = network.metrics
         self.trace = network.trace
         self.node = topology.system_node(self.layer)
+        self.seq = network.seqs[self.node.name]
         self._pending: dict[str, None] = {}  # unanswered correlation ids, as an ordered set
         self._corr = 0
         self._inter = network.endpoint(topology.inter_layer_scope(self.layer))

@@ -59,7 +59,6 @@ from .topology import (
     MessageEnvelope,
     NodeId,
     ScopeKind,
-    SequenceCounter,
     control_envelope,
     declaration_payload,
     decode_declaration,
@@ -259,35 +258,33 @@ class FlowEngineError(Exception):
 
 
 class FlowEngine:
-    """Declaration store, flooder, and bridge manager for one layer."""
+    """Declaration store, flooder, and bridge manager for one layer.
 
-    def __init__(
-        self,
-        layer: str,
-        network: Network,
-        heartbeats: HeartbeatRegistry,
-        seq: SequenceCounter,
-        config: Callable[[], dict],
-    ):
-        """``config()`` returns the layer's resolved config body."""
+    The engine owns its layer's liveness table, ``heartbeats``, which the
+    services of the layer refresh and its watchdog expires; it publishes
+    with its system node's counter from ``network.seqs``. ``config()``
+    is the layer's resolved config body: the watchdog reads its period
+    and the heartbeat TTL from it at every scan, and a change notice
+    re-reads the rate limit.
+    """
+
+    def __init__(self, layer: str, network: Network, config: Callable[[], dict]):
         topology = network.topology
         self.layer = topology.layer(layer)
         self.topology = topology
         self.network = network
         self.clock = network.clock
-        self.heartbeats = heartbeats
-        self.seq = seq
         self.registry = network.metrics
         self.trace = network.trace
+        self.heartbeats = HeartbeatRegistry(self.clock, self.registry, self.trace, self.layer)
         self.config = config
-        body = config()
-        self.limit_cfg = RateLimitConfig.from_obj(body["rate_limit"])
-        self._set_periods(body["flow"])
+        self.limit_cfg = RateLimitConfig.from_obj(config()["rate_limit"])
 
         self.scope_by_key = {s.key: s for s in topology.scopes_for_layer(self.layer)}
         self.inter_scope = topology.inter_layer_scope(self.layer)
         self.inter_endpoint = network.endpoint(self.inter_scope)
         self.system_node = topology.system_node(self.layer)
+        self.seq = network.seqs[self.system_node.name]
         self.service_name = f"__flow-engine/{self.layer}"
 
         self.table = FlowTable()
@@ -311,8 +308,9 @@ class FlowEngine:
                 ep.subscribe(topic, partial(self._on_control, scope), owner=self.service_name)
         intra = self.network.endpoint(self.topology.intra_layer_scope(self.layer))
         intra.subscribe(CONFIG_NOTICE, self._on_config_notice, owner=self.service_name)
-        self.heartbeats.refresh(self.service_name, self.system_node.name, self.heartbeat_ttl_ns)
-        self.clock.every(self.watchdog_period_ns, self._watchdog_scan)
+        # the first scan runs now: it registers the engine's own heartbeat,
+        # and no service can register before that one is live
+        self.clock.every(self._watchdog_scan(), self._watchdog_scan)
 
     # -- declaration intake ------------------------------------------------
 
@@ -516,10 +514,8 @@ class FlowEngine:
 
     def _on_config_notice(self, _env: MessageEnvelope) -> None:
         """Only this layer's worker publishes notices on its intra-layer
-        scope: re-read the layer's flow periods and rate limit."""
-        layer_cfg = self.config()
-        self._set_periods(layer_cfg["flow"])
-        cfg = RateLimitConfig.from_obj(layer_cfg["rate_limit"])
+        scope: re-read the layer's rate limit."""
+        cfg = RateLimitConfig.from_obj(self.config()["rate_limit"])
         if cfg == self.limit_cfg:
             return
         self.limit_cfg = cfg
@@ -528,16 +524,15 @@ class FlowEngine:
         self.trace.record("limit_reconfig", self.clock.now, layer=self.layer,
                           limit_mbps=cfg.limit_mbps)
 
-    def _set_periods(self, flow: dict) -> None:
-        self.watchdog_period_ns = ns_from_s(flow["watchdog_s"])
-        self.heartbeat_ttl_ns = ns_from_s(flow["heartbeat_ttl_s"])
-
     def _watchdog_scan(self) -> int:
-        self.heartbeats.refresh(self.service_name, self.system_node.name, self.heartbeat_ttl_ns)
+        # both periods are read at every scan, so a pushed one applies
+        # from the first scan after the worker applies the document
+        flow = self.config()["flow"]
+        self.heartbeats.refresh(self.service_name, self.system_node.name,
+                                ns_from_s(flow["heartbeat_ttl_s"]))
         for service, node in self.heartbeats.expire():
             self._withdraw_dead(service, node)
-        # read at every scan, so a pushed period applies from the next one
-        return self.watchdog_period_ns
+        return ns_from_s(flow["watchdog_s"])
 
     def _withdraw_dead(self, service: str, node: str) -> None:
         """Synthesize withdrawals for everything a dead service declared."""

@@ -218,11 +218,10 @@ class HeartbeatRegistry:
     watchdog looks.
     """
 
-    def __init__(self, clock, registry: MetricsRegistry | None = None,
-                 trace: Trace | None = None, layer: str = ""):
+    def __init__(self, clock, registry: MetricsRegistry, trace: Trace, layer: str):
         self.clock = clock
         self.registry = registry
-        self.trace = trace if trace is not None else Trace()
+        self.trace = trace
         self.layer = layer
         self._entries: dict[tuple[str, str], list] = {}  # [refreshed_at, ttl_ns]
 
@@ -262,8 +261,7 @@ class HeartbeatRegistry:
         return dead
 
     def _gauge(self) -> None:
-        if self.registry is not None:
-            self.registry.observe("mon.heartbeats", {"layer": self.layer}, len(self._entries))
+        self.registry.observe("mon.heartbeats", {"layer": self.layer}, len(self._entries))
 
 
 class PingProbe:
@@ -283,7 +281,7 @@ class PingProbe:
         self,
         node: NodeId,
         targets: Iterable[NodeId],
-        publish: Callable[[str, bytes], int],
+        publish: Callable[[str, bytes], None],
         clock,
         registry: MetricsRegistry,
         period_ns: int,

@@ -1,11 +1,12 @@
 """Scenario execution: wire a world together, run it, write reports.
 
 `World` assembles a complete deployment over the simulated network: one
-flow engine, heartbeat registry and config worker per layer, the main
-config store on the most central layer, and a service host for user
-services.  `run_scenario` drives one or more worlds (one per placement
-when the scenario sweeps a service across nodes) and writes metrics,
-trace, and summary files into the output directory.
+flow engine (which holds the layer's heartbeat registry) and config
+worker per layer, the main config store on the most central layer, and
+a service host for user services.  `run_scenario` drives one or more
+worlds (one per placement when the scenario sweeps a service across
+nodes) and writes metrics, trace, and summary files into the output
+directory.
 """
 
 from __future__ import annotations
@@ -18,20 +19,13 @@ from pathlib import Path
 from . import report
 from .configstore import ConfigWorker, MainConfigService, MainConfigStore, resolve_layers
 from .flow import FlowEngine
-from .monitor import (
-    HeartbeatRegistry,
-    MetricsRegistry,
-    PingProbe,
-    export_metrics,
-    ping_topic,
-    pong_topic,
-)
+from .monitor import MetricsRegistry, PingProbe, export_metrics, ping_topic, pong_topic
 from .scenario import (
     ProbesSpec, Scenario, ScenarioError, ServiceSpec, StreamSpec, load_scenario, make_payload,
 )
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
 from .simnet import SECOND, Network, SimClock, ns_from_s
-from .topology import MAX_S, SequenceCounter, Topology, TopologyError, build_topology, load_topology
+from .topology import MAX_S, Topology, TopologyError, build_topology, load_topology
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
@@ -83,7 +77,15 @@ class _StreamDriver:
 
 
 class World:
-    """A fully wired simulated deployment."""
+    """A fully wired simulated deployment.
+
+    Each component takes its shared context from the `Network`: the
+    clock, metrics, trace and every node's sequence counter
+    (``network.seqs``). Each layer's `FlowEngine` owns the layer's
+    `HeartbeatRegistry` and reads the layer's config through its
+    `ConfigWorker`; the `ServiceHost` takes only the network and the
+    engines.
+    """
 
     def __init__(
         self,
@@ -93,39 +95,24 @@ class World:
         trace_path: str | Path | None = None,
     ):
         self.topology = topology
-        self.seed = seed
         self.clock = SimClock()
         self.rng = random.Random(seed)
         self.trace = Trace()
         self.registry = MetricsRegistry(self.clock)
         self.network = Network(topology, self.clock, self.rng, self.registry, self.trace)
-        self.heartbeats = {
-            l: HeartbeatRegistry(self.clock, self.registry, self.trace, l) for l in topology.layers
-        }
-        self.seqs = {n.name: SequenceCounter() for n in topology.nodes}
 
         layer_configs = resolve_layers(topology, config)
         self.store = MainConfigStore(topology)
-        self.config_main = MainConfigService(
-            self.store, self.network, self._system_seq(topology.most_central_layer))
+        self.config_main = MainConfigService(self.store, self.network)
         self.workers: dict[str, ConfigWorker] = {}
         self.engines: dict[str, FlowEngine] = {}
         for l in topology.layers:
-            worker = self.workers[l] = ConfigWorker(
-                l, self.network, self._system_seq(l), layer_configs[l])
+            worker = self.workers[l] = ConfigWorker(l, self.network, layer_configs[l])
             self.engines[l] = FlowEngine(
-                l, self.network, self.heartbeats[l], self._system_seq(l),
-                config=lambda w=worker: w.get_config().body,
-            )
-        self.host = ServiceHost(
-            self.network, self.engines, self.heartbeats, self.seqs,
-            flow_config=lambda ln: self.workers[ln].get_config().body["flow"],
-        )
+                l, self.network, config=lambda w=worker: w.get_config().body)
+        self.host = ServiceHost(self.network, self.engines)
         self.handles: dict[str, ServiceHandle] = {}
         self.trace.open(trace_path)  # last: a world that rejects its input leaves no file
-
-    def _system_seq(self, layer: str) -> SequenceCounter:
-        return self.seqs[self.topology.system_node(layer).name]
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .broker import BrokerEndpoint, SubscriberHandle
 from .flow import CONTROL_TOPIC, DedupeWindow, FlowEngine
-from .monitor import HeartbeatRegistry
 from .simnet import Network, ns_from_s
 from .topology import (
     ADVERTISE,
@@ -33,7 +32,6 @@ from .topology import (
     FlowDeclaration,
     MessageEnvelope,
     NodeId,
-    SequenceCounter,
     control_envelope,
     declaration_payload,
 )
@@ -117,22 +115,16 @@ class ServiceHandle:
 class ServiceHost:
     """Runs services against a network plus its per-layer flow engines."""
 
-    def __init__(
-        self,
-        network: Network,
-        engines: Mapping[str, FlowEngine],
-        heartbeats: Mapping[str, HeartbeatRegistry],
-        seqs: Mapping[str, SequenceCounter],
-        flow_config: Callable[[str], dict],
-    ):
-        """``flow_config(layer)`` returns that layer's ``flow`` config section."""
+    def __init__(self, network: Network, engines: Mapping[str, FlowEngine]):
+        """A service publishes with its node's counter from ``network.seqs``.
+        Its layer's engine holds the liveness table it refreshes
+        (``heartbeats``) and the ``flow`` config section its heartbeat and
+        re-announce periods are read from when it starts."""
         self.topology = network.topology
         self.network = network
         self.clock = network.clock
         self.engines = dict(engines)
-        self.heartbeats = dict(heartbeats)
-        self.seqs = dict(seqs)
-        self._flow_config = flow_config
+        self.seqs = network.seqs
         self.registry = network.metrics
         self.trace = network.trace
         self.services: dict[tuple[str, str], ServiceHandle] = {}
@@ -157,7 +149,7 @@ class ServiceHost:
             raise DuplicateServiceError(f"{name!r} already running on {node!r}")
         layer = node_id.layer
         engine = self.engines.get(layer)
-        if engine is None or not self.heartbeats[layer].live(
+        if engine is None or not engine.heartbeats.live(
                 engine.service_name, engine.system_node.name):
             raise FlowEngineUnavailable(f"no live flow engine on layer {layer!r}")
 
@@ -177,12 +169,12 @@ class ServiceHost:
         handle = ServiceHandle(name, node_id, endpoint, advs, reqs)
         self.services[handle.key] = handle
 
-        cfg = self._flow_config(layer)
+        cfg = engine.config()["flow"]
         hb_period = ns_from_s(cfg["heartbeat_s"])
         hb_ttl = ns_from_s(cfg["heartbeat_ttl_s"])
         reannounce = ns_from_s(cfg["reannounce_s"])
 
-        self.heartbeats[layer].refresh(name, node_id.name, hb_ttl)
+        engine.heartbeats.refresh(name, node_id.name, hb_ttl)
         self.clock.every(hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
 
         callbacks = self._normalize_callbacks(reqs, on_message)
@@ -226,12 +218,12 @@ class ServiceHost:
             handle.endpoint.unsubscribe(sub)
         handle._subs.clear()
         if remove_heartbeat:
-            self.heartbeats[handle.node.layer].remove(handle.name, handle.node.name)
+            self.engines[handle.node.layer].heartbeats.remove(handle.name, handle.node.name)
         self.services.pop(handle.key, None)
 
     # -- data path ---------------------------------------------------------
 
-    def publish(self, handle: ServiceHandle, topic: str, payload: bytes) -> bool:
+    def publish(self, handle: ServiceHandle, topic: str, payload: bytes) -> None:
         if handle.state != READY:
             raise ServiceStopped(f"{handle.name} is {handle.state}")
         if topic not in handle.advertised_topics:
@@ -243,7 +235,6 @@ class ServiceHost:
         )
         handle.endpoint.publish(env, handle.owner)
         handle.published += 1
-        return True
 
     def _delivery_wrapper(self, handle: ServiceHandle, topic: str,
                           user_cb: Callable[[MessageEnvelope], None] | None):
@@ -291,7 +282,7 @@ class ServiceHost:
     def _heartbeat_tick(self, handle: ServiceHandle, period: int, ttl: int) -> int | None:
         if handle.state != READY:
             return None
-        self.heartbeats[handle.node.layer].refresh(handle.name, handle.node.name, ttl)
+        self.engines[handle.node.layer].heartbeats.refresh(handle.name, handle.node.name, ttl)
         return period
 
     def _reannounce_tick(self, handle: ServiceHandle, period: int) -> int | None:

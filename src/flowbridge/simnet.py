@@ -48,7 +48,7 @@ from typing import Any, Callable, Sequence
 
 from .broker import SUB_BRIDGE, BrokerEndpoint, SubscriberHandle
 from .monitor import CounterCell, MetricsRegistry
-from .topology import BrokerScope, LinkSpec, MessageEnvelope, ScopeKind, Topology
+from .topology import BrokerScope, LinkSpec, MessageEnvelope, ScopeKind, SequenceCounter, Topology
 from .tracing import Trace, xlink_parts
 
 MS = 1_000_000
@@ -227,21 +227,26 @@ class _TopicCounters(dict):
 
 class Network:
     """Binds one BrokerEndpoint per scope and routes publishes over the
-    topology's links, one `LinkState` per name in ``topology.links``."""
+    topology's links, one `LinkState` per name in ``topology.links``.
+
+    It is the shared context of every component of a world: the clock,
+    the metrics registry, the trace and ``seqs``, each node's
+    `SequenceCounter` by node name."""
 
     def __init__(
         self,
         topology: Topology,
         clock: SimClock,
         rng: Random,
-        metrics: MetricsRegistry | None = None,
-        trace: Trace | None = None,
+        metrics: MetricsRegistry,
+        trace: Trace,
     ):
         self.topology = topology
         self.clock = clock
         self.rng = rng
-        self.metrics = metrics if metrics is not None else MetricsRegistry(clock)
-        self.trace = trace if trace is not None else Trace()
+        self.metrics = metrics
+        self.trace = trace
+        self.seqs = {n.name: SequenceCounter() for n in topology.nodes}
         # the world's bridge installs and removals as they happen, appended
         # by every engine: (at, "install" or "remove", layer, topic, source, dest)
         self.bridge_events: list[tuple[int, str, str, str, str, str]] = []

@@ -36,6 +36,8 @@ DIRECTIONS = (ADVERTISE, REQUEST)
 # the longest time a run may name: the range of a signed 64-bit
 # nanosecond count, about 292 years
 MAX_S = (2**63 - 1) / 1_000_000_000
+# the slowest link: one byte (8e-6 Mbit) serializes in at most MAX_S
+MIN_BANDWIDTH_MBPS = 8e-6 / MAX_S
 # the shortest timer period, one tick of the nanosecond clock; a period
 # the clock rounds to 0 would re-fire at the same instant forever
 MIN_PERIOD_S = 1e-9
@@ -84,8 +86,9 @@ class LinkSpec:
             raise TopologyError(f"latency/jitter must be >= 0 and at most {MAX_S * 1000:.4g} ms")
         if not 0.0 <= self.loss <= 1.0:
             raise TopologyError("loss must be a fraction in [0, 1]")
-        if self.bandwidth_mbps < 0:
-            raise TopologyError("bandwidth_mbps must be >= 0")
+        if self.bandwidth_mbps < 0 or 0 < self.bandwidth_mbps < MIN_BANDWIDTH_MBPS:
+            raise TopologyError(f"bandwidth_mbps must be 0 (unlimited) or at least "
+                                f"{MIN_BANDWIDTH_MBPS:.4g}")
 
     FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
 

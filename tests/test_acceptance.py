@@ -23,6 +23,7 @@ from flowbridge.scenario import ProbesSpec, builtin_scenarios, parse_scenario
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, Network, SimClock
 from flowbridge.topology import MessageEnvelope, NodeId, build_topology
+from flowbridge.tracing import Trace
 from oracles import oracle_allocate, oracle_single_large_rate, synthetic_corpus
 from tracefile import records
 
@@ -369,7 +370,7 @@ def test_latency_and_loss_emulation():
         {"between": ["edge", "cloud"], "latency_ms": 1.0, "loss": 0.0001}]}})
     clock = SimClock()
     registry = MetricsRegistry(clock)
-    net = Network(topo, clock, Random(9), registry)
+    net = Network(topo, clock, Random(9), registry, Trace())
     got = []
     net.endpoint("inter_layer:cloud").subscribe("bulk",
                                                 lambda env: got.append(env.sequence))

@@ -19,7 +19,8 @@ from flowbridge.configstore import (
 )
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import MS, Network, SimClock
-from flowbridge.topology import CONFIG_NOTICE, SequenceCounter, build_topology
+from flowbridge.topology import CONFIG_NOTICE, build_topology
+from flowbridge.tracing import Trace
 
 SPEC = {
     "layers": [
@@ -136,15 +137,12 @@ class ConfigWorld:
         self.topology = build_topology({**SPEC, "links": links})
         self.clock = SimClock()
         self.metrics = MetricsRegistry(self.clock)
-        self.network = Network(self.topology, self.clock, Random(0), self.metrics)
-        self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
+        self.network = Network(self.topology, self.clock, Random(0), self.metrics, Trace())
         self.store = MainConfigStore(self.topology)
-        self.main = MainConfigService(self.store, self.network, self.seqs["cloud-1"])
+        self.main = MainConfigService(self.store, self.network)
         layers = resolve_layers(self.topology, config)
         self.workers = {
-            l: ConfigWorker(l, self.network, self.seqs[self.topology.system_node(l).name],
-                            layers[l])
-            for l in self.topology.layers
+            l: ConfigWorker(l, self.network, layers[l]) for l in self.topology.layers
         }
         self.main.start()
 

@@ -14,7 +14,7 @@ from flowbridge.flow import (
     FlowTable,
     compute_required_bridges,
 )
-from flowbridge.monitor import HeartbeatRegistry, MetricsRegistry
+from flowbridge.monitor import MetricsRegistry
 from flowbridge.ratelimit import allocate
 from flowbridge.runner import World
 from flowbridge.sdk import Advertise
@@ -29,7 +29,6 @@ from flowbridge.topology import (
     FlowDeclaration,
     MessageEnvelope,
     NodeId,
-    SequenceCounter,
     build_topology,
     control_envelope,
     declaration_from_body,
@@ -224,19 +223,11 @@ class Mini:
         self.metrics = MetricsRegistry(self.clock)
         self.trace = Trace(trace_path)
         self.network = Network(self.topology, self.clock, self.rng, self.metrics, self.trace)
-        self.seqs = {n.name: SequenceCounter() for n in self.topology.nodes}
-        self.heartbeats = {
-            l: HeartbeatRegistry(self.clock, self.metrics, self.trace, l)
+        self.bodies = {l: resolve_layer_config(config or {}) for l in self.topology.layers}
+        self.engines = {
+            l: FlowEngine(l, self.network, config=lambda ln=l: self.bodies[ln])
             for l in self.topology.layers
         }
-        self.bodies = {l: resolve_layer_config(config or {}) for l in self.topology.layers}
-        self.engines = {}
-        for l in self.topology.layers:
-            self.engines[l] = FlowEngine(
-                l, self.network, self.heartbeats[l],
-                self.seqs[self.topology.system_node(l).name],
-                config=lambda ln=l: self.bodies[ln],
-            )
         for e in self.engines.values():
             e.start()
 
@@ -254,7 +245,7 @@ class Mini:
         node_id = self.topology.node(node)
         env = MessageEnvelope(
             topic=topic, payload=payload, origin_node=node_id,
-            sequence=seq if seq is not None else self.seqs[node].next(topic),
+            sequence=seq if seq is not None else self.network.seqs[node].next(topic),
             sent_at=self.clock.now,
         )
         return self.network.endpoint(scope_key).publish(env)
@@ -499,7 +490,7 @@ def test_a_non_canonical_declaration_is_flooded_as_canonical_bytes():
                  b' "declared_rate": 5.0} }')
     node = w.topology.node("robot-1")
     w.network.endpoint(w.topology.default_scope_for("robot-1")).publish(control_envelope(
-        FLOW_ADVERTISE, hand_made, node, w.seqs["robot-1"], w.clock.now))
+        FLOW_ADVERTISE, hand_made, node, w.network.seqs["robot-1"], w.clock.now))
     w.clock.run_until(w.clock.now + 100 * MS)
     canonical = json.dumps({"decl": {
         "direction": "advertise", "topic": "img", "origin_node": ["edge", "robot-1"],
@@ -724,11 +715,11 @@ def test_a_republished_payload_is_compressed_and_decompressed_once(monkeypatch):
 def test_watchdog_withdraws_dead_service(tmp_path):
     w = Mini(SPEC3, trace_path=tmp_path / "trace.jsonl")
     adv = decl(topic="t", node="robot-1", rate=1.0)
-    w.heartbeats["edge"].refresh("cam", "robot-1", ns_from_s(3.0))
+    w.engines["edge"].heartbeats.refresh("cam", "robot-1", ns_from_s(3.0))
     w.engines["edge"].announce(adv, "cam")
     w.engines["fog"].announce(decl(REQUEST, topic="t", node="fog-1", layer="fog"), "mon")
     # keep the requester alive throughout
-    w.heartbeats["fog"].refresh("mon", "fog-1", ns_from_s(3600.0))
+    w.engines["fog"].heartbeats.refresh("mon", "fog-1", ns_from_s(3600.0))
     w.settle()
     assert w.bridge_keys("edge")
     # cam never refreshes again; ttl 3 s + 1 s watchdog period
@@ -774,11 +765,24 @@ def test_pushed_flow_periods_reach_the_engine():
     w.store.put("edge", resolve_layer_config(
         {"flow": {"watchdog_s": 2.0, "heartbeat_ttl_s": 6.0}}))
     w.run_for(12.0)
-    edge, cloud = w.engines["edge"], w.engines["cloud"]
-    assert (edge.watchdog_period_ns, edge.heartbeat_ttl_ns) == (2 * SECOND, 6 * SECOND)
-    assert (cloud.watchdog_period_ns, cloud.heartbeat_ttl_ns) == (SECOND, 3 * SECOND)
-    w.drain()
+    w.drain()  # ends the scans, each of which refreshed the engine's own heartbeat
     assert w.issues() == []
+
+    def engine_live(layer):
+        engine = w.engines[layer]
+        return engine.heartbeats.live(engine.service_name, engine.system_node.name)
+
+    # the edge document applies in the first 20 ms, so edge scans ran at
+    # 1 s, then every 2 s up to 11 s, and the last one set a 6 s TTL; the
+    # cloud kept its 1 s scans, the last at 12 s, and its 3 s TTL
+    w.clock.run_until(15 * SECOND)
+    assert engine_live("edge") and engine_live("cloud")
+    w.clock.run_until(15 * SECOND + 1)
+    assert engine_live("edge") and not engine_live("cloud")
+    w.clock.run_until(17 * SECOND)
+    assert engine_live("edge")
+    w.clock.run_until(17 * SECOND + 1)
+    assert not engine_live("edge")
 
 
 def test_convergence_is_order_independent():

@@ -15,11 +15,16 @@ from flowbridge.monitor import (
 )
 from flowbridge.simnet import MS, SECOND, SimClock
 from flowbridge.topology import MessageEnvelope, NodeId
+from flowbridge.tracing import Trace
 
 
 def make_reg():
     clock = SimClock()
     return MetricsRegistry(clock), clock
+
+
+def make_heartbeats(clock, reg=None):
+    return HeartbeatRegistry(clock, reg or MetricsRegistry(clock), Trace(), "edge")
 
 
 # -- registry ---------------------------------------------------------------
@@ -209,7 +214,7 @@ def test_export_mean_adds_left_to_right():
 
 def test_heartbeat_live_until_ttl():
     clock = SimClock()
-    hb = HeartbeatRegistry(clock)
+    hb = make_heartbeats(clock)
     hb.refresh("cam", "robot-1", 3 * SECOND)
     clock.run_until(3 * SECOND)
     assert hb.live("cam", "robot-1")
@@ -220,7 +225,7 @@ def test_heartbeat_live_until_ttl():
 
 def test_heartbeat_refresh_extends():
     clock = SimClock()
-    hb = HeartbeatRegistry(clock)
+    hb = make_heartbeats(clock)
     hb.refresh("cam", "robot-1", 3 * SECOND)
     clock.run_until(2 * SECOND)
     hb.refresh("cam", "robot-1", 3 * SECOND)
@@ -230,7 +235,7 @@ def test_heartbeat_refresh_extends():
 
 def test_heartbeat_expire_removes_and_reports():
     clock = SimClock()
-    hb = HeartbeatRegistry(clock)
+    hb = make_heartbeats(clock)
     hb.refresh("cam", "robot-1", 1 * SECOND)
     hb.refresh("mon", "robot-1", 10 * SECOND)
     clock.run_until(5 * SECOND)
@@ -241,7 +246,7 @@ def test_heartbeat_expire_removes_and_reports():
 
 def test_heartbeat_remove_is_idempotent():
     clock = SimClock()
-    hb = HeartbeatRegistry(clock)
+    hb = make_heartbeats(clock)
     hb.refresh("cam", "robot-1", SECOND)
     assert hb.remove("cam", "robot-1")
     assert not hb.remove("cam", "robot-1")
@@ -251,7 +256,7 @@ def test_heartbeat_remove_is_idempotent():
 def test_heartbeat_gauges_track_count():
     clock = SimClock()
     reg = MetricsRegistry(clock)
-    hb = HeartbeatRegistry(clock, reg, layer="edge")
+    hb = make_heartbeats(clock, reg)
     hb.refresh("a", "n", SECOND)
     hb.refresh("b", "n", SECOND)
     hb.remove("a", "n")

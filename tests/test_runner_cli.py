@@ -696,6 +696,14 @@ def _with_links(links):
                  id="rate-above-1ghz"),
     pytest.param(_with_links({"defaults": {"crossing": {"latency_ms": 1e300}}}),
                  id="latency-overflow"),
+    # one byte took longer than the clock's range to serialize: 1e-305
+    # overflowed at the first config pull, 1e-300 stamped counters at 3.9e302 ns
+    pytest.param(_with_links({"crossings": [{"between": ["edge", "cloud"],
+                                             "bandwidth_mbps": 1e-305}]}),
+                 id="bandwidth-overflow"),
+    pytest.param(_with_links({"crossings": [{"between": ["edge", "cloud"],
+                                             "bandwidth_mbps": 1e-300}]}),
+                 id="bandwidth-beyond-the-clock"),
     # a start after the end crashed the drain with a traceback, or started
     # the service in the drain; a repeated probe node crashed the world,
     # and a repeated sweep node ran twice into one placement directory

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flowbridge.configstore import resolve_layer_config
 from flowbridge.flow import DedupeWindow
 from flowbridge.runner import World
 from flowbridge.sdk import (
@@ -19,7 +20,9 @@ from flowbridge.sdk import (
     ServiceStopped,
 )
 from flowbridge.simnet import MS
-from flowbridge.topology import MessageEnvelope, build_topology
+from flowbridge.topology import (
+    FLOW_ADVERTISE, MessageEnvelope, build_topology, decode_declaration,
+)
 from tracefile import records
 
 SPEC = {
@@ -55,7 +58,7 @@ def test_start_service_lifecycle(world, tmp_path):
     assert h.state == READY
     assert h.endpoint.scope.key == "intra_node:robot-1@edge"
     assert world.host.services[("robot-1", "cam")] is h
-    assert world.heartbeats["edge"].live("cam", "robot-1")
+    assert world.engines["edge"].heartbeats.live("cam", "robot-1")
     world.drain()
     assert len(records(tmp_path / "trace.jsonl", "service_started", service="cam")) == 1
 
@@ -191,7 +194,7 @@ def test_stop_service_withdraws_and_cleans_up(world, tmp_path):
     settle(world, 500)
     assert world.engines["edge"].bridges == {}
     assert world.engines["cloud"].bridges == {}
-    assert not world.heartbeats["edge"].live("cam", "robot-1")
+    assert not world.engines["edge"].heartbeats.live("cam", "robot-1")
     assert ("robot-1", "cam") not in world.host.services
     # idempotent
     world.host.stop_service(h)
@@ -200,7 +203,7 @@ def test_stop_service_withdraws_and_cleans_up(world, tmp_path):
     settle(world, 10_500)
     assert world.engines["edge"].bridges == {}
     assert world.engines["cloud"].bridges == {}
-    assert not world.heartbeats["edge"].live("cam", "robot-1")
+    assert not world.engines["edge"].heartbeats.live("cam", "robot-1")
     world.drain()
     trace = tmp_path / "trace.jsonl"
     assert len(records(trace, "service_stopped", service="cam")) == 1
@@ -237,6 +240,35 @@ def test_heartbeats_keep_long_running_service_alive(world, tmp_path):
     assert world.engines["edge"].bridges  # never withdrawn
     world.drain()
     assert records(tmp_path / "trace.jsonl", "watchdog_withdraw", service="cam") == []
+
+
+def test_a_service_keeps_the_flow_periods_in_force_when_it_started():
+    w = World(build_topology(SPEC), seed=1)
+    w.start()
+    w.store.put("edge", resolve_layer_config(
+        {"flow": {"heartbeat_ttl_s": 10.0, "reannounce_s": 4.0}}))
+    announced = []  # (service, ms) per announcement heard on robot-1's scope
+    w.network.endpoint("intra_node:robot-1@edge").subscribe(FLOW_ADVERTISE, lambda env: (
+        announced.append((decode_declaration(env.payload)[1], w.clock.now // MS))))
+    old = w.host.start_service("robot-1", "old", advertises=[Advertise("a")])
+    settle(w, 500)
+    assert w.workers["edge"].get_config().revision == 1  # the push has applied
+    new = w.host.start_service("robot-1", "new", advertises=[Advertise("b")])
+    w.run_for(14.5)
+    # the old service re-announces every 10 s, the new one every 4 s
+    assert [ms for name, ms in announced if name == "old"] == [0, 10_000]
+    assert [ms for name, ms in announced if name == "new"] == [500, 4500, 8500, 12_500]
+
+    # last heartbeats: the old service's at 15 s with a 3 s TTL, the new
+    # one's at 14.5 s with a 10 s TTL
+    w.host.kill_service(old)
+    w.host.kill_service(new)
+    settle(w, 5_000)
+    heartbeats = w.engines["edge"].heartbeats
+    assert not heartbeats.live("old", "robot-1")
+    assert heartbeats.live("new", "robot-1")
+    w.drain()
+    assert w.issues() == []
 
 
 def test_duplicate_delivery_is_flagged_as_violation(world):
