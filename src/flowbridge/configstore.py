@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .ratelimit import RateLimitConfig
@@ -27,6 +26,7 @@ from .topology import (
     MAX_S,
     MIN_PERIOD_S,
     MessageEnvelope,
+    Record,
     Topology,
     control_envelope,
     control_payload,
@@ -128,14 +128,16 @@ def resolve_layers(topology: Topology,
     return {l: resolve_layer_config(overrides.get(l, {})) for l in topology.layers}
 
 
-@dataclass
-class ConfigDocument:
-    layer: str
-    revision: int
-    body: dict
+class ConfigDocument(Record):
+    __slots__ = FIELDS = ("layer", "revision", "body")
+
+    def __init__(self, layer: str, revision: int, body: dict) -> None:
+        self.layer = layer
+        self.revision = revision
+        self.body = body
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return {"layer": self.layer, "revision": self.revision, "body": self.body}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ConfigDocument":

@@ -38,7 +38,6 @@ scope, so local subscribers always see original bytes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -132,15 +131,18 @@ class DedupeWindow:
     record = test_and_record
 
 
-@dataclass
 class TableEntry:
     """Merged declarations for one (direction, topic, origin, scope)."""
 
-    origin_node: NodeId
-    declared_rate: float = 0.0
-    declared_max_size: int = 0
-    contributors: set[str] = field(default_factory=set)
-    serial: int = 0  # creation order in the table
+    __slots__ = ("origin_node", "declared_rate", "declared_max_size", "contributors", "serial")
+
+    def __init__(self, origin_node: NodeId, declared_rate: float, declared_max_size: int,
+                 serial: int) -> None:
+        self.origin_node = origin_node
+        self.declared_rate = declared_rate
+        self.declared_max_size = declared_max_size
+        self.contributors: set[str] = set()
+        self.serial = serial  # creation order in the table
 
 
 TableKey = tuple[str, str, str, str]  # (direction, topic, origin key, scope key)
@@ -230,23 +232,30 @@ def compute_required_bridges(table: FlowTable, topic: str) -> set[BridgeKey]:
     return {(topic, a, r) for a in table.scopes(ADVERTISE, topic) for r in reqs if a != r}
 
 
-@dataclass
 class BridgeSpec:
     """One installed bridge, with its destination endpoint, both scopes'
     dedupe windows and its outcome counters bound."""
 
-    topic: str
-    source: BrokerScope
-    dest: BrokerScope
-    dest_endpoint: BrokerEndpoint
-    source_window: DedupeWindow
-    dedupe_window: DedupeWindow  # the destination scope's
-    client: str | None  # limiter client when dest is inter_layer
-    delivered: CounterCell
-    forwarded: CounterCell
-    dedupe_drops: CounterCell
-    limiter_drops: CounterCell
-    handle: SubscriberHandle | None = None
+    __slots__ = ("topic", "source", "dest", "dest_endpoint", "source_window", "dedupe_window",
+                 "client", "delivered", "forwarded", "dedupe_drops", "limiter_drops", "handle")
+
+    def __init__(self, topic: str, source: BrokerScope, dest: BrokerScope,
+                 dest_endpoint: BrokerEndpoint, source_window: DedupeWindow,
+                 dedupe_window: DedupeWindow, client: str | None, delivered: CounterCell,
+                 forwarded: CounterCell, dedupe_drops: CounterCell,
+                 limiter_drops: CounterCell) -> None:
+        self.topic = topic
+        self.source = source
+        self.dest = dest
+        self.dest_endpoint = dest_endpoint
+        self.source_window = source_window
+        self.dedupe_window = dedupe_window  # the destination scope's
+        self.client = client  # limiter client when dest is inter_layer
+        self.delivered = delivered
+        self.forwarded = forwarded
+        self.dedupe_drops = dedupe_drops
+        self.limiter_drops = limiter_drops
+        self.handle: SubscriberHandle | None = None
 
     @property
     def key(self) -> BridgeKey:
@@ -499,7 +508,8 @@ class FlowEngine:
         blob, orig = self._packed[2:]
         if len(blob) >= orig:
             return env  # incompressible; ship original bytes
-        return replace(env, payload=blob, compressed=True, uncompressed_len=orig)
+        return MessageEnvelope(env.topic, blob, env.origin_node, env.sequence, env.sent_at,
+                               True, orig)
 
     def _decompress(self, env: MessageEnvelope) -> MessageEnvelope:
         if self._unpacked[0] is not env.payload:
@@ -508,7 +518,8 @@ class FlowEngine:
         if len(data) != env.uncompressed_len:
             raise FlowEngineError(
                 f"decompressed length {len(data)} != declared {env.uncompressed_len}")
-        return replace(env, payload=data, compressed=False)
+        return MessageEnvelope(env.topic, data, env.origin_node, env.sequence, env.sent_at,
+                               False, env.uncompressed_len)
 
     # -- config and watchdog ---------------------------------------------------
 

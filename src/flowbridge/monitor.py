@@ -16,12 +16,11 @@ series is one line and no value reads as more labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
 from typing import Any, BinaryIO, Callable, Iterable
 
-from .topology import MessageEnvelope, NodeId
+from .topology import MessageEnvelope, NodeId, Record
 from .tracing import Trace
 
 LabelSet = tuple[tuple[str, str], ...]
@@ -54,13 +53,15 @@ def _labels(labels: dict[str, Any] | None) -> LabelSet:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    name: str
-    kind: str
-    labels: LabelSet
-    value: float
-    at: int
+class MetricPoint(Record):
+    __slots__ = FIELDS = ("name", "kind", "labels", "value", "at")
+
+    def __init__(self, name: str, kind: str, labels: LabelSet, value: float, at: int) -> None:
+        self.name = name
+        self.kind = kind
+        self.labels = labels
+        self.value = value
+        self.at = at
 
 
 class CounterCell:

@@ -34,42 +34,45 @@ per registered topic.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from .monitor import MetricsRegistry
+from .topology import Record
 
 BYTES_PER_MBIT = 1024 * 1024 / 8
 
 
-@dataclass(frozen=True)
-class RateLimitConfig:
-    limit_mbps: float = 160.0
-    alpha: float = 1.02
-    beta: float = 0.95
-    min_rate_hz: float = 2.0
-    bucket_capacity: float = 2.0
-    large_threshold: int = 65536
-    compression_level: int = 10
+class RateLimitConfig(Record):
+    __slots__ = FIELDS = ("limit_mbps", "alpha", "beta", "min_rate_hz", "bucket_capacity",
+                          "large_threshold", "compression_level")
 
-    def __post_init__(self) -> None:
-        if self.limit_mbps <= 0:
+    def __init__(self, limit_mbps: float = 160.0, alpha: float = 1.02, beta: float = 0.95,
+                 min_rate_hz: float = 2.0, bucket_capacity: float = 2.0,
+                 large_threshold: int = 65536, compression_level: int = 10) -> None:
+        if limit_mbps <= 0:
             raise ValueError("limit_mbps must be > 0")
-        if self.alpha < 1.0:
+        if alpha < 1.0:
             raise ValueError("alpha must be >= 1 (headroom multiplier)")
-        if not 0.0 < self.beta <= 1.0:
+        if not 0.0 < beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.min_rate_hz <= 0:
+        if min_rate_hz <= 0:
             raise ValueError("min_rate_hz must be > 0")
-        if self.bucket_capacity < 1:
+        if bucket_capacity < 1:
             raise ValueError("bucket_capacity must be >= 1")
-        if self.large_threshold <= 0:
+        if large_threshold <= 0:
             raise ValueError("large_threshold must be > 0")
-        if not 0 <= self.compression_level <= 16:
+        if not 0 <= compression_level <= 16:
             raise ValueError("compression_level must be in [0, 16]")
+        self.limit_mbps = limit_mbps
+        self.alpha = alpha
+        self.beta = beta
+        self.min_rate_hz = min_rate_hz
+        self.bucket_capacity = bucket_capacity
+        self.large_threshold = large_threshold
+        self.compression_level = compression_level
 
     def to_obj(self) -> dict[str, Any]:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self.FIELDS}
 
     @classmethod
     def from_obj(cls, obj: Mapping[str, Any]) -> "RateLimitConfig":

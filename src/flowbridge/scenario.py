@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .configstore import ConfigError, resolve_layer_config
 from .simnet import SECOND
-from .topology import MAX_S, MIN_PERIOD_S, RESERVED_PREFIX, finite_number
+from .topology import MAX_S, MIN_PERIOD_S, RESERVED_PREFIX, Record, duplicates, finite_number
 
 
 class ScenarioError(ValueError):
@@ -37,125 +35,133 @@ def _check_nodes(nodes: tuple, where: str) -> None:
     """A node list names each node once: a probe per node, a run per placement."""
     for node in nodes:
         _check_name(node, f"{where}: node")
-    dupes = sorted({n for n in nodes if nodes.count(n) > 1})
+    dupes = duplicates(nodes)
     if dupes:
         raise ScenarioError(f"{where}: duplicate nodes {dupes}")
 
 
-@dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(Record):
     """One advertised stream: topic plus the rate/size it will publish at."""
 
-    topic: str
-    rate_hz: float
-    size: int
-    payload: str = "random"
+    __slots__ = FIELDS = ("topic", "rate_hz", "size", "payload")
 
-    def __post_init__(self) -> None:
-        _check_name(self.topic, "stream topic")
-        if self.rate_hz < 0:
-            raise ScenarioError(f"stream {self.topic!r}: rate_hz must be >= 0")
+    def __init__(self, topic: str, rate_hz: float, size: int, payload: str = "random") -> None:
+        self.topic = topic
+        self.rate_hz = rate_hz
+        self.size = size
+        self.payload = payload
+        _check_name(topic, "stream topic")
+        if rate_hz < 0:
+            raise ScenarioError(f"stream {topic!r}: rate_hz must be >= 0")
         # the stream's period, SECOND / rate_hz, must be 1 ns to MAX_S
-        if self.rate_hz and not 1 / MAX_S <= self.rate_hz <= SECOND:
-            raise ScenarioError(f"stream {self.topic!r}: rate_hz must be 0 or from "
-                                f"{1 / MAX_S:.4g} to {SECOND:g}, got {self.rate_hz!r}")
-        if self.size < 0:
-            raise ScenarioError(f"stream {self.topic!r}: size must be >= 0")
-        if self.payload not in PAYLOAD_KINDS:
+        if rate_hz and not 1 / MAX_S <= rate_hz <= SECOND:
+            raise ScenarioError(f"stream {topic!r}: rate_hz must be 0 or from "
+                                f"{1 / MAX_S:.4g} to {SECOND:g}, got {rate_hz!r}")
+        if size < 0:
+            raise ScenarioError(f"stream {topic!r}: size must be >= 0")
+        if payload not in PAYLOAD_KINDS:
             raise ScenarioError(
-                f"stream {self.topic!r}: payload must be one of {PAYLOAD_KINDS}"
+                f"stream {topic!r}: payload must be one of {PAYLOAD_KINDS}"
             )
 
 
-@dataclass(frozen=True)
 class ServiceSpec:
     """One service instance: where it runs and what it advertises/requests."""
 
-    name: str
-    node: str
-    advertises: tuple[StreamSpec, ...] = ()
-    requests: tuple[str, ...] = ()
-    start_s: float = 0.0
-    stop_s: float | None = None
-    external: bool = False
+    __slots__ = ("name", "node", "advertises", "requests", "start_s", "stop_s", "external")
 
-    def __post_init__(self) -> None:
-        _check_name(self.name, "service name")
-        _check_name(self.node, f"service {self.name!r}: node")
-        for topic in self.requests:
-            _check_name(topic, f"service {self.name!r}: request topic")
-        if not isinstance(self.external, bool):
-            raise ScenarioError(f"service {self.name!r}: external must be true or false, "
-                                f"got {self.external!r}")
-        if self.start_s < 0:
-            raise ScenarioError(f"service {self.name!r}: start_s must be >= 0")
-        if self.stop_s is not None and self.stop_s <= self.start_s:
-            raise ScenarioError(f"service {self.name!r}: stop_s must be > start_s")
-        for kind, topics in (("advertise", [s.topic for s in self.advertises]),
-                             ("request", list(self.requests))):
-            dupes = sorted({t for t in topics if topics.count(t) > 1})
+    def __init__(self, name: str, node: str, advertises: tuple[StreamSpec, ...] = (),
+                 requests: tuple[str, ...] = (), start_s: float = 0.0,
+                 stop_s: float | None = None, external: bool = False) -> None:
+        self.name = name
+        self.node = node
+        self.advertises = advertises
+        self.requests = requests
+        self.start_s = start_s
+        self.stop_s = stop_s
+        self.external = external
+        _check_name(name, "service name")
+        _check_name(node, f"service {name!r}: node")
+        for topic in requests:
+            _check_name(topic, f"service {name!r}: request topic")
+        if not isinstance(external, bool):
+            raise ScenarioError(f"service {name!r}: external must be true or false, "
+                                f"got {external!r}")
+        if start_s < 0:
+            raise ScenarioError(f"service {name!r}: start_s must be >= 0")
+        if stop_s is not None and stop_s <= start_s:
+            raise ScenarioError(f"service {name!r}: stop_s must be > start_s")
+        for kind, topics in (("advertise", [s.topic for s in advertises]),
+                             ("request", requests)):
+            dupes = duplicates(topics)
             if dupes:
-                raise ScenarioError(f"service {self.name!r}: duplicate {kind} topics {dupes}")
+                raise ScenarioError(f"service {name!r}: duplicate {kind} topics {dupes}")
             reserved = sorted({t for t in topics if t.startswith(RESERVED_PREFIX)})
             if reserved:
-                raise ScenarioError(f"service {self.name!r}: {kind} topics {reserved} "
+                raise ScenarioError(f"service {name!r}: {kind} topics {reserved} "
                                     f"are in the reserved {RESERVED_PREFIX!r} namespace")
 
 
-@dataclass(frozen=True)
-class ProbesSpec:
+class ProbesSpec(Record):
     """Round-trip latency probing between the listed nodes."""
 
-    nodes: tuple[str, ...] = ()
-    ping_period_s: float = 1.0
-    ping_timeout_s: float = 5.0
+    __slots__ = FIELDS = ("nodes", "ping_period_s", "ping_timeout_s")
 
-    def __post_init__(self) -> None:
-        _check_nodes(self.nodes, "probes")
-        if self.ping_period_s < MIN_PERIOD_S:
+    def __init__(self, nodes: tuple[str, ...] = (), ping_period_s: float = 1.0,
+                 ping_timeout_s: float = 5.0) -> None:
+        self.nodes = nodes
+        self.ping_period_s = ping_period_s
+        self.ping_timeout_s = ping_timeout_s
+        _check_nodes(nodes, "probes")
+        if ping_period_s < MIN_PERIOD_S:
             raise ScenarioError("probes: ping_period_s must be at least 1 ns")
-        if self.ping_timeout_s <= 0:
+        if ping_timeout_s <= 0:
             raise ScenarioError("probes: ping_timeout_s must be > 0")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """Placement sweep: re-run the scenario with `service` on each node."""
 
-    service: str
-    nodes: tuple[str, ...]
+    __slots__ = FIELDS = ("service", "nodes")
 
-    def __post_init__(self) -> None:
-        _check_name(self.service, "sweep: service")
-        _check_nodes(self.nodes, "sweep")
-        if not self.nodes:
+    def __init__(self, service: str, nodes: tuple[str, ...]) -> None:
+        self.service = service
+        self.nodes = nodes
+        _check_name(service, "sweep: service")
+        _check_nodes(nodes, "sweep")
+        if not nodes:
             raise ScenarioError("sweep: nodes must be non-empty")
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    duration_s: float
-    services: tuple[ServiceSpec, ...]
-    seed: int = 0
-    config: dict = field(default_factory=dict)
-    probes: ProbesSpec | None = None
-    sweep: SweepSpec | None = None
-    # optional embedded topology document (same shape as a topology
-    # file, links section included), read by `topology.build_topology`;
-    # a topology file supplied alongside the scenario takes precedence
-    topology: dict | None = None
+    """A parsed scenario document. ``topology`` is an optional embedded
+    topology document (same shape as a topology file, links section
+    included), read by `topology.build_topology`; a topology file
+    supplied alongside the scenario takes precedence."""
 
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
+    __slots__ = ("name", "duration_s", "services", "seed", "config", "probes", "sweep",
+                 "topology")
+
+    def __init__(self, name: str, duration_s: float, services: tuple[ServiceSpec, ...],
+                 seed: int = 0, config: dict | None = None, probes: ProbesSpec | None = None,
+                 sweep: SweepSpec | None = None, topology: dict | None = None) -> None:
+        self.name = name
+        self.duration_s = duration_s
+        self.services = services
+        self.seed = seed
+        self.config = {} if config is None else config
+        self.probes = probes
+        self.sweep = sweep
+        self.topology = topology
+        if duration_s <= 0:
             raise ScenarioError("duration_s must be > 0")
-        names = [s.name for s in self.services]
-        dupes = {n for n in names if names.count(n) > 1}
+        names = [s.name for s in services]
+        dupes = duplicates(names)
         if dupes:
-            raise ScenarioError(f"duplicate service names: {sorted(dupes)}")
-        if self.sweep is not None and self.sweep.service not in names:
+            raise ScenarioError(f"duplicate service names: {dupes}")
+        if sweep is not None and sweep.service not in names:
             raise ScenarioError(
-                f"sweep service {self.sweep.service!r} is not defined"
+                f"sweep service {sweep.service!r} is not defined"
             )
 
 
@@ -295,10 +301,19 @@ def parse_scenario(obj: object) -> Scenario:
     )
 
 
+def _bundle():
+    """The package's ``scenarios`` directory. `importlib.resources` is
+    imported here, not with the module: from Python 3.12 it imports
+    `inspect`, which the package does not load when imported."""
+    from importlib import resources
+
+    return resources.files(__package__).joinpath("scenarios")
+
+
 def builtin_scenarios() -> list[str]:
     """Names of the scenario files bundled with the package."""
     names = []
-    for entry in resources.files(__package__).joinpath("scenarios").iterdir():
+    for entry in _bundle().iterdir():
         if entry.name.endswith(".json"):
             names.append(entry.name[: -len(".json")])
     return sorted(names)
@@ -310,9 +325,7 @@ def load_scenario(ref: str | Path) -> Scenario:
     if path.is_file():
         text = path.read_text()
     else:
-        bundle = resources.files(__package__).joinpath(
-            "scenarios", f"{ref}.json"
-        )
+        bundle = _bundle().joinpath(f"{ref}.json")
         if not bundle.is_file():
             raise ScenarioError(
                 f"no scenario file {ref!r} and no bundled scenario of that name "

@@ -18,7 +18,6 @@ messages, and only remote and third-party ones reach its callback.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from .broker import BrokerEndpoint, SubscriberHandle
@@ -34,6 +33,7 @@ from .topology import (
     NodeId,
     control_envelope,
     declaration_payload,
+    duplicates,
 )
 
 log = logging.getLogger(__name__)
@@ -67,19 +67,19 @@ class ServiceStopped(ServiceError):
     pass
 
 
-@dataclass(frozen=True)
 class Advertise:
     """One advertised stream: topic plus declared rate/size hints."""
 
-    topic: str
-    rate_hz: float = 0.0
-    max_size: int = 0
+    __slots__ = ("topic", "rate_hz", "max_size")
 
-    def __post_init__(self) -> None:
-        if not self.topic:
+    def __init__(self, topic: str, rate_hz: float = 0.0, max_size: int = 0) -> None:
+        if not topic:
             raise ValueError("empty topic")
-        if self.rate_hz < 0 or self.max_size < 0:
+        if rate_hz < 0 or max_size < 0:
             raise ValueError("rate_hz/max_size must be >= 0")
+        self.topic = topic
+        self.rate_hz = rate_hz
+        self.max_size = max_size
 
 
 class ServiceHandle:
@@ -156,7 +156,7 @@ class ServiceHost:
         advs = tuple(advertises)
         reqs = tuple(requests)
         for kind, topics in (("advertise", [a.topic for a in advs]), ("request", reqs)):
-            dupes = sorted({t for t in topics if topics.count(t) > 1})
+            dupes = duplicates(topics)
             if dupes:
                 raise ServiceError(f"duplicate {kind} for {dupes}")
         for topic in {a.topic for a in advs} | set(reqs):

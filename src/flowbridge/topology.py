@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
 from enum import Enum
 from typing import Any, Iterable
 
@@ -57,6 +57,36 @@ def finite_number(value: object, kind: type | tuple[type, ...] = (int, float)) -
         return False
 
 
+def duplicates(items: Iterable[Any]) -> list[Any]:
+    """The items that occur more than once in ``items``, sorted; one pass."""
+    return sorted(item for item, n in Counter(items).items() if n > 1)
+
+
+class Record:
+    """Base of the records that callers and tests compare: two records are
+    equal when they are of one class and their ``FIELDS`` are equal. Any
+    other slot of a record is derived from its fields."""
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self.FIELDS]
+                == [getattr(other, f) for f in self.FIELDS])
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment once built: its ``__init__`` sets
+    each slot through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+
 def _expect(obj: object, kind: type, where: str) -> Any:
     if not isinstance(obj, kind):
         want = "an object" if kind is dict else "a list"
@@ -64,33 +94,32 @@ def _expect(obj: object, kind: type, where: str) -> Any:
     return obj
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(Record):
     """Simulated link parameters.
 
     ``loss`` is a fraction of copies dropped (0.0001 = 0.01%).
     ``bandwidth_mbps`` is in multiples of 10^6 bits/s; 0 = unlimited.
     """
 
-    latency_ms: float = 0.0
-    jitter_ms: float = 0.0
-    loss: float = 0.0
-    bandwidth_mbps: float = 0.0
+    __slots__ = FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
 
-    def __post_init__(self) -> None:
+    def __init__(self, latency_ms: float = 0.0, jitter_ms: float = 0.0, loss: float = 0.0,
+                 bandwidth_mbps: float = 0.0) -> None:
+        self.latency_ms = latency_ms
+        self.jitter_ms = jitter_ms
+        self.loss = loss
+        self.bandwidth_mbps = bandwidth_mbps
         for f in self.FIELDS:
             v = getattr(self, f)
             if not finite_number(v):
                 raise TopologyError(f"link {f} must be a finite number, got {v!r}")
-        if not (0 <= self.latency_ms <= MAX_S * 1000 and 0 <= self.jitter_ms <= MAX_S * 1000):
+        if not (0 <= latency_ms <= MAX_S * 1000 and 0 <= jitter_ms <= MAX_S * 1000):
             raise TopologyError(f"latency/jitter must be >= 0 and at most {MAX_S * 1000:.4g} ms")
-        if not 0.0 <= self.loss <= 1.0:
+        if not 0.0 <= loss <= 1.0:
             raise TopologyError("loss must be a fraction in [0, 1]")
-        if self.bandwidth_mbps < 0 or 0 < self.bandwidth_mbps < MIN_BANDWIDTH_MBPS:
+        if bandwidth_mbps < 0 or 0 < bandwidth_mbps < MIN_BANDWIDTH_MBPS:
             raise TopologyError(f"bandwidth_mbps must be 0 (unlimited) or at least "
                                 f"{MIN_BANDWIDTH_MBPS:.4g}")
-
-    FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
 
     def merged(self, obj: dict) -> "LinkSpec":
         _expect(obj, dict, "link spec")
@@ -117,42 +146,43 @@ class ScopeKind(str, Enum):
     EXTERNAL = "external_protocol"
 
 
-@dataclass(frozen=True)
-class NodeId:
-    layer: str
-    name: str
-    key: str = field(init=False, repr=False, compare=False)  # "name@layer"
+class NodeId(FrozenRecord):
+    """A node, named within its layer; frozen, because one decoded
+    declaration's node is shared by every engine it reaches."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", f"{self.name}@{self.layer}")
+    __slots__ = ("layer", "name", "key")
+    FIELDS = ("layer", "name")
+
+    def __init__(self, layer: str, name: str) -> None:
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "key", f"{name}@{layer}")
 
 
-@dataclass(frozen=True)
-class BrokerScope:
+class BrokerScope(Record):
     """Identity of one broker endpoint: kind plus owning layer or node."""
 
-    kind: ScopeKind
-    layer: str
-    node: str | None = None
-    # "kind:layer", or "kind:node@layer" for intra_node
-    key: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "layer", "node", "key")
+    FIELDS = ("kind", "layer", "node")
 
-    def __post_init__(self) -> None:
-        if self.kind is ScopeKind.INTRA_NODE:
-            if self.node is None:
+    def __init__(self, kind: ScopeKind, layer: str, node: str | None = None) -> None:
+        self.kind = kind
+        self.layer = layer
+        self.node = node
+        # "kind:layer", or "kind:node@layer" for intra_node
+        if kind is ScopeKind.INTRA_NODE:
+            if node is None:
                 raise TopologyError("intra_node scope requires a node")
-            key = f"{self.kind.value}:{self.node}@{self.layer}"
-        elif self.node is not None:
-            raise TopologyError(f"{self.kind.value} scope must not name a node")
+            self.key = f"{kind.value}:{node}@{layer}"
+        elif node is not None:
+            raise TopologyError(f"{kind.value} scope must not name a node")
         else:
-            key = f"{self.kind.value}:{self.layer}"
-        object.__setattr__(self, "key", key)
+            self.key = f"{kind.value}:{layer}"
 
     def __str__(self) -> str:
         return self.key
 
 
-@dataclass(slots=True)
 class MessageEnvelope:
     """One published message as carried between scopes.
 
@@ -164,20 +194,25 @@ class MessageEnvelope:
 
     One envelope object is handed to every subscriber of a fan-out, so
     it is never changed once built: a bridge that compresses or
-    decompresses builds a new one with ``dataclasses.replace``. That is
-    a convention, not ``frozen``, which would make every build several
-    times slower; a test checks that no code assigns to an envelope's
-    attributes outside ``__post_init__``.
+    decompresses builds a new one. That is a convention, not a refused
+    assignment, which would make every build several times slower; a
+    test checks that no code assigns to an envelope's attributes outside
+    ``__init__`` and ``__post_init__``.
     """
 
-    topic: str
-    payload: bytes
-    origin_node: NodeId
-    sequence: int
-    sent_at: int
-    compressed: bool = False
-    uncompressed_len: int = -1
-    payload_len: int = field(init=False, repr=False, compare=False)  # len(payload)
+    __slots__ = ("topic", "payload", "origin_node", "sequence", "sent_at",
+                 "compressed", "uncompressed_len", "payload_len")
+
+    def __init__(self, topic: str, payload: bytes, origin_node: NodeId, sequence: int,
+                 sent_at: int, compressed: bool = False, uncompressed_len: int = -1) -> None:
+        self.topic = topic
+        self.payload = payload
+        self.origin_node = origin_node
+        self.sequence = sequence
+        self.sent_at = sent_at
+        self.compressed = compressed
+        self.uncompressed_len = uncompressed_len
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.topic:
@@ -241,8 +276,7 @@ def decode_declaration(payload: bytes) -> tuple["FlowDeclaration", str, bytes]:
     return decl, service, payload if canonical == payload else canonical
 
 
-@dataclass(frozen=True)
-class FlowDeclaration:
+class FlowDeclaration(FrozenRecord):
     """An advertise or request for one topic, as flooded between layers.
 
     Its origin layer is ``origin_node.layer``. The bus reaches every
@@ -252,19 +286,22 @@ class FlowDeclaration:
     instance to every engine that receives its payload.
     """
 
-    direction: str
-    topic: str
-    origin_node: NodeId
-    declared_rate: float = 0.0
-    declared_max_size: int = 0
+    __slots__ = FIELDS = ("direction", "topic", "origin_node", "declared_rate",
+                          "declared_max_size")
 
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
+    def __init__(self, direction: str, topic: str, origin_node: NodeId,
+                 declared_rate: float = 0.0, declared_max_size: int = 0) -> None:
+        if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if not self.topic:
+        if not topic:
             raise ValueError("empty topic")
-        if self.declared_rate < 0 or self.declared_max_size < 0:
+        if declared_rate < 0 or declared_max_size < 0:
             raise ValueError("declared rate/size must be >= 0")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "topic", topic)
+        object.__setattr__(self, "origin_node", origin_node)
+        object.__setattr__(self, "declared_rate", declared_rate)
+        object.__setattr__(self, "declared_max_size", declared_max_size)
 
     def to_obj(self) -> dict[str, Any]:
         return {

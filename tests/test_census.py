@@ -27,6 +27,9 @@ UNREACHED = {
     "flow:FlowTable.lookup": PERFBENCH,
     "flow:FlowTable.topics": PERFBENCH,
     "monitor:MetricsRegistry.snapshot": "perfbench's worker and tracer read the metrics with it",
+    "monitor:MetricPoint.__init__": "only `MetricsRegistry.snapshot` builds one",
+    "topology:FrozenRecord.__setattr__": "refuses assignment to a node or declaration that "
+                                         "engines share; no run assigns to one",
     "broker:SubscriberHandle.__repr__": DEBUG,
     "sdk:ServiceHandle.__repr__": DEBUG,
     "topology:BrokerScope.__str__": DEBUG,

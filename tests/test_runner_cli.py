@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -762,3 +766,16 @@ def test_cli_reports_invariant_violations_with_3(tmp_path, monkeypatch):
     monkeypatch.setattr(World, "issues", lambda self: ["forced failure"])
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "v"),
                  "--log-level", "error"]) == 3
+
+
+def test_importing_the_program_loads_neither_dataclasses_nor_inspect():
+    # together they cost about half the package's import, which every run
+    # pays in its set-up; a fresh interpreter, because this one has both
+    code = ("import sys; bare = set(sys.modules); import flowbridge.runner, flowbridge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

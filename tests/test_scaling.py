@@ -26,14 +26,22 @@ What it cannot see: a loop that makes no calls and keeps no memory, such
 as a scan of ``FlowEngine.limiters`` inside one function, changes no
 count here. Its cost shows only in wall time, which the benchmark
 measures.
+
+Parse is one such loop: a duplicate check such as ``names.count`` per
+service name runs inside C and makes no call cProfile counts. So under
+the ``ci`` profile a second test times the parse of the 4n-service
+ladder against the n-service one, where linear parse takes about 4x.
 """
 
 import cProfile
+import gc
 import pstats
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 from flowbridge import flow, ratelimit
@@ -79,8 +87,12 @@ BANDS = {
 }
 
 
+def ci_profile() -> bool:
+    return settings.default == settings.get_profile("ci")
+
+
 def sizes() -> tuple[int, ...]:
-    if settings.default == settings.get_profile("ci"):
+    if ci_profile():
         return (40, 80, 160, 320, 640)
     return (40, 80, 160)
 
@@ -134,3 +146,34 @@ def test_work_per_publish_and_memory_per_service_stay_flat():
         values = [row[name] for row in table.values()]
         assert min(values) > 0, (name, shown)
         assert max(values) / min(values) <= band, (name, shown)
+
+
+# parse times of n and 4n services; a term quadratic in the services
+# would take 16x
+PARSE_SERVICES = 640
+PARSE_RATIO = 6.0
+
+
+def parse_seconds(services: int) -> float:
+    """The least of five parse times of the ``services``-service ladder,
+    with the collector off, as the clock runs events."""
+    doc = ladder.generate(1, services, DURATION_S)
+    best = float("inf")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            start = time.perf_counter()
+            parse_scenario(doc)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if collecting:
+            gc.enable()
+    return best
+
+
+def test_parse_time_grows_linearly_with_the_services():
+    if not ci_profile():
+        pytest.skip("a timing ratio: run under the ci profile only")
+    small, large = parse_seconds(PARSE_SERVICES), parse_seconds(4 * PARSE_SERVICES)
+    assert large / small <= PARSE_RATIO, (small, large)

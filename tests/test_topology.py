@@ -2,7 +2,6 @@
 
 import ast
 import json
-from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -223,38 +222,44 @@ def test_envelope_defaults_and_stream_key():
     assert e.payload_len == 5
     assert e.uncompressed_len == 5
     assert not e.compressed
-    # the length follows the payload, also through replace()
-    assert replace(e, payload=b"hi", uncompressed_len=-1).payload_len == 2
+    # the length follows the payload, also in an envelope built from another
+    assert MessageEnvelope(e.topic, b"hi", e.origin_node, e.sequence, e.sent_at).payload_len == 2
 
 
-ENVELOPE_FIELDS = {f.name for f in fields(MessageEnvelope)}
+ENVELOPE_FIELDS = set(MessageEnvelope.__slots__)
+# the envelope's methods that build it
+ENVELOPE_BUILDERS = ("__init__", "__post_init__")
 
 
 def envelope_field_stores(tree: ast.Module) -> list[int]:
     """Lines that store, or delete, an attribute named like an envelope
     field on anything but ``self``, through ``setattr`` and
     ``__setattr__`` too, or on ``self`` in a `MessageEnvelope` method
-    other than ``__post_init__``. Another class's ``self.topic = ...`` is
-    its own attribute, not an envelope's."""
+    other than ``__init__`` and ``__post_init__``. Another class's
+    ``self.topic = ...``, or ``object.__setattr__(self, "topic", ...)``,
+    is its own attribute, not an envelope's."""
     found = []
 
     def visit(node, cls, fn):
+        def store(target, lineno):
+            on_self = isinstance(target, ast.Name) and target.id == "self"
+            if not on_self or (cls == "MessageEnvelope" and fn not in ENVELOPE_BUILDERS):
+                found.append(lineno)
+
         if isinstance(node, ast.ClassDef):
             cls, fn = node.name, None
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
         elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
               and node.attr in ENVELOPE_FIELDS):
-            on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
-            if not on_self or (cls == "MessageEnvelope" and fn != "__post_init__"):
-                found.append(node.lineno)
+            store(node.value, node.lineno)
         elif isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
             if name in ("setattr", "delattr", "__setattr__", "__delattr__"):
                 if any(isinstance(a, ast.Constant) and a.value in ENVELOPE_FIELDS
                        for a in node.args):
-                    found.append(node.lineno)
+                    store(node.args[0] if node.args else None, node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, cls, fn)
 
@@ -272,10 +277,15 @@ def test_no_code_assigns_to_an_envelope_after_it_is_built():
 
 
 def test_a_declaration_cannot_be_assigned_to():
-    # one decoded declaration is shared by every engine its payload reaches
-    d = FlowDeclaration(ADVERTISE, "scan", NodeId("edge", "robot-1"), 10.0, 512)
-    with pytest.raises(FrozenInstanceError):
+    # one decoded declaration, and its node, is shared by every engine its
+    # payload reaches
+    node = NodeId("edge", "robot-1")
+    d = FlowDeclaration(ADVERTISE, "scan", node, 10.0, 512)
+    with pytest.raises(AttributeError):
         d.declared_rate = 20.0
+    with pytest.raises(AttributeError):
+        node.name = "robot-2"
+    assert (d.declared_rate, node.name, node.key) == (10.0, "robot-1", "robot-1@edge")
 
 
 def test_the_store_check_sees_what_it_forbids():
@@ -289,15 +299,19 @@ object.__setattr__(e, "compressed", True)
 class MessageEnvelope:
     def later(self):
         self.topic = "x"
+        object.__setattr__(self, "topic", "x")
 """
-    assert envelope_field_stores(ast.parse(bad)) == [2, 3, 4, 5, 6, 7, 10]
+    assert envelope_field_stores(ast.parse(bad)) == [2, 3, 4, 5, 6, 7, 10, 11]
     fine = """
 class MessageEnvelope:
+    def __init__(self, topic):
+        self.topic = topic
     def __post_init__(self):
         self.payload_len = 1
 class Handle:
     def __init__(self, topic):
         self.topic = topic
+        object.__setattr__(self, "topic", topic)
 x.active = False
 setattr(x, "other", 1)
 """
