@@ -8,17 +8,20 @@ labels) so two identical runs produce byte-identical files::
     gauge mon.rtt_half_ms{source="a@edge",target="b@cloud"} last=50.1 n=100 mean=50.02 min=40.9 max=59.3 99000000000
 
 Counter lines carry the total and the virtual time of the last update;
-gauge lines summarize the observed series. Label values are escaped as
-in the Prometheus text format (backslash, double quote, newline), so a
-series is one line and no value reads as more labels.
+gauge lines summarize the observed series, every sample of which the
+registry keeps until export, in two typed arrays (`GaugeCell`). Label
+values are escaped as in the Prometheus text format (backslash, double
+quote, newline), so a series is one line and no value reads as more
+labels.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from functools import reduce
-from operator import add, itemgetter
-from typing import Any, BinaryIO, Callable, Iterable
+from operator import add
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from .topology import MessageEnvelope, NodeId, Record
 from .tracing import Trace
@@ -88,17 +91,32 @@ class CounterCell:
 
 
 class GaugeCell:
-    """One gauge series, registered like `CounterCell`: ``series`` is the
-    key's one list of ``(at, value)`` samples, empty until observed."""
+    """One gauge series, registered like `CounterCell`: its samples'
+    virtual times in ``at``, an ``array("q")`` of int ns, and their
+    values in ``values``, an ``array("d")`` of floats, 16 B per sample
+    and no object per sample. ``len`` counts the samples, 0 until
+    observed, and iterating yields ``(at, value)`` pairs, made as read.
 
-    __slots__ = ("clock", "series")
+    A time past 2**63 - 1 ns does not fit ``at``: that observe raises
+    `OverflowError` and keeps nothing."""
+
+    __slots__ = ("clock", "at", "values")
 
     def __init__(self, clock):
         self.clock = clock
-        self.series: list[tuple[int, float]] = []
+        self.at = array("q")
+        self.values = array("d")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self.at, self.values)
 
     def observe(self, value: float) -> None:
-        self.series.append((self.clock.now, float(value)))
+        value = float(value)
+        self.at.append(self.clock.now)
+        self.values.append(value)
 
 
 class MetricsRegistry:
@@ -151,11 +169,12 @@ class MetricsRegistry:
                         break
         return out
 
-    def gauge_sets(self, name: str) -> dict[LabelSet, list[tuple[int, float]]]:
-        """Per label set, the cell's own ``(at, value)`` list, not a copy:
-        callers only read it."""
-        return {labels: cell.series
-                for labels, cell in self._gauges.get(name, {}).items() if cell.series}
+    def gauge_sets(self, name: str) -> dict[LabelSet, GaugeCell]:
+        """Per label set that was observed, its cell itself, not a copy:
+        callers only read it, as ``(at, value)`` pairs or through the
+        cell's two arrays."""
+        return {labels: cell
+                for labels, cell in self._gauges.get(name, {}).items() if cell.values}
 
     def snapshot(self) -> list[MetricPoint]:
         points = []
@@ -165,9 +184,9 @@ class MetricsRegistry:
                     points.append(MetricPoint(name, "counter", labels, cell.value, cell.at))
         for name, cells in self._gauges.items():
             for labels, cell in cells.items():
-                if cell.series:
-                    at, value = cell.series[-1]
-                    points.append(MetricPoint(name, "gauge", labels, value, at))
+                if cell.values:
+                    points.append(MetricPoint(name, "gauge", labels, cell.values[-1],
+                                              cell.at[-1]))
         points.sort(key=lambda p: (p.kind, p.name, p.labels))
         return points
 
@@ -196,15 +215,15 @@ def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
                       for labels, cell in cells.items() if cell.at >= 0)
     for name, labels, cell in counters:
         lines.append(f"counter {name}{_fmt_labels(labels)} {_fmt_num(cell.value)} {cell.at}")
-    gauges = sorted((name, labels, cell.series) for name, cells in registry._gauges.items()
-                    for labels, cell in cells.items() if cell.series)
-    for name, labels, series in gauges:
-        vals = list(map(itemgetter(1), series))
+    gauges = sorted((name, labels, cell) for name, cells in registry._gauges.items()
+                    for labels, cell in cells.items() if cell.values)
+    for name, labels, cell in gauges:
+        vals = cell.values
         mean = ordered_sum(vals) / len(vals)
         lines.append(
             f"gauge {name}{_fmt_labels(labels)} last={_fmt_num(vals[-1])} n={len(vals)}"
             f" mean={_fmt_num(mean)} min={_fmt_num(min(vals))} max={_fmt_num(max(vals))}"
-            f" {series[-1][0]}"
+            f" {cell.at[-1]}"
         )
     data = ("\n".join(lines) + "\n").encode("utf-8")
     sink.write(data)

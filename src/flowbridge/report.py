@@ -49,9 +49,9 @@ def latency_by_topic(registry: MetricsRegistry) -> dict[str, list[float]]:
     depends on the order, so it must not depend on which node heard
     first."""
     pools: dict[str, list[float]] = {}
-    for labels, series in sorted(registry.gauge_sets("mon.msg_latency_ms").items()):
+    for labels, cell in sorted(registry.gauge_sets("mon.msg_latency_ms").items()):
         topic = dict(labels).get("topic", "")
-        pools.setdefault(topic, []).extend(map(itemgetter(1), series))
+        pools.setdefault(topic, []).extend(cell.values)
     return pools
 
 

@@ -25,7 +25,7 @@ from .scenario import (
 )
 from .sdk import READY, Advertise, ServiceHandle, ServiceHost
 from .simnet import SECOND, Network, SimClock, ns_from_s
-from .topology import MAX_S, Topology, TopologyError, build_topology, load_topology
+from .topology import MAX_NS, MAX_S, Topology, TopologyError, build_topology, load_topology
 from .tracing import Trace
 
 log = logging.getLogger(__name__)
@@ -230,6 +230,11 @@ class World:
     def issues(self) -> list[str]:
         """Invariant violations observed by this world; empty when clean."""
         out = []
+        if self.clock.now > MAX_NS:
+            # a link so slow that a message outlasts the clock: no gauge
+            # can keep a sample at such a time, so its observe raises
+            out.append(f"virtual time ran to {self.clock.now} ns, past the clock's "
+                       f"range of {MAX_NS} ns")
         for scope, topic, err, n in self.network.endpoint_errors():
             out.append(f"callback error on {scope} topic {topic!r}: {err} ({n}x)")
         for v in self.host.violations:

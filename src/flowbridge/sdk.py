@@ -240,6 +240,9 @@ class ServiceHost:
                           user_cb: Callable[[MessageEnvelope], None] | None):
         latency = self.registry.gauge("mon.msg_latency_ms",
                                       {"topic": topic, "node": handle.node.name})
+        # the cell's two arrays, appended per delivery as `observe` does;
+        # the time first, so a time that does not fit keeps no value
+        add_at, add_value = latency.at.append, latency.values.append
 
         window = handle._delivered
 
@@ -257,7 +260,8 @@ class ServiceHost:
                 self.trace.record("duplicate_delivery", self.clock.now, **fields)
                 return
             now = self.clock.now
-            latency.series.append((now, (now - env.sent_at) / 1e6))
+            add_at(now)
+            add_value((now - env.sent_at) / 1e6)
             handle.received += 1
             handle.received_by_topic[env.topic] = handle.received_by_topic.get(env.topic, 0) + 1
             if user_cb is not None:

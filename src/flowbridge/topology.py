@@ -33,9 +33,11 @@ REQUEST = "request"
 DIRECTIONS = (ADVERTISE, REQUEST)
 
 
-# the longest time a run may name: the range of a signed 64-bit
-# nanosecond count, about 292 years
-MAX_S = (2**63 - 1) / 1_000_000_000
+# the clock's range, a signed 64-bit nanosecond count (about 292 years),
+# which is also what a gauge sample's time is kept in; the longest time a
+# run may name is MAX_S
+MAX_NS = 2**63 - 1
+MAX_S = MAX_NS / 1_000_000_000
 # the slowest link: one byte (8e-6 Mbit) serializes in at most MAX_S
 MIN_BANDWIDTH_MBPS = 8e-6 / MAX_S
 # the shortest timer period, one tick of the nanosecond clock; a period

@@ -28,6 +28,8 @@ UNREACHED = {
     "flow:FlowTable.topics": PERFBENCH,
     "monitor:MetricsRegistry.snapshot": "perfbench's worker and tracer read the metrics with it",
     "monitor:MetricPoint.__init__": "only `MetricsRegistry.snapshot` builds one",
+    "monitor:GaugeCell.__iter__": "perfbench's worker reads latencies through it",
+    "monitor:GaugeCell.__len__": "perfbench's tracer counts gauge samples with it",
     "topology:FrozenRecord.__setattr__": "refuses assignment to a node or declaration that "
                                          "engines share; no run assigns to one",
     "broker:SubscriberHandle.__repr__": DEBUG,

@@ -14,7 +14,7 @@ from flowbridge.monitor import (
     pong_topic,
 )
 from flowbridge.simnet import MS, SECOND, SimClock
-from flowbridge.topology import MessageEnvelope, NodeId
+from flowbridge.topology import MAX_NS, MessageEnvelope, NodeId
 from flowbridge.tracing import Trace
 
 
@@ -72,7 +72,7 @@ def test_gauge_series_and_sets():
     clock.run_until(10)
     reg.observe("lat", {"topic": "a"}, 2.5)
     reg.observe("lat", {"topic": "b"}, 9.0)
-    assert reg.gauge("lat", {"topic": "a"}).series == [(0, 1.5), (10, 2.5)]
+    assert list(reg.gauge("lat", {"topic": "a"})) == [(0, 1.5), (10, 2.5)]
     sets = reg.gauge_sets("lat")
     assert {dict(k)["topic"] for k in sets} == {"a", "b"}
     snap = [p for p in reg.snapshot() if p.name == "lat" and dict(p.labels)["topic"] == "a"]
@@ -148,9 +148,22 @@ def test_gauge_cell_records_what_observe_would():
         clock_b.run_until(t * 10)
         by_observe.observe("lat", {"topic": "a"}, v)
         cell.observe(v)
-    assert cell.series == by_observe.gauge("lat", {"topic": "a"}).series
-    assert all(type(v) is float for _, v in cell.series)
+    assert list(cell) == list(by_observe.gauge("lat", {"topic": "a"}))
+    assert all(type(v) is float for _, v in cell)
     assert export_text(by_cell) == export_text(by_observe)
+
+
+def test_a_gauge_keeps_no_sample_past_the_clocks_range():
+    # sample times are 64-bit nanosecond counts: a later time raises and
+    # leaves the cell as it was, its two arrays of equal length
+    reg, clock = make_reg()
+    cell = reg.gauge("lat")
+    clock.run_until(MAX_NS)
+    cell.observe(1)
+    clock.run_until(MAX_NS + 1)
+    with pytest.raises(OverflowError):
+        cell.observe(2)
+    assert list(cell) == [(MAX_NS, 1.0)] and len(cell) == len(cell.at) == 1
 
 
 # -- export format -------------------------------------------------------------
@@ -260,7 +273,7 @@ def test_heartbeat_gauges_track_count():
     hb.refresh("a", "n", SECOND)
     hb.refresh("b", "n", SECOND)
     hb.remove("a", "n")
-    counts = [v for _, v in reg.gauge("mon.heartbeats", {"layer": "edge"}).series]
+    counts = [v for _, v in reg.gauge("mon.heartbeats", {"layer": "edge"})]
     assert counts == [1, 2, 1]
 
 
@@ -309,7 +322,7 @@ def test_probe_measures_half_rtt():
     clock, reg, pa, _ = make_pair(delay_ms=25.0)
     pa.cycle()
     clock.run_until(SECOND)
-    series = reg.gauge("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"}).series
+    series = reg.gauge("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"})
     assert [v for _, v in series] == [25.0]
     assert reg.totals("mon.ping_timeout", "source") == {}
 
@@ -321,7 +334,7 @@ def test_probe_timeout_when_unanswered():
     pa.cycle()
     clock.run_until(5 * SECOND)
     assert reg.counter("mon.ping_timeout", {"source": "a@edge", "target": "b@cloud"}).value == 1
-    assert reg.gauge("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"}).series == []
+    assert list(reg.gauge("mon.rtt_half_ms", {"source": "a@edge", "target": "b@cloud"})) == []
     # a late pong for a timed-out nonce is ignored quietly
     pb.on_ping = pb_on_ping
     pa.cycle()
@@ -342,7 +355,7 @@ def test_probe_ignores_pings_for_other_nodes():
     clock.run_until(SECOND)
     assert sent == []
     rtt = reg.gauge("mon.rtt_half_ms", {"source": "c@far", "target": "nobody@nowhere"})
-    assert rtt.series == []
+    assert list(rtt) == []
 
 
 def test_probe_explicit_offsets_validated():

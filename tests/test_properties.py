@@ -597,7 +597,8 @@ def test_metric_cells_match_first_update_oracle(ops):
             if how == 0:
                 cell.observe(value)
             else:
-                cell.series.append((clock.now, float(value)))
+                cell.at.append(clock.now)
+                cell.values.append(float(value))
             ref_cell.observe(value)
 
     sink = io.BytesIO()
@@ -607,12 +608,12 @@ def test_metric_cells_match_first_update_oracle(ops):
     for name in ("m", "n"):
         for label in ("topic", "link", "node"):
             assert reg.totals(name, label) == ref.totals(name, label)
-        assert reg.gauge_sets(name) == ref.gauge_sets(name)
+        assert {k: list(v) for k, v in reg.gauge_sets(name).items()} == ref.gauge_sets(name)
     # each key's cell, bound last: a cell never updated reads as empty
     for name, labels in METRIC_KEYS:
         key = (name, tuple(sorted(labels.items())))
         assert reg.counter(name, labels).value == ref.counters.get(key, [0])[0]
-        assert reg.gauge(name, labels).series == ref.gauges.get(key, [])
+        assert list(reg.gauge(name, labels)) == ref.gauges.get(key, [])
 
 
 # ints of any size, which overflow a float sum past 2**1024; every

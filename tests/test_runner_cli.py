@@ -768,6 +768,22 @@ def test_cli_reports_invariant_violations_with_3(tmp_path, monkeypatch):
                  "--log-level", "error"]) == 3
 
 
+def test_a_run_past_the_clocks_range_exits_3_through_its_issues(tmp_path, caplog):
+    # the crossing passes the per-byte bandwidth floor, but a 512 B frame
+    # takes 4.1e12 s on it, so the drain runs to 1.7e21 ns, where no gauge
+    # can keep a sample time. The run used to exit 0 with those stamps;
+    # it says so and exits 3, and no error escapes it
+    doc = _with_links({"crossings": [{"between": ["edge", "cloud"], "bandwidth_mbps": 1e-15}]})
+    sc = write_scenario(tmp_path, doc)
+    with caplog.at_level(logging.ERROR, logger="flowbridge"):
+        assert main(["run", "--scenario", sc, "--out", str(tmp_path / "o")]) == 3
+    issues = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert issues[0].startswith("  invariant: virtual time ran to 1728")
+    assert issues[0].endswith("past the clock's range of 9223372036854775807 ns")
+    assert issues[1:] and all("OverflowError" in msg for msg in issues[1:]), issues
+    assert (tmp_path / "o" / "metrics.txt").exists()
+
+
 def test_importing_the_program_loads_neither_dataclasses_nor_inspect():
     # together they cost about half the package's import, which every run
     # pays in its set-up; a fresh interpreter, because this one has both

@@ -27,10 +27,12 @@ as a scan of ``FlowEngine.limiters`` inside one function, changes no
 count here. Its cost shows only in wall time, which the benchmark
 measures.
 
-Parse is one such loop: a duplicate check such as ``names.count`` per
-service name runs inside C and makes no call cProfile counts. So under
-the ``ci`` profile a second test times the parse of the 4n-service
-ladder against the n-service one, where linear parse takes about 4x.
+Parse and set-up hold such loops: a duplicate check such as
+``names.count`` per service name, or a name looked up in a list of every
+service, runs inside C and makes no call cProfile counts. So under the
+``ci`` profile two more tests time the parse, and the set-up (`World`,
+`start`, `setup_scenario`), of the 4n-service ladder against the
+n-service one, where linear work takes about 4x.
 """
 
 import cProfile
@@ -40,6 +42,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import settings
@@ -148,23 +151,27 @@ def test_work_per_publish_and_memory_per_service_stay_flat():
         assert max(values) / min(values) <= band, (name, shown)
 
 
-# parse times of n and 4n services; a term quadratic in the services
-# would take 16x
+# parse and set-up times of n and 4n services; a term quadratic in the
+# services would take 16x. Set-up starts from 1280: at 640 a start that
+# looked its name up in a list of every service still read under 6x
 PARSE_SERVICES = 640
 PARSE_RATIO = 6.0
+SETUP_SERVICES = 1280
+SETUP_RATIO = 6.0
 
 
-def parse_seconds(services: int) -> float:
-    """The least of five parse times of the ``services``-service ladder,
-    with the collector off, as the clock runs events."""
-    doc = ladder.generate(1, services, DURATION_S)
+def least_seconds(step: Callable[[], object], repeats: int) -> float:
+    """The least of ``repeats`` times of ``step()``, each with the collector
+    off, as the clock runs events, and after a collection that frees what
+    the one before left."""
     best = float("inf")
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(5):
+        for _ in range(repeats):
+            gc.collect()
             start = time.perf_counter()
-            parse_scenario(doc)
+            step()
             best = min(best, time.perf_counter() - start)
     finally:
         if collecting:
@@ -172,8 +179,36 @@ def parse_seconds(services: int) -> float:
     return best
 
 
+def parse_seconds(services: int) -> float:
+    """The least of five parse times of the ``services``-service ladder."""
+    doc = ladder.generate(1, services, DURATION_S)
+    return least_seconds(lambda: parse_scenario(doc), 5)
+
+
+def setup_seconds(services: int) -> float:
+    """The least of three set-up times of the ``services``-service ladder:
+    `World`, `World.start` and `World.setup_scenario`, from a parsed
+    document and its built topology."""
+    scenario = parse_scenario(ladder.generate(1, services, DURATION_S))
+    topology = build_topology(scenario.topology)
+
+    def set_up() -> None:
+        world = World(topology, scenario.seed, config=scenario.config)
+        world.start()
+        world.setup_scenario(scenario)
+
+    return least_seconds(set_up, 3)
+
+
 def test_parse_time_grows_linearly_with_the_services():
     if not ci_profile():
         pytest.skip("a timing ratio: run under the ci profile only")
     small, large = parse_seconds(PARSE_SERVICES), parse_seconds(4 * PARSE_SERVICES)
     assert large / small <= PARSE_RATIO, (small, large)
+
+
+def test_setup_time_grows_linearly_with_the_services():
+    if not ci_profile():
+        pytest.skip("a timing ratio: run under the ci profile only")
+    small, large = setup_seconds(SETUP_SERVICES), setup_seconds(4 * SETUP_SERVICES)
+    assert large / small <= SETUP_RATIO, (small, large)

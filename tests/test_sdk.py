@@ -148,7 +148,7 @@ def test_end_to_end_delivery_and_latency(world):
     assert viewer.received == 1
     assert viewer.received_by_topic == {"img": 1}
     assert cam.published == 1
-    lat = world.registry.gauge("mon.msg_latency_ms", {"topic": "img", "node": "cloud-1"}).series
+    lat = list(world.registry.gauge("mon.msg_latency_ms", {"topic": "img", "node": "cloud-1"}))
     assert len(lat) == 1 and lat[0][1] > 0
 
 

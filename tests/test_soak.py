@@ -52,6 +52,37 @@ def test_trace_memory_does_not_grow_with_run_length(tmp_path):
     assert abs(at_20s - at_5s) < 64 * 1024, (at_5s, at_20s)
 
 
+def gauge_samples(world: World) -> int:
+    registry = world.registry
+    return sum(len(series) for name in registry._gauges
+               for series in registry.gauge_sets(name).values())
+
+
+def test_a_gauge_sample_costs_at_most_24_bytes():
+    # a sample per delivery is what still grows with run length: two
+    # typed arrays keep it in 16 B and their spare tail, where a list of
+    # (int, float) tuples took about 88 B
+    scenario = parse_scenario(ladder.generate(1, 80, 12.0))
+    tracemalloc.start()
+    try:
+        world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config)
+        world.start()
+        world.setup_scenario(scenario)
+        readings = []
+        for duration in (4.0, 8.0):  # to 4 s, then to 12 s
+            world.run_for(duration)
+            readings.append((traced_bytes("*flowbridge/monitor.py")
+                             + traced_bytes("*flowbridge/sdk.py"), gauge_samples(world)))
+    finally:
+        tracemalloc.stop()
+    world.drain()
+    assert world.issues() == []
+    (bytes_4s, samples_4s), (bytes_12s, samples_12s) = readings
+    assert samples_12s - samples_4s > 10_000, readings
+    per_sample = (bytes_12s - bytes_4s) / (samples_12s - samples_4s)
+    assert per_sample <= 24, (per_sample, readings)
+
+
 def short_doc(workload: str) -> dict:
     """A short version of a benchmark workload's document, seed 1."""
     if workload.startswith("ladder-"):
