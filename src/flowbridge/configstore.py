@@ -17,6 +17,7 @@ import json
 import logging
 from typing import Any, Iterable
 
+from .fields import Field, Record, read
 from .ratelimit import RateLimitConfig
 from .simnet import Network, ns_from_s
 from .topology import (
@@ -26,93 +27,43 @@ from .topology import (
     MAX_S,
     MIN_PERIOD_S,
     MessageEnvelope,
-    Record,
     Topology,
     control_envelope,
     control_payload,
-    finite_number,
 )
 
 log = logging.getLogger(__name__)
-
-# periods that re-arm a timer, and the TTL that must cover two of them
-_PERIODS = (("flow", "heartbeat_s"), ("flow", "heartbeat_ttl_s"),
-            ("flow", "watchdog_s"), ("config", "sync_period_s"))
-
-
-def default_layer_config() -> dict[str, Any]:
-    return {
-        "rate_limit": RateLimitConfig().to_obj(),
-        "flow": {
-            "reannounce_s": 10.0,
-            "heartbeat_s": 1.0,
-            "heartbeat_ttl_s": 3.0,
-            "watchdog_s": 1.0,
-        },
-        "config": {"sync_period_s": 5.0},
-    }
-
-
-def merge_config(base: dict, override: dict) -> dict:
-    """Recursive dict merge; override wins on leaves."""
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = merge_config(out[k], v)
-        else:
-            out[k] = v
-    return out
 
 
 class ConfigError(ValueError):
     pass
 
 
-def resolve_layer_config(overrides: object) -> dict[str, Any]:
-    """One layer's config: ``overrides`` merged onto the defaults, checked.
+# a layer's config, the body of its document; reannounce_s 0 switches re-announce off
+LAYER_CONFIG = {
+    "rate_limit": Field(RateLimitConfig.TABLE, {}),
+    "flow": Field({
+        "reannounce_s": Field(float, 10.0, MIN_PERIOD_S, MAX_S, or_zero=True),
+        "heartbeat_s": Field(float, 1.0, MIN_PERIOD_S, MAX_S),
+        "heartbeat_ttl_s": Field(float, 3.0, MIN_PERIOD_S, MAX_S),
+        "watchdog_s": Field(float, 1.0, MIN_PERIOD_S, MAX_S),
+    }, {}),
+    "config": Field({"sync_period_s": Field(float, 5.0, MIN_PERIOD_S, MAX_S)}, {}),
+}
 
-    Every section and key must exist in ``default_layer_config()`` and
-    every value must be a finite number (an integer where the default is
-    one). Timer periods must be from `topology.MIN_PERIOD_S` (1 ns) to
-    `topology.MAX_S`; ``flow.reannounce_s`` may be 0, which switches
-    re-announce off.
-    ``flow.heartbeat_ttl_s`` must cover both the heartbeat and the
-    watchdog period.
-    """
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"layer config must be an object, got {type(overrides).__name__}")
-    base = default_layer_config()
-    for section, values in overrides.items():
-        if section not in base:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"{section} must be an object, got {type(values).__name__}")
-        for key, value in values.items():
-            if key not in base[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            kind = int if isinstance(base[section][key], int) else (int, float)
-            if not finite_number(value, kind):
-                raise ConfigError(f"{section}.{key} must be a finite "
-                                  f"{'integer' if kind is int else 'number'}, got {value!r}")
-    cfg = merge_config(base, overrides)
-    for section, key in _PERIODS:
-        if cfg[section][key] < MIN_PERIOD_S:
-            raise ConfigError(f"{section}.{key} must be at least 1 ns, got {cfg[section][key]!r}")
-    for section in ("flow", "config"):  # every key there is a period in seconds
-        for key, value in cfg[section].items():
-            if value > MAX_S:
-                raise ConfigError(f"{section}.{key} must be at most {MAX_S:.4g} s, got {value!r}")
+
+def resolve_layer_config(overrides: object, path: str = "",
+                         error: type[ValueError] = ConfigError) -> dict[str, Any]:
+    """One layer's config: ``overrides``, a `LAYER_CONFIG` document at
+    ``path``, with every key it leaves out at its default. The heartbeat
+    TTL must cover both the heartbeat and the watchdog period, or live
+    heartbeats lapse between refreshes."""
+    cfg = read(LAYER_CONFIG, overrides, path, error)
     flow = cfg["flow"]
-    if flow["reannounce_s"] != 0 and flow["reannounce_s"] < MIN_PERIOD_S:
-        raise ConfigError("flow.reannounce_s must be 0 (off) or at least 1 ns, "
-                          f"got {flow['reannounce_s']!r}")
     if flow["heartbeat_ttl_s"] < max(flow["heartbeat_s"], flow["watchdog_s"]):
-        raise ConfigError("flow.heartbeat_ttl_s must be >= flow.heartbeat_s and "
-                          "flow.watchdog_s, or live heartbeats lapse between refreshes")
-    try:
-        RateLimitConfig.from_obj(cfg["rate_limit"])
-    except ValueError as exc:
-        raise ConfigError(f"rate_limit: {exc}") from None
+        raise error(f"{f'{path}.' if path else ''}flow.heartbeat_ttl_s must be >= "
+                    "flow.heartbeat_s and flow.watchdog_s, or live heartbeats lapse "
+                    "between refreshes")
     return cfg
 
 

@@ -287,7 +287,7 @@ class FlowEngine:
         self.trace = network.trace
         self.heartbeats = HeartbeatRegistry(self.clock, self.registry, self.trace, self.layer)
         self.config = config
-        self.limit_cfg = RateLimitConfig.from_obj(config()["rate_limit"])
+        self.limit_cfg = RateLimitConfig(**config()["rate_limit"])
 
         self.scope_by_key = {s.key: s for s in topology.scopes_for_layer(self.layer)}
         self.inter_scope = topology.inter_layer_scope(self.layer)
@@ -395,9 +395,10 @@ class FlowEngine:
             created.append(self._install_bridge(key))
         if required:
             self._topic_bridges[topic] = required
+        # the limiters first: an observe that raises leaves them in line
+        self._sync_limiters(topic, registered)
         if created or removed:
             self.registry.observe("flow.bridges", {"layer": self.layer}, len(self.bridges))
-        self._sync_limiters(topic, registered)
         return created, removed
 
     def _install_bridge(self, key: BridgeKey) -> BridgeSpec:
@@ -526,7 +527,7 @@ class FlowEngine:
     def _on_config_notice(self, _env: MessageEnvelope) -> None:
         """Only this layer's worker publishes notices on its intra-layer
         scope: re-read the layer's rate limit."""
-        cfg = RateLimitConfig.from_obj(self.config()["rate_limit"])
+        cfg = RateLimitConfig(**self.config()["rate_limit"])
         if cfg == self.limit_cfg:
             return
         self.limit_cfg = cfg

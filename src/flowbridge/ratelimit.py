@@ -34,54 +34,27 @@ per registered topic.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Mapping
 
+from .fields import Field, Record
 from .monitor import MetricsRegistry
-from .topology import Record
 
 BYTES_PER_MBIT = 1024 * 1024 / 8
 
 
 class RateLimitConfig(Record):
-    __slots__ = FIELDS = ("limit_mbps", "alpha", "beta", "min_rate_hz", "bucket_capacity",
-                          "large_threshold", "compression_level")
+    """A layer's ``rate_limit`` section: the budget and its allocation."""
 
-    def __init__(self, limit_mbps: float = 160.0, alpha: float = 1.02, beta: float = 0.95,
-                 min_rate_hz: float = 2.0, bucket_capacity: float = 2.0,
-                 large_threshold: int = 65536, compression_level: int = 10) -> None:
-        if limit_mbps <= 0:
-            raise ValueError("limit_mbps must be > 0")
-        if alpha < 1.0:
-            raise ValueError("alpha must be >= 1 (headroom multiplier)")
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
-        if min_rate_hz <= 0:
-            raise ValueError("min_rate_hz must be > 0")
-        if bucket_capacity < 1:
-            raise ValueError("bucket_capacity must be >= 1")
-        if large_threshold <= 0:
-            raise ValueError("large_threshold must be > 0")
-        if not 0 <= compression_level <= 16:
-            raise ValueError("compression_level must be in [0, 16]")
-        self.limit_mbps = limit_mbps
-        self.alpha = alpha
-        self.beta = beta
-        self.min_rate_hz = min_rate_hz
-        self.bucket_capacity = bucket_capacity
-        self.large_threshold = large_threshold
-        self.compression_level = compression_level
-
-    def to_obj(self) -> dict[str, Any]:
-        return {f: getattr(self, f) for f in self.FIELDS}
-
-    @classmethod
-    def from_obj(cls, obj: Mapping[str, Any]) -> "RateLimitConfig":
-        base = cls().to_obj()
-        unknown = set(obj) - set(base)
-        if unknown:
-            raise ValueError(f"unknown rate_limit keys: {sorted(unknown)}")
-        base.update(obj)
-        return cls(**base)
+    TABLE = {
+        "limit_mbps": Field(float, 160.0, above=0.0),
+        "alpha": Field(float, 1.02, 1.0),  # headroom multiplier
+        "beta": Field(float, 0.95, hi=1.0, above=0.0),
+        "min_rate_hz": Field(float, 2.0, above=0.0),
+        "bucket_capacity": Field(float, 2.0, 1.0),
+        "large_threshold": Field(int, 65536, 1),
+        "compression_level": Field(int, 10, 0, 16),
+    }
+    __slots__ = FIELDS = tuple(TABLE)
 
 
 def allocate(cfg: RateLimitConfig,

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from collections import Counter
 from enum import Enum
 from typing import Any, Iterable
+
+from .fields import Field, Record, read
 
 RESERVED_PREFIX = "__"
 
@@ -49,39 +50,14 @@ class TopologyError(ValueError):
     """Raised for malformed topology specs or unknown layer/node lookups."""
 
 
-def finite_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """Whether ``value`` is a ``kind`` JSON number: never a bool, NaN,
-    infinity or an integer too large for a float."""
-    try:
-        return (isinstance(value, kind) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
 def duplicates(items: Iterable[Any]) -> list[Any]:
     """The items that occur more than once in ``items``, sorted; one pass."""
     return sorted(item for item, n in Counter(items).items() if n > 1)
 
 
-class Record:
-    """Base of the records that callers and tests compare: two records are
-    equal when they are of one class and their ``FIELDS`` are equal. Any
-    other slot of a record is derived from its fields."""
-
-    __slots__ = ()
-    FIELDS: tuple[str, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, f) for f in self.FIELDS]
-                == [getattr(other, f) for f in self.FIELDS])
-
-
 class FrozenRecord(Record):
-    """A record that refuses assignment once built: its ``__init__`` sets
-    each slot through ``object.__setattr__``."""
+    """A record that refuses assignment once built: each ``__init__`` sets
+    its slots through ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -89,47 +65,18 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
 
 
-def _expect(obj: object, kind: type, where: str) -> Any:
-    if not isinstance(obj, kind):
-        want = "an object" if kind is dict else "a list"
-        raise TopologyError(f"{where} must be {want}, got {obj!r}")
-    return obj
+class LinkSpec(FrozenRecord):
+    """Simulated link parameters. ``loss`` is a fraction of copies dropped
+    (0.0001 = 0.01%); ``bandwidth_mbps`` is in 10^6 bits/s, 0 = unlimited.
+    Frozen, because every topology shares the default ones."""
 
-
-class LinkSpec(Record):
-    """Simulated link parameters.
-
-    ``loss`` is a fraction of copies dropped (0.0001 = 0.01%).
-    ``bandwidth_mbps`` is in multiples of 10^6 bits/s; 0 = unlimited.
-    """
-
-    __slots__ = FIELDS = ("latency_ms", "jitter_ms", "loss", "bandwidth_mbps")
-
-    def __init__(self, latency_ms: float = 0.0, jitter_ms: float = 0.0, loss: float = 0.0,
-                 bandwidth_mbps: float = 0.0) -> None:
-        self.latency_ms = latency_ms
-        self.jitter_ms = jitter_ms
-        self.loss = loss
-        self.bandwidth_mbps = bandwidth_mbps
-        for f in self.FIELDS:
-            v = getattr(self, f)
-            if not finite_number(v):
-                raise TopologyError(f"link {f} must be a finite number, got {v!r}")
-        if not (0 <= latency_ms <= MAX_S * 1000 and 0 <= jitter_ms <= MAX_S * 1000):
-            raise TopologyError(f"latency/jitter must be >= 0 and at most {MAX_S * 1000:.4g} ms")
-        if not 0.0 <= loss <= 1.0:
-            raise TopologyError("loss must be a fraction in [0, 1]")
-        if bandwidth_mbps < 0 or 0 < bandwidth_mbps < MIN_BANDWIDTH_MBPS:
-            raise TopologyError(f"bandwidth_mbps must be 0 (unlimited) or at least "
-                                f"{MIN_BANDWIDTH_MBPS:.4g}")
-
-    def merged(self, obj: dict) -> "LinkSpec":
-        _expect(obj, dict, "link spec")
-        unknown = set(obj) - set(self.FIELDS)
-        if unknown:
-            raise TopologyError(f"unknown link keys: {sorted(unknown)}")
-        vals = {f: obj.get(f, getattr(self, f)) for f in self.FIELDS}
-        return LinkSpec(**vals)
+    TABLE = {
+        "latency_ms": Field(float, 0.0, 0.0, MAX_S * 1000),
+        "jitter_ms": Field(float, 0.0, 0.0, MAX_S * 1000),
+        "loss": Field(float, 0.0, 0.0, 1.0),
+        "bandwidth_mbps": Field(float, 0.0, MIN_BANDWIDTH_MBPS, or_zero=True),
+    }
+    __slots__ = FIELDS = tuple(TABLE)
 
 
 DEFAULT_LINKS: dict[str, LinkSpec] = {
@@ -139,6 +86,15 @@ DEFAULT_LINKS: dict[str, LinkSpec] = {
     "inter_layer": LinkSpec(latency_ms=0.1),
     "crossing": LinkSpec(latency_ms=10.0),
 }
+
+# the document's sections; a link keeps its kind's default (as resolved
+# under ``links.defaults``) for each field it leaves out
+LAYER = {"name": Field(str), "nodes": Field(list[str]),
+         "external_protocol": Field(bool, False)}
+LINKS = {"defaults": Field({k: Field(LinkSpec, v) for k, v in DEFAULT_LINKS.items()}, {}),
+         "scopes": Field(dict, {}), "crossings": Field(list, ())}
+CROSSING = {"between": Field(list[str], lo=2, hi=2), **LinkSpec.TABLE}
+TOPOLOGY = {"layers": Field(list[LAYER]), "links": Field(LINKS, None)}
 
 
 class ScopeKind(str, Enum):
@@ -343,17 +299,12 @@ class Topology:
     ``layers`` is the tuple of layer names, outermost (edge) first; a
     layer's depth is its index there.
 
-    ``links`` is the document's links section (all sections optional)::
-
-        {"defaults":  {"intra_node": {...}, "crossing": {...}, ...},
-         "scopes":    {"intra_layer:edge": {...}, ...},
-         "crossings": [{"between": ["edge", "cloud"], "latency_ms": 50,
-                        "jitter_ms": 10, "loss": 0.0001,
-                        "bandwidth_mbps": 160}, ...]}
-
-    Link fields not given fall back to the kind default; kinds are the
-    scope kinds plus "crossing" for inter-layer hops. ``self.links`` holds
-    each link's spec by name: a scope's key, or ``a->b`` for a crossing.
+    ``links`` is the document's links section as `read` gives it from
+    `LINKS` (None: every link at its default): per-kind ``defaults``,
+    overrides by scope key in ``scopes``, and ``crossings`` entries by
+    layer pair (`CROSSING`). Kinds are the scope kinds plus "crossing" for
+    inter-layer hops. ``self.links`` holds each link's spec by name: a
+    scope's key, or ``a->b`` for a crossing.
     """
 
     def __init__(self, layers: Iterable[tuple[str, list[str]]], external: Iterable[str] = (),
@@ -362,30 +313,25 @@ class Topology:
         names = self.layers
         if not names:
             raise TopologyError("at least one layer required")
+        nodes = [n for _, layer_nodes in layers for n in layer_nodes]
         # node keys join node and layer with "@", so it may appear in neither
-        for name in [*names, *(n for _, nodes in layers for n in nodes)]:
+        for name in [*names, *nodes]:
             if "@" in name:
                 raise TopologyError(f"name {name!r} contains '@'")
-        if len(set(names)) != len(names):
-            raise TopologyError("duplicate layer name")
+        for what, items in (("layer", names), ("node", nodes)):
+            if dupes := duplicates(items):
+                raise TopologyError(f"duplicate {what} names {dupes}")
         self.external_layers = frozenset(external)
         for name in self.external_layers:
             if name not in names:
                 raise TopologyError(f"external_protocol on unknown layer {name!r}")
-
         self._nodes_by_layer: dict[str, tuple[NodeId, ...]] = {}
-        self._node_by_name: dict[str, NodeId] = {}
         for layer_name, node_names in layers:
             if not node_names:
                 raise TopologyError(f"layer {layer_name!r} has no nodes")
-            nodes = []
-            for n in node_names:
-                if n in self._node_by_name:
-                    raise TopologyError(f"duplicate node name {n!r}")
-                node = NodeId(layer_name, n)
-                self._node_by_name[n] = node
-                nodes.append(node)
-            self._nodes_by_layer[layer_name] = tuple(nodes)
+            self._nodes_by_layer[layer_name] = tuple(NodeId(layer_name, n) for n in node_names)
+        self._node_by_name: dict[str, NodeId] = {
+            n.name: n for l in names for n in self._nodes_by_layer[l]}
 
         scopes: dict[str, BrokerScope] = {}
         for layer in self.layers:
@@ -401,37 +347,28 @@ class Topology:
                 s = BrokerScope(ScopeKind.INTRA_NODE, layer, node.name)
                 scopes[s.key] = s
         self.scopes: dict[str, BrokerScope] = scopes
-        self.links: dict[str, LinkSpec] = self._resolve_links({} if links is None else links)
+        self.links: dict[str, LinkSpec] = self._resolve_links(
+            read(LINKS, {}, "links", TopologyError) if links is None else links)
 
     def _resolve_links(self, links: dict) -> dict[str, LinkSpec]:
-        unknown = set(_expect(links, dict, "links")) - {"defaults", "scopes", "crossings"}
-        if unknown:
-            raise TopologyError(f"unknown links sections: {sorted(unknown)}")
-        defaults = dict(DEFAULT_LINKS)
-        for kind, obj in _expect(links.get("defaults", {}), dict, "links.defaults").items():
-            if kind not in defaults:
-                raise TopologyError(f"unknown link kind {kind!r}")
-            defaults[kind] = defaults[kind].merged(obj)
-
-        overrides = _expect(links.get("scopes", {}), dict, "links.scopes")
-        stray = set(overrides) - set(self.scopes)
+        defaults = links["defaults"]
+        stray = set(links["scopes"]) - set(self.scopes)
         if stray:
             raise TopologyError(f"link override for unknown scope: {sorted(stray)}")
-        specs = {key: defaults[scope.kind.value].merged(overrides.get(key, {}))
+        specs = {key: read(LinkSpec, links["scopes"][key], f"links.scopes.{key}",
+                           TopologyError, defaults[scope.kind.value])
+                 if key in links["scopes"] else defaults[scope.kind.value]
                  for key, scope in self.scopes.items()}
 
         pairs = {frozenset(p): defaults["crossing"] for p in self.layer_pairs()}
-        for entry in _expect(links.get("crossings", []), list, "links.crossings"):
-            entry = dict(_expect(entry, dict, "crossing entry"))
-            between = entry.pop("between", None)
-            if (not isinstance(between, list) or len(between) != 2
-                    or not all(isinstance(n, str) for n in between)):
-                raise TopologyError("crossing entry needs 'between': [layer_a, layer_b]")
-            a, b = between
+        for i, entry in enumerate(links["crossings"]):
+            entry = read(CROSSING, entry, f"links.crossings[{i}]", TopologyError,
+                         defaults["crossing"])
+            a, b = between = entry.pop("between")
             self.layer(a), self.layer(b)
             if frozenset(between) not in pairs:
                 raise TopologyError(f"crossing {a!r}-{b!r} is not a distinct layer pair")
-            pairs[frozenset(between)] = defaults["crossing"].merged(entry)
+            pairs[frozenset(between)] = LinkSpec(**entry)
         for a, b in self.layer_pairs():
             specs[f"{a}->{b}"] = specs[f"{b}->{a}"] = pairs[frozenset((a, b))]
         if len(specs) != len(self.scopes) + 2 * len(pairs):
@@ -510,46 +447,12 @@ class Topology:
 
 
 def build_topology(spec: dict[str, Any]) -> Topology:
-    """Build and validate a Topology from its dict spec.
-
-    Expected shape::
-
-        {"layers": [{"name": "edge", "nodes": ["robot-1"],
-                     "external_protocol": true}, ...]}
-
-    plus an optional top-level ``links`` section (see `Topology`).
-    Layers are ordered outermost (edge) first. Unknown keys, at the top
-    level or inside a layer entry, are rejected.
-    """
-    if not isinstance(spec, dict) or not isinstance(spec.get("layers"), list):
-        raise TopologyError("topology spec must be a dict with a 'layers' list")
-    known_top = {"layers", "links"}
-    extra = set(spec) - known_top
-    if extra:
-        raise TopologyError(f"unknown topology keys: {sorted(extra)}")
-    layers: list[tuple[str, list[str]]] = []
-    external: list[str] = []
-    for entry in spec["layers"]:
-        if not isinstance(entry, dict):
-            raise TopologyError("each layer entry must be a dict")
-        unknown = set(entry) - {"name", "nodes", "external_protocol"}
-        if unknown:
-            raise TopologyError(f"unknown layer keys: {sorted(unknown)}")
-        try:
-            name = entry["name"]
-            nodes = entry["nodes"]
-        except KeyError as e:
-            raise TopologyError(f"layer entry missing {e.args[0]!r}") from None
-        if not isinstance(name, str) or not (
-                isinstance(nodes, list) and all(isinstance(n, str) for n in nodes)):
-            raise TopologyError(f"layer {name!r} needs a string name and a list of node names")
-        layers.append((name, nodes))
-        ext = entry.get("external_protocol", False)
-        if not isinstance(ext, bool):
-            raise TopologyError(f"layer {name!r}: external_protocol must be true or false")
-        if ext:
-            external.append(name)
-    return Topology(layers, external, spec.get("links"))
+    """Build and validate a Topology from its dict spec: the sections
+    `TOPOLOGY`, `LAYER` and `LINKS` (see `Topology`). Layers are ordered
+    outermost (edge) first."""
+    doc = read(TOPOLOGY, spec, "", TopologyError)
+    return Topology([(l["name"], l["nodes"]) for l in doc["layers"]],
+                    [l["name"] for l in doc["layers"] if l["external_protocol"]], doc["links"])
 
 
 def load_topology(path: str) -> Topology:

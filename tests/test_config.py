@@ -12,9 +12,8 @@ from flowbridge.configstore import (
     MainConfigService,
     MainConfigStore,
     canonical,
-    default_layer_config,
     diff_paths,
-    merge_config,
+    resolve_layer_config,
     resolve_layers,
 )
 from flowbridge.monitor import MetricsRegistry
@@ -35,16 +34,27 @@ def make_topo():
     return build_topology(SPEC)
 
 
+def merge_config(base: dict, override: dict) -> dict:
+    """Recursive dict merge; override wins on leaves."""
+    out = dict(base)
+    for k, v in override.items():
+        if isinstance(v, dict) and isinstance(out.get(k), dict):
+            out[k] = merge_config(out[k], v)
+        else:
+            out[k] = v
+    return out
+
+
 def layer_body(**rate_limit):
     """A complete layer document: the defaults with ``rate_limit`` overrides."""
-    return merge_config(default_layer_config(), {"rate_limit": rate_limit})
+    return merge_config(resolve_layer_config({}), {"rate_limit": rate_limit})
 
 
 # -- pure helpers ------------------------------------------------------------
 
 
 def test_default_layer_config_shape():
-    cfg = default_layer_config()
+    cfg = resolve_layer_config({})
     assert cfg["rate_limit"]["limit_mbps"] == 160.0
     assert cfg["flow"]["heartbeat_ttl_s"] == 3.0
     assert cfg["config"]["sync_period_s"] == 5.0
@@ -52,10 +62,15 @@ def test_default_layer_config_shape():
 
 
 def test_merge_config_is_deep_and_non_destructive():
-    base = {"a": {"x": 1, "y": 2}, "b": 3}
-    out = merge_config(base, {"a": {"y": 9}, "c": 4})
-    assert out == {"a": {"x": 1, "y": 9}, "b": 3, "c": 4}
-    assert base == {"a": {"x": 1, "y": 2}, "b": 3}
+    # an override of one key keeps its section's other defaults, leaves
+    # the override as it was, and shares no section with another result
+    overrides = {"flow": {"heartbeat_s": 0.5}}
+    out = resolve_layer_config(overrides)
+    assert out["flow"] == {"reannounce_s": 10.0, "heartbeat_s": 0.5,
+                           "heartbeat_ttl_s": 3.0, "watchdog_s": 1.0}
+    assert overrides == {"flow": {"heartbeat_s": 0.5}}
+    again = resolve_layer_config(overrides)
+    assert again == out and all(again[s] is not out[s] for s in out)
 
 
 def test_canonical_is_sorted_and_strict():
@@ -81,7 +96,7 @@ def test_resolve_layers_covers_every_layer_and_rejects_unknown_ones():
     layers = resolve_layers(make_topo(), {"edge": {"rate_limit": {"limit_mbps": 40.0}}})
     assert list(layers) == ["edge", "fog", "cloud"]
     assert layers["edge"]["rate_limit"]["limit_mbps"] == 40.0
-    assert layers["fog"] == layers["cloud"] == default_layer_config()
+    assert layers["fog"] == layers["cloud"] == resolve_layer_config({})
     with pytest.raises(ConfigError, match="unknown layers"):
         resolve_layers(make_topo(), {"mist": {}})
 
@@ -272,8 +287,7 @@ def test_lost_replies_do_not_pile_up():
 
 def test_pushed_sync_period_applies_from_the_next_pull():
     w = ConfigWorld()
-    w.store.put("edge", merge_config(
-        default_layer_config(), {"config": {"sync_period_s": 1.0}}))
+    w.store.put("edge", resolve_layer_config({"config": {"sync_period_s": 1.0}}))
     w.start_workers()
     # pulls at 0 s and 5 s; the first one fetched the 1 s period, which
     # the second one re-arms with

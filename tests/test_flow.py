@@ -35,7 +35,7 @@ from flowbridge.topology import (
     decode_declaration,
 )
 from flowbridge.tracing import Trace
-from oracles import synthetic_corpus
+from oracles import oracle_limiter_regs, synthetic_corpus
 from tracefile import records
 
 # -- dedupe window ---------------------------------------------------------
@@ -614,6 +614,31 @@ def test_limiter_client_is_node_for_intra_node_sources():
     # each edge node is its own traffic client with its own budget
     assert set(w.engines["edge"].limiters) == {"node:robot-1", "node:robot-2"}
     assert set(w.engines["edge"].limiters["node:robot-1"].records) == {"a"}
+    w.drain()
+
+
+def test_limiters_match_the_table_when_the_bridge_gauge_raises(monkeypatch):
+    # a reconcile observes the bridge count last: an observe that raises (a
+    # time past MAX_NS overflows a gauge's int64 times) leaves every bridge
+    # it installed registered with its client's limiter
+    w = Mini(SPEC3)
+    edge = w.engines["edge"]
+    edge.announce(decl(topic="a", node="robot-1", rate=5.0, size=100), "s1")
+    observe = w.metrics.observe
+
+    def failing(name, labels, value):
+        if name == "flow.bridges":
+            raise OverflowError("time past MAX_NS")
+        observe(name, labels, value)
+
+    monkeypatch.setattr(w.metrics, "observe", failing)
+    with pytest.raises(OverflowError):
+        edge.announce(decl(REQUEST, topic="a", node="cloud-1", layer="cloud"), "r1",
+                      scope=edge.inter_scope)
+    regs = oracle_limiter_regs(edge)
+    assert regs == {"node:robot-1": {"a": (5.0, 100)}}
+    assert {client: lim.records for client, lim in edge.limiters.items()} == regs
+    monkeypatch.undo()
     w.drain()
 
 

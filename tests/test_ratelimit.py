@@ -11,6 +11,7 @@ from flowbridge.ratelimit import (
     TokenBucket,
     allocate,
 )
+from flowbridge.configstore import ConfigError, resolve_layer_config
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import SECOND, SimClock
 
@@ -40,25 +41,34 @@ def test_config_defaults():
     assert cfg.compression_level == 10
 
 
+def rate_limit(**fields):
+    """The `RateLimitConfig` a layer config document with ``fields`` reads as."""
+    return RateLimitConfig(**resolve_layer_config({"rate_limit": fields})["rate_limit"])
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RateLimitConfig(limit_mbps=0)
-    with pytest.raises(ValueError):
-        RateLimitConfig(alpha=0.9)
-    with pytest.raises(ValueError):
-        RateLimitConfig(beta=0)
-    with pytest.raises(ValueError):
-        RateLimitConfig(bucket_capacity=0.5)
-    with pytest.raises(ValueError):
-        RateLimitConfig(compression_level=17)
+    # each bound itself is accepted
+    cfg = rate_limit(limit_mbps=5e-324, alpha=1.0, beta=1.0, bucket_capacity=1.0,
+                     large_threshold=1, compression_level=0)
+    assert (cfg.alpha, cfg.beta, cfg.compression_level) == (1.0, 1.0, 0)
+    assert rate_limit(compression_level=16).compression_level == 16
+
+
+# the values the constructor once refused, now refused by the document reader
+@pytest.mark.parametrize("fields", [
+    {"limit_mbps": 0}, {"alpha": 0.9}, {"beta": 0}, {"bucket_capacity": 0.5},
+    {"compression_level": 17}, {"burst": 3},
+], ids=["limit-0", "alpha-below-1", "beta-0", "capacity-below-1", "level-17", "unknown-key"])
+def test_config_document_rejects(fields):
+    with pytest.raises(ConfigError, match=rf"rate_limit(\.{next(iter(fields))} must|: unknown)"):
+        rate_limit(**fields)
 
 
 def test_config_obj_round_trip():
     cfg = RateLimitConfig(limit_mbps=80.0, compression_level=3)
-    assert RateLimitConfig.from_obj(cfg.to_obj()) == cfg
-    assert RateLimitConfig.from_obj({"limit_mbps": 40.0}).alpha == 1.02
-    with pytest.raises(ValueError):
-        RateLimitConfig.from_obj({"burst": 3})
+    assert rate_limit(limit_mbps=80.0, compression_level=3) == cfg
+    assert rate_limit(limit_mbps=40.0).alpha == 1.02
+    assert rate_limit() == RateLimitConfig()
 
 
 # -- allocator vs oracle ----------------------------------------------------

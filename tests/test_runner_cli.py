@@ -684,6 +684,15 @@ def _with_links(links):
     pytest.param(with_stream(size=10.9), id="size-fraction"),
     pytest.param(with_stream(rate_hz=True), id="rate-bool"),
     pytest.param(mini_scenario(seed=1.7), id="seed-fraction"),
+    # a scenario name was coerced with str(), and empty layer and node names
+    # made scope keys like "intra_node:@" and link names like "->cloud"
+    pytest.param(mini_scenario(name=None), id="scenario-name-null"),
+    pytest.param(mini_scenario(name=5), id="scenario-name-number"),
+    pytest.param(mini_scenario(name={"x": 1}), id="scenario-name-object"),
+    pytest.param(mini_scenario(topology={"layers": [
+        {"name": "", "nodes": ["robot-1"]}, TOPO["layers"][1]]}), id="empty-layer-name"),
+    pytest.param(mini_scenario(topology={"layers": [
+        {"name": "edge", "nodes": ["robot-1", ""]}, TOPO["layers"][1]]}), id="empty-node-name"),
     # times the nanosecond clock cannot hold overflowed once the world ran;
     # a rate above 1 GHz ran at a 1 ns period
     pytest.param(mini_scenario(duration_s=1e300), id="duration-overflow"),

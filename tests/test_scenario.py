@@ -34,53 +34,93 @@ MINIMAL = {
 # -- model validation -----------------------------------------------------
 
 
+def with_fields(path, **fields):
+    """MINIMAL with ``fields`` set in the object at ``path``, made if absent."""
+    doc = json.loads(json.dumps(MINIMAL))
+    target = doc
+    for step in path:
+        target = target.setdefault(step, {}) if isinstance(target, dict) else target[step]
+    target.update(fields)
+    return doc
+
+
+STREAM = ("services", 0, "advertises", 0)
+SERVICE = ("services", 0)
+
+
 def test_stream_validation():
-    with pytest.raises(ScenarioError):
-        StreamSpec("", 1.0, 1)
-    with pytest.raises(ScenarioError):
-        StreamSpec("t", -1.0, 1)
-    with pytest.raises(ScenarioError):
-        StreamSpec("t", 1.0, -1)
-    with pytest.raises(ScenarioError):
-        StreamSpec("t", 1.0, 1, payload="sparkles")
+    # a stream names only its topic; each field at its bound is accepted
+    sc = parse_scenario(with_fields(STREAM, topic="t", rate_hz=0, size=0))
+    assert sc.services[0].advertises == (StreamSpec("t"),)
+    assert StreamSpec("t") == StreamSpec("t", 0.0, 0, "random")
+    for payload in ("random", "compressible", "zeros"):
+        sc = parse_scenario(with_fields(STREAM, rate_hz=1e9, payload=payload))
+        assert sc.services[0].advertises[0].payload == payload
 
 
 def test_service_validation():
-    with pytest.raises(ScenarioError):
-        ServiceSpec("", "n")
-    with pytest.raises(ScenarioError):
-        ServiceSpec("s", "")
-    with pytest.raises(ScenarioError):
-        ServiceSpec("s", "n", start_s=-1)
-    with pytest.raises(ScenarioError):
-        ServiceSpec("s", "n", start_s=5.0, stop_s=5.0)
-    ok = ServiceSpec("s", "n", start_s=1.0, stop_s=2.0)
-    assert ok.stop_s == 2.0
+    ok = parse_scenario(with_fields(SERVICE, start_s=1.0, stop_s=2.0)).services[0]
+    assert (ok.start_s, ok.stop_s) == (1.0, 2.0)
+    assert ok == ServiceSpec("cam", "robot-1", ok.advertises, (), 1.0, 2.0)
 
 
 def test_probes_and_sweep_validation():
-    with pytest.raises(ScenarioError):
-        ProbesSpec(ping_period_s=0)
-    with pytest.raises(ScenarioError, match="at least 1 ns"):
-        ProbesSpec(ping_period_s=1e-10)  # 0 ns on the clock
-    assert ProbesSpec(ping_period_s=1e-9).ping_period_s == 1e-9
-    with pytest.raises(ScenarioError):
-        ProbesSpec(ping_timeout_s=0)
-    with pytest.raises(ScenarioError):
-        SweepSpec("", ("a",))
-    with pytest.raises(ScenarioError):
-        SweepSpec("svc", ())
+    sc = parse_scenario(with_fields(("probes",), ping_period_s=1e-9))
+    assert sc.probes == ProbesSpec((), 1e-9, 5.0)
+    sc = parse_scenario(with_fields(("sweep",), service="cam", nodes=["a"]))
+    assert sc.sweep == SweepSpec("cam", ("a",))
 
 
 def test_scenario_validation():
-    svc = ServiceSpec("a", "n")
-    with pytest.raises(ScenarioError):
-        Scenario("x", 0.0, (svc,))
-    with pytest.raises(ScenarioError):
-        Scenario("x", 1.0, (svc, ServiceSpec("a", "m")))
-    with pytest.raises(ScenarioError):
-        Scenario("x", 1.0, (svc,), sweep=SweepSpec("ghost", ("n",)))
-    assert Scenario("x", 1.0, (svc,)).services == (svc,)
+    sc = parse_scenario(MINIMAL)
+    assert sc == Scenario("mini", 5.0, sc.services)
+    # no two records share a default dict
+    assert Scenario("x", 1.0, ()).config is not Scenario("x", 1.0, ()).config
+    assert parse_scenario(MINIMAL).config is not sc.config
+
+
+# Each value a spec's own constructor once refused, sent through the reader,
+# and the names that were once coerced with str() or let through empty.
+@pytest.mark.parametrize("path,fields,match", [
+    pytest.param(STREAM, {"topic": ""}, "topic must be a non-empty string",
+                 id="stream-empty-topic"),
+    pytest.param(STREAM, {"rate_hz": -1.0}, "rate_hz must be a finite number, 0 or at least",
+                 id="stream-negative-rate"),
+    pytest.param(STREAM, {"size": -1}, "size must be a finite number", id="stream-negative-size"),
+    pytest.param(STREAM, {"payload": "sparkles"}, "payload must be one of",
+                 id="stream-unknown-payload"),
+    pytest.param(SERVICE, {"name": ""}, r"services\[0\]\.name must be a non-empty",
+                 id="service-empty-name"),
+    pytest.param(SERVICE, {"node": ""}, r"services\[0\]\.node must be a non-empty",
+                 id="service-empty-node"),
+    pytest.param(SERVICE, {"start_s": -1}, "start_s must be a finite number",
+                 id="service-negative-start"),
+    pytest.param(SERVICE, {"start_s": 5.0, "stop_s": 5.0}, "stop_s must be > start_s",
+                 id="service-stop-at-start"),
+    pytest.param(("probes",), {"ping_period_s": 0}, "ping_period_s", id="probes-period-0"),
+    pytest.param(("probes",), {"ping_period_s": 1e-10}, "at least 1e-09",
+                 id="probes-period-under-1ns"),  # 0 ns on the clock
+    pytest.param(("probes",), {"ping_timeout_s": 0}, "ping_timeout_s .* above 0",
+                 id="probes-timeout-0"),
+    pytest.param(("sweep",), {"service": "", "nodes": ["a"]}, "sweep.service",
+                 id="sweep-empty-service"),
+    pytest.param(("sweep",), {"service": "cam", "nodes": []}, "sweep.nodes",
+                 id="sweep-no-nodes"),
+    pytest.param((), {"duration_s": 0.0}, "duration_s .* above 0", id="duration-0"),
+    pytest.param((), {"services": [{"name": "a", "node": "n"}, {"name": "a", "node": "m"}]},
+                 r"duplicate service names \['a'\]", id="duplicate-service-names"),
+    pytest.param(("sweep",), {"service": "ghost", "nodes": ["n"]}, "'ghost' is not defined",
+                 id="sweep-ghost-service"),
+    pytest.param((), {"name": None}, "name must be a non-empty string, got None",
+                 id="name-null"),
+    pytest.param((), {"name": 5}, "name must be a non-empty string, got 5", id="name-number"),
+    pytest.param((), {"name": {"x": 1}}, "name must be a non-empty string",
+                 id="name-object"),
+    pytest.param((), {"name": ""}, "name must be a non-empty string", id="name-empty"),
+])
+def test_parse_rejects_a_bad_field(path, fields, match):
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(with_fields(path, **fields))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -161,7 +201,7 @@ def test_parse_rejects_malformed_documents():
 ])
 def test_parse_rejects_layer_config_that_cannot_run(section, key, value):
     doc = {**MINIMAL, "config": {"edge": {section: {key: value}}}}
-    with pytest.raises(ScenarioError, match=rf"config\.edge: {section}\.{key}"):
+    with pytest.raises(ScenarioError, match=rf"config\.edge\.{section}\.{key}"):
         parse_scenario(doc)
 
 

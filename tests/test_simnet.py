@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbridge.broker import SUB_BRIDGE, SUB_USER, BrokerEndpoint
+from flowbridge.fields import read
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.simnet import (
     MS,
@@ -28,6 +29,7 @@ from flowbridge.topology import (
     LinkSpec,
     MessageEnvelope,
     NodeId,
+    TopologyError,
     build_topology,
 )
 from flowbridge.tracing import Trace
@@ -350,19 +352,31 @@ def test_clock_matches_the_heap_clock_oracle(behaviours, steps):
 
 
 def test_link_spec_validation():
-    with pytest.raises(ValueError):
-        LinkSpec(latency_ms=-1)
-    with pytest.raises(ValueError):
-        LinkSpec(loss=1.5)
-    with pytest.raises(ValueError):
-        LinkSpec(bandwidth_mbps=-1)
-    with pytest.raises(ValueError):
-        LinkSpec().merged({"speed": 1})
+    # each bound itself is accepted, and a link names only what it changes
+    topo = build_topology({**SPEC, "links": {"defaults": {"crossing": {
+        "latency_ms": 0, "jitter_ms": MAX_S * 1000, "loss": 1.0, "bandwidth_mbps": 0}}}})
+    assert topo.links["edge->cloud"] == LinkSpec(0.0, MAX_S * 1000, 1.0, 0.0)
+    assert LinkSpec(latency_ms=2.0) == LinkSpec(2.0, 0.0, 0.0, 0.0)
+    # every topology shares the default links, so none can be changed
+    with pytest.raises(AttributeError):
+        TOPO.links["intra_layer:edge"].latency_ms = 5.0
+
+
+# the values the constructor once refused, now refused by the document reader
+@pytest.mark.parametrize("link,match", [
+    ({"latency_ms": -1}, "latency_ms must be a finite number at least 0"),
+    ({"loss": 1.5}, "loss must be a finite number at least 0 and at most 1"),
+    ({"bandwidth_mbps": -1}, "bandwidth_mbps must be a finite number, 0 or at least"),
+    ({"speed": 1}, r"crossing: unknown keys \['speed'\]"),
+], ids=["negative-latency", "loss-above-1", "negative-bandwidth", "unknown-key"])
+def test_link_section_rejects(link, match):
+    with pytest.raises(TopologyError, match=match):
+        build_topology({**SPEC, "links": {"defaults": {"crossing": link}}})
 
 
 def test_link_spec_merge_keeps_unset_fields():
     base = LinkSpec(latency_ms=10.0, loss=0.5)
-    out = base.merged({"latency_ms": 20.0})
+    out = read(LinkSpec, {"latency_ms": 20.0}, "link", TopologyError, base)
     assert out == LinkSpec(latency_ms=20.0, loss=0.5)
     assert base.loss == 0.5
 

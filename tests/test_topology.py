@@ -154,6 +154,11 @@ def test_build_topology_rejects_bad_specs():
         build_topology({"layers": [{"name": "edge"}]})
     with pytest.raises(TopologyError):
         build_topology({"layers": ["edge"]})
+    # an empty name made scope keys like "intra_node:@" and links like "->cloud"
+    with pytest.raises(TopologyError, match=r"layers\[0\]\.name must be a non-empty string"):
+        build_topology({"layers": [{"name": "", "nodes": ["a"]}]})
+    with pytest.raises(TopologyError, match=r"layers\[0\]\.nodes\[1\] must be a non-empty"):
+        build_topology({"layers": [{"name": "edge", "nodes": ["a", ""]}]})
 
 
 def test_load_topology_returns_links(tmp_path):
