@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 
-from .configstore import ConfigError
 from .report import MetricsParseError, diff_runs
 from .runner import WorldError, run_scenario
 from .scenario import ScenarioError, builtin_scenarios, load_scenario
@@ -103,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "diff": _cmd_diff, "scenarios": _cmd_scenarios}
     try:
         return handlers[args.command](args)
-    except (ScenarioError, TopologyError, ConfigError, WorldError,
+    except (ScenarioError, TopologyError, WorldError,
             MetricsParseError, json.JSONDecodeError, OSError) as exc:
         print(f"flowbridge: error: {exc}", file=sys.stderr)
         return 2

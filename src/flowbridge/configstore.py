@@ -67,18 +67,6 @@ def resolve_layer_config(overrides: object, path: str = "",
     return cfg
 
 
-def resolve_layers(topology: Topology,
-                   overrides: dict[str, object] | None) -> dict[str, dict[str, Any]]:
-    """Every layer's resolved config: ``overrides`` maps layer names to
-    `resolve_layer_config` overrides; a layer without an entry gets the
-    defaults."""
-    overrides = overrides or {}
-    unknown = set(overrides) - set(topology.layers)
-    if unknown:
-        raise ConfigError(f"defaults for unknown layers: {sorted(unknown)}")
-    return {l: resolve_layer_config(overrides.get(l, {})) for l in topology.layers}
-
-
 class ConfigDocument(Record):
     __slots__ = FIELDS = ("layer", "revision", "body")
 
@@ -178,8 +166,8 @@ class ConfigWorker:
     """One layer's copy of its document: periodic pull, local reads, change notices."""
 
     def __init__(self, layer: str, network: Network, layer_config: dict[str, Any]):
-        """``layer_config`` is this layer's resolved config (see
-        `resolve_layers`), served at revision 0 until a stored layer
+        """``layer_config`` is this layer's resolved config (one of
+        `runner.Plan.configs`), served at revision 0 until a stored layer
         document arrives."""
         topology = network.topology
         self.layer = topology.layer(layer)

@@ -3,10 +3,10 @@
 `World` assembles a complete deployment over the simulated network: one
 flow engine (which holds the layer's heartbeat registry) and config
 worker per layer, the main config store on the most central layer, and
-a service host for user services.  `run_scenario` drives one or more
-worlds (one per placement when the scenario sweeps a service across
-nodes) and writes metrics, trace, and summary files into the output
-directory.
+a service host for user services.  `run_scenario` binds the scenario to
+its topology once, in a `plan`, and runs one world per placement of it
+(one per node when the scenario sweeps a service across nodes), writing
+metrics, trace, and summary files into the output directory.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import logging
 import random
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import report
-from .configstore import ConfigWorker, MainConfigService, MainConfigStore, resolve_layers
+from .configstore import ConfigWorker, MainConfigService, MainConfigStore, resolve_layer_config
 from .flow import FlowEngine
 from .monitor import MetricsRegistry, PingProbe, export_metrics, ping_topic, pong_topic
 from .scenario import (
@@ -40,7 +41,16 @@ PROBE_PAYLOAD_SIZE = 128
 
 
 class WorldError(RuntimeError):
-    """Raised when a world cannot be assembled or run."""
+    """Raised for a scenario that does not fit its topology, or has none."""
+
+
+class Plan(NamedTuple):
+    """A scenario bound to its topology: every layer's resolved config, shared
+    read-only by the run's worlds, and each world's overriding service nodes by tag."""
+
+    configs: dict[str, dict]
+    placements: dict[str, dict[str, str]]
+    duration_s: float
 
 
 class _StreamDriver:
@@ -91,9 +101,10 @@ class World:
         self,
         topology: Topology,
         seed: int = 0,
-        config: dict | None = None,
+        configs: dict[str, dict] | None = None,
         trace_path: str | Path | None = None,
     ):
+        """``configs``: every layer's resolved config (`Plan.configs`); None for defaults."""
         self.topology = topology
         self.clock = SimClock()
         self.rng = random.Random(seed)
@@ -101,13 +112,13 @@ class World:
         self.registry = MetricsRegistry(self.clock)
         self.network = Network(topology, self.clock, self.rng, self.registry, self.trace)
 
-        layer_configs = resolve_layers(topology, config)
+        configs = configs or {l: resolve_layer_config({}) for l in topology.layers}
         self.store = MainConfigStore(topology)
         self.config_main = MainConfigService(self.store, self.network)
         self.workers: dict[str, ConfigWorker] = {}
         self.engines: dict[str, FlowEngine] = {}
         for l in topology.layers:
-            worker = self.workers[l] = ConfigWorker(l, self.network, layer_configs[l])
+            worker = self.workers[l] = ConfigWorker(l, self.network, configs[l])
             self.engines[l] = FlowEngine(
                 l, self.network, config=lambda w=worker: w.get_config().body)
         self.host = ServiceHost(self.network, self.engines)
@@ -261,23 +272,24 @@ def _resolve_topology(topology_ref: str | None, scenario: Scenario) -> Topology:
         "no topology given and the scenario does not embed one")
 
 
-def _check_fits(topology: Topology, scenario: Scenario, duration: float) -> None:
-    """Reject, before any world runs, a scenario naming a node or a config
-    layer the topology lacks or an external scope its layer does not have,
-    or starting a service after the run's end. A stop after the end lands
-    in the drain."""
-    unknown = set(scenario.config) - set(topology.layers)
-    if unknown:
-        raise WorldError(f"config for unknown layers: {sorted(unknown)}")
+def plan(scenario: Scenario, topology: Topology, duration_s: float) -> Plan:
+    """Bind ``scenario`` to ``topology`` for worlds of ``duration_s``: the
+    one place that checks the two documents against each other. Rejects,
+    before any world runs, a scenario naming a node or a config layer the
+    topology lacks or an external scope its layer does not have, or
+    starting a service after the run's end. A stop after the end lands in
+    the drain."""
+    if unknown := sorted(set(scenario.config) - set(topology.layers)):
+        raise WorldError(f"config for unknown layers: {unknown}")
     for spec in scenario.services:
-        if ns_from_s(spec.start_s) > ns_from_s(duration):
+        if ns_from_s(spec.start_s) > ns_from_s(duration_s):
             raise WorldError(f"service {spec.name!r}: start_s {spec.start_s:g} is "
-                             f"after the run's end at {duration:g} s")
+                             f"after the run's end at {duration_s:g} s")
     sweep = scenario.sweep
-    placed = [(f"service {spec.name!r}", node, spec.external)
-              for spec in scenario.services
-              for node in (sweep.nodes if sweep and sweep.service == spec.name
-                           else (spec.node,))]
+    placements = ({node: {sweep.service: node} for node in sweep.nodes} if sweep
+                  else {"default": {}})
+    placed = [(f"service {spec.name!r}", placement.get(spec.name, spec.node), spec.external)
+              for placement in placements.values() for spec in scenario.services]
     if scenario.probes is not None:
         placed += [("probes", node, False) for node in scenario.probes.nodes]
     for where, name, external in placed:
@@ -287,6 +299,8 @@ def _check_fits(topology: Topology, scenario: Scenario, duration: float) -> None
                 topology.external_scope(node.layer)
         except TopologyError as exc:
             raise WorldError(f"{where}: {exc}") from None
+    configs = {l: scenario.config.get(l) or resolve_layer_config({}) for l in topology.layers}
+    return Plan(configs, placements, duration_s)
 
 
 def run_scenario(
@@ -303,43 +317,33 @@ def run_scenario(
                             f"{MAX_S:.4g} s")
     scenario = load_scenario(scenario_ref)
     topology = _resolve_topology(topology_ref, scenario)
-    duration = scenario.duration_s if duration_override is None else duration_override
-    _check_fits(topology, scenario, duration)
+    run = plan(scenario, topology,
+               scenario.duration_s if duration_override is None else duration_override)
     run_seed = scenario.seed if seed is None else seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if scenario.sweep is not None:
-        placements: list[str | None] = list(scenario.sweep.nodes)
-    else:
-        placements = [None]
-
     all_issues: list[str] = []
     compare_rows: list[dict] = []
-    for placement in placements:
-        run_dir = out if placement is None else out / f"placement-{placement}"
+    for tag, placement in run.placements.items():
+        run_dir = out / f"placement-{tag}" if placement else out
         run_dir.mkdir(parents=True, exist_ok=True)
-        override = None
-        if placement is not None:
-            override = {scenario.sweep.service: placement}
         log.info("run %s seed=%d duration=%.3fs placement=%s",
-                 scenario.name, run_seed, duration, placement or "default")
+                 scenario.name, run_seed, run.duration_s, tag)
 
-        trace_path = run_dir / "trace.jsonl"
-        world = World(topology, run_seed, config=scenario.config, trace_path=trace_path)
+        world = World(topology, run_seed, run.configs, trace_path=run_dir / "trace.jsonl")
         world.start()
-        world.setup_scenario(scenario, override)
-        world.run_for(duration)
+        world.setup_scenario(scenario, placement)
+        world.run_for(run.duration_s)
         world.drain()
 
         issues = world.issues()
-        tag = placement or "default"
         all_issues.extend(f"[{tag}] {msg}" for msg in issues)
 
         with open(run_dir / "metrics.txt", "wb") as fh:
             export_metrics(world.registry, fh)
-        rows = report.write_summary(run_dir / "summary.csv", world.registry, duration)
-        report.write_links(run_dir / "links.csv", world.registry, topology, duration)
+        rows = report.write_summary(run_dir / "summary.csv", world.registry, run.duration_s)
+        report.write_links(run_dir / "links.csv", world.registry, topology, run.duration_s)
         report.write_bridges(run_dir / "bridges.csv", world.network.bridge_events)
         compare_rows.extend(report.placement_rows(tag, rows))
         for line in report.digest_lines(rows):

@@ -77,7 +77,7 @@ class Scenario(Record):
     topology document (same shape as a topology file, links section
     included), read by `topology.build_topology`; a topology file
     supplied alongside the scenario takes precedence. ``config`` maps
-    layer names to `configstore.LAYER_CONFIG` overrides."""
+    layer names to resolved configs, read from `configstore.LAYER_CONFIG` overrides."""
 
     TABLE = {
         "name": Field(str),
@@ -116,9 +116,9 @@ def parse_scenario(obj: object) -> Scenario:
             raise ScenarioError(f"duplicate {what} {dupes}")
     if sc.sweep is not None and sc.sweep.service not in names:
         raise ScenarioError(f"sweep service {sc.sweep.service!r} is not defined")
-    # layer names are checked against the topology before any world is built
-    for layer, overrides in sc.config.items():
-        resolve_layer_config(overrides, f"config.{layer}", ScenarioError)
+    # layer names are checked against the topology by `runner.plan`
+    sc.config = {layer: resolve_layer_config(overrides, f"config.{layer}", ScenarioError)
+                 for layer, overrides in sc.config.items()}
     return sc
 
 

@@ -142,6 +142,8 @@ class ServiceHost:
         external: bool = False,
         internal: bool = False,
     ) -> ServiceHandle:
+        """Start service ``name`` on ``node``. Names and topics are checked
+        again after parse for callers of this Python API, who pass no document."""
         node_id = self.topology.node(node)
         if not name:
             raise ServiceError("empty service name")

@@ -360,17 +360,21 @@ class Topology:
                  if key in links["scopes"] else defaults[scope.kind.value]
                  for key, scope in self.scopes.items()}
 
-        pairs = {frozenset(p): defaults["crossing"] for p in self.layer_pairs()}
+        named: dict[frozenset, LinkSpec] = {}
         for i, entry in enumerate(links["crossings"]):
             entry = read(CROSSING, entry, f"links.crossings[{i}]", TopologyError,
                          defaults["crossing"])
             a, b = between = entry.pop("between")
             self.layer(a), self.layer(b)
-            if frozenset(between) not in pairs:
+            if a == b:
                 raise TopologyError(f"crossing {a!r}-{b!r} is not a distinct layer pair")
-            pairs[frozenset(between)] = LinkSpec(**entry)
-        for a, b in self.layer_pairs():
-            specs[f"{a}->{b}"] = specs[f"{b}->{a}"] = pairs[frozenset((a, b))]
+            if frozenset(between) in named:
+                raise TopologyError(f"links.crossings[{i}]: crossing {a!r}-{b!r} is named twice")
+            named[frozenset(between)] = LinkSpec(**entry)
+        pairs = self.layer_pairs()
+        for a, b in pairs:
+            specs[f"{a}->{b}"] = specs[f"{b}->{a}"] = named.get(frozenset((a, b)),
+                                                                defaults["crossing"])
         if len(specs) != len(self.scopes) + 2 * len(pairs):
             raise TopologyError("layer names make a crossing's name equal a scope key")
         return specs

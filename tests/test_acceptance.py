@@ -18,7 +18,7 @@ import pytest
 from flowbridge import codec
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.ratelimit import RateLimitConfig, TokenBucket, allocate
-from flowbridge.runner import World, run_scenario
+from flowbridge.runner import World, plan, run_scenario
 from flowbridge.scenario import ProbesSpec, builtin_scenarios, parse_scenario
 from flowbridge.sdk import Advertise
 from flowbridge.simnet import MS, SECOND, Network, SimClock
@@ -172,7 +172,8 @@ def test_small_message_priority_under_saturation():
         ],
     }
     scenario = parse_scenario(doc)
-    world = World(build_topology({**TWO_LAYERS, "links": links}), seed=scenario.seed)
+    topology = build_topology({**TWO_LAYERS, "links": links})
+    world = World(topology, scenario.seed, plan(scenario, topology, scenario.duration_s).configs)
     world.start()
     world.setup_scenario(scenario)
     world.run_for(scenario.duration_s)
@@ -314,10 +315,13 @@ def test_randomized_worlds_stay_loop_free(tmp_path):
 
         doc = {"name": f"rand-{run}", "duration_s": 0.8, "seed": run,
                "services": services}
-        world = World(build_topology({"layers": layers}), seed=run, trace_path=trace)
+        scenario = parse_scenario(doc)
+        topology = build_topology({"layers": layers})
+        world = World(topology, run, plan(scenario, topology, scenario.duration_s).configs,
+                      trace_path=trace)
         world.start()
-        world.setup_scenario(parse_scenario(doc))
-        world.run_for(0.8)
+        world.setup_scenario(scenario)
+        world.run_for(scenario.duration_s)
         world.drain()  # raises if forwarding never settles
 
         issues = world.issues()

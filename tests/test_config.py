@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from flowbridge import configstore, runner, scenario
 from flowbridge.configstore import (
     ConfigDocument,
     ConfigError,
@@ -14,9 +15,10 @@ from flowbridge.configstore import (
     canonical,
     diff_paths,
     resolve_layer_config,
-    resolve_layers,
 )
 from flowbridge.monitor import MetricsRegistry
+from flowbridge.runner import WorldError, plan, run_scenario
+from flowbridge.scenario import parse_scenario
 from flowbridge.simnet import MS, Network, SimClock
 from flowbridge.topology import CONFIG_NOTICE, build_topology
 from flowbridge.tracing import Trace
@@ -32,6 +34,14 @@ SPEC = {
 
 def make_topo():
     return build_topology(SPEC)
+
+
+def planned_configs(topology, config=None):
+    """Every layer's config as a run binds it: the plan of a scenario whose
+    ``config`` section is ``config``."""
+    sc = parse_scenario({"name": "config", "duration_s": 1.0, "config": config or {},
+                         "services": [{"name": "idle", "node": "robot-1"}]})
+    return plan(sc, topology, sc.duration_s).configs
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -92,13 +102,29 @@ def test_document_round_trip():
     assert ConfigDocument.from_obj(doc.to_obj()) == doc
 
 
-def test_resolve_layers_covers_every_layer_and_rejects_unknown_ones():
-    layers = resolve_layers(make_topo(), {"edge": {"rate_limit": {"limit_mbps": 40.0}}})
+def test_plan_covers_every_layer_and_rejects_unknown_ones():
+    layers = planned_configs(make_topo(), {"edge": {"rate_limit": {"limit_mbps": 40.0}}})
     assert list(layers) == ["edge", "fog", "cloud"]
     assert layers["edge"]["rate_limit"]["limit_mbps"] == 40.0
     assert layers["fog"] == layers["cloud"] == resolve_layer_config({})
-    with pytest.raises(ConfigError, match="unknown layers"):
-        resolve_layers(make_topo(), {"mist": {}})
+    with pytest.raises(WorldError, match="unknown layers"):
+        planned_configs(make_topo(), {"mist": {}})
+
+
+def test_a_sweep_resolves_each_layer_config_once(monkeypatch, tmp_path):
+    # navigation sweeps 4 placements over 3 layers; every world of the run
+    # shares the plan's configs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return resolve_layer_config(*args, **kwargs)
+
+    for module in (configstore, scenario, runner):
+        monkeypatch.setattr(module, "resolve_layer_config", counting)
+    assert run_scenario(None, "navigation", out_dir=str(tmp_path), duration_override=1.0) == 0
+    assert len(list(tmp_path.glob("placement-*"))) == 4
+    assert len(calls) == 3
 
 
 # -- main store ---------------------------------------------------------------
@@ -155,7 +181,7 @@ class ConfigWorld:
         self.network = Network(self.topology, self.clock, Random(0), self.metrics, Trace())
         self.store = MainConfigStore(self.topology)
         self.main = MainConfigService(self.store, self.network)
-        layers = resolve_layers(self.topology, config)
+        layers = planned_configs(self.topology, config)
         self.workers = {
             l: ConfigWorker(l, self.network, layers[l]) for l in self.topology.layers
         }

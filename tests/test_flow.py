@@ -617,6 +617,23 @@ def test_limiter_client_is_node_for_intra_node_sources():
     w.drain()
 
 
+def test_one_client_registers_the_larger_size_of_two_advertisers():
+    # a layer's intra-layer and external scopes feed one traffic client:
+    # its record of a topic sums the rates and keeps the larger size
+    w = Mini(SPEC_EXT)
+    edge = w.engines["edge"]
+    edge.announce(decl(topic="t", node="robot-1", rate=1.0, size=100), "s1",
+                  scope=w.topology.intra_layer_scope("edge"))
+    edge.announce(decl(topic="t", node="robot-2", rate=2.0, size=300), "s2",
+                  scope=w.topology.external_scope("edge"))
+    w.engines["cloud"].announce(decl(REQUEST, topic="t", node="cloud-1", layer="cloud"), "r1")
+    w.settle()
+    assert len(edge.bridges) == 2
+    assert {client: lim.records for client, lim in edge.limiters.items()} == {
+        "layer:edge": {"t": (3.0, 300)}}
+    w.drain()
+
+
 def test_limiters_match_the_table_when_the_bridge_gauge_raises(monkeypatch):
     # a reconcile observes the bridge count last: an observe that raises (a
     # time past MAX_NS overflows a gauge's int64 times) leaves every bridge
@@ -658,6 +675,22 @@ def test_large_payloads_cross_compressed_and_arrive_intact():
     assert wire[0].uncompressed_len == len(payload)
     assert len(box) == 1 and not box[0].compressed
     assert box[0].payload == payload
+    w.drain()
+
+
+def test_a_payload_of_exactly_the_large_threshold_crosses_compressed():
+    w = Mini(SPEC3)
+    payload = synthetic_corpus(65_536)
+    assert len(payload) == w.engines["edge"].limit_cfg.large_threshold
+    w.engines["edge"].announce(
+        decl(topic="big", node="robot-1", rate=1.0, size=len(payload)), "src")
+    w.engines["fog"].announce(decl(REQUEST, topic="big", node="fog-1", layer="fog"), "dst")
+    w.settle()
+    wire = w.collect("inter_layer:fog", "big")
+    w.publish("intra_node:robot-1@edge", "big", payload, "robot-1")
+    w.settle(5_000)
+    assert len(wire) == 1 and wire[0].compressed
+    assert wire[0].uncompressed_len == len(payload)
     w.drain()
 
 

@@ -236,6 +236,17 @@ def test_heartbeat_live_until_ttl():
     assert not hb.live("ghost", "robot-1")
 
 
+def test_heartbeat_is_live_and_kept_exactly_at_its_ttl():
+    clock = SimClock()
+    hb = make_heartbeats(clock)
+    hb.refresh("cam", "robot-1", 3 * SECOND)
+    clock.run_until(3 * SECOND)
+    assert hb.live("cam", "robot-1")
+    assert hb.expire() == []
+    clock.run_until(3 * SECOND + 1)
+    assert hb.expire() == [("cam", "robot-1")]
+
+
 def test_heartbeat_refresh_extends():
     clock = SimClock()
     hb = make_heartbeats(clock)

@@ -151,6 +151,16 @@ def test_large_floor_grants_minimum_rate():
     assert remaining < 0  # the floor overcommitted and said so
 
 
+def test_a_publisher_of_exactly_the_large_threshold_is_large():
+    cfg = RateLimitConfig(limit_mbps=8.0)
+    pubs = [("hog", 0.0, 1000), ("frame", 30.0, cfg.large_threshold)]
+    rates, _ = allocate(cfg, regs(pubs))
+    assert_rates_match(rates, oracle_allocate(8.0, pubs))
+    # allocated after the standard phase, and lifted to the large floor
+    assert list(rates) == ["hog", "frame"]
+    assert rates["frame"] == cfg.min_rate_hz
+
+
 def test_floor_never_exceeds_advertised_rate():
     pubs = [("hog", 0.0, 1000), ("image", 0.5, 1_000_000)]
     rates, remaining = allocate(RateLimitConfig(limit_mbps=8.0), regs(pubs))

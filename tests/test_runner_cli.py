@@ -22,7 +22,7 @@ from flowbridge.report import (
 )
 from flowbridge.monitor import MetricsRegistry
 from flowbridge.ratelimit import HierarchicalLimiter
-from flowbridge.runner import World, WorldError, run_scenario
+from flowbridge.runner import World, WorldError, plan, run_scenario
 from flowbridge.scenario import ScenarioError, make_payload, parse_scenario
 from flowbridge.simnet import SimClock
 from flowbridge.topology import build_topology
@@ -331,12 +331,14 @@ def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch, tmp_pa
         return syncs[-1]
 
     monkeypatch.setattr(HierarchicalLimiter, "sync_publishers", spy)
-    topo = CHURN_WORLD["topology"]
-    world = World(build_topology(topo), CHURN_WORLD["seed"], trace_path=tmp_path / "trace.jsonl")
+    scenario = parse_scenario(CHURN_WORLD)
+    topology = build_topology(scenario.topology)
+    world = World(topology, scenario.seed, plan(scenario, topology, scenario.duration_s).configs,
+                  trace_path=tmp_path / "trace.jsonl")
     for engine in world.engines.values():
         engine.table.entries = NoScanEntries()
     world.start()
-    world.setup_scenario(parse_scenario(CHURN_WORLD))
+    world.setup_scenario(scenario)
     world.run_for(2.0)
     world.host.kill_service(world.handles["cam"])  # the watchdog withdraws it
     world.run_for(6.0)
@@ -351,10 +353,18 @@ def test_churn_world_control_plane_never_scans_a_whole_table(monkeypatch, tmp_pa
 # -- World invariants --------------------------------------------------------
 
 
+def planned_world(scenario):
+    """A world of ``scenario`` on TOPO, with the configs its plan binds."""
+    topology = build_topology(TOPO)
+    return World(topology, seed=5,
+                 configs=plan(scenario, topology, scenario.duration_s).configs)
+
+
 def test_world_accounting_balances_after_drain():
-    world = World(build_topology(TOPO), seed=5)
+    scenario = parse_scenario(mini_scenario())
+    world = planned_world(scenario)
     world.start()
-    world.setup_scenario(parse_scenario(mini_scenario()))
+    world.setup_scenario(scenario)
     world.run_for(2.0)
     world.drain()
     rows = world.accounting()
@@ -379,7 +389,7 @@ def test_drain_ends_every_recurring_timer(monkeypatch):
         probes={"nodes": ["robot-1", "cloud-1"]},
         config={"edge": {"flow": {"reannounce_s": 0.5}},
                 "cloud": {"config": {"sync_period_s": 1.0}}}))
-    world = World(build_topology(TOPO), seed=5, config=scenario.config)
+    world = planned_world(scenario)
     world.start()
     world.setup_scenario(scenario)
     world.run_for(2.0)
@@ -406,11 +416,12 @@ def test_world_issues_flag_accounting_imbalance():
 
 
 def scan_world(payload, size=512, rate_hz=10.0, config=None):
-    world = World(build_topology(TOPO), seed=5, config=config)
-    world.start()
-    doc = mini_scenario()
+    doc = mini_scenario(config=config or {})
     doc["services"][0]["advertises"][0].update(payload=payload, size=size, rate_hz=rate_hz)
-    world.setup_scenario(parse_scenario(doc))
+    scenario = parse_scenario(doc)
+    world = planned_world(scenario)
+    world.start()
+    world.setup_scenario(scenario)
     return world
 
 
@@ -717,6 +728,10 @@ def _with_links(links):
     pytest.param(_with_links({"crossings": [{"between": ["edge", "cloud"],
                                              "bandwidth_mbps": 1e-300}]}),
                  id="bandwidth-beyond-the-clock"),
+    # the later entry of a pair named twice, in either order, won silently
+    pytest.param(_with_links({"crossings": [{"between": ["edge", "cloud"], "latency_ms": 5.0},
+                                            {"between": ["cloud", "edge"], "latency_ms": 50.0}]}),
+                 id="duplicate-crossing-pair"),
     # a start after the end crashed the drain with a traceback, or started
     # the service in the drain; a repeated probe node crashed the world,
     # and a repeated sweep node ran twice into one placement directory

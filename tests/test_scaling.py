@@ -30,8 +30,8 @@ measures.
 Parse and set-up hold such loops: a duplicate check such as
 ``names.count`` per service name, or a name looked up in a list of every
 service, runs inside C and makes no call cProfile counts. So under the
-``ci`` profile two more tests time the parse, and the set-up (`World`,
-`start`, `setup_scenario`), of the 4n-service ladder against the
+``ci`` profile two more tests time the parse, and the set-up (`plan`,
+`World`, `start`, `setup_scenario`), of the 4n-service ladder against the
 n-service one, where linear work takes about 4x.
 """
 
@@ -48,7 +48,7 @@ import pytest
 from hypothesis import settings
 
 from flowbridge import flow, ratelimit
-from flowbridge.runner import World
+from flowbridge.runner import World, plan
 from flowbridge.scenario import parse_scenario
 from flowbridge.topology import build_topology
 
@@ -102,7 +102,8 @@ def sizes() -> tuple[int, ...]:
 
 def run_ladder(doc: dict) -> World:
     scenario = parse_scenario(doc)
-    world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config)
+    topology = build_topology(scenario.topology)
+    world = World(topology, scenario.seed, plan(scenario, topology, scenario.duration_s).configs)
     world.start()
     world.setup_scenario(scenario)
     world.run_for(DURATION_S)
@@ -187,13 +188,14 @@ def parse_seconds(services: int) -> float:
 
 def setup_seconds(services: int) -> float:
     """The least of three set-up times of the ``services``-service ladder:
-    `World`, `World.start` and `World.setup_scenario`, from a parsed
-    document and its built topology."""
+    `plan`, `World`, `World.start` and `World.setup_scenario`, from a
+    parsed document and its built topology."""
     scenario = parse_scenario(ladder.generate(1, services, DURATION_S))
     topology = build_topology(scenario.topology)
 
     def set_up() -> None:
-        world = World(topology, scenario.seed, config=scenario.config)
+        world = World(topology, scenario.seed,
+                      plan(scenario, topology, scenario.duration_s).configs)
         world.start()
         world.setup_scenario(scenario)
 

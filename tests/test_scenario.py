@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from flowbridge.configstore import resolve_layer_config
 from flowbridge.scenario import (
     ProbesSpec,
     Scenario,
@@ -233,10 +234,10 @@ def test_parse_rejects_non_finite_numbers(path, key, literal):
 
 def test_parse_accepts_reannounce_off():
     sc = parse_scenario({**MINIMAL, "config": {"edge": {"flow": {"reannounce_s": 0}}}})
-    assert sc.config == {"edge": {"flow": {"reannounce_s": 0}}}
+    assert sc.config == {"edge": resolve_layer_config({"flow": {"reannounce_s": 0}})}
     # and the shortest period the nanosecond clock holds
     sc = parse_scenario({**MINIMAL, "config": {"edge": {"flow": {"reannounce_s": 1e-9}}}})
-    assert sc.config == {"edge": {"flow": {"reannounce_s": 1e-9}}}
+    assert sc.config == {"edge": resolve_layer_config({"flow": {"reannounce_s": 1e-9}})}
 
 
 def test_parse_rejects_duplicate_topics_of_one_service():

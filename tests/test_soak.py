@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from flowbridge import runner
-from flowbridge.runner import World
+from flowbridge.runner import World, plan
 from flowbridge.scenario import builtin_scenarios, parse_scenario
 from flowbridge.topology import build_topology
 from oracles import oracle_bridge_rows
@@ -35,10 +35,11 @@ def test_trace_memory_does_not_grow_with_run_length(tmp_path):
     # the 80-service ladder streams thousands of trace records per
     # virtual second; they go to the file and nowhere else
     scenario = parse_scenario(ladder.generate(1, 80, 40.0))
+    topology = build_topology(scenario.topology)
+    configs = plan(scenario, topology, scenario.duration_s).configs
     tracemalloc.start()
     try:
-        world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config,
-                      trace_path=tmp_path / "trace.jsonl")
+        world = World(topology, scenario.seed, configs, trace_path=tmp_path / "trace.jsonl")
         world.start()
         world.setup_scenario(scenario)
         world.run_for(5.0)
@@ -63,9 +64,11 @@ def test_a_gauge_sample_costs_at_most_24_bytes():
     # typed arrays keep it in 16 B and their spare tail, where a list of
     # (int, float) tuples took about 88 B
     scenario = parse_scenario(ladder.generate(1, 80, 12.0))
+    topology = build_topology(scenario.topology)
+    configs = plan(scenario, topology, scenario.duration_s).configs
     tracemalloc.start()
     try:
-        world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config)
+        world = World(topology, scenario.seed, configs)
         world.start()
         world.setup_scenario(scenario)
         readings = []
@@ -99,19 +102,19 @@ def test_a_run_leaves_no_reference_cycles(workload):
     # removed bridge whose subscription's callback still held it would be
     # a cycle left for the collector
     scenario = parse_scenario(short_doc(workload))
-    placements = scenario.sweep.nodes if scenario.sweep is not None else [None]
-    for placement in placements:
-        world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config)
+    topology = build_topology(scenario.topology)
+    run = plan(scenario, topology, scenario.duration_s)
+    for tag, placement in run.placements.items():
+        world = World(topology, scenario.seed, run.configs)
         world.start()
-        world.setup_scenario(
-            scenario, None if placement is None else {scenario.sweep.service: placement})
+        world.setup_scenario(scenario, placement)
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
         try:
-            world.run_for(scenario.duration_s)
+            world.run_for(run.duration_s)
             world.drain()
-            assert gc.collect() == 0, placement
+            assert gc.collect() == 0, tag
         finally:
             if enabled:
                 gc.enable()
@@ -122,7 +125,8 @@ def test_bridge_events_do_not_grow_with_run_length():
     # each service starts and stops at most once and a re-announce
     # changes no bridge: the 12 s run crosses a re-announce period
     scenario = parse_scenario(ladder.generate(1, 80, 12.0))
-    world = World(build_topology(scenario.topology), scenario.seed, config=scenario.config)
+    topology = build_topology(scenario.topology)
+    world = World(topology, scenario.seed, plan(scenario, topology, scenario.duration_s).configs)
     world.start()
     world.setup_scenario(scenario)
     world.run_for(4.0)

@@ -200,6 +200,15 @@ def test_load_topology_rejects_a_malformed_links_section(tmp_path, links):
         load_topology(str(path))
 
 
+@pytest.mark.parametrize("second", [["edge", "cloud"], ["cloud", "edge"]])
+def test_a_crossing_pair_may_be_named_only_once(second):
+    # the later entry used to win without an error
+    links = {"crossings": [{"between": ["edge", "cloud"], "latency_ms": 5.0},
+                           {"between": second, "latency_ms": 50.0}]}
+    with pytest.raises(TopologyError, match=r"links\.crossings\[1\]: crossing .* named twice"):
+        build_topology({**SPEC, "links": links})
+
+
 def test_crossing_name_may_not_equal_a_scope_key():
     # the crossing from layer "intra_layer:x" to layer "y" would share its
     # name, and so its spec, with the intra_layer scope of layer "x->y"
