@@ -7,12 +7,12 @@ labels) so two identical runs produce byte-identical files::
     counter flow.offered{topic="scan"} 1500 29980000000
     gauge mon.rtt_half_ms{source="a@edge",target="b@cloud"} last=50.1 n=100 mean=50.02 min=40.9 max=59.3 99000000000
 
-Counter lines carry the total and the virtual time of the last update;
-gauge lines summarize the observed series, every sample of which the
-registry keeps until export, in two typed arrays (`GaugeCell`). Label
-values are escaped as in the Prometheus text format (backslash, double
-quote, newline), so a series is one line and no value reads as more
-labels.
+Each line ends with the virtual time of its key's last update. Counter
+lines carry the total; gauge lines summarize the observed series, whose
+values the registry keeps until export in a typed array (`GaugeCell`).
+Label values are escaped as in the Prometheus text format (backslash,
+double quote, newline), so a series is one line and no value reads as
+more labels.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from array import array
 from functools import reduce
+from itertools import repeat
 from operator import add
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
@@ -91,32 +92,31 @@ class CounterCell:
 
 
 class GaugeCell:
-    """One gauge series, registered like `CounterCell`: its samples'
-    virtual times in ``at``, an ``array("q")`` of int ns, and their
-    values in ``values``, an ``array("d")`` of floats, 16 B per sample
-    and no object per sample. ``len`` counts the samples, 0 until
-    observed, and iterating yields ``(at, value)`` pairs, made as read.
+    """One gauge series, registered like `CounterCell`: its values in
+    ``values``, an ``array("d")`` of floats, 8 B per sample and no object
+    per sample, and the virtual time ``at`` of its last observation, -1
+    until the first. ``len`` counts the samples, and iterating yields
+    ``(at, value)`` pairs, made as read, each with that last time.
 
-    A time past 2**63 - 1 ns does not fit ``at``: that observe raises
-    `OverflowError` and keeps nothing."""
+    `observe` is the cell's only writer. A value too large for a float
+    raises `OverflowError` there and leaves the cell as it was."""
 
     __slots__ = ("clock", "at", "values")
 
     def __init__(self, clock):
         self.clock = clock
-        self.at = array("q")
+        self.at = -1
         self.values = array("d")
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
-        return zip(self.at, self.values)
+        return zip(repeat(self.at), self.values)
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.at.append(self.clock.now)
         self.values.append(value)
+        self.at = self.clock.now
 
 
 class MetricsRegistry:
@@ -170,9 +170,8 @@ class MetricsRegistry:
         return out
 
     def gauge_sets(self, name: str) -> dict[LabelSet, GaugeCell]:
-        """Per label set that was observed, its cell itself, not a copy:
-        callers only read it, as ``(at, value)`` pairs or through the
-        cell's two arrays."""
+        """Per label set that was observed, its cell itself, not a copy,
+        which callers only read."""
         return {labels: cell
                 for labels, cell in self._gauges.get(name, {}).items() if cell.values}
 
@@ -185,8 +184,7 @@ class MetricsRegistry:
         for name, cells in self._gauges.items():
             for labels, cell in cells.items():
                 if cell.values:
-                    points.append(MetricPoint(name, "gauge", labels, cell.values[-1],
-                                              cell.at[-1]))
+                    points.append(MetricPoint(name, "gauge", labels, cell.values[-1], cell.at))
         points.sort(key=lambda p: (p.kind, p.name, p.labels))
         return points
 
@@ -223,7 +221,7 @@ def export_metrics(registry: MetricsRegistry, sink: BinaryIO) -> int:
         lines.append(
             f"gauge {name}{_fmt_labels(labels)} last={_fmt_num(vals[-1])} n={len(vals)}"
             f" mean={_fmt_num(mean)} min={_fmt_num(min(vals))} max={_fmt_num(max(vals))}"
-            f" {cell.at[-1]}"
+            f" {cell.at}"
         )
     data = ("\n".join(lines) + "\n").encode("utf-8")
     sink.write(data)

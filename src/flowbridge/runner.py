@@ -242,8 +242,8 @@ class World:
         """Invariant violations observed by this world; empty when clean."""
         out = []
         if self.clock.now > MAX_NS:
-            # a link so slow that a message outlasts the clock: no gauge
-            # can keep a sample at such a time, so its observe raises
+            # a link so slow that a message outlasts the clock's range:
+            # nothing else fails at such a time, so this is the one report
             out.append(f"virtual time ran to {self.clock.now} ns, past the clock's "
                        f"range of {MAX_NS} ns")
         for scope, topic, err, n in self.network.endpoint_errors():

@@ -18,6 +18,7 @@ messages, and only remote and third-party ones reach its callback.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Any, Callable, Iterable, Mapping
 
 from .broker import BrokerEndpoint, SubscriberHandle
@@ -75,8 +76,8 @@ class Advertise:
     def __init__(self, topic: str, rate_hz: float = 0.0, max_size: int = 0) -> None:
         if not topic:
             raise ValueError("empty topic")
-        if rate_hz < 0 or max_size < 0:
-            raise ValueError("rate_hz/max_size must be >= 0")
+        if not (0 <= rate_hz < math.inf and 0 <= max_size < math.inf):
+            raise ValueError("rate_hz/max_size must be finite and >= 0")
         self.topic = topic
         self.rate_hz = rate_hz
         self.max_size = max_size
@@ -100,7 +101,6 @@ class ServiceHandle:
         self.state = READY
         self.published = 0
         self.received = 0
-        self.received_by_topic: dict[str, int] = {}
         self._delivered = DedupeWindow()  # delivered streams, for the duplicate detector
         self._subs: list[SubscriberHandle] = []
 
@@ -164,6 +164,7 @@ class ServiceHost:
         for topic in {a.topic for a in advs} | set(reqs):
             if topic.startswith(RESERVED_PREFIX) and not internal:
                 raise ReservedTopicError(f"{topic!r} is in the reserved namespace")
+        callbacks = self._normalize_callbacks(reqs, on_message)
 
         scope = (self.topology.external_scope(layer) if external
                  else self.topology.default_scope_for(node))
@@ -179,7 +180,6 @@ class ServiceHost:
         engine.heartbeats.refresh(name, node_id.name, hb_ttl)
         self.clock.every(hb_period, self._heartbeat_tick, handle, hb_period, hb_ttl)
 
-        callbacks = self._normalize_callbacks(reqs, on_message)
         for topic in reqs:
             handle._subs.append(endpoint.subscribe(
                 topic, self._delivery_wrapper(handle, topic, callbacks.get(topic)),
@@ -240,12 +240,8 @@ class ServiceHost:
 
     def _delivery_wrapper(self, handle: ServiceHandle, topic: str,
                           user_cb: Callable[[MessageEnvelope], None] | None):
-        latency = self.registry.gauge("mon.msg_latency_ms",
-                                      {"topic": topic, "node": handle.node.name})
-        # the cell's two arrays, appended per delivery as `observe` does;
-        # the time first, so a time that does not fit keeps no value
-        add_at, add_value = latency.at.append, latency.values.append
-
+        observe = self.registry.gauge("mon.msg_latency_ms",
+                                      {"topic": topic, "node": handle.node.name}).observe
         window = handle._delivered
 
         def deliver(env: MessageEnvelope) -> None:
@@ -261,11 +257,8 @@ class ServiceHost:
                 self.violations.append({"kind": "duplicate_delivery", **fields})
                 self.trace.record("duplicate_delivery", self.clock.now, **fields)
                 return
-            now = self.clock.now
-            add_at(now)
-            add_value((now - env.sent_at) / 1e6)
+            observe((self.clock.now - env.sent_at) / 1e6)
             handle.received += 1
-            handle.received_by_topic[env.topic] = handle.received_by_topic.get(env.topic, 0) + 1
             if user_cb is not None:
                 user_cb(env)
         return deliver

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import Counter
 from enum import Enum
 from typing import Any, Iterable
@@ -253,8 +254,8 @@ class FlowDeclaration(FrozenRecord):
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if not topic:
             raise ValueError("empty topic")
-        if declared_rate < 0 or declared_max_size < 0:
-            raise ValueError("declared rate/size must be >= 0")
+        if not (0 <= declared_rate < math.inf and 0 <= declared_max_size < math.inf):
+            raise ValueError("declared rate/size must be finite and >= 0")
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "topic", topic)
         object.__setattr__(self, "origin_node", origin_node)

@@ -506,12 +506,13 @@ class _OracleGaugeCell:
     def __init__(self, reg, key):
         self.reg = reg
         self.key = key
-        self.samples = None
+        self.entry = None
 
     def observe(self, value) -> None:
-        if self.samples is None:
-            self.samples = self.reg.gauges.setdefault(self.key, [])
-        self.samples.append((self.reg.clock.now, float(value)))
+        if self.entry is None:
+            self.entry = self.reg.gauges.setdefault(self.key, [[], -1])
+        self.entry[0].append(float(value))
+        self.entry[1] = self.reg.clock.now
 
 
 class OracleMetrics:
@@ -524,7 +525,7 @@ class OracleMetrics:
     def __init__(self, clock):
         self.clock = clock
         self.counters: dict[tuple, list] = {}  # key -> [value, at]
-        self.gauges: dict[tuple, list] = {}  # key -> [(at, value), ...]
+        self.gauges: dict[tuple, list] = {}  # key -> [[value, ...], last at]
 
     def counter(self, name, labels=None) -> _OracleCounterCell:
         return _OracleCounterCell(self, (name, _oracle_labels(labels)))
@@ -547,12 +548,15 @@ class OracleMetrics:
         return out
 
     def gauge_sets(self, name) -> dict:
-        return {labels: list(v) for (n, labels), v in self.gauges.items() if n == name}
+        """Per label set: (its values, its last time)."""
+        return {labels: (list(values), at)
+                for (n, labels), (values, at) in self.gauges.items() if n == name}
 
     def snapshot(self) -> list[tuple]:
         """(kind, name, labels, value, at) per entry, sorted."""
         points = [("counter", n, labels, v, at) for (n, labels), (v, at) in self.counters.items()]
-        points += [("gauge", n, labels, s[-1][1], s[-1][0]) for (n, labels), s in self.gauges.items()]
+        points += [("gauge", n, labels, vals[-1], at)
+                   for (n, labels), (vals, at) in self.gauges.items()]
         return sorted(points, key=lambda p: p[:3])
 
     def export(self) -> bytes:
@@ -564,15 +568,14 @@ class OracleMetrics:
         lines = ["# flowbridge metrics v1"]
         for (name, labels), (value, at) in sorted(self.counters.items()):
             lines.append(f"counter {fmt(name, labels)} {_oracle_num(value)} {at}")
-        for (name, labels), samples in sorted(self.gauges.items()):
-            vals = [v for _, v in samples]
+        for (name, labels), (vals, at) in sorted(self.gauges.items()):
             total = 0
             for v in vals:  # left to right, rounding after each addition
                 total += v
             lines.append(
                 f"gauge {fmt(name, labels)} last={_oracle_num(vals[-1])} n={len(vals)}"
                 f" mean={_oracle_num(total / len(vals))} min={_oracle_num(min(vals))}"
-                f" max={_oracle_num(max(vals))} {samples[-1][0]}")
+                f" max={_oracle_num(max(vals))} {at}")
         return ("\n".join(lines) + "\n").encode("utf-8")
 
 

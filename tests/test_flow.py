@@ -635,9 +635,8 @@ def test_one_client_registers_the_larger_size_of_two_advertisers():
 
 
 def test_limiters_match_the_table_when_the_bridge_gauge_raises(monkeypatch):
-    # a reconcile observes the bridge count last: an observe that raises (a
-    # time past MAX_NS overflows a gauge's int64 times) leaves every bridge
-    # it installed registered with its client's limiter
+    # a reconcile observes the bridge count last: an observe that raises
+    # leaves every bridge it installed registered with its client's limiter
     w = Mini(SPEC3)
     edge = w.engines["edge"]
     edge.announce(decl(topic="a", node="robot-1", rate=5.0, size=100), "s1")
@@ -645,7 +644,7 @@ def test_limiters_match_the_table_when_the_bridge_gauge_raises(monkeypatch):
 
     def failing(name, labels, value):
         if name == "flow.bridges":
-            raise OverflowError("time past MAX_NS")
+            raise OverflowError("value too large for a float")
         observe(name, labels, value)
 
     monkeypatch.setattr(w.metrics, "observe", failing)

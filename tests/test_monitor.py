@@ -14,7 +14,7 @@ from flowbridge.monitor import (
     pong_topic,
 )
 from flowbridge.simnet import MS, SECOND, SimClock
-from flowbridge.topology import MAX_NS, MessageEnvelope, NodeId
+from flowbridge.topology import MessageEnvelope, NodeId
 from flowbridge.tracing import Trace
 
 
@@ -72,11 +72,13 @@ def test_gauge_series_and_sets():
     clock.run_until(10)
     reg.observe("lat", {"topic": "a"}, 2.5)
     reg.observe("lat", {"topic": "b"}, 9.0)
-    assert list(reg.gauge("lat", {"topic": "a"})) == [(0, 1.5), (10, 2.5)]
+    cell = reg.gauge("lat", {"topic": "a"})
+    assert list(cell.values) == [1.5, 2.5] and cell.at == 10
+    assert list(cell) == [(10, 1.5), (10, 2.5)]
     sets = reg.gauge_sets("lat")
     assert {dict(k)["topic"] for k in sets} == {"a", "b"}
     snap = [p for p in reg.snapshot() if p.name == "lat" and dict(p.labels)["topic"] == "a"]
-    assert snap[0].value == 2.5  # last observation
+    assert (snap[0].value, snap[0].at) == (2.5, 10)  # last observation
 
 
 def test_snapshot_is_sorted_and_stable():
@@ -153,17 +155,20 @@ def test_gauge_cell_records_what_observe_would():
     assert export_text(by_cell) == export_text(by_observe)
 
 
-def test_a_gauge_keeps_no_sample_past_the_clocks_range():
-    # sample times are 64-bit nanosecond counts: a later time raises and
-    # leaves the cell as it was, its two arrays of equal length
+def test_a_failed_observe_keeps_nothing():
+    # observe appends the value, then sets the time: a value too large for
+    # a float raises and leaves the cell as it was
     reg, clock = make_reg()
-    cell = reg.gauge("lat")
-    clock.run_until(MAX_NS)
+    cell, idle = reg.gauge("lat"), reg.gauge("idle")
+    clock.run_until(5)
     cell.observe(1)
-    clock.run_until(MAX_NS + 1)
-    with pytest.raises(OverflowError):
-        cell.observe(2)
-    assert list(cell) == [(MAX_NS, 1.0)] and len(cell) == len(cell.at) == 1
+    clock.run_until(9)
+    for c in (cell, idle):
+        with pytest.raises(OverflowError):
+            c.observe(10**400)
+    assert list(cell.values) == [1.0] and cell.at == 5
+    assert list(idle.values) == [] and idle.at == -1
+    assert [p.name for p in reg.snapshot()] == ["lat"]
 
 
 # -- export format -------------------------------------------------------------

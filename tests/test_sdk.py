@@ -1,5 +1,6 @@
 """Unit tests for the service SDK: lifecycle, publish, delivery wrapper."""
 
+import math
 import sys
 
 import pytest
@@ -51,6 +52,11 @@ def test_advertise_validation():
         Advertise("")
     with pytest.raises(ValueError):
         Advertise("t", rate_hz=-1)
+    # `x < 0` is false for nan: a nan rate used to reach the limiter's
+    # allocation, whose order then followed registration
+    for rate_hz, max_size in ((math.nan, 100), (math.inf, 100), (5.0, math.nan), (5.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Advertise("t", rate_hz, max_size)
 
 
 def test_start_service_lifecycle(world, tmp_path):
@@ -118,10 +124,19 @@ def test_start_requires_live_engine():
         w.host.start_service("robot-1", "cam")
 
 
-def test_callbacks_must_match_requests(world):
-    with pytest.raises(ServiceError):
+def test_callbacks_must_match_requests(world, tmp_path):
+    # checked with the other arguments, before the service or its
+    # heartbeat is registered: the rejected call leaves nothing behind
+    with pytest.raises(ServiceError, match="callbacks for unrequested topics"):
         world.host.start_service("robot-1", "x", requests=["a"],
                                  on_message={"b": lambda e: None})
+    assert ("robot-1", "x") not in world.host.services
+    assert not world.engines["edge"].heartbeats.live("x", "robot-1")
+    h = world.host.start_service("robot-1", "x", requests=["a"],
+                                 on_message={"a": lambda e: None})
+    assert world.host.services[("robot-1", "x")] is h
+    world.drain()
+    assert len(records(tmp_path / "trace.jsonl", "hb_register", service="x")) == 1
 
 
 def test_publish_guards(world):
@@ -146,7 +161,6 @@ def test_end_to_end_delivery_and_latency(world):
     settle(world, 200)
     assert [e.payload for e in got] == [b"frame-1"]
     assert viewer.received == 1
-    assert viewer.received_by_topic == {"img": 1}
     assert cam.published == 1
     lat = list(world.registry.gauge("mon.msg_latency_ms", {"topic": "img", "node": "cloud-1"}))
     assert len(lat) == 1 and lat[0][1] > 0

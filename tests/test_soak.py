@@ -59,10 +59,11 @@ def gauge_samples(world: World) -> int:
                for series in registry.gauge_sets(name).values())
 
 
-def test_a_gauge_sample_costs_at_most_24_bytes():
-    # a sample per delivery is what still grows with run length: two
-    # typed arrays keep it in 16 B and their spare tail, where a list of
-    # (int, float) tuples took about 88 B
+def test_a_gauge_sample_costs_at_most_12_bytes():
+    # a sample per delivery is what still grows with run length: a typed
+    # array keeps its value in 8 B and the array's spare tail, and the
+    # cell keeps one time, that of its last sample. Two arrays, a time per
+    # sample, took about 17 B; a list of (int, float) tuples about 88 B
     scenario = parse_scenario(ladder.generate(1, 80, 12.0))
     topology = build_topology(scenario.topology)
     configs = plan(scenario, topology, scenario.duration_s).configs
@@ -83,7 +84,7 @@ def test_a_gauge_sample_costs_at_most_24_bytes():
     (bytes_4s, samples_4s), (bytes_12s, samples_12s) = readings
     assert samples_12s - samples_4s > 10_000, readings
     per_sample = (bytes_12s - bytes_4s) / (samples_12s - samples_4s)
-    assert per_sample <= 24, (per_sample, readings)
+    assert per_sample <= 12, (per_sample, readings)
 
 
 def short_doc(workload: str) -> dict:

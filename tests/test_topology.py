@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,11 @@ def test_declaration_validation():
         decl(topic="")
     with pytest.raises(ValueError):
         decl(declared_rate=-1.0)
+    # as the document reader does, for callers that pass no document
+    for field in ("declared_rate", "declared_max_size"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                decl(**{field: value})
 
 
 def test_flow_control_body_carries_each_fact_once():
